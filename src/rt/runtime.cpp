@@ -52,7 +52,14 @@ class MeasureRuntime final : public Runtime {
     tracer_.set_meta("mflops", std::to_string(host_.mflops));
     trace::Trace t = tracer_.take();
     t.validate();
-    prog.verify();
+    try {
+      prog.verify();
+    } catch (const std::exception& e) {
+      // A bare mismatch message does not say which measurement of a sweep
+      // failed; name the configuration.
+      throw util::Error(prog.name() + " at n_threads=" + std::to_string(n_) +
+                        ": verify failed: " + e.what());
+    }
     return t;
   }
 

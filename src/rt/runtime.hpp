@@ -90,6 +90,12 @@ class Program {
   virtual void thread_main(Runtime& rt) = 0;
 
   /// Numerical self-check after the run; throw util::Error on failure.
+  /// measure() calls it after every run and rethrows a failure as
+  /// util::Error naming the program and thread count.  A check may compare
+  /// against a reference shared across measurements (suite/reference.hpp);
+  /// such a reference must be a pure function of its key — the exact
+  /// configuration fields (and thread count, if the result's round-off
+  /// depends on it) that it reads.
   virtual void verify() {}
 };
 

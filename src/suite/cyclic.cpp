@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "rt/collection.hpp"
+#include "suite/reference.hpp"
 #include "suite/suite.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -65,8 +66,18 @@ Eq combine(const Eq& e, const Eq* lo, const Eq* hi) {
   return out;
 }
 
-std::vector<std::vector<double>> solve_reference(std::vector<Eq> cur) {
-  const std::int64_t m = static_cast<std::int64_t>(cur.size());
+// The fields the verify() reference reads.
+struct CyclicKey {
+  static constexpr const char* kProgram = "cyclic";
+  std::int64_t size;
+  int width;
+  auto operator<=>(const CyclicKey&) const = default;
+};
+
+// Sequential PCR; returns x[i * width + w].
+std::vector<double> solve_reference(const CyclicKey& key) {
+  std::vector<Eq> cur = make_system(key.size, key.width);
+  const std::int64_t m = key.size;
   std::vector<Eq> next(cur.size());
   for (std::int64_t s = 1; s < m; s *= 2) {
     for (std::int64_t i = 0; i < m; ++i) {
@@ -77,12 +88,10 @@ std::vector<std::vector<double>> solve_reference(std::vector<Eq> cur) {
     }
     cur.swap(next);
   }
-  std::vector<std::vector<double>> x(cur.size());
-  for (std::size_t i = 0; i < cur.size(); ++i) {
-    x[i].resize(cur[i].d.size());
-    for (std::size_t w = 0; w < cur[i].d.size(); ++w)
-      x[i][w] = cur[i].d[w] / cur[i].b;
-  }
+  std::vector<double> x;
+  x.reserve(cur.size() * static_cast<std::size_t>(key.width));
+  for (const Eq& e : cur)
+    for (double d : e.d) x.push_back(d / e.b);
   return x;
 }
 
@@ -135,13 +144,15 @@ class CyclicProgram final : public rt::Program {
   }
 
   void verify() override {
-    const auto expect = solve_reference(make_system(m_, w_));
+    const auto ref = shared_reference(CyclicKey{m_, w_}, solve_reference);
+    const std::vector<double>& expect = *ref;
+    XP_CHECK(expect.size() == static_cast<std::size_t>(m_ * w_),
+             "cyclic: reference shape");
     for (std::int64_t i = 0; i < m_; ++i) {
       const Eq& e = bufs_[final_]->init(i);
       for (int w = 0; w < w_; ++w) {
         const double got = e.d[static_cast<std::size_t>(w)] / e.b;
-        const double want =
-            expect[static_cast<std::size_t>(i)][static_cast<std::size_t>(w)];
+        const double want = expect[static_cast<std::size_t>(i * w_ + w)];
         XP_REQUIRE(std::fabs(got - want) < 1e-12,
                    "cyclic: solution mismatch at " + std::to_string(i));
       }

@@ -11,6 +11,7 @@
 #include <cmath>
 
 #include "rt/collection.hpp"
+#include "suite/reference.hpp"
 #include "suite/suite.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -60,6 +61,15 @@ Totals run_range(std::int64_t first, std::int64_t last) {
   }
   return t;
 }
+
+// The fields the verify() reference reads.
+struct EmbarKey {
+  static constexpr const char* kProgram = "embar";
+  std::int64_t pairs;
+  auto operator<=>(const EmbarKey&) const = default;
+};
+
+Totals sequential_reference(const EmbarKey& k) { return run_range(0, k.pairs); }
 
 class EmbarProgram final : public rt::Program {
  public:
@@ -113,7 +123,8 @@ class EmbarProgram final : public rt::Program {
   }
 
   void verify() override {
-    const Totals expect = run_range(0, pairs_);
+    const auto ref = shared_reference(EmbarKey{pairs_}, sequential_reference);
+    const Totals& expect = *ref;
     XP_REQUIRE(result_.counts == expect.counts,
                "embar: annulus counts do not match sequential reference");
     XP_REQUIRE(std::fabs(result_.sx - expect.sx) < 1e-9 &&

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "rt/collection.hpp"
+#include "suite/reference.hpp"
 #include "suite/suite.hpp"
 #include "util/error.hpp"
 
@@ -32,6 +33,37 @@ struct Control {
 double source(std::int64_t gi, std::int64_t gj, std::int64_t points) {
   const std::int64_t c = points / 2;
   return (gi == c && gj == c) ? 1.0 : 0.0;
+}
+
+// The fields the verify() reference reads.
+struct GridKey {
+  static constexpr const char* kProgram = "grid";
+  std::int64_t blocks, block_points;
+  int iters;
+  auto operator<=>(const GridKey&) const = default;
+};
+
+// Sequential Jacobi on the flat grid, identical update formula; returns the
+// final iterate, row-major over (blocks * block_points)^2 points.
+std::vector<double> jacobi_reference(const GridKey& k) {
+  const std::int64_t pts = k.blocks * k.block_points;
+  std::vector<double> a(static_cast<std::size_t>(pts * pts), 0.0), na = a;
+  auto at = [&](std::vector<double>& v, std::int64_t i,
+                std::int64_t j) -> double& {
+    return v[static_cast<std::size_t>(i * pts + j)];
+  };
+  for (int it = 0; it < k.iters; ++it) {
+    for (std::int64_t i = 0; i < pts; ++i)
+      for (std::int64_t j = 0; j < pts; ++j) {
+        const double up = i > 0 ? at(a, i - 1, j) : 0.0;
+        const double dn = i + 1 < pts ? at(a, i + 1, j) : 0.0;
+        const double lf = j > 0 ? at(a, i, j - 1) : 0.0;
+        const double rg = j + 1 < pts ? at(a, i, j + 1) : 0.0;
+        at(na, i, j) = 0.25 * (up + dn + lf + rg + source(i, j, pts));
+      }
+    a.swap(na);
+  }
+  return a;
 }
 
 class GridProgram final : public rt::Program {
@@ -153,30 +185,20 @@ class GridProgram final : public rt::Program {
   }
 
   void verify() override {
-    // Sequential Jacobi on the flat grid, identical update formula.
+    const auto ref =
+        shared_reference(GridKey{g_, b_, iters_}, jacobi_reference);
+    const std::vector<double>& a = *ref;
     const std::int64_t pts = g_ * b_;
-    std::vector<double> a(static_cast<std::size_t>(pts * pts), 0.0), na = a;
-    auto at = [&](std::vector<double>& v, std::int64_t i, std::int64_t j) -> double& {
-      return v[static_cast<std::size_t>(i * pts + j)];
-    };
-    for (int it = 0; it < iters_; ++it) {
-      for (std::int64_t i = 0; i < pts; ++i)
-        for (std::int64_t j = 0; j < pts; ++j) {
-          const double up = i > 0 ? at(a, i - 1, j) : 0.0;
-          const double dn = i + 1 < pts ? at(a, i + 1, j) : 0.0;
-          const double lf = j > 0 ? at(a, i, j - 1) : 0.0;
-          const double rg = j + 1 < pts ? at(a, i, j + 1) : 0.0;
-          at(na, i, j) = 0.25 * (up + dn + lf + rg + source(i, j, pts));
-        }
-      a.swap(na);
-    }
+    XP_CHECK(a.size() == static_cast<std::size_t>(pts * pts),
+             "grid: reference shape");
     for (std::int64_t e = 0; e < g_ * g_; ++e) {
       const Block& blk = u_[final_]->init(e);
       const std::int64_t br = e / g_, bc = e % g_;
       for (std::int64_t i = 0; i < b_; ++i)
         for (std::int64_t j = 0; j < b_; ++j) {
           const double got = blk.v[static_cast<std::size_t>(i * b_ + j)];
-          const double want = at(a, br * b_ + i, bc * b_ + j);
+          const double want =
+              a[static_cast<std::size_t>((br * b_ + i) * pts + bc * b_ + j)];
           XP_REQUIRE(std::fabs(got - want) < 1e-12,
                      "grid: solution mismatch in block " + std::to_string(e));
         }

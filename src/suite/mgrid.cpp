@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "rt/collection.hpp"
+#include "suite/reference.hpp"
 #include "suite/suite.hpp"
 #include "util/error.hpp"
 
@@ -114,6 +115,23 @@ class Reference {
   std::vector<std::vector<double>> u_, rhs_;
 };
 
+// The fields the verify() reference reads.
+struct MgridKey {
+  static constexpr const char* kProgram = "mgrid";
+  std::int64_t size;
+  int cycles, depth;
+  auto operator<=>(const MgridKey&) const = default;
+};
+
+// Every depth layer's sequential solution, layer d at index d.
+std::vector<std::vector<double>> layered_reference(const MgridKey& key) {
+  std::vector<std::vector<double>> layers;
+  layers.reserve(static_cast<std::size_t>(key.depth));
+  for (int d = 0; d < key.depth; ++d)
+    layers.push_back(Reference(key.size, key.cycles, d).solution());
+  return layers;
+}
+
 class MgridProgram final : public rt::Program {
  public:
   explicit MgridProgram(const SuiteConfig& cfg)
@@ -169,16 +187,20 @@ class MgridProgram final : public rt::Program {
 
   void verify() override {
     const std::int64_t f = finest_;
+    const auto ref = shared_reference(MgridKey{finest_, cycles_, depth_},
+                                      layered_reference);
+    XP_CHECK(ref->size() == static_cast<std::size_t>(depth_) &&
+                 ref->front().size() == static_cast<std::size_t>(f * f),
+             "mgrid: reference shape");
     for (int d = 0; d < depth_; ++d) {
-      Reference ref(finest_, cycles_, d);
+      const std::vector<double>& layer = (*ref)[static_cast<std::size_t>(d)];
       for (std::int64_t i = 0; i < f; ++i)
         for (std::int64_t j = 0; j < f; ++j) {
           const double got = levels_[0]
                                  .u[final_parity_]
                                  ->init_rc(i, j)
                                  .z[static_cast<std::size_t>(d)];
-          const double want =
-              ref.solution()[static_cast<std::size_t>(i * f + j)];
+          const double want = layer[static_cast<std::size_t>(i * f + j)];
           XP_REQUIRE(std::fabs(got - want) < 1e-12,
                      "mgrid: mismatch at (" + std::to_string(i) + "," +
                          std::to_string(j) + ") depth " + std::to_string(d));

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "rt/collection.hpp"
+#include "suite/reference.hpp"
 #include "suite/suite.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -28,13 +29,30 @@ std::vector<double> make_rhs(std::int64_t m) {
   return f;
 }
 
-// Row-major sine transform of one row (naive O(M^2), as charged).
-void dst_row(const double* in, double* out, std::int64_t m) {
+// Sine-transform coefficient sin(pi (j+1)(k+1) / (M+1)).
+double dst_coeff(std::int64_t j, std::int64_t k, std::int64_t m) {
+  return std::sin(std::numbers::pi * static_cast<double>((j + 1) * (k + 1)) /
+                  static_cast<double>(m + 1));
+}
+
+// Row-major sine transform of one row (naive O(M^2), as charged), reading
+// the coefficients from the M x M table `coeff` (row k holds output k's).
+void dst_row(const double* in, double* out, const double* coeff,
+             std::int64_t m) {
+  for (std::int64_t k = 0; k < m; ++k) {
+    const double* row = coeff + k * m;
+    double s = 0.0;
+    for (std::int64_t j = 0; j < m; ++j) s += in[j] * row[j];
+    out[k] = s;
+  }
+}
+
+// The same transform evaluating every coefficient directly — the
+// reference's independent check on the table the kernel reads.
+void dst_row_direct(const double* in, double* out, std::int64_t m) {
   for (std::int64_t k = 0; k < m; ++k) {
     double s = 0.0;
-    for (std::int64_t j = 0; j < m; ++j)
-      s += in[j] * std::sin(std::numbers::pi * static_cast<double>((j + 1) * (k + 1)) /
-                            static_cast<double>(m + 1));
+    for (std::int64_t j = 0; j < m; ++j) s += in[j] * dst_coeff(j, k, m);
     out[k] = s;
   }
 }
@@ -59,13 +77,21 @@ void thomas_row(double* f, std::int64_t m, std::int64_t k) {
     f[i] -= c[static_cast<std::size_t>(i)] * f[i + 1];
 }
 
+// The field the verify() reference reads.
+struct PoissonKey {
+  static constexpr const char* kProgram = "poisson";
+  std::int64_t size;
+  auto operator<=>(const PoissonKey&) const = default;
+};
+
 // Sequential replica with the identical phase structure and arithmetic.
-std::vector<double> reference(std::int64_t m) {
+std::vector<double> reference(const PoissonKey& key) {
+  const std::int64_t m = key.size;
   std::vector<double> a = make_rhs(m);
   std::vector<double> b(a.size()), t(a.size());
   for (std::int64_t i = 0; i < m; ++i)
-    dst_row(&a[static_cast<std::size_t>(i * m)],
-            &b[static_cast<std::size_t>(i * m)], m);
+    dst_row_direct(&a[static_cast<std::size_t>(i * m)],
+                   &b[static_cast<std::size_t>(i * m)], m);
   for (std::int64_t i = 0; i < m; ++i)
     for (std::int64_t j = 0; j < m; ++j)
       t[static_cast<std::size_t>(i * m + j)] =
@@ -77,8 +103,8 @@ std::vector<double> reference(std::int64_t m) {
       b[static_cast<std::size_t>(i * m + j)] =
           t[static_cast<std::size_t>(j * m + i)];
   for (std::int64_t i = 0; i < m; ++i)
-    dst_row(&b[static_cast<std::size_t>(i * m)],
-            &a[static_cast<std::size_t>(i * m)], m);
+    dst_row_direct(&b[static_cast<std::size_t>(i * m)],
+                   &a[static_cast<std::size_t>(i * m)], m);
   const double scale = 2.0 / static_cast<double>(m + 1);
   for (auto& v : a) v *= scale;
   return a;
@@ -112,6 +138,10 @@ class PoissonProgram final : public rt::Program {
       b_->init(i).v.assign(static_cast<std::size_t>(m_), 0.0);
       t_->init(i).v.assign(static_cast<std::size_t>(m_), 0.0);
     }
+    coeff_.resize(static_cast<std::size_t>(m_ * m_));
+    for (std::int64_t k = 0; k < m_; ++k)
+      for (std::int64_t j = 0; j < m_; ++j)
+        coeff_[static_cast<std::size_t>(k * m_ + j)] = dst_coeff(j, k, m_);
   }
 
   void thread_main(rt::Runtime& rt) override {
@@ -121,7 +151,7 @@ class PoissonProgram final : public rt::Program {
 
     // Forward transform (local rows).
     for (std::int64_t i : mine) {
-      dst_row(a_->local(i).v.data(), b_->local(i).v.data(), m_);
+      dst_row(a_->local(i).v.data(), b_->local(i).v.data(), coeff_.data(), m_);
       rt.compute_flops(row_flops);
     }
     rt.barrier();
@@ -140,7 +170,7 @@ class PoissonProgram final : public rt::Program {
     transpose(rt, *t_, *b_, mine);
     const double scale = 2.0 / static_cast<double>(m_ + 1);
     for (std::int64_t i : mine) {
-      dst_row(b_->local(i).v.data(), a_->local(i).v.data(), m_);
+      dst_row(b_->local(i).v.data(), a_->local(i).v.data(), coeff_.data(), m_);
       for (std::int64_t j = 0; j < m_; ++j)
         a_->local(i).v[static_cast<std::size_t>(j)] *= scale;
       rt.compute_flops(row_flops + static_cast<double>(m_));
@@ -149,7 +179,10 @@ class PoissonProgram final : public rt::Program {
   }
 
   void verify() override {
-    const std::vector<double> expect = reference(m_);
+    const auto ref = shared_reference(PoissonKey{m_}, reference);
+    const std::vector<double>& expect = *ref;
+    XP_CHECK(expect.size() == static_cast<std::size_t>(m_ * m_),
+             "poisson: reference shape");
     for (std::int64_t i = 0; i < m_; ++i)
       for (std::int64_t j = 0; j < m_; ++j) {
         const double got = a_->init(i).v[static_cast<std::size_t>(j)];
@@ -179,6 +212,7 @@ class PoissonProgram final : public rt::Program {
 
   std::int64_t m_;
   std::unique_ptr<rt::Collection<Row>> a_, b_, t_;
+  std::vector<double> coeff_;  ///< sine-transform table, built in setup()
 };
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "rt/collection.hpp"
+#include "suite/reference.hpp"
 #include "suite/suite.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -28,6 +29,20 @@ std::vector<double> make_keys(std::int64_t total) {
   std::vector<double> keys(static_cast<std::size_t>(total));
   util::Xoshiro256ss rng(0x5027ull);
   for (auto& k : keys) k = rng.uniform(0.0, 1e6);
+  return keys;
+}
+
+// The field the verify() reference reads.
+struct SortKey {
+  static constexpr const char* kProgram = "sort";
+  std::int64_t keys;
+  auto operator<=>(const SortKey&) const = default;
+};
+
+// The input keys, sorted sequentially.
+std::vector<double> sorted_reference(const SortKey& key) {
+  std::vector<double> keys = make_keys(key.keys);
+  std::sort(keys.begin(), keys.end());
   return keys;
 }
 
@@ -100,9 +115,8 @@ class SortProgram final : public rt::Program {
     }
     XP_REQUIRE(std::is_sorted(got.begin(), got.end()),
                "sort: output is not globally sorted");
-    std::vector<double> expect = make_keys(total_);
-    std::sort(expect.begin(), expect.end());
-    XP_REQUIRE(got == expect, "sort: output is not a permutation of input");
+    const auto expect = shared_reference(SortKey{total_}, sorted_reference);
+    XP_REQUIRE(got == *expect, "sort: output is not a permutation of input");
   }
 
  private:

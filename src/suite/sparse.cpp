@@ -18,6 +18,7 @@
 
 #include "rt/collection.hpp"
 #include "rt/collectives.hpp"
+#include "suite/reference.hpp"
 #include "suite/suite.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -76,11 +77,22 @@ std::vector<std::pair<std::int64_t, std::int64_t>> ranges(std::int64_t m,
   return out;
 }
 
+// The fields the verify() reference reads.  The thread count is part of
+// the key because the reference replays the thread-partitioned reduction
+// order of the dot products.
+struct SparseKey {
+  static constexpr const char* kProgram = "sparse";
+  std::int64_t size;
+  int nnz_per_row, iters, n_threads;
+  auto operator<=>(const SparseKey&) const = default;
+};
+
 // Sequential replica of the partitioned CG (identical operation order).
-std::vector<double> cg_reference(const Matrix& a, const std::vector<double>& b,
-                                 int iters, int n_threads) {
+std::vector<double> cg_reference(const SparseKey& key) {
+  const Matrix a = make_matrix(key.size, key.nnz_per_row);
+  const std::vector<double> b = make_rhs(key.size);
   const std::int64_t m = a.m;
-  const auto rg = ranges(m, n_threads);
+  const auto rg = ranges(m, key.n_threads);
   std::vector<double> x(static_cast<std::size_t>(m), 0.0);
   std::vector<double> r = b, p = b, q(static_cast<std::size_t>(m));
 
@@ -96,7 +108,7 @@ std::vector<double> cg_reference(const Matrix& a, const std::vector<double>& b,
   };
 
   double rho = dot(r, r);
-  for (int it = 0; it < iters; ++it) {
+  for (int it = 0; it < key.iters; ++it) {
     for (std::int64_t i = 0; i < m; ++i) {
       double s = 0.0;
       for (const Entry& e : a.rows[static_cast<std::size_t>(i)])
@@ -226,8 +238,11 @@ class SparseProgram final : public rt::Program {
   }
 
   void verify() override {
-    const std::vector<double> expect =
-        cg_reference(a_, make_rhs(m_), iters_, n_);
+    const auto ref =
+        shared_reference(SparseKey{m_, nnz_, iters_, n_}, cg_reference);
+    const std::vector<double>& expect = *ref;
+    XP_CHECK(expect.size() == static_cast<std::size_t>(m_),
+             "sparse: reference shape");
     for (int t = 0; t < n_; ++t) {
       const auto [lo, hi] = rg_[static_cast<std::size_t>(t)];
       for (std::int64_t i = lo; i < hi; ++i) {

@@ -1,5 +1,8 @@
 #include "suite/suite.hpp"
 
+#include <mutex>
+
+#include "suite/reference.hpp"
 #include "util/error.hpp"
 
 namespace xp::suite {
@@ -43,6 +46,33 @@ std::string describe(const std::string& name) {
   if (name == "taskgraph")
     return "Task-graph traversal as per-level task pools (patterns)";
   throw util::Error("unknown benchmark: " + name);
+}
+
+namespace {
+
+struct BuildCounts {
+  std::mutex mu;
+  std::map<std::string, std::int64_t> by_program;
+
+  static BuildCounts& instance() {
+    static BuildCounts c;
+    return c;
+  }
+};
+
+}  // namespace
+
+void detail::note_reference_build(const std::string& program) {
+  auto& c = BuildCounts::instance();
+  std::lock_guard<std::mutex> lock(c.mu);
+  ++c.by_program[program];
+}
+
+std::int64_t reference_builds(const std::string& program) {
+  auto& c = BuildCounts::instance();
+  std::lock_guard<std::mutex> lock(c.mu);
+  auto it = c.by_program.find(program);
+  return it != c.by_program.end() ? it->second : 0;
 }
 
 }  // namespace xp::suite

@@ -116,4 +116,8 @@ std::unique_ptr<rt::Program> make_by_name(const std::string& name,
 /// One-line description per benchmark (Table 2's description column).
 std::string describe(const std::string& name);
 
+/// Number of verify() references `program` has built in this process (each
+/// is built once per distinct key; suite/reference.hpp).  Exposed for tests.
+std::int64_t reference_builds(const std::string& program);
+
 }  // namespace xp::suite

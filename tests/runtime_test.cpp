@@ -311,6 +311,16 @@ TEST(MeasureRuntime, VerifyFailurePropagates) {
     void verify() override { throw util::Error("numerical mismatch"); }
   } p;
   EXPECT_THROW(measure(p, opts(2)), util::Error);
+  // The rethrown error names the configuration that failed, so a mismatch
+  // deep inside a sweep says which measurement it came from.
+  try {
+    measure(p, opts(3));
+    FAIL() << "verify failure was swallowed";
+  } catch (const util::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("test at n_threads=3"), std::string::npos) << what;
+    EXPECT_NE(what.find("numerical mismatch"), std::string::npos) << what;
+  }
 }
 
 TEST(MeasureRuntime, RejectsBadConfig) {

@@ -4,10 +4,15 @@
 // valid traces.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "rt/runtime.hpp"
 #include "suite/suite.hpp"
 #include "trace/summary.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace xp::suite {
 namespace {
@@ -179,6 +184,86 @@ TEST(Matmul, WholeWholeSerializesOwnership) {
   const trace::Summary s = summarize(run(*prog, 4));
   // All elements on thread 0: everything is local.
   EXPECT_EQ(s.remote_reads, 0);
+}
+
+// verify() references are shared per key (suite/reference.hpp).  Each case
+// changes exactly one field a reference reads; measuring the base config
+// and the variant interleaved, in both orders and at two thread counts,
+// makes a key that misses the field serve one config the other's
+// reference, and that verify() throws.
+TEST(SuiteReference, KeyCoversEveryReferenceField) {
+  struct Variant {
+    const char* code;
+    const char* field;
+    std::function<void(SuiteConfig&)> change;
+  };
+  const std::vector<Variant> variants = {
+      {"grid", "blocks", [](SuiteConfig& c) { c.grid_blocks = 3; }},
+      {"grid", "block_points", [](SuiteConfig& c) { c.grid_block_points = 6; }},
+      {"grid", "iters", [](SuiteConfig& c) { c.grid_iters = 4; }},
+      {"embar", "pairs", [](SuiteConfig& c) { c.embar_pairs = 3000; }},
+      {"poisson", "size", [](SuiteConfig& c) { c.poisson_size = 20; }},
+      {"cyclic", "size", [](SuiteConfig& c) { c.cyclic_size = 32; }},
+      {"cyclic", "width", [](SuiteConfig& c) { c.cyclic_width = 3; }},
+      {"sort", "keys", [](SuiteConfig& c) { c.sort_keys = 512; }},
+      {"mgrid", "size", [](SuiteConfig& c) { c.mgrid_size = 8; }},
+      {"mgrid", "cycles", [](SuiteConfig& c) { c.mgrid_cycles = 1; }},
+      {"mgrid", "depth", [](SuiteConfig& c) { c.mgrid_depth = 2; }},
+      {"sparse", "size", [](SuiteConfig& c) { c.sparse_size = 160; }},
+      {"sparse", "nnz_per_row", [](SuiteConfig& c) { c.sparse_nnz_per_row = 4; }},
+      {"sparse", "iters", [](SuiteConfig& c) { c.sparse_iters = 2; }},
+  };
+  const SuiteConfig base = small_config();
+  for (const Variant& v : variants) {
+    SuiteConfig changed = base;
+    v.change(changed);
+    const SuiteConfig* b = &base;
+    const SuiteConfig* c = &changed;
+    for (const auto& [first, second] : {std::pair{b, c}, std::pair{c, b}})
+      for (int n : {1, 4})
+        for (const SuiteConfig* cfg : {first, second}) {
+          auto prog = make_by_name(v.code, *cfg);
+          EXPECT_NO_THROW(run(*prog, n))
+              << v.code << " with " << v.field
+              << (cfg == b ? " at base" : " changed") << ", n=" << n;
+        }
+  }
+}
+
+// Eight pool workers measure one config at once, at mixed thread counts:
+// every measurement verifies, and concurrent verify() calls wait on one
+// reference build per key instead of repeating it.
+TEST(SuiteReference, ConcurrentMeasurementsBuildEachReferenceOnce) {
+  // Values no other test measures, so the build counters start fresh.
+  SuiteConfig cfg = small_config();
+  cfg.embar_pairs = 1 << 10;
+  cfg.cyclic_width = 5;
+  cfg.sparse_iters = 5;
+  cfg.grid_iters = 6;
+  cfg.mgrid_cycles = 3;
+  cfg.poisson_size = 28;
+  cfg.sort_keys = 1024;
+  const int kThreads[] = {1, 2, 4, 8, 8, 4, 2, 1};
+  util::ThreadPool pool(8);
+  for (const std::string& name : benchmark_names()) {
+    const std::int64_t before = reference_builds(name);
+    std::vector<std::string> errors(std::size(kThreads));
+    for (std::size_t i = 0; i < std::size(kThreads); ++i)
+      pool.submit([&, i] {
+        try {
+          auto prog = make_by_name(name, cfg);
+          run(*prog, kThreads[i]);
+        } catch (const std::exception& e) {
+          errors[i] = e.what();
+        }
+      });
+    pool.wait();
+    for (std::size_t i = 0; i < errors.size(); ++i)
+      EXPECT_EQ(errors[i], "") << name << " n=" << kThreads[i];
+    // Sparse keys on the thread count (4 distinct here); the rest do not.
+    EXPECT_EQ(reference_builds(name) - before, name == "sparse" ? 4 : 1)
+        << name;
+  }
 }
 
 TEST(SuiteDeterminism, SameTraceTwice) {
