@@ -34,41 +34,36 @@ inline const std::vector<int>& paper_procs() {
   return procs;
 }
 
-/// Measure-once-per-(bench, n), simulate many parameter sets: the traces
-/// are cached so parameter sweeps do not repeat the measurement, exactly
-/// the workflow ExtraP is built for.
+/// Measure-once-per-(bench, n), simulate many parameter sets: one
+/// TranslateCache per bench, so parameter sweeps repeat neither the
+/// measurement nor the translation — exactly the workflow ExtraP is built
+/// for.
 class TraceCache {
  public:
   explicit TraceCache(suite::SuiteConfig cfg = {}) : cfg_(std::move(cfg)) {}
 
-  const trace::Trace& get(const std::string& bench, int n) {
-    const auto key = bench + "/" + std::to_string(n);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
-    auto prog = suite::make_by_name(bench, cfg_);
-    rt::MeasureOptions mo;
-    mo.n_threads = n;
-    return cache_.emplace(key, rt::measure(*prog, mo)).first->second;
+  /// The measured-and-translated trace of `bench` at n threads.
+  std::shared_ptr<const core::TranslatedTrace> prepared(
+      const std::string& bench, int n) {
+    const auto it = caches_.try_emplace(
+        bench, core::measure_fresh([cfg = cfg_, bench] {
+          return suite::make_by_name(bench, cfg);
+        }));
+    return it.first->second.get_or_prepare(n);
   }
 
-  /// Extrapolate via the shared translate cache: measurement AND
-  /// translation happen once per (bench, n); only the simulation reruns
-  /// per parameter set.
+  /// Extrapolate `bench` at n threads; only the simulation reruns per
+  /// parameter set.
   Prediction predict(const std::string& bench, int n,
                      const model::SimParams& params) {
-    core::TranslateKey key;
-    key.n_threads = n;
-    const auto prepared = translated_[bench].get_or_prepare(
-        key, [&](int nn) { return get(bench, nn); });
-    return core::predict(*prepared, params);
+    return core::predict(*prepared(bench, n), params);
   }
 
   const suite::SuiteConfig& config() const { return cfg_; }
 
  private:
   suite::SuiteConfig cfg_;
-  std::map<std::string, trace::Trace> cache_;
-  std::map<std::string, core::TranslateCache> translated_;
+  std::map<std::string, core::TranslateCache> caches_;
 };
 
 /// Predicted execution times across the paper's processor counts.

@@ -65,7 +65,7 @@ int main() {
 
   // Trace statistics the investigation consulted: barrier count and the
   // declared-vs-actual volume discrepancy.
-  const trace::Summary s = trace::summarize(cache.get("grid", 8));
+  const trace::Summary s = cache.prepared("grid", 8)->measured_summary;
   std::cout << "\ntrace statistics (n=8 measurement): " << s.str() << '\n';
 
   std::cout << "\nshape checks against the paper:\n";

@@ -2,13 +2,12 @@
 
 namespace xp::core {
 
-TranslatedTrace prepare_trace(const trace::Trace& measured,
-                              const TranslateOptions& topt) {
+TranslatedTrace prepare_trace(const trace::Trace& measured) {
   TranslatedTrace tt;
   tt.n_threads = measured.n_threads();
   tt.measured_time = measured.end_time();
   tt.measured_summary = trace::summarize(measured);
-  tt.translated = translate(measured, topt);
+  tt.translated = translate(measured);
   tt.ideal_time = ideal_parallel_time(tt.translated);
   tt.compiled = std::make_shared<const CompiledTrace>(
       CompiledTrace::compile(tt.translated));
@@ -29,18 +28,14 @@ Prediction predict(const TranslatedTrace& prepared, const SimParams& params,
   return p;
 }
 
-Prediction Extrapolator::extrapolate(rt::Program& prog, int n_threads,
-                                     const rt::HostMachine& host) const {
+Prediction Extrapolator::extrapolate(rt::Program& prog, int n_threads) const {
   rt::MeasureOptions mo;
   mo.n_threads = n_threads;
-  mo.host = host;
-  const trace::Trace measured = rt::measure(prog, mo);
-  return extrapolate_trace(measured);
+  return extrapolate_trace(rt::measure(prog, mo));
 }
 
-Prediction Extrapolator::extrapolate_trace(const trace::Trace& measured,
-                                           const TranslateOptions& topt) const {
-  return predict(prepare_trace(measured, topt), params_);
+Prediction Extrapolator::extrapolate_trace(const trace::Trace& measured) const {
+  return predict(prepare_trace(measured), params_);
 }
 
 }  // namespace xp::core

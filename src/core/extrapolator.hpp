@@ -44,9 +44,9 @@ struct TranslatedTrace {
   std::shared_ptr<const CompiledTrace> compiled;
 };
 
-/// Run the measurement-side half of the pipeline (validate + translate).
-TranslatedTrace prepare_trace(const trace::Trace& measured,
-                              const TranslateOptions& topt = {});
+/// Run the measurement-side half of the pipeline (validate + translate +
+/// compile), with default TranslateOptions.
+TranslatedTrace prepare_trace(const trace::Trace& measured);
 
 /// Run the simulation-side half: replay a prepared trace against one
 /// parameter set.  Pure — identical inputs give bitwise-identical
@@ -63,14 +63,12 @@ class Extrapolator {
   const SimParams& params() const { return params_; }
   SimParams& params() { return params_; }
 
-  /// Measure `prog` with n threads on one (virtual) processor, translate,
-  /// and simulate the n-processor execution.
-  Prediction extrapolate(rt::Program& prog, int n_threads,
-                         const rt::HostMachine& host = rt::sun4_host()) const;
+  /// Measure `prog` with n threads on one (virtual) processor of the
+  /// default host, translate, and simulate the n-processor execution.
+  Prediction extrapolate(rt::Program& prog, int n_threads) const;
 
   /// Extrapolate from an existing measured 1-processor trace.
-  Prediction extrapolate_trace(const trace::Trace& measured,
-                               const TranslateOptions& topt = {}) const;
+  Prediction extrapolate_trace(const trace::Trace& measured) const;
 
  private:
   SimParams params_;

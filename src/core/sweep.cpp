@@ -1,61 +1,40 @@
 #include "core/sweep.hpp"
 
-#include <time.h>
-
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <unordered_set>
 #include <utility>
 
+#include "rt/runtime.hpp"
 #include "util/error.hpp"
 #include "util/once_cell.hpp"
 #include "util/thread_pool.hpp"
 
 namespace xp::core {
 
-namespace {
-
-/// CPU seconds consumed by the calling thread.  The per-stage CPU sums are
-/// built from deltas of this clock taken on the worker that ran the job, so
-/// they measure work done, not wall time spent time-sliced against the
-/// other workers (see SweepStages).
-double thread_cpu_seconds() {
-  timespec ts;
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-}  // namespace
-
-// Tripwire for the cache-key contract: TranslateOptions currently holds
-// {bool remove_event_overhead; Time event_overhead_override} and the hash
-// below mixes both.  If this assert fires you added (or resized) a field —
-// mix it into TranslateKeyHash too, or equal-hash lookups can serve stale
-// translations for options that differ only in the unmixed field.
-static_assert(sizeof(TranslateOptions) == 16,
-              "TranslateOptions layout changed: update TranslateKeyHash "
-              "(and tests/sweep_test.cpp hash-audit cases), then adjust "
-              "this size check");
-
-std::size_t TranslateKeyHash::operator()(const TranslateKey& k) const {
-  // FNV-1a over the key fields; collisions only cost a bucket walk.
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<std::uint64_t>(k.n_threads));
-  mix(k.topt.remove_event_overhead ? 1 : 0);
-  mix(static_cast<std::uint64_t>(k.topt.event_overhead_override.count_ns()));
-  return static_cast<std::size_t>(h);
-}
-
 struct TranslateCache::Entry {
   util::OnceCell<std::shared_ptr<const TranslatedTrace>> cell;
   std::atomic<std::uint64_t> last_use{0};  ///< LRU tick of the last access
   std::atomic<std::size_t> bytes{0};       ///< footprint once computed
 };
+
+TranslateCache::TranslateCache(Measure measure)
+    : measure_(std::move(measure)) {}
+
+TranslateCache::Measure measure_fresh(ProgramFactory factory) {
+  return [factory = std::move(factory)](int n) {
+    XP_REQUIRE(factory != nullptr,
+               "sweep needs a ProgramFactory or a seed_trace() covering "
+               "n_threads=" +
+                   std::to_string(n));
+    auto prog = factory();
+    XP_REQUIRE(prog != nullptr, "ProgramFactory returned null");
+    rt::MeasureOptions mo;
+    mo.n_threads = n;
+    return rt::measure(*prog, mo);
+  };
+}
 
 void TranslateCache::touch(Entry& e) const {
   e.last_use.store(tick_.fetch_add(1) + 1, std::memory_order_relaxed);
@@ -104,7 +83,7 @@ void TranslateCache::evict_to_budget() {
   const std::size_t budget = budget_.load();
   if (budget == 0) return;
   while (bytes_.load(std::memory_order_relaxed) > budget) {
-    TranslateKey victim_key{};
+    int victim_key = 0;
     std::size_t victim_shard = 0;
     std::uint64_t victim_tick = 0;
     std::uint64_t newest_tick = 0;
@@ -143,75 +122,92 @@ void TranslateCache::evict_to_budget() {
   }
 }
 
-TranslateCache::Shard& TranslateCache::shard_for(const TranslateKey& key) {
-  // Top bits of the FNV hash: unordered_map buckets use the low bits, so
-  // shard choice and bucket choice stay decorrelated.
-  static_assert((kShards & (kShards - 1)) == 0, "kShards must be a power of 2");
-  const std::size_t h = TranslateKeyHash{}(key);
-  return shards_[(h >> (sizeof(std::size_t) * 8 - 4)) & (kShards - 1)];
+TranslateCache::Shard& TranslateCache::shard_for(int n_threads) const {
+  // Top bits of a Fibonacci-mixed key (std::hash<int> is the identity):
+  // unordered_map buckets use the low bits, so shard choice and bucket
+  // choice stay decorrelated.
+  static_assert(kShards == 16, "the shift below picks 4 bits");
+  const std::uint64_t h =
+      static_cast<std::uint64_t>(n_threads) * 0x9E3779B97F4A7C15ull;
+  return shards_[h >> 60];
 }
 
-const TranslateCache::Shard& TranslateCache::shard_for(
-    const TranslateKey& key) const {
-  return const_cast<TranslateCache*>(this)->shard_for(key);
-}
-
+// The key's entry, inserting `e` (a fresh entry when null) if absent.
 std::shared_ptr<TranslateCache::Entry> TranslateCache::entry_for(
-    const TranslateKey& key) {
-  Shard& shard = shard_for(key);
+    int n_threads, std::shared_ptr<Entry> e) {
+  Shard& shard = shard_for(n_threads);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto& slot = shard.map[key];
-  if (!slot) slot = std::make_shared<Entry>();
+  auto& slot = shard.map[n_threads];
+  if (!slot) slot = e ? std::move(e) : std::make_shared<Entry>();
   return slot;
 }
 
-std::shared_ptr<const TranslatedTrace> TranslateCache::get_or_prepare(
-    const TranslateKey& key, const Measure& measure) {
-  XP_REQUIRE(key.n_threads >= 1, "translate-cache key needs n_threads >= 1");
-  const auto entry = entry_for(key);
-  bool computed = false;
+// Drops the key's entry if it is still `e`.  Runs while `e`'s computation
+// is unwinding, so no requester can have completed it; requesters already
+// waiting on `e` retry the computation on the orphan, and a retry that
+// succeeds re-inserts it (prepare()).
+void TranslateCache::erase(int n_threads, const std::shared_ptr<Entry>& e) {
+  Shard& shard = shard_for(n_threads);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  const auto it = shard.map.find(n_threads);
+  if (it != shard.map.end() && it->second == e) shard.map.erase(it);
+}
+
+// The one miss path: measure (unless a seed trace is given), translate and
+// compile, charging each step's thread-CPU time to its counter.
+std::shared_ptr<const TranslatedTrace> TranslateCache::prepare(
+    int n_threads, const trace::Trace* seed, bool& computed) {
+  XP_REQUIRE(n_threads >= 1, "translate-cache key needs n_threads >= 1");
+  const auto entry = entry_for(n_threads);
+  computed = false;
   const auto& value = entry->cell.get_or_init([&] {
     computed = true;
-    const trace::Trace measured = measure(key.n_threads);
-    XP_REQUIRE(measured.n_threads() == key.n_threads,
-               "measured trace thread count does not match the cache key");
-    return std::make_shared<const TranslatedTrace>(
-        prepare_trace(measured, key.topt));
+    try {
+      const double cpu0 = util::thread_cpu_seconds();
+      double cpu1 = cpu0;
+      trace::Trace measured;
+      if (!seed) {
+        measured = measure_(n_threads);
+        XP_REQUIRE(measured.n_threads() == n_threads,
+                   "measured trace thread count does not match the cache key");
+        cpu1 = util::thread_cpu_seconds();
+        measure_cpu_s_.fetch_add(cpu1 - cpu0);
+      }
+      auto tt = std::make_shared<const TranslatedTrace>(
+          prepare_trace(seed ? *seed : measured));
+      translate_cpu_s_.fetch_add(util::thread_cpu_seconds() - cpu1);
+      return tt;
+    } catch (...) {
+      erase(n_threads, entry);
+      throw;
+    }
   });
   touch(*entry);
-  if (computed) {
-    misses_.fetch_add(1);
+  if (computed && entry_for(n_threads, entry) == entry)
     account_insert(*entry, *value);
-  } else {
-    hits_.fetch_add(1);
-  }
   return value;
 }
 
-void TranslateCache::put(const trace::Trace& measured,
-                         const TranslateOptions& topt) {
-  TranslateKey key;
-  key.n_threads = measured.n_threads();
-  key.topt = topt;
-  XP_REQUIRE(key.n_threads >= 1, "seed trace needs n_threads >= 1");
-  const auto entry = entry_for(key);
+std::shared_ptr<const TranslatedTrace> TranslateCache::get_or_prepare(
+    int n_threads) {
   bool computed = false;
-  const auto& value = entry->cell.get_or_init([&] {
-    computed = true;
-    return std::make_shared<const TranslatedTrace>(
-        prepare_trace(measured, topt));
-  });
-  touch(*entry);
-  if (computed) account_insert(*entry, *value);
+  auto value = prepare(n_threads, nullptr, computed);
+  (computed ? misses_ : hits_).fetch_add(1);
+  return value;
+}
+
+void TranslateCache::put(const trace::Trace& measured) {
+  bool computed = false;
+  (void)prepare(measured.n_threads(), &measured, computed);
 }
 
 std::shared_ptr<const TranslatedTrace> TranslateCache::get(
-    const TranslateKey& key) const {
-  const Shard& shard = shard_for(key);
+    int n_threads) const {
+  const Shard& shard = shard_for(n_threads);
   std::shared_ptr<Entry> entry;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.map.find(key);
+    const auto it = shard.map.find(n_threads);
     if (it == shard.map.end()) return nullptr;
     entry = it->second;
   }
@@ -233,15 +229,15 @@ std::size_t TranslateCache::size() const {
 }
 
 SweepRunner::SweepRunner(ProgramFactory factory, SweepOptions opt)
-    : factory_(std::move(factory)),
-      opt_(std::move(opt)),
-      cache_(std::make_shared<TranslateCache>()) {}
+    : opt_(std::move(opt)),
+      cache_(std::make_unique<TranslateCache>(
+          measure_fresh(std::move(factory)))) {}
 
 SweepRunner::SweepRunner(SweepOptions opt)
     : SweepRunner(ProgramFactory{}, std::move(opt)) {}
 
 void SweepRunner::seed_trace(const trace::Trace& measured) {
-  cache_->put(measured, opt_.translate);
+  cache_->put(measured);
 }
 
 SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
@@ -257,33 +253,12 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
 
   const std::uint64_t hits0 = cache_->hits();
   const std::uint64_t misses0 = cache_->misses();
+  const double measure_cpu0 = cache_->measure_cpu_s();
+  const double translate_cpu0 = cache_->translate_cpu_s();
 
   using Clock = std::chrono::steady_clock;
   const auto secs = [](Clock::duration d) {
     return std::chrono::duration<double>(d).count();
-  };
-
-  // The measurement for a cache miss (each Scheduler is confined to the OS
-  // thread that runs it, so concurrent measurements on pool workers are
-  // safe).  `measure_cpu_s` reports how much of a pre-warm job was program
-  // measurement (thread-CPU seconds), so translate+compile cost can be
-  // attributed separately.
-  const auto measure_fn = [this](double* measure_cpu_s) {
-    return [this, measure_cpu_s](int n) {
-      XP_REQUIRE(factory_ != nullptr,
-                 "sweep needs a ProgramFactory or a seed_trace() covering "
-                 "n_threads=" +
-                     std::to_string(n));
-      auto prog = factory_();
-      XP_REQUIRE(prog != nullptr, "ProgramFactory returned null");
-      rt::MeasureOptions mo;
-      mo.n_threads = n;
-      mo.host = opt_.host;
-      const double cpu0 = thread_cpu_seconds();
-      trace::Trace t = rt::measure(*prog, mo);
-      if (measure_cpu_s) *measure_cpu_s = thread_cpu_seconds() - cpu0;
-      return t;
-    };
   };
 
   const int n_workers =
@@ -301,61 +276,38 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
   // count, fanned across the pool before any cell simulates.  Submitted
   // with n_threads as the LPT cost hint: measurement cost grows with n, so
   // the pool starts the big ones earliest, minimizing the stage's makespan.
-  struct PrewarmJob {
-    TranslateKey key;
-    std::size_t first_grid_index = 0;  ///< first cell using this key
-    std::shared_ptr<const TranslatedTrace> result;
-    double measure_cpu_s = 0;
-    double total_cpu_s = 0;
-  };
-  std::vector<PrewarmJob> jobs;
-  std::unordered_map<TranslateKey, std::size_t, TranslateKeyHash> job_of_key;
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    TranslateKey key;
-    key.n_threads = grid[i].n_threads;
-    key.topt = opt_.translate;
-    if (job_of_key.emplace(key, jobs.size()).second)
-      jobs.push_back(PrewarmJob{key, i, nullptr, 0, 0});
-  }
+  // Each Scheduler is confined to the OS thread that runs it, so
+  // concurrent measurements on pool workers are safe.
+  std::vector<std::size_t> first_cells;  ///< first cell of each thread count
+  std::unordered_set<int> seen;
+  for (std::size_t i = 0; i < grid.size(); ++i)
+    if (seen.insert(grid[i].n_threads).second) first_cells.push_back(i);
 
+  std::vector<std::shared_ptr<const TranslatedTrace>> prepared(grid.size());
   const auto prewarm0 = Clock::now();
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
+  for (const std::size_t i : first_cells) {
     pool.submit(
-        [&, j] {
-          PrewarmJob& job = jobs[j];
-          const double cpu0 = thread_cpu_seconds();
+        [&, i] {
           try {
-            job.result = cache_->get_or_prepare(
-                job.key, measure_fn(&job.measure_cpu_s));
+            prepared[i] = cache_->get_or_prepare(grid[i].n_threads);
           } catch (...) {
             keep_first_error();
           }
-          job.total_cpu_s = thread_cpu_seconds() - cpu0;
         },
-        static_cast<double>(jobs[j].key.n_threads));
+        static_cast<double>(grid[i].n_threads));
   }
   pool.wait();
   out.stages.prewarm_wall_s = secs(Clock::now() - prewarm0);
-  for (const PrewarmJob& job : jobs) {
-    out.stages.measure_cpu_s += job.measure_cpu_s;
-    out.stages.translate_cpu_s += job.total_cpu_s - job.measure_cpu_s;
-  }
+  out.stages.measure_cpu_s = cache_->measure_cpu_s() - measure_cpu0;
+  out.stages.translate_cpu_s = cache_->translate_cpu_s() - translate_cpu0;
   if (first_error) std::rethrow_exception(first_error);
 
-  // Resolve each cell's trace.  The first cell of every key consumes its
-  // pre-warm result directly; duplicates go through the cache (and count as
-  // hits), preserving the pre-pre-warm accounting: hits + misses over a
-  // sweep always equals the grid size.
-  std::vector<std::shared_ptr<const TranslatedTrace>> prepared(grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    TranslateKey key;
-    key.n_threads = grid[i].n_threads;
-    key.topt = opt_.translate;
-    const PrewarmJob& job = jobs[job_of_key.at(key)];
-    prepared[i] = job.first_grid_index == i
-                      ? job.result
-                      : cache_->get_or_prepare(key, measure_fn(nullptr));
-  }
+  // Resolve the remaining cells' traces.  The first cell of every thread
+  // count holds its pre-warm result; duplicates go through the cache (and
+  // count as hits), preserving the pre-pre-warm accounting: hits + misses
+  // over a sweep always equals the grid size.
+  for (std::size_t i = 0; i < grid.size(); ++i)
+    if (!prepared[i]) prepared[i] = cache_->get_or_prepare(grid[i].n_threads);
 
   std::vector<std::size_t> order = opt_.submit_order;
   if (order.empty()) {
@@ -388,7 +340,7 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
   for (std::size_t i : order) {
     pool.submit(
         [&, i] {
-          const double cpu0 = thread_cpu_seconds();
+          const double cpu0 = util::thread_cpu_seconds();
           try {
             SimOptions sopts;
             sopts.mode = grid[i].mode;
@@ -398,7 +350,7 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
           } catch (...) {
             keep_first_error();
           }
-          sim_cpu[i] = thread_cpu_seconds() - cpu0;
+          sim_cpu[i] = util::thread_cpu_seconds() - cpu0;
         },
         sim_cost(i));
   }

@@ -5,18 +5,20 @@
 // counts x target-machine parameter sets (grid_whatif, machine_shootout,
 // scalability_report, the bench/ figures).  The pipeline splits cleanly:
 //
-//   measure + translate   expensive, depends only on (n_threads, topt)
+//   measure + translate   expensive, depends only on n_threads
 //   simulate              cheap-ish, depends on the full (trace, SimParams)
 //
-// SweepRunner exploits that split.  It measures each distinct thread count
-// ONCE, memoizes the translated traces in a TranslateCache keyed on
-// (n_threads, TranslateOptions), and fans BOTH halves out over one
-// util::ThreadPool: a pre-warm stage runs the independent
-// measure->translate->compile jobs of all distinct thread counts
-// concurrently (largest first, so the longest measurement starts earliest),
-// then the per-cell simulations fan out once their traces are ready.
-// Schedulers are strictly per-OS-thread (fiber/scheduler.hpp), so one
-// measurement per worker is safe.
+// TranslateCache is the one measure -> translate -> compile pipeline: it is
+// built with its measurement source, keyed on the thread count alone, and
+// splits each miss's thread-CPU time into measure and translate counters.
+// SweepRunner, the xp::serve daemon and the bench/ harnesses all resolve
+// their traces through it.  SweepRunner measures each distinct thread
+// count ONCE and fans BOTH halves out over one util::ThreadPool: a
+// pre-warm stage runs the independent measure->translate->compile jobs of
+// all distinct thread counts concurrently (largest first, so the longest
+// measurement starts earliest), then the per-cell simulations fan out once
+// their traces are ready.  Schedulers are strictly per-OS-thread
+// (fiber/scheduler.hpp), so one measurement per worker is safe.
 //
 // Determinism guarantee: results land in SweepResult::predictions by GRID
 // INDEX, never by completion order, and the simulator itself is a
@@ -26,9 +28,9 @@
 // tests/sweep_test.cpp holds this against sequential Extrapolator runs.
 //
 // Cache-key contract: two lookups hit the same entry iff their thread
-// counts and TranslateOptions compare equal; entries are immutable after
-// insert and shared by reference, so concurrent simulations never copy or
-// mutate trace data.
+// counts are equal (every entry is translated with default
+// TranslateOptions); entries are immutable after insert and shared by
+// reference, so concurrent simulations never copy or mutate trace data.
 #pragma once
 
 #include <array>
@@ -45,29 +47,23 @@
 
 namespace xp::core {
 
-/// TranslateCache key: a thread count plus the translation options used.
-struct TranslateKey {
-  int n_threads = 0;
-  TranslateOptions topt;
-
-  bool operator==(const TranslateKey&) const = default;
-};
-
-struct TranslateKeyHash {
-  std::size_t operator()(const TranslateKey& k) const;
-};
+/// Factory for a fresh Program per measurement (Programs are stateful, so
+/// each measurement needs its own instance).
+using ProgramFactory = std::function<std::unique_ptr<rt::Program>()>;
 
 /// Memoized measure+translate results, shared across the threads of a
 /// sweep.  Insertion is synchronized; each entry is computed exactly once
-/// (concurrent requesters of the same key block until it is ready) and is
-/// immutable afterwards.
+/// (concurrent requesters of the same thread count block until it is
+/// ready) and is immutable afterwards.  A computation that throws leaves no
+/// entry behind, so a failing thread count costs nothing once it fails.
 ///
-/// The key map is SHARDED by key hash: concurrent lookups of distinct keys
-/// take independent mutexes, so a pool's simulation fan-out (every cell
-/// resolves its trace through here) never serializes on one cache-wide
-/// lock.  Each shard's lock only covers the entry lookup — measurement and
-/// translation run outside it under the entry's own OnceCell, so a slow
-/// miss never blocks hits on other keys of the same shard either.
+/// The key map is SHARDED by a mixed hash of the thread count: concurrent
+/// lookups of distinct keys take independent mutexes, so a pool's
+/// simulation fan-out (every cell resolves its trace through here) never
+/// serializes on one cache-wide lock.  Each shard's lock only covers the
+/// entry lookup — measurement and translation run outside it under the
+/// entry's own OnceCell, so a slow miss never blocks hits on other keys of
+/// the same shard either.
 ///
 /// Long-lived holders (the xp::serve daemon keeps one cache per source hot
 /// for the process lifetime) can cap the resident footprint with
@@ -79,24 +75,31 @@ struct TranslateKeyHash {
 /// shared_ptr keep their immutable translation alive.
 class TranslateCache {
  public:
-  /// Callback that produces the measured trace for a thread count (runs at
-  /// most once per key; called outside the cache lock).
+  /// The measurement source: produces the measured trace for a thread
+  /// count (runs at most once per cached key; called outside every cache
+  /// lock, possibly from several threads for distinct keys).
   using Measure = std::function<trace::Trace(int n_threads)>;
 
-  /// The prepared trace for `key`, measuring + translating on first use.
-  std::shared_ptr<const TranslatedTrace> get_or_prepare(
-      const TranslateKey& key, const Measure& measure);
+  explicit TranslateCache(Measure measure);
+
+  /// The prepared trace for `n_threads`, measuring + translating on first
+  /// use.
+  std::shared_ptr<const TranslatedTrace> get_or_prepare(int n_threads);
 
   /// Seed an entry from an already-measured trace (keyed by the trace's
   /// own thread count).  No-op if the key is already present.
-  void put(const trace::Trace& measured, const TranslateOptions& topt = {});
+  void put(const trace::Trace& measured);
 
-  /// The entry for `key`, or nullptr if absent.
-  std::shared_ptr<const TranslatedTrace> get(const TranslateKey& key) const;
+  /// The entry for `n_threads`, or nullptr if absent.
+  std::shared_ptr<const TranslatedTrace> get(int n_threads) const;
 
   std::size_t size() const;
   std::uint64_t hits() const { return hits_.load(); }
   std::uint64_t misses() const { return misses_.load(); }
+  /// Thread-CPU seconds spent in the measurement source (misses only).
+  double measure_cpu_s() const { return measure_cpu_s_.load(); }
+  /// Thread-CPU seconds spent translating + compiling (misses and put()).
+  double translate_cpu_s() const { return translate_cpu_s_.load(); }
 
   /// Cap the estimated resident bytes of completed entries; 0 (the
   /// default) means unbounded.  May evict immediately if already over.
@@ -114,26 +117,38 @@ class TranslateCache {
   struct Entry;
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<TranslateKey, std::shared_ptr<Entry>, TranslateKeyHash>
-        map;
+    std::unordered_map<int, std::shared_ptr<Entry>> map;
   };
   static constexpr std::size_t kShards = 16;
 
-  Shard& shard_for(const TranslateKey& key);
-  const Shard& shard_for(const TranslateKey& key) const;
-  std::shared_ptr<Entry> entry_for(const TranslateKey& key);
+  Shard& shard_for(int n_threads) const;
+  std::shared_ptr<Entry> entry_for(int n_threads,
+                                   std::shared_ptr<Entry> e = nullptr);
+  void erase(int n_threads, const std::shared_ptr<Entry>& e);
+  std::shared_ptr<const TranslatedTrace> prepare(int n_threads,
+                                                 const trace::Trace* seed,
+                                                 bool& computed);
   void touch(Entry& e) const;
   void account_insert(Entry& e, const TranslatedTrace& tt);
   void evict_to_budget();
 
-  std::array<Shard, kShards> shards_;
+  Measure measure_;
+  mutable std::array<Shard, kShards> shards_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
+  std::atomic<double> measure_cpu_s_{0};
+  std::atomic<double> translate_cpu_s_{0};
   mutable std::atomic<std::uint64_t> tick_{0};  ///< LRU clock
   std::atomic<std::size_t> budget_{0};
   std::atomic<std::size_t> bytes_{0};
   std::atomic<std::uint64_t> evictions_{0};
 };
+
+/// The measurement source of a program-backed cache: each call builds a
+/// fresh Program with `factory` and measures it with n threads on the
+/// default host.  A null factory yields a source that throws, for caches
+/// that are fed only through put().
+TranslateCache::Measure measure_fresh(ProgramFactory factory);
 
 /// One grid cell: extrapolate to `n_threads` processors under `params`.
 struct SweepPoint {
@@ -185,16 +200,13 @@ struct SweepResult {
   std::vector<SweepPoint> grid;         ///< the request, verbatim
   std::vector<Prediction> predictions;  ///< by grid index
   std::uint64_t cache_hits = 0;    ///< sweep-wide translate-cache hits
-  std::uint64_t cache_misses = 0;  ///< = distinct (n_threads, topt) keys
+  std::uint64_t cache_misses = 0;  ///< = distinct uncached thread counts
   SweepStages stages;              ///< where this sweep's time went
 };
 
 struct SweepOptions {
   /// Simulation workers; 0 = ThreadPool::default_workers().
   int n_workers = 0;
-  TranslateOptions translate;
-  /// Measurement host for cache misses (n_threads comes from each key).
-  rt::HostMachine host = rt::sun4_host();
   /// Task submission order as grid indices (empty = natural order).  A
   /// permutation; exposed so the determinism tests can prove submission
   /// order does not leak into results.
@@ -212,11 +224,7 @@ struct SweepOptions {
 
 class SweepRunner {
  public:
-  /// Factory invoked once per distinct thread count to build a fresh
-  /// Program for measurement (Programs are stateful, so each measurement
-  /// needs its own instance).
-  using ProgramFactory = std::function<std::unique_ptr<rt::Program>()>;
-
+  /// `factory` is invoked once per distinct thread count (measure_fresh).
   SweepRunner(ProgramFactory factory, SweepOptions opt = {});
 
   /// Trace-seeded runner: no factory; every thread count in a grid must be
@@ -224,8 +232,7 @@ class SweepRunner {
   explicit SweepRunner(SweepOptions opt = {});
 
   /// Pre-populate the cache from an existing measured trace (e.g. loaded
-  /// via trace_io), keyed by the trace's thread count and the runner's
-  /// TranslateOptions.
+  /// via trace_io), keyed by the trace's thread count.
   void seed_trace(const trace::Trace& measured);
 
   /// Run the whole grid.  Measurements for distinct thread counts happen
@@ -242,14 +249,9 @@ class SweepRunner {
                        const std::vector<std::string>& labels = {},
                        SimMode mode = SimMode::EventDriven);
 
-  const SweepOptions& options() const { return opt_; }
-  TranslateCache& cache() { return *cache_; }
-  const TranslateCache& cache() const { return *cache_; }
-
  private:
-  ProgramFactory factory_;  ///< may be null (trace-seeded runner)
   SweepOptions opt_;
-  std::shared_ptr<TranslateCache> cache_;
+  std::unique_ptr<TranslateCache> cache_;
 };
 
 }  // namespace xp::core

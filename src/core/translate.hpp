@@ -35,10 +35,6 @@ struct TranslateOptions {
   bool remove_event_overhead = true;
   /// Override the overhead value (negative = use the trace metadata).
   Time event_overhead_override = Time::ns(-1);
-
-  /// Equal options translate a given trace to identical output — the
-  /// equality half of the TranslateCache key contract (core/sweep.hpp).
-  bool operator==(const TranslateOptions&) const = default;
 };
 
 /// Translate a measured 1-processor trace into n idealized per-thread

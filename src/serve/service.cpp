@@ -1,7 +1,5 @@
 #include "serve/service.hpp"
 
-#include <time.h>
-
 #include <algorithm>
 #include <condition_variable>
 #include <exception>
@@ -12,7 +10,6 @@
 #include "core/extrapolator.hpp"
 #include "model/params_io.hpp"
 #include "pattern/compose.hpp"
-#include "rt/runtime.hpp"
 #include "trace/trace_io.hpp"
 #include "util/error.hpp"
 
@@ -23,11 +20,17 @@ namespace {
 /// Queries per batch cap: a forged count must not drive task allocation.
 constexpr std::uint32_t kMaxBatchQueries = 1u << 20;
 
-double thread_cpu_seconds() {
-  timespec ts;
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
+/// A query's target machine: its params text (empty = defaults), with a
+/// positive `mips_ratio` overriding the processor's, validated for
+/// `n_procs` processors.
+model::SimParams query_params(const std::string& params_text,
+                              double mips_ratio, int n_procs) {
+  model::SimParams params = params_text.empty()
+                                ? model::SimParams{}
+                                : model::parse_params_string(params_text);
+  if (mips_ratio > 0) params.proc.mips_ratio = mips_ratio;
+  params.validate(n_procs);
+  return params;
 }
 
 std::string fnv1a_hex(std::string_view bytes) {
@@ -60,14 +63,25 @@ void Service::set_shutdown_handler(std::function<void()> handler) {
 // --- sessions --------------------------------------------------------------
 
 std::shared_ptr<Service::Source> Service::source_for(
-    const std::string& fingerprint, const std::function<Source()>& make) {
-  // Fast path under the lock; the make() for a new source (trace parse
-  // already done by the caller) is cheap, so holding mu_ across it is fine.
+    const std::string& fingerprint, const std::string& bench,
+    const trace::Trace* measured) {
+  // Creating a source (trace parse already done by the caller) is cheap,
+  // so holding mu_ across it is fine.
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = sources_.find(fingerprint);
   if (it != sources_.end()) return it->second;
-  auto src = std::make_shared<Source>(make());
-  src->cache = std::make_shared<core::TranslateCache>();
+  auto src = std::make_shared<Source>();
+  if (measured) {
+    src->measured = std::make_shared<const trace::Trace>(*measured);
+    src->cache = std::make_unique<core::TranslateCache>(
+        [m = src->measured](int) { return *m; });
+  } else {
+    src->bench = bench;
+    src->cache = std::make_unique<core::TranslateCache>(core::measure_fresh(
+        [bench, cfg = opt_.bench_config] {
+          return suite::make_by_name(bench, cfg);
+        }));
+  }
   if (opt_.cache_budget_bytes > 0)
     src->cache->set_byte_budget(opt_.cache_budget_bytes);
   sources_[fingerprint] = src;
@@ -92,27 +106,15 @@ std::uint64_t Service::open_trace_session(const trace::Trace& measured) {
   XP_REQUIRE(measured.n_threads() >= 1, "trace session needs n_threads >= 1");
   std::ostringstream os;
   trace::write_binary(measured, os);
-  const std::string bytes = os.str();
-  auto src = source_for("trace:" + fnv1a_hex(bytes), [&] {
-    Source s;
-    s.is_bench = false;
-    s.measured = std::make_shared<const trace::Trace>(measured);
-    return s;
-  });
-  return register_session(std::move(src));
+  return register_session(
+      source_for("trace:" + fnv1a_hex(os.str()), "", &measured));
 }
 
 std::uint64_t Service::open_bench_session(const std::string& name) {
   // Resolve once up front so unknown names fail at session open, not at
   // first query.
   (void)suite::make_by_name(name, opt_.bench_config);
-  auto src = source_for("bench:" + name, [&] {
-    Source s;
-    s.is_bench = true;
-    s.bench = name;
-    return s;
-  });
-  return register_session(std::move(src));
+  return register_session(source_for("bench:" + name, name, nullptr));
 }
 
 void Service::close_session(std::uint64_t id) {
@@ -132,12 +134,9 @@ QueryResult Service::run_query_on(Source& src, const Query& q) {
       .fetch_add(1);
   try {
     XP_REQUIRE(q.n_procs >= 1, "query needs n_procs >= 1");
-    model::SimParams params = q.params_text.empty()
-                                  ? model::SimParams{}
-                                  : model::parse_params_string(q.params_text);
-    if (q.mips_ratio > 0) params.proc.mips_ratio = q.mips_ratio;
-    if (!src.is_bench &&
-        src.measured->n_threads() != q.n_procs) {
+    const model::SimParams params =
+        query_params(q.params_text, q.mips_ratio, q.n_procs);
+    if (src.measured && src.measured->n_threads() != q.n_procs) {
       throw util::Error(
           "trace session holds a " +
           std::to_string(src.measured->n_threads()) +
@@ -146,36 +145,7 @@ QueryResult Service::run_query_on(Source& src, const Query& q) {
           " needs a measurement with that thread count (open a bench "
           "session to measure on demand)");
     }
-    params.validate(q.n_procs);
-
-    core::TranslateKey key;
-    key.n_threads = q.n_procs;
-    key.topt = opt_.translate;
-
-    bool missed = false;
-    double measure_cpu = 0;
-    const double cpu0 = thread_cpu_seconds();
-    const auto prepared = src.cache->get_or_prepare(key, [&](int n) {
-      missed = true;
-      const double m0 = thread_cpu_seconds();
-      trace::Trace t;
-      if (src.is_bench) {
-        auto prog = suite::make_by_name(src.bench, opt_.bench_config);
-        rt::MeasureOptions mo;
-        mo.n_threads = n;
-        mo.host = opt_.host;
-        t = rt::measure(*prog, mo);
-      } else {
-        t = *src.measured;
-      }
-      measure_cpu = thread_cpu_seconds() - m0;
-      return t;
-    });
-    const double prepared_cpu = thread_cpu_seconds();
-    if (missed) {
-      measure_cpu_s_.fetch_add(measure_cpu);
-      translate_cpu_s_.fetch_add((prepared_cpu - cpu0) - measure_cpu);
-    }
+    const auto prepared = src.cache->get_or_prepare(q.n_procs);
 
     // Hybrid and Auto are conservative-exact (tests hold every mode
     // bitwise-equal), so honoring the wire mode never changes a reply —
@@ -200,8 +170,9 @@ QueryResult Service::run_query_on(Source& src, const Query& q) {
         sopts.mode = core::SimMode::Auto;
         break;
     }
+    const double cpu0 = util::thread_cpu_seconds();
     const core::Prediction pred = core::predict(*prepared, params, sopts);
-    simulate_cpu_s_.fetch_add(thread_cpu_seconds() - prepared_cpu);
+    simulate_cpu_s_.fetch_add(util::thread_cpu_seconds() - cpu0);
 
     res.ok = true;
     res.predicted_ns = pred.predicted_time.count_ns();
@@ -247,7 +218,7 @@ PatternModelResult Service::run_pattern_model_on(Source& src,
                                                  const PatternQuery& q) {
   PatternModelResult res;
   try {
-    XP_REQUIRE(src.is_bench,
+    XP_REQUIRE(!src.measured,
                "pattern models need a bench session (the server measures "
                "the program at every fit count; a trace session holds one "
                "fixed measurement)");
@@ -258,11 +229,8 @@ PatternModelResult Service::run_pattern_model_on(Source& src,
       XP_REQUIRE(i == 0 || q.procs[i] > q.procs[i - 1],
                  "pattern model thread counts must be ascending and distinct");
     }
-    model::SimParams params = q.params_text.empty()
-                                  ? model::SimParams{}
-                                  : model::parse_params_string(q.params_text);
-    if (q.mips_ratio > 0) params.proc.mips_ratio = q.mips_ratio;
-    params.validate(q.procs.back());
+    const model::SimParams params =
+        query_params(q.params_text, q.mips_ratio, q.procs.back());
 
     pattern::Experiment e;
     e.name = src.bench;
@@ -273,37 +241,16 @@ PatternModelResult Service::run_pattern_model_on(Source& src,
       // the real "no pattern regions" error after the first prediction.
     }
     for (const int n : q.procs) {
-      core::TranslateKey key;
-      key.n_threads = n;
-      key.topt = opt_.translate;
-
-      bool missed = false;
-      double measure_cpu = 0;
-      const double cpu0 = thread_cpu_seconds();
-      const auto prepared = src.cache->get_or_prepare(key, [&](int nt) {
-        missed = true;
-        const double m0 = thread_cpu_seconds();
-        auto prog = suite::make_by_name(src.bench, opt_.bench_config);
-        rt::MeasureOptions mo;
-        mo.n_threads = nt;
-        mo.host = opt_.host;
-        trace::Trace t = rt::measure(*prog, mo);
-        measure_cpu = thread_cpu_seconds() - m0;
-        return t;
-      });
-      const double prepared_cpu = thread_cpu_seconds();
-      if (missed) {
-        measure_cpu_s_.fetch_add(measure_cpu);
-        translate_cpu_s_.fetch_add((prepared_cpu - cpu0) - measure_cpu);
-      }
+      const auto prepared = src.cache->get_or_prepare(n);
 
       // Unlike plain queries this verb NEEDS the extrapolated trace: the
       // composed model is extracted from its re-timestamped pattern
       // delimiters.
       core::SimOptions sopts;
       sopts.mode = core::SimMode::Auto;
+      const double cpu0 = util::thread_cpu_seconds();
       const core::Prediction pred = core::predict(*prepared, params, sopts);
-      simulate_cpu_s_.fetch_add(thread_cpu_seconds() - prepared_cpu);
+      simulate_cpu_s_.fetch_add(util::thread_cpu_seconds() - cpu0);
 
       e.procs.push_back(n);
       e.spans.push_back(pattern::extract_regions(pred.sim.extrapolated));
@@ -363,12 +310,7 @@ std::string Service::dispatch(const Frame& frame) {
       const trace::Trace measured = trace::read_binary(is);
       // Fingerprint the wire bytes directly: the writer is deterministic,
       // so the direct API's re-serialization lands on the same key.
-      auto src = source_for("trace:" + fnv1a_hex(frame.body), [&] {
-        Source s;
-        s.is_bench = false;
-        s.measured = std::make_shared<const trace::Trace>(measured);
-        return s;
-      });
+      auto src = source_for("trace:" + fnv1a_hex(frame.body), "", &measured);
       const int n_threads = src->measured->n_threads();
       const std::uint64_t id = register_session(std::move(src));
       WireWriter w;
@@ -596,8 +538,6 @@ ServerStats Service::stats() const {
   s.queries_err = queries_err_.load();
   s.queue_depth =
       static_cast<std::uint64_t>(std::max<std::int64_t>(0, queue_depth_));
-  s.measure_cpu_s = measure_cpu_s_.load();
-  s.translate_cpu_s = translate_cpu_s_.load();
   s.simulate_cpu_s = simulate_cpu_s_.load();
   s.queries_auto =
       queries_by_mode_[static_cast<std::size_t>(QueryMode::Auto)].load();
@@ -616,6 +556,8 @@ ServerStats Service::stats() const {
     s.cache_hits += src->cache->hits();
     s.cache_misses += src->cache->misses();
     s.cache_evictions += src->cache->evictions();
+    s.measure_cpu_s += src->cache->measure_cpu_s();
+    s.translate_cpu_s += src->cache->translate_cpu_s();
   }
   return s;
 }

@@ -44,9 +44,6 @@ struct ServiceOptions {
   std::size_t cache_budget_bytes = 0;
   /// Problem sizes for benchmark-name sessions.
   suite::SuiteConfig bench_config;
-  core::TranslateOptions translate;
-  /// Measurement host for bench-session cache misses.
-  rt::HostMachine host = rt::sun4_host();
 };
 
 class Service {
@@ -95,15 +92,19 @@ class Service {
   void record_connection(std::int64_t open_delta, bool is_new);
 
  private:
+  /// A bench source measures its suite program on demand; a trace source
+  /// (measured != null) serves its one stored measurement.
   struct Source {
-    bool is_bench = false;
     std::string bench;  ///< suite name for bench sources
     std::shared_ptr<const trace::Trace> measured;  ///< for trace sources
-    std::shared_ptr<core::TranslateCache> cache;
+    std::unique_ptr<core::TranslateCache> cache;
   };
 
+  /// The source for `fingerprint`, created on first use from `measured`
+  /// (copied) or, when that is null, from the bench name.
   std::shared_ptr<Source> source_for(const std::string& fingerprint,
-                                     const std::function<Source()>& make);
+                                     const std::string& bench,
+                                     const trace::Trace* measured);
   std::uint64_t register_session(std::shared_ptr<Source> src);
   std::shared_ptr<Source> session_source(std::uint64_t id) const;
   QueryResult run_query_on(Source& src, const Query& q);
@@ -124,8 +125,9 @@ class Service {
   std::uint64_t next_session_ = 1;
   std::function<void()> shutdown_;
 
-  // Stats.  CPU sums follow core::SweepStages' attribution: measure vs
-  // translate+compile split inside a cache miss, simulate per query.
+  // Stats.  CPU sums follow core::SweepStages' attribution: the caches
+  // split measure vs translate+compile inside a miss (stats() sums them
+  // over the sources); simulate is charged per query here.
   std::atomic<std::uint64_t> connections_total_{0};
   std::atomic<std::int64_t> connections_open_{0};
   std::atomic<std::uint64_t> requests_total_{0};
@@ -142,8 +144,6 @@ class Service {
   std::atomic<std::uint64_t> sampling_epochs_total_{0};
   std::atomic<std::uint64_t> sampling_epochs_simulated_{0};
   std::atomic<std::int64_t> queue_depth_{0};
-  std::atomic<double> measure_cpu_s_{0};
-  std::atomic<double> translate_cpu_s_{0};
   std::atomic<double> simulate_cpu_s_{0};
 
   /// Declared last: destroyed first, so in-flight query tasks drain while

@@ -1,5 +1,7 @@
 #include "util/thread_pool.hpp"
 
+#include <time.h>
+
 #include <algorithm>
 
 #include "util/error.hpp"
@@ -230,6 +232,13 @@ int ThreadPool::current_worker() { return tls_worker.index; }
 int ThreadPool::default_workers() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<int>(n);
+}
+
+double thread_cpu_seconds() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 }  // namespace xp::util

@@ -150,4 +150,10 @@ class ThreadPool {
   std::condition_variable all_done_;
 };
 
+/// CPU seconds consumed by the calling thread (CLOCK_THREAD_CPUTIME_ID).
+/// Per-stage CPU sums are built from deltas of this clock taken on the
+/// worker that ran the job, so they measure work done, not wall time spent
+/// time-sliced against the other workers (see core::SweepStages).
+double thread_cpu_seconds();
+
 }  // namespace xp::util

@@ -486,6 +486,55 @@ TEST(ServeService, SharedSourceCachesAcrossSessions) {
   EXPECT_EQ(st.sessions_open, 2u);
 }
 
+// A bench-session miss measures and translates through the source's cache,
+// and stats() reports the CPU split; a later hit adds to neither.
+TEST(ServeService, StatsSplitBenchMissCpuIntoMeasureAndTranslate) {
+  ServiceOptions opt;
+  opt.bench_config.embar_pairs = 1 << 12;
+  Service svc(opt);
+  const auto session = svc.open_bench_session("embar");
+  EXPECT_EQ(svc.stats().measure_cpu_s, 0.0);
+  EXPECT_EQ(svc.stats().translate_cpu_s, 0.0);
+
+  ASSERT_TRUE(svc.run_query(session, distributed_query(4)).ok);
+  const ServerStats miss = svc.stats();
+  EXPECT_EQ(miss.cache_misses, 1u);
+  EXPECT_GT(miss.measure_cpu_s, 0.0);
+  EXPECT_GT(miss.translate_cpu_s, 0.0);
+
+  ASSERT_TRUE(svc.run_query(session, distributed_query(4, 2.0)).ok);
+  const ServerStats hit = svc.stats();
+  EXPECT_EQ(hit.cache_hits, 1u);
+  EXPECT_EQ(hit.measure_cpu_s, miss.measure_cpu_s);
+  EXPECT_EQ(hit.translate_cpu_s, miss.translate_cpu_s);
+}
+
+// Thread counts a bench program rejects fail in the reply and leave no
+// cache entry behind, so a long-lived daemon does not accumulate one per
+// distinct failing n; the session keeps working for valid counts.
+TEST(ServeService, FailedBenchMissesLeaveNoCacheEntries) {
+  ServiceOptions opt;
+  opt.bench_config.sort_keys = 1 << 10;
+  Service svc(opt);
+  const auto session = svc.open_bench_session("sort");
+  for (int n : {3, 5, 6, 7, 3}) {
+    const QueryResult r = svc.run_query(session, distributed_query(n));
+    EXPECT_FALSE(r.ok) << "n_procs=" << n;
+    EXPECT_NE(r.error.find("power-of-two"), std::string::npos) << r.error;
+  }
+  ServerStats st = svc.stats();
+  EXPECT_EQ(st.cache_entries, 0u);
+  EXPECT_EQ(st.cache_hits, 0u);
+  EXPECT_EQ(st.cache_misses, 0u);
+  EXPECT_EQ(st.queries_err, 5u);
+
+  ASSERT_TRUE(svc.run_query(session, distributed_query(4)).ok);
+  st = svc.stats();
+  EXPECT_EQ(st.cache_entries, 1u);
+  EXPECT_EQ(st.cache_misses, 1u);
+  EXPECT_EQ(st.cache_hits, 0u);
+}
+
 TEST(ServeService, PatternModelFitsBenchSessions) {
   Service svc(pattern_service_options());
   const auto session = svc.open_bench_session("mrhist");

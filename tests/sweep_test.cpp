@@ -169,6 +169,7 @@ TEST(SweepRunner, FactoryPathMatchesSeededPath) {
   // the per-stage breakdown must account for them; the seeded path never
   // measures.  Both CPU-sum and wall views must be populated.
   EXPECT_GT(from_factory.stages.measure_cpu_s, 0.0);
+  EXPECT_GT(from_factory.stages.translate_cpu_s, 0.0);
   EXPECT_GT(from_factory.stages.prewarm_wall_s, 0.0);
   EXPECT_GT(from_factory.stages.simulate_wall_s, 0.0);
   EXPECT_GT(from_factory.stages.simulate_cpu_s, 0.0);
@@ -305,85 +306,122 @@ TEST(SweepRunner, RejectsBadSubmitOrder) {
   EXPECT_THROW(runner.run({p, p}), util::Error);
 }
 
-TEST(TranslateCache, KeyedOnThreadCountAndOptions) {
+// --- TranslateCache: the one measure -> translate pipeline ----------------
+
+// One cache entry per thread count, measured from the shared test program.
+trace::Trace measure_n(int n) {
   SweepProgram prog;
   rt::MeasureOptions mo;
-  mo.n_threads = 2;
-  const trace::Trace t = rt::measure(prog, mo);
-
-  TranslateCache cache;
-  cache.put(t);
-  TranslateKey key;
-  key.n_threads = 2;
-  ASSERT_NE(cache.get(key), nullptr);
-  EXPECT_EQ(cache.get(key)->n_threads, 2);
-
-  // Different options -> different entry.
-  key.topt.remove_event_overhead = false;
-  EXPECT_EQ(cache.get(key), nullptr);
-  // Different thread count -> different entry.
-  key.topt = TranslateOptions{};
-  key.n_threads = 3;
-  EXPECT_EQ(cache.get(key), nullptr);
+  mo.n_threads = n;
+  return rt::measure(prog, mo);
 }
 
-TEST(TranslateCache, HashCoversEveryTranslateOptionsField) {
-  // Audit for the stale-cache-hit failure mode: a field of
-  // TranslateOptions that equality sees but the hash ignores is legal for
-  // unordered_map, yet a hash that *collides* for differing options while
-  // a buggy equality ignored them would silently serve the wrong
-  // translation.  Pin down that every field currently in TranslateOptions
-  // (see the static_assert next to TranslateKeyHash) changes the hash.
-  TranslateKeyHash h;
-  TranslateKey base;
-  base.n_threads = 4;
+// The measurement source the cache tests build with: measure_n plus a call
+// counter, so each test can tell misses (measurements) from hits.
+TranslateCache::Measure counting_measure(std::atomic<int>& calls) {
+  return [&calls](int n) {
+    ++calls;
+    return measure_n(n);
+  };
+}
 
-  TranslateKey other = base;
-  other.n_threads = 5;
-  EXPECT_NE(h(base), h(other)) << "n_threads not mixed";
+TEST(TranslateCache, KeyedOnThreadCount) {
+  std::atomic<int> measurements{0};
+  TranslateCache cache(counting_measure(measurements));
+  cache.put(measure_n(2));
+  ASSERT_NE(cache.get(2), nullptr);
+  EXPECT_EQ(cache.get(2)->n_threads, 2);
+  // Different thread count -> different entry.
+  EXPECT_EQ(cache.get(3), nullptr);
 
-  other = base;
-  other.topt.remove_event_overhead = !base.topt.remove_event_overhead;
-  EXPECT_NE(h(base), h(other)) << "remove_event_overhead not mixed";
-
-  other = base;
-  other.topt.event_overhead_override = util::Time::ns(123);
-  EXPECT_NE(h(base), h(other)) << "event_overhead_override not mixed";
-
-  // And distinct options must land in distinct entries end to end.
-  SweepProgram prog;
-  rt::MeasureOptions mo;
-  mo.n_threads = 2;
-  const trace::Trace t = rt::measure(prog, mo);
-  TranslateCache cache;
-  TranslateOptions keep;
-  keep.remove_event_overhead = false;
-  TranslateOptions strip;  // default: remove overhead
-  cache.put(t, keep);
-  cache.put(t, strip);
+  // A seeded key is a hit; an unseeded one measures through the source.
+  EXPECT_EQ(cache.get_or_prepare(2), cache.get(2));
+  EXPECT_EQ(measurements.load(), 0);
+  EXPECT_EQ(cache.get_or_prepare(3)->n_threads, 3);
+  EXPECT_EQ(measurements.load(), 1);
   EXPECT_EQ(cache.size(), 2u);
-  TranslateKey k1{2, keep}, k2{2, strip};
-  ASSERT_NE(cache.get(k1), nullptr);
-  ASSERT_NE(cache.get(k2), nullptr);
-  EXPECT_NE(cache.get(k1), cache.get(k2));
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+}
+
+TEST(TranslateCache, RejectsMeasurementOfTheWrongThreadCount) {
+  TranslateCache cache([](int) { return measure_n(2); });
+  EXPECT_THROW((void)cache.get_or_prepare(3), util::Error);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(TranslateCache, CpuCountersFollowTheMissPath) {
+  std::atomic<int> measurements{0};
+  TranslateCache cache(counting_measure(measurements));
+  EXPECT_EQ(cache.measure_cpu_s(), 0.0);
+  EXPECT_EQ(cache.translate_cpu_s(), 0.0);
+
+  // A miss measures and translates: both counters rise.
+  (void)cache.get_or_prepare(4);
+  const double measure1 = cache.measure_cpu_s();
+  const double translate1 = cache.translate_cpu_s();
+  EXPECT_GT(measure1, 0.0);
+  EXPECT_GT(translate1, 0.0);
+
+  // A hit does neither.
+  (void)cache.get_or_prepare(4);
+  EXPECT_EQ(cache.measure_cpu_s(), measure1);
+  EXPECT_EQ(cache.translate_cpu_s(), translate1);
+
+  // put() translates an already-measured trace: only translate rises.
+  cache.put(measure_n(3));
+  EXPECT_EQ(cache.measure_cpu_s(), measure1);
+  EXPECT_GT(cache.translate_cpu_s(), translate1);
+  EXPECT_EQ(measurements.load(), 1);
+}
+
+// A miss whose measurement throws must leave no entry behind: otherwise
+// every failing thread count pins an empty slot for the cache's lifetime.
+TEST(TranslateCache, FailedMissLeavesNoEntry) {
+  std::atomic<int> measurements{0};
+  TranslateCache cache([&](int n) {
+    ++measurements;
+    XP_REQUIRE(n % 2 == 0, "odd thread counts fail");
+    return measure_n(n);
+  });
+  for (int n : {3, 5, 3}) EXPECT_THROW((void)cache.get_or_prepare(n),
+                                       util::Error);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 0u);
+  EXPECT_EQ(cache.measure_cpu_s(), 0.0);
+  EXPECT_EQ(measurements.load(), 3) << "a failed key must retry, not hit";
+
+  (void)cache.get_or_prepare(4);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+
+  // Concurrent requesters of a failing key all see the error, and the
+  // cache still ends up empty for it.
+  util::ThreadPool pool(4);
+  std::atomic<int> failures{0};
+  for (int i = 0; i < 16; ++i) {
+    pool.submit([&] {
+      try {
+        (void)cache.get_or_prepare(7);
+      } catch (const util::Error&) {
+        ++failures;
+      }
+    });
+  }
+  pool.wait();
+  EXPECT_EQ(failures.load(), 16);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.get(7), nullptr);
 }
 
 TEST(TranslateCache, MeasuresOncePerKeyUnderConcurrency) {
   std::atomic<int> measurements{0};
-  TranslateCache cache;
-  TranslateKey key;
-  key.n_threads = 2;
-  const TranslateCache::Measure measure = [&](int n) {
-    ++measurements;
-    SweepProgram prog;
-    rt::MeasureOptions mo;
-    mo.n_threads = n;
-    return rt::measure(prog, mo);
-  };
+  TranslateCache cache(counting_measure(measurements));
 
   util::ThreadPool pool(8);
   for (int i = 0; i < 32; ++i)
-    pool.submit([&] { (void)cache.get_or_prepare(key, measure); });
+    pool.submit([&] { (void)cache.get_or_prepare(2); });
   pool.wait();
   EXPECT_EQ(measurements.load(), 1);
   EXPECT_EQ(cache.size(), 1u);
@@ -402,15 +440,8 @@ TEST(TranslateCache, ConcurrentOverlappingKeysMissOncePerKey) {
   constexpr int kDistinctKeys = 4;
   constexpr int kRoundsPerThread = 8;
 
-  TranslateCache cache;
   std::atomic<int> measurements{0};
-  const TranslateCache::Measure measure = [&](int n) {
-    ++measurements;
-    SweepProgram prog;
-    rt::MeasureOptions mo;
-    mo.n_threads = n;
-    return rt::measure(prog, mo);
-  };
+  TranslateCache cache(counting_measure(measurements));
 
   util::ThreadPool pool(kThreads);
   std::vector<std::shared_ptr<const TranslatedTrace>> got(
@@ -419,10 +450,8 @@ TEST(TranslateCache, ConcurrentOverlappingKeysMissOncePerKey) {
     pool.submit([&, t] {
       for (int r = 0; r < kRoundsPerThread; ++r) {
         for (int k = 0; k < kDistinctKeys; ++k) {
-          TranslateKey key;
           // Interleave key order per thread so lookups collide hard.
-          key.n_threads = 1 + (k + t + r) % kDistinctKeys;
-          const auto v = cache.get_or_prepare(key, measure);
+          const auto v = cache.get_or_prepare(1 + (k + t + r) % kDistinctKeys);
           got[static_cast<std::size_t>(
               (t * kRoundsPerThread + r) * kDistinctKeys + k)] = v;
         }
@@ -455,15 +484,11 @@ TEST(TranslateCache, ConcurrentOverlappingKeysMissOncePerKey) {
 // put() followed by concurrent get(): a reader either sees nothing or the
 // complete immutable entry — never a partially-constructed translation.
 TEST(TranslateCache, ConcurrentGetDuringPutNeverReturnsPartialEntries) {
-  SweepProgram prog;
-  rt::MeasureOptions mo;
-  mo.n_threads = 3;
-  const trace::Trace t = rt::measure(prog, mo);
+  const trace::Trace t = measure_n(3);
 
   for (int round = 0; round < 8; ++round) {
-    TranslateCache cache;
-    TranslateKey key;
-    key.n_threads = 3;
+    std::atomic<int> measurements{0};
+    TranslateCache cache(counting_measure(measurements));
 
     util::ThreadPool pool(4);
     std::atomic<bool> stop{false};
@@ -481,11 +506,11 @@ TEST(TranslateCache, ConcurrentGetDuringPutNeverReturnsPartialEntries) {
           return true;
         };
         while (!stop.load()) {
-          check(cache.get(key));
+          check(cache.get(3));
           std::this_thread::yield();
         }
         // put() happened-before stop, so the entry must be visible now.
-        EXPECT_TRUE(check(cache.get(key)));
+        EXPECT_TRUE(check(cache.get(3)));
       });
     }
     pool.submit([&] {
@@ -493,29 +518,21 @@ TEST(TranslateCache, ConcurrentGetDuringPutNeverReturnsPartialEntries) {
       stop.store(true);
     });
     pool.wait();
-    ASSERT_NE(cache.get(key), nullptr);
+    ASSERT_NE(cache.get(3), nullptr);
     EXPECT_GT(complete_views.load(), 0);
+    EXPECT_EQ(measurements.load(), 0);
   }
 }
 
 // --- byte-budget LRU cap (the knob the serve daemon relies on) ------------
 
-// One cache entry per thread count, measured from the shared test program.
-trace::Trace measure_n(int n) {
-  SweepProgram prog;
-  rt::MeasureOptions mo;
-  mo.n_threads = n;
-  return rt::measure(prog, mo);
-}
-
 TEST(TranslateCache, ByteBudgetEvictsLeastRecentlyUsed) {
-  TranslateCache cache;
+  std::atomic<int> measurements{0};
+  TranslateCache cache(counting_measure(measurements));
   std::size_t per_entry_max = 0;
   for (int n : {2, 3, 4, 5}) {
-    const auto tt = cache.get_or_prepare(TranslateKey{n, {}},
-                                         [](int m) { return measure_n(m); });
-    per_entry_max =
-        std::max(per_entry_max, TranslateCache::footprint_bytes(*tt));
+    per_entry_max = std::max(
+        per_entry_max, TranslateCache::footprint_bytes(*cache.get_or_prepare(n)));
   }
   ASSERT_EQ(cache.size(), 4u);
   ASSERT_GT(cache.bytes(), 0u);
@@ -524,60 +541,54 @@ TEST(TranslateCache, ByteBudgetEvictsLeastRecentlyUsed) {
   // Touch n=2 so it becomes the most recently used entry, then shrink the
   // budget to roughly two entries' worth: the oldest untouched entries go,
   // n=2 stays, and the accounting lands back under the budget.
-  ASSERT_NE(cache.get(TranslateKey{2, {}}), nullptr);
+  ASSERT_NE(cache.get(2), nullptr);
   const std::size_t budget = 2 * per_entry_max;
   cache.set_byte_budget(budget);
   EXPECT_GT(cache.evictions(), 0u);
   EXPECT_LE(cache.bytes(), budget);
   EXPECT_LT(cache.size(), 4u);
-  EXPECT_NE(cache.get(TranslateKey{2, {}}), nullptr)
+  EXPECT_NE(cache.get(2), nullptr)
       << "the most recently used entry was evicted";
-  EXPECT_EQ(cache.get(TranslateKey{3, {}}), nullptr)
+  EXPECT_EQ(cache.get(3), nullptr)
       << "the least recently used entry survived";
 }
 
 TEST(TranslateCache, BudgetNeverEvictsTheOnlyOrNewestEntry) {
-  TranslateCache cache;
+  std::atomic<int> measurements{0};
+  TranslateCache cache(counting_measure(measurements));
   cache.set_byte_budget(1);  // absurdly small: nothing fits
-  (void)cache.get_or_prepare(TranslateKey{2, {}},
-                             [](int m) { return measure_n(m); });
+  (void)cache.get_or_prepare(2);
   // A single resident entry is always retained, even over budget — evicting
   // it would turn the cache into a measure-every-time regression.
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.evictions(), 0u);
 
   // A second insert makes the first evictable; the newest must survive.
-  (void)cache.get_or_prepare(TranslateKey{3, {}},
-                             [](int m) { return measure_n(m); });
+  (void)cache.get_or_prepare(3);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.get(TranslateKey{2, {}}), nullptr);
-  EXPECT_NE(cache.get(TranslateKey{3, {}}), nullptr);
+  EXPECT_EQ(cache.get(2), nullptr);
+  EXPECT_NE(cache.get(3), nullptr);
 }
 
 TEST(TranslateCache, EvictedKeysRemeasureOnNextUse) {
-  TranslateCache cache;
   std::atomic<int> measurements{0};
-  const TranslateCache::Measure measure = [&](int m) {
-    ++measurements;
-    return measure_n(m);
-  };
+  TranslateCache cache(counting_measure(measurements));
   cache.set_byte_budget(1);
-  (void)cache.get_or_prepare(TranslateKey{2, {}}, measure);
-  (void)cache.get_or_prepare(TranslateKey{3, {}}, measure);  // evicts n=2
+  (void)cache.get_or_prepare(2);
+  (void)cache.get_or_prepare(3);  // evicts n=2
   EXPECT_EQ(measurements.load(), 2);
-  (void)cache.get_or_prepare(TranslateKey{2, {}}, measure);  // miss again
+  (void)cache.get_or_prepare(2);  // miss again
   EXPECT_EQ(measurements.load(), 3);
   EXPECT_EQ(cache.misses(), 3u);
   EXPECT_EQ(cache.hits(), 0u);
 }
 
 TEST(TranslateCache, UnboundedByDefaultAndBudgetIsLifted) {
-  TranslateCache cache;
+  std::atomic<int> measurements{0};
+  TranslateCache cache(counting_measure(measurements));
   EXPECT_EQ(cache.byte_budget(), 0u);
-  for (int n : {2, 3, 4, 5})
-    (void)cache.get_or_prepare(TranslateKey{n, {}},
-                               [](int m) { return measure_n(m); });
+  for (int n : {2, 3, 4, 5}) (void)cache.get_or_prepare(n);
   EXPECT_EQ(cache.size(), 4u);
   EXPECT_EQ(cache.evictions(), 0u);
 
@@ -588,8 +599,7 @@ TEST(TranslateCache, UnboundedByDefaultAndBudgetIsLifted) {
 
   // Lifting the budget stops eviction; new entries accumulate again.
   cache.set_byte_budget(0);
-  (void)cache.get_or_prepare(TranslateKey{6, {}},
-                             [](int m) { return measure_n(m); });
+  (void)cache.get_or_prepare(6);
   EXPECT_EQ(cache.evictions(), evicted);
 }
 

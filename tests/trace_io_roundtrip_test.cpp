@@ -11,8 +11,8 @@
 //      textualizes to the golden bytes;
 //   3. measurement is reproducible: re-measuring the pinned program/config
 //      yields the golden bytes — the property that makes a TranslateCache
-//      key (n_threads, TranslateOptions) a sound stand-in for the trace
-//      content itself (core/sweep.hpp's cache-key contract).
+//      key (the thread count) a sound stand-in for the trace content
+//      itself (core/sweep.hpp's cache-key contract).
 //
 // Regenerate after an intentional tracer/suite change with:
 //   XP_REGEN_GOLDEN=1 ./trace_io_roundtrip_test
