@@ -21,6 +21,13 @@
 // Output rows are parsed by scripts/bench_json.sh (schema xp-bench-sim/6),
 // which gates the >= 10x dedup speedup at 1002 epochs.
 //
+// Barrier-epoch memoization (DESIGN.md §16) is the event-path counterpart
+// on message-barrier machines, where nothing collapses analytically.  Its
+// "epoch_memo" rows time EventDriven against Auto (no trace) on the same
+// long Grid traces on cm5, and on default-config Grid and Mgrid at n=16
+// and 32 on cm5, distributed and sp1, with memo hits/misses and a bitwise
+// check of every prediction field.  Any mismatch exits nonzero.
+//
 //   --smoke   run only the Auto grid 1002-epoch cell (CI long-trace smoke,
 //             one minute for the whole measure->predict pipeline)
 #include <time.h>
@@ -111,13 +118,12 @@ Cell run_cell(const core::TranslatedTrace& prepared,
   return cell;
 }
 
+/// Every simulated quantity, bitwise: makespan, per-thread stats, traffic.
 bool bitwise_equal(const core::Prediction& a, const core::Prediction& b) {
   return a.predicted_time == b.predicted_time &&
-         a.ideal_time == b.ideal_time && a.sim.messages == b.sim.messages &&
-         a.sim.bytes == b.sim.bytes &&
-         a.sim.total_compute() == b.sim.total_compute() &&
-         a.sim.total_comm_wait() == b.sim.total_comm_wait() &&
-         a.sim.total_barrier_wait() == b.sim.total_barrier_wait();
+         a.ideal_time == b.ideal_time && a.sim.threads == b.sim.threads &&
+         a.sim.messages == b.sim.messages && a.sim.bytes == b.sim.bytes &&
+         a.sim.avg_inflight == b.sim.avg_inflight;
 }
 
 void print_row(std::int64_t epochs, const char* mode, const Cell& cell) {
@@ -133,6 +139,79 @@ void print_row(std::int64_t epochs, const char* mode, const Cell& cell) {
       static_cast<long long>(sp.epochs_approximated),
       static_cast<long long>(sp.error_bound.count_ns()),
       static_cast<long long>(cell.pred.predicted_time.count_ns()));
+}
+
+struct MemoRow {
+  double speedup = 0;
+  bool exact = false;
+};
+
+MemoRow memo_row(const char* bench, int n, std::int64_t epochs,
+                 const char* preset, const core::TranslatedTrace& prepared,
+                 const model::SimParams& params) {
+  const Cell ev = run_cell(prepared, params, core::SimMode::EventDriven);
+  const Cell au = run_cell(prepared, params, core::SimMode::Auto);
+  const core::HybridStats& h = au.pred.sim.hybrid;
+  MemoRow row;
+  row.speedup = au.sim_s > 0 ? ev.sim_s / au.sim_s : 0.0;
+  row.exact = bitwise_equal(ev.pred, au.pred);
+  std::printf(
+      "epoch_memo bench=%s n=%d epochs=%lld preset=%s event_s=%.6f"
+      " auto_s=%.6f speedup=%.2fx hits=%lld misses=%lld bitwise=%d\n",
+      bench, n, static_cast<long long>(epochs), preset, ev.sim_s, au.sim_s,
+      row.speedup, static_cast<long long>(h.memo_hits),
+      static_cast<long long>(h.memo_misses), row.exact ? 1 : 0);
+  return row;
+}
+
+/// The epoch-memo rows; false if any Auto prediction differs from the
+/// EventDriven one.
+bool run_memo() {
+  std::printf("\nBarrier-epoch memoization on message-barrier machines "
+              "(EventDriven vs Auto, no trace):\n\n");
+  bool all_exact = true;
+  for (std::int64_t iters : {100, 500, 1000}) {
+    auto prog = suite::make_by_name("grid", grid_config(iters));
+    rt::MeasureOptions mo;
+    mo.n_threads = 64;
+    const core::TranslatedTrace prepared =
+        core::prepare_trace(rt::measure(*prog, mo));
+    const MemoRow row = memo_row("grid", 64, iters + 2, "cm5", prepared,
+                                 model::cm5_preset());
+    all_exact = all_exact && row.exact;
+  }
+  const std::vector<std::pair<const char*, model::SimParams>> targets = {
+      {"cm5", model::cm5_preset()},
+      {"distributed", model::distributed_preset()},
+      {"sp1", model::sp1_preset()}};
+  double min_grid_speedup = 1e30;
+  for (const char* bench : {"grid", "mgrid"}) {
+    for (const int n : {16, 32}) {
+      auto prog = suite::make_by_name(bench, suite::SuiteConfig{});
+      rt::MeasureOptions mo;
+      mo.n_threads = n;
+      const core::TranslatedTrace prepared =
+          core::prepare_trace(rt::measure(*prog, mo));
+      const auto epochs = static_cast<std::int64_t>(
+          prepared.compiled->threads[0].segments.size());
+      for (const auto& [name, params] : targets) {
+        const MemoRow row =
+            memo_row(bench, n, epochs, name, prepared, params);
+        all_exact = all_exact && row.exact;
+        if (std::strcmp(bench, "grid") == 0)
+          min_grid_speedup = std::min(min_grid_speedup, row.speedup);
+      }
+    }
+  }
+  std::printf("\nShape checks (DESIGN.md §16: memoized windows are exact):\n");
+  shape_check("auto == event-driven bitwise on every memo row", all_exact);
+  char claim[128];
+  std::snprintf(claim, sizeof claim,
+                "default grid: auto >= 5x event-driven simulate on cm5, "
+                "distributed and sp1 (min %.1fx)",
+                min_grid_speedup);
+  shape_check(claim, min_grid_speedup >= 5.0);
+  return all_exact;
 }
 
 int run(bool smoke) {
@@ -263,7 +342,7 @@ int run(bool smoke) {
   }
   shape_check("|sampled - exact| <= certified bound at every tolerance",
               all_sound);
-  return 0;
+  return run_memo() ? 0 : 1;
 }
 
 }  // namespace

@@ -95,6 +95,12 @@ struct EarlyArrivals {
     spill.emplace_back(barrier_id, 1);
   }
 
+  bool empty() const {
+    for (const std::int32_t c : counts)
+      if (c > 0) return false;
+    return spill.empty();
+  }
+
   /// Claim (and clear) the arrivals recorded for `barrier_id`; 0 if none.
   int take(std::int32_t barrier_id) {
     for (int i = 0; i < kSlots; ++i)
@@ -177,6 +183,14 @@ class Simulator {
     }
     cpus_.resize(static_cast<std::size_t>(n_procs_));
     classify(compiled);
+    // Barrier-epoch memoization (DESIGN.md §16): message barriers only
+    // (analytic ones take the hybrid path), no trace to emit for replayed
+    // windows, and the compile-time class table supplies the key.
+    memo_on_ = opts_.mode != SimMode::EventDriven && !opts_.emit_trace &&
+               use_messages() && compiled.epoch_classes.built();
+    if (memo_on_)
+      memo_.resize(
+          static_cast<std::size_t>(compiled.epoch_classes.n_classes()));
   }
 
   SimResult run() {
@@ -590,30 +604,39 @@ class Simulator {
   // O(epochs) — the speedup is epochs/classes, ~300x for a 1000-iteration
   // Grid run.
 
-  /// Scale a span by an integer count — exact (no llround), unlike
+  /// Scale a span or a count by an integer — exact (no llround), unlike
   /// Time::operator*(double).
   static Time times(Time t, std::int64_t k) {
     return Time::ns(t.count_ns() * k);
   }
+  static std::int64_t times(std::int64_t v, std::int64_t k) { return v * k; }
+
+  /// Call `f(a.x, b.x)` for every field x of ThreadStats.
+  template <class F>
+  static void zip_stats(ThreadStats& a, const ThreadStats& b, F f) {
+    f(a.compute, b.compute);
+    f(a.comm_wait, b.comm_wait);
+    f(a.barrier_wait, b.barrier_wait);
+    f(a.send_overhead, b.send_overhead);
+    f(a.service_time, b.service_time);
+    f(a.poll_time, b.poll_time);
+    f(a.finish, b.finish);
+    f(a.remote_accesses, b.remote_accesses);
+    f(a.intra_cluster_accesses, b.intra_cluster_accesses);
+    f(a.requests_served, b.requests_served);
+    f(a.interrupts_taken, b.interrupts_taken);
+    f(a.polls, b.polls);
+  }
 
   /// Replace the delta `s − before` by `m` copies of it: the per-class
-  /// stat composition.  barrier_wait and finish are excluded by
+  /// stat composition.  barrier_wait and finish have a zero delta by
   /// construction — walk_segment never touches them.
   static void scale_stats_delta(ThreadStats& s, const ThreadStats& before,
                                 std::int64_t m) {
     if (m == 1) return;
-    const std::int64_t k = m - 1;
-    s.compute += times(s.compute - before.compute, k);
-    s.comm_wait += times(s.comm_wait - before.comm_wait, k);
-    s.send_overhead += times(s.send_overhead - before.send_overhead, k);
-    s.service_time += times(s.service_time - before.service_time, k);
-    s.poll_time += times(s.poll_time - before.poll_time, k);
-    s.remote_accesses += (s.remote_accesses - before.remote_accesses) * k;
-    s.intra_cluster_accesses +=
-        (s.intra_cluster_accesses - before.intra_cluster_accesses) * k;
-    s.requests_served += (s.requests_served - before.requests_served) * k;
-    s.interrupts_taken += (s.interrupts_taken - before.interrupts_taken) * k;
-    s.polls += (s.polls - before.polls) * k;
+    zip_stats(s, before, [k = m - 1](auto& x, const auto& y) {
+      x += times(x - y, k);
+    });
   }
 
   /// Tolerance clustering test: can class `c` take its costs from class
@@ -999,9 +1022,10 @@ class Simulator {
         T.children_arrived < static_cast<int>(kids.size()))
       return;
     if (T.id == plan_.root) {
-      // ModelTime: master's delay before it starts lowering the barrier.
-      cpu_enqueue(T.proc, params_.barrier.model_time, false,
-                  [this, &T] { send_releases(T); });
+      if (memo_on_)
+        at_barrier_point(T);
+      else
+        lower_barrier(T);
     } else {
       const Time send_cpu = net::send_cpu_time(params_.comm);
       T.stats.send_overhead += send_cpu;
@@ -1016,6 +1040,13 @@ class Simulator {
                       [this, up] { deliver_bar_arrive(up); });
       });
     }
+  }
+
+  /// The root has collected every arrival: start lowering the barrier.
+  void lower_barrier(ThreadCtx& R) {
+    // ModelTime: master's delay before it starts lowering the barrier.
+    cpu_enqueue(R.proc, params_.barrier.model_time, false,
+                [this, &R] { send_releases(R); });
   }
 
   void deliver_bar_arrive(const Msg& m) {
@@ -1111,6 +1142,142 @@ class Simulator {
     analytic_.erase(id);
   }
 
+  // --- barrier-epoch memoization (message barriers, DESIGN.md §16) ----------
+  //
+  // A barrier point Q_b is the instant the root absorbs barrier b's last
+  // arrival, just before it starts lowering the barrier.  If at Q_b no
+  // engine event is pending, no message is in flight, every CPU is idle
+  // with an empty queue, and every thread waits in barrier b with an empty
+  // inbox and no early arrivals, then nothing from before Q_b can act
+  // after it.  The run from Q_b to Q_{b+1} is then a time-translated
+  // function of the content of epoch b+1 alone: every duration (scaled
+  // compute, poll chunks measured from compute start, preemption remainder,
+  // contention from the in-flight count, which starts at zero) depends on
+  // relative times only, and with an empty queue the engine's tie order is
+  // the scheduling order of the window itself.  Epochs in one
+  // EpochClassTable class have bit-identical content, so the class id of
+  // epoch b+1 is an exact key.
+  //
+  // The first window of a class runs through the engine and is recorded:
+  // the advance Q_{b+1} − Q_b, every thread's ThreadStats delta, the
+  // message and byte counts and the ordered load samples of its
+  // injections.  Later windows of the class add those deltas instead.
+  // barrier_wait is split at every quiescent point (wait_start moves to Q)
+  // so a window's delta does not depend on the window before it; the split
+  // is exact in integer nanoseconds.
+
+  /// Recorded effect of one barrier-to-barrier window.
+  struct MemoWindow {
+    bool recorded = false;
+    Time advance;
+    std::vector<ThreadStats> delta;  ///< per thread
+    std::int64_t messages = 0;
+    std::int64_t bytes = 0;
+    std::vector<std::int32_t> samples;  ///< load samples, injection order
+  };
+
+  bool quiescent(const ThreadCtx& R) const {
+    if (engine_.pending() != 0 || network_.inflight() != 0) return false;
+    for (const Cpu& c : cpus_)
+      if (c.busy || !c.queue.empty()) return false;
+    for (const auto& t : threads_) {
+      const auto kids = plan_.children[static_cast<std::size_t>(t->id)].size();
+      if (t->state != TState::WaitBarrier || t->barrier != R.barrier ||
+          t->cur_barrier != R.cur_barrier || !t->self_arrived ||
+          t->children_arrived != static_cast<int>(kids) ||
+          !t->inbox.empty() || !t->early_arrivals.empty())
+        return false;
+    }
+    return true;
+  }
+
+  /// The root is at barrier point Q: close the window recorded since the
+  /// previous point, replay every following window whose class is already
+  /// recorded, and lower the barrier at the point reached.
+  void at_barrier_point(ThreadCtx& R) {
+    if (!quiescent(R)) {
+      stop_recording();  // this window ends in a state no key describes
+      lower_barrier(R);
+      return;
+    }
+    const Time q0 = engine_.now();
+    for (auto& t : threads_) {
+      t->stats.barrier_wait += q0 - t->wait_start;
+      t->wait_start = q0;
+    }
+    if (rec_cls_ >= 0) finish_recording(q0);
+
+    const EpochClassTable& tab = compiled_->epoch_classes;
+    const auto n_barriers = R.code->barrier_ids.size();
+    const std::size_t b0 = R.barrier - 1;  // the barrier being lowered
+    std::size_t b = b0;                    // ... after the replayed windows
+    Time q = q0;
+    for (; b + 1 < n_barriers; ++b) {
+      const MemoWindow& w =
+          memo_[static_cast<std::size_t>(tab.class_of[b + 1])];
+      if (!w.recorded) break;
+      for (auto& t : threads_)
+        zip_stats(t->stats, w.delta[static_cast<std::size_t>(t->id)],
+                  [](auto& x, const auto& d) { x += d; });
+      network_.replay(w.messages, w.bytes, w.samples);
+      q += w.advance;
+      ++hyb_.memo_hits;
+    }
+    if (b + 1 < n_barriers) {
+      ++hyb_.memo_misses;
+      const std::int32_t c = tab.class_of[b + 1];
+      // A class that never recurs is not worth recording.
+      if (tab.count[static_cast<std::size_t>(c)] > 1) start_recording(c, q);
+    }
+    if (b == b0) {
+      lower_barrier(R);
+      return;
+    }
+    // Move every thread to barrier point Q_b: the state the skipped windows
+    // would have left behind (all other fields repeat at every point).
+    for (auto& t : threads_) {
+      const Segment& seg = t->code->segments[b];
+      t->op = seg.op_end + 1;
+      t->remote = seg.remote_end;
+      t->barrier = static_cast<std::uint32_t>(b + 1);
+      t->cur_barrier = t->code->barrier_ids[b];
+      t->wait_start = q;
+    }
+    engine_.schedule_at(q, [this, &R] { lower_barrier(R); });
+  }
+
+  void start_recording(std::int32_t cls, Time q) {
+    rec_cls_ = cls;
+    rec_start_ = q;
+    rec_base_.clear();
+    for (const auto& t : threads_) rec_base_.push_back(t->stats);
+    rec_messages_ = network_.messages_sent();
+    rec_bytes_ = network_.bytes_sent();
+    rec_samples_.clear();
+    network_.log_samples(&rec_samples_);
+  }
+
+  void finish_recording(Time q) {
+    MemoWindow& w = memo_[static_cast<std::size_t>(rec_cls_)];
+    w.recorded = true;
+    w.advance = q - rec_start_;
+    // Deltas in place, then exact-size copies: the recording buffers keep
+    // their capacity for the next window.
+    for (const auto& t : threads_)
+      zip_stats(rec_base_[static_cast<std::size_t>(t->id)], t->stats,
+                [](auto& base, const auto& now) { base = now - base; });
+    w.delta = rec_base_;
+    w.messages = network_.messages_sent() - rec_messages_;
+    w.bytes = network_.bytes_sent() - rec_bytes_;
+    w.samples = rec_samples_;
+    stop_recording();
+  }
+
+  void stop_recording() {
+    rec_cls_ = -1;
+    network_.log_samples(nullptr);
+  }
+
   // --- output ---------------------------------------------------------------
 
   void emit(ThreadCtx& T, const Event& e) { emit_at(T, e, engine_.now()); }
@@ -1144,6 +1311,16 @@ class Simulator {
   std::vector<char> blocked_;  ///< epochs_ x n_: segment demoted to events
   HybridStats hyb_;
   SamplingStats samp_;
+
+  // Barrier-epoch memo state (at_barrier_point()).
+  bool memo_on_ = false;
+  std::vector<MemoWindow> memo_;  ///< by epoch class
+  std::int32_t rec_cls_ = -1;     ///< class being recorded; -1 = none
+  Time rec_start_;
+  std::vector<ThreadStats> rec_base_;
+  std::int64_t rec_messages_ = 0;
+  std::int64_t rec_bytes_ = 0;
+  std::vector<std::int32_t> rec_samples_;
 };
 
 }  // namespace

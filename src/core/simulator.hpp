@@ -44,6 +44,8 @@ struct ThreadStats {
   std::int64_t requests_served = 0;
   std::int64_t interrupts_taken = 0;
   std::int64_t polls = 0;
+
+  bool operator==(const ThreadStats&) const = default;
 };
 
 /// Simulation mode (the hybrid analytic/discrete-event fast path).
@@ -61,6 +63,11 @@ struct ThreadStats {
 ///    fallback.  When EVERY segment collapses the engine is skipped
 ///    entirely (HybridStats::Path::PureAnalytic), which is what makes
 ///    n = 10^4..10^6 simulated processors feasible.
+///    Under message barriers (where nothing collapses) Hybrid and Auto
+///    instead memoize barrier epochs on the event path when no trace is
+///    emitted: a window between two quiescent barrier points is simulated
+///    once per epoch class and replayed from its recorded deltas after
+///    that (DESIGN.md §16) — again bitwise-identical to EventDriven.
 ///  * Auto — let the library pick: Hybrid, plus representative-epoch
 ///    SAMPLING on top of the pure-analytic path (DESIGN.md §15).  When the
 ///    whole run is engine-free and no extrapolated trace is requested, Auto
@@ -94,11 +101,18 @@ struct SimOptions {
   double epoch_tolerance = 0.0;
 };
 
-/// How the hybrid classifier fared on one run (all zeros in EventDriven
-/// mode).  segments are per-(epoch, thread) barrier-delimited slices; a
-/// demoted segment is one the classifier sent to the event engine because
-/// cross-cluster traffic touched its thread that epoch (contended owner or
-/// message-latency dependence).
+/// How the fast paths fared on one run.  segments are per-(epoch, thread)
+/// barrier-delimited slices; segments_total is filled in every mode, the
+/// other counters stay zero in EventDriven mode.  A demoted segment is one
+/// the classifier sent to the event engine because cross-cluster traffic
+/// touched its thread that epoch (contended owner or message-latency
+/// dependence), or because the run uses message barriers or shared CPUs.
+///
+/// memo_hits / memo_misses count barrier-epoch memoization on the event
+/// path (DESIGN.md §16): windows between two quiescent barrier points that
+/// were replayed from a recorded window of the same epoch class (hits), or
+/// had to run through the engine (misses).  Both stay zero unless the run
+/// uses message barriers, emits no trace and is not EventDriven.
 struct HybridStats {
   enum class Path : std::uint8_t {
     Event,         ///< whole run replayed through the engine
@@ -111,6 +125,8 @@ struct HybridStats {
   std::int64_t segments_collapsed = 0;
   std::int64_t segments_demoted = 0;
   std::int64_t ops_collapsed = 0;  ///< replay steps that skipped the engine
+  std::int64_t memo_hits = 0;
+  std::int64_t memo_misses = 0;
 };
 
 /// How representative-epoch sampling fared on one run (SimMode::Auto over
@@ -145,6 +161,8 @@ struct SimResult {
   std::int64_t messages = 0;       ///< network messages (incl. barrier msgs)
   std::int64_t bytes = 0;          ///< network bytes
   double avg_inflight = 0.0;       ///< mean in-flight messages at injection
+  /// Engine events that actually fired.  Work the fast paths did without
+  /// the engine (collapsed segments, memoized windows) is not counted.
   std::uint64_t engine_events = 0;
   HybridStats hybrid;
   SamplingStats sampling;

@@ -23,7 +23,13 @@ double ContentionTracker::multiplier() const {
 
 void ContentionTracker::inject() {
   samples_.add(static_cast<double>(inflight_));
+  if (log_) log_->push_back(inflight_);
   ++inflight_;
+}
+
+void ContentionTracker::replay_samples(
+    const std::vector<std::int32_t>& samples) {
+  for (const std::int32_t s : samples) samples_.add(static_cast<double>(s));
 }
 
 void ContentionTracker::deliver() {

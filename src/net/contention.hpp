@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "net/topology.hpp"
 #include "util/stats.hpp"
@@ -46,11 +47,19 @@ class ContentionTracker {
   /// Load statistics sampled at each injection (for reports).
   const util::RunningStat& load_samples() const { return samples_; }
 
+  /// While `log` is non-null, also append each injection's load sample
+  /// (the in-flight count it saw) to it, in injection order.
+  void log_samples(std::vector<std::int32_t>* log) { log_ = log; }
+  /// Add logged samples to the load statistics in order: the same
+  /// RunningStat, bit for bit, as injecting their messages again.
+  void replay_samples(const std::vector<std::int32_t>& samples);
+
  private:
   ContentionParams p_;
   double capacity_;
   int inflight_ = 0;
   util::RunningStat samples_;
+  std::vector<std::int32_t>* log_ = nullptr;
 };
 
 }  // namespace xp::net

@@ -19,11 +19,17 @@ void Network::send(int src, int dst, std::int64_t bytes,
   contention_.inject();
   ++messages_;
   bytes_ += bytes;
-  wire_stat_.add(wire.to_us());
   engine_.schedule_after(wire, [this, cb = std::move(on_delivery)]() mutable {
     contention_.deliver();
     cb();
   });
+}
+
+void Network::replay(std::int64_t messages, std::int64_t bytes,
+                     const std::vector<std::int32_t>& samples) {
+  messages_ += messages;
+  bytes_ += bytes;
+  contention_.replay_samples(samples);
 }
 
 Time Network::preview_wire(int src, int dst, std::int64_t bytes) const {

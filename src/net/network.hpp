@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "net/contention.hpp"
 #include "net/message_cost.hpp"
@@ -48,10 +49,22 @@ class Network {
   // Aggregate statistics for reports.
   std::int64_t messages_sent() const { return messages_; }
   std::int64_t bytes_sent() const { return bytes_; }
-  const util::RunningStat& wire_times() const { return wire_stat_; }
   const util::RunningStat& load_samples() const {
     return contention_.load_samples();
   }
+  /// Messages injected and not yet delivered.
+  int inflight() const { return contention_.inflight(); }
+
+  /// While `log` is non-null, append each injection's load sample to it.
+  void log_samples(std::vector<std::int32_t>* log) {
+    contention_.log_samples(log);
+  }
+  /// Account for traffic replayed instead of simulated: `messages`
+  /// messages of `bytes` in total whose injection-time load samples were
+  /// `samples` (as logged), leaving every statistic as if they had been
+  /// sent.
+  void replay(std::int64_t messages, std::int64_t bytes,
+              const std::vector<std::int32_t>& samples);
 
  private:
   sim::Engine& engine_;
@@ -60,7 +73,6 @@ class Network {
   ContentionTracker contention_;
   std::int64_t messages_ = 0;
   std::int64_t bytes_ = 0;
-  util::RunningStat wire_stat_;
 };
 
 }  // namespace xp::net

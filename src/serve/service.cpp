@@ -20,6 +20,22 @@ namespace {
 /// Queries per batch cap: a forged count must not drive task allocation.
 constexpr std::uint32_t kMaxBatchQueries = 1u << 20;
 
+/// Thread-count cap for bench-session measurements.  A bench session
+/// measures its program with one fiber (256 KiB stack) per thread, so a
+/// query's n_procs is a memory and CPU request: one measurement at 16384
+/// threads takes seconds and about 1 GB, at 10^8 it would need terabytes.
+/// 16384 is four times the largest count the benchmark's huge-n workload
+/// drives (4096) and far above the paper's machines.  Trace sessions are
+/// not capped: their thread count is that of the uploaded trace.
+constexpr int kMaxBenchThreads = 16384;
+
+void require_bench_threads(int n) {
+  XP_REQUIRE(n <= kMaxBenchThreads,
+             "bench sessions measure at most " +
+                 std::to_string(kMaxBenchThreads) + " threads, not " +
+                 std::to_string(n));
+}
+
 /// A query's target machine: its params text (empty = defaults), with a
 /// positive `mips_ratio` overriding the processor's, validated for
 /// `n_procs` processors.
@@ -134,6 +150,7 @@ QueryResult Service::run_query_on(Source& src, const Query& q) {
       .fetch_add(1);
   try {
     XP_REQUIRE(q.n_procs >= 1, "query needs n_procs >= 1");
+    if (!src.measured) require_bench_threads(q.n_procs);
     const model::SimParams params =
         query_params(q.params_text, q.mips_ratio, q.n_procs);
     if (src.measured && src.measured->n_threads() != q.n_procs) {
@@ -226,6 +243,7 @@ PatternModelResult Service::run_pattern_model_on(Source& src,
                "pattern model needs >= 3 fit thread counts");
     for (std::size_t i = 0; i < q.procs.size(); ++i) {
       XP_REQUIRE(q.procs[i] >= 1, "pattern model thread counts must be >= 1");
+      require_bench_threads(q.procs[i]);
       XP_REQUIRE(i == 0 || q.procs[i] > q.procs[i - 1],
                  "pattern model thread counts must be ascending and distinct");
     }

@@ -15,16 +15,19 @@
 
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "core/extrapolator.hpp"
 #include "model/params_io.hpp"
+#include "rt/runtime.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
+#include "suite/suite.hpp"
 #include "trace/trace_io.hpp"
 
 namespace xp::serve {
@@ -403,6 +406,62 @@ TEST(ServeService, QueryModesAgreeBitwiseAndAreCounted) {
   EXPECT_EQ(st.queries_ok, 6u);
 }
 
+// The serve_warm batch shape on a grid bench session: {distributed, cm5,
+// paragon, sp1} x MIPS {1, 4}.  These message-barrier machines are where
+// Auto memoizes barrier epochs on the event path, so the EventDriven and
+// Auto replies must still be byte-identical — and in-process, the same
+// Auto simulations must actually replay memoized windows.
+TEST(ServeService, MemoizedAutoRepliesMatchEventDrivenBytes) {
+  constexpr int kProcs = 16;
+  Service svc;
+  const auto session = svc.open_bench_session("grid");
+  auto batch_reply = [&](QueryMode mode) {
+    WireWriter w;
+    w.u64(session);
+    w.u32(8u | kBatchHasModes);
+    for (const char* preset : {"distributed", "cm5", "paragon", "sp1"})
+      for (const double mips : {1.0, 4.0}) {
+        Query q;
+        q.n_procs = kProcs;
+        q.mips_ratio = mips;
+        q.params_text = std::string("preset = ") + preset;
+        q.mode = mode;
+        encode_query(w, q, /*with_mode=*/true);
+      }
+    return svc.handle(
+        encode_frame(MsgType::QueryBatch, false, 9, w.data()).substr(4));
+  };
+  const std::string event = batch_reply(QueryMode::EventDriven);
+  const std::string autom = batch_reply(QueryMode::Auto);
+  EXPECT_EQ(event, autom) << "memoized replies differ from the oracle's";
+  const auto parsed = try_parse_frame(autom);
+  ASSERT_TRUE(parsed.has_value());
+  WireReader r(parsed->first.body);
+  ASSERT_EQ(r.u8(), 0);
+  ASSERT_EQ(r.u32(), 8u);
+  for (int i = 0; i < 8; ++i) {
+    const QueryResult res = decode_query_result(r);
+    ASSERT_TRUE(res.ok) << res.error;
+  }
+
+  auto prog = suite::make_by_name("grid", suite::SuiteConfig{});
+  rt::MeasureOptions mo;
+  mo.n_threads = kProcs;
+  const core::TranslatedTrace prepared =
+      core::prepare_trace(rt::measure(*prog, mo));
+  core::SimOptions sopts;
+  sopts.mode = core::SimMode::Auto;
+  sopts.emit_trace = false;
+  for (const char* preset : {"distributed", "cm5", "paragon", "sp1"})
+    for (const double mips : {1.0, 4.0}) {
+      model::SimParams params =
+          model::parse_params_string(std::string("preset = ") + preset);
+      params.proc.mips_ratio = mips;
+      const core::Prediction p = core::predict(prepared, params, sopts);
+      EXPECT_GT(p.sim.hybrid.memo_hits, 0) << preset << " mips " << mips;
+    }
+}
+
 TEST(ServeService, ModeFlaggedBatchesDecodeNextToFlaglessOnes) {
   Service svc;
   const auto session = svc.open_trace_session(load_golden());
@@ -701,6 +760,71 @@ TEST(ServeServer, ModeRequestsRoundTripOverTheSocket) {
   client.close_session(session);
   server.stop();
   server.join();
+}
+
+// Bench sessions measure one fiber per requested thread, so thread counts
+// are capped: an oversized request gets an error reply and the daemon
+// keeps serving — one test per verb that names a thread count.
+class ServeThreadCap : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ServerOptions opt;
+    opt.unix_path = unique_socket("cap");
+    opt.service = pattern_service_options();
+    server_ = std::make_unique<Server>(std::move(opt));
+    server_->start();
+    client_ = std::make_unique<Client>(
+        Client::connect_unix(server_->unix_path()));
+  }
+  void TearDown() override {
+    client_.reset();
+    server_->stop();
+    server_->join();
+  }
+
+  /// The daemon still answers a normal query on `session`.
+  void expect_still_serving(std::uint64_t session) {
+    const QueryResult ok = client_->query(session, distributed_query(2));
+    EXPECT_TRUE(ok.ok) << ok.error;
+  }
+
+  static constexpr std::int32_t kHuge = 100'000'000;
+  std::unique_ptr<Server> server_;
+  std::unique_ptr<Client> client_;
+};
+
+TEST_F(ServeThreadCap, OversizedQueryIsRefused) {
+  const auto session = client_->open_bench("cyclic");
+  const QueryResult r = client_->query(session, distributed_query(kHuge));
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("at most 16384 threads"), std::string::npos)
+      << r.error;
+  expect_still_serving(session);
+}
+
+TEST_F(ServeThreadCap, OversizedQueryInABatchFailsInSlot) {
+  const auto session = client_->open_bench("cyclic");
+  const auto results = client_->query_batch(
+      session, {distributed_query(2), distributed_query(16385)});
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_TRUE(results[0].ok) << results[0].error;
+  EXPECT_FALSE(results[1].ok);
+  EXPECT_NE(results[1].error.find("at most 16384 threads"),
+            std::string::npos)
+      << results[1].error;
+  expect_still_serving(session);
+}
+
+TEST_F(ServeThreadCap, OversizedPatternModelIsRefused) {
+  const auto session = client_->open_bench("mrhist");
+  PatternQuery q = distributed_pattern_query();
+  q.procs = {1, 2, kHuge};
+  const PatternModelResult r = client_->pattern_model(session, q);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("at most 16384 threads"), std::string::npos)
+      << r.error;
+  const auto plain = client_->open_bench("cyclic");
+  expect_still_serving(plain);
 }
 
 TEST(ServeServer, MalformedBytesDropTheConnectionOnly) {
