@@ -184,10 +184,11 @@ class Simulator {
     cpus_.resize(static_cast<std::size_t>(n_procs_));
     classify(compiled);
     // Barrier-epoch memoization (DESIGN.md §16): message barriers only
-    // (analytic ones take the hybrid path), no trace to emit for replayed
-    // windows, and the compile-time class table supplies the key.
-    memo_on_ = opts_.mode != SimMode::EventDriven && !opts_.emit_trace &&
-               use_messages() && compiled.epoch_classes.built();
+    // (analytic ones take the hybrid path), and the compile-time class
+    // table supplies the key.  Replayed windows re-emit their recorded
+    // events time-shifted, so trace emission does not turn it off.
+    memo_on_ = opts_.mode != SimMode::EventDriven && use_messages() &&
+               compiled.epoch_classes.built();
     if (memo_on_)
       memo_.resize(
           static_cast<std::size_t>(compiled.epoch_classes.n_classes()));
@@ -221,10 +222,18 @@ class Simulator {
       r.makespan = util::max(r.makespan, t->stats.finish);
       r.threads.push_back(t->stats);
     }
+    // Stable by (time, thread): each thread's own emission order is the
+    // same in every mode, but the fast paths emit a whole segment or window
+    // at once, so same-time events of different threads would otherwise
+    // keep a mode-dependent global order.
+    std::stable_sort(out_events_.begin(), out_events_.end(),
+                     [](const Event& a, const Event& b) {
+                       return a.time != b.time ? a.time < b.time
+                                               : a.thread < b.thread;
+                     });
     trace::Trace out(n_);
     out.set_meta("extrapolated", "1");
-    for (const Event& e : out_events_) out.append(e);
-    out.sort_by_time();
+    out.mutable_events() = std::move(out_events_);
     r.extrapolated = std::move(out);
     r.messages = network_.messages_sent();
     r.bytes = network_.bytes_sent();
@@ -839,14 +848,13 @@ class Simulator {
   void exec_op(ThreadCtx& T) {
     const CompiledThread& code = *T.code;
     const std::uint32_t i = T.op++;
+    emit_op(T, i);
     switch (code.ops[i]) {
       case OpKind::Begin:
       case OpKind::Phase:
-        emit(T, code.proto[i]);
         proceed(T);
         break;
       case OpKind::End:
-        emit(T, code.proto[i]);
         T.state = TState::Done;
         T.stats.finish = engine_.now();
         // A finished thread's processor keeps servicing remote requests
@@ -854,11 +862,9 @@ class Simulator {
         drain_inbox(T);
         break;
       case OpKind::Remote:
-        emit(T, code.proto[i]);
         begin_remote_access(T, code.remotes[T.remote++]);
         break;
       case OpKind::Barrier:
-        emit(T, code.proto[i]);
         begin_barrier(T, code.barrier_ids[T.barrier++]);
         break;
     }
@@ -1112,6 +1118,7 @@ class Simulator {
     exit.thread = T.id;
     exit.kind = EventKind::BarrierExit;
     exit.barrier_id = T.cur_barrier;
+    log_event(T, -1);
     emit(T, exit);
     T.stats.barrier_wait += engine_.now() - T.wait_start;
     T.self_arrived = false;
@@ -1165,6 +1172,22 @@ class Simulator {
   // barrier_wait is split at every quiescent point (wait_start moves to Q)
   // so a window's delta does not depend on the window before it; the split
   // is exact in integer nanoseconds.
+  //
+  // Time-shifted emission: with a trace requested, the recording also logs
+  // every event the window emits as (thread, op offset into the thread's
+  // segment of epoch b+1 or -1 for barrier b's BarrierExit, time - Q).  A
+  // hit re-reads the protos and barrier ids from its own epoch (the class
+  // key compares op kinds, not ids or objects) and emits them at q + dt in
+  // the recorded order, before the engine resumes.  That is the oracle's
+  // order: the window's internal order is fixed by the argument above, and
+  // every replayed event lies in [Q_b, Q_{b+1}].
+
+  /// One event a recorded window emitted (see above).
+  struct MemoEvent {
+    std::int32_t thread;
+    std::int32_t op;  ///< offset into the segment; -1 = BarrierExit
+    Time dt;          ///< time since the window's barrier point
+  };
 
   /// Recorded effect of one barrier-to-barrier window.
   struct MemoWindow {
@@ -1174,6 +1197,7 @@ class Simulator {
     std::int64_t messages = 0;
     std::int64_t bytes = 0;
     std::vector<std::int32_t> samples;  ///< load samples, injection order
+    std::vector<MemoEvent> events;      ///< emission order; trace runs only
   };
 
   bool quiescent(const ThreadCtx& R) const {
@@ -1220,6 +1244,7 @@ class Simulator {
         zip_stats(t->stats, w.delta[static_cast<std::size_t>(t->id)],
                   [](auto& x, const auto& d) { x += d; });
       network_.replay(w.messages, w.bytes, w.samples);
+      replay_events(w, b, q);
       q += w.advance;
       ++hyb_.memo_hits;
     }
@@ -1255,6 +1280,7 @@ class Simulator {
     rec_bytes_ = network_.bytes_sent();
     rec_samples_.clear();
     network_.log_samples(&rec_samples_);
+    rec_events_.clear();
   }
 
   void finish_recording(Time q) {
@@ -1270,7 +1296,33 @@ class Simulator {
     w.messages = network_.messages_sent() - rec_messages_;
     w.bytes = network_.bytes_sent() - rec_bytes_;
     w.samples = rec_samples_;
+    w.events = rec_events_;
     stop_recording();
+  }
+
+  /// Emit the events of window `w` as lowering barrier `b` at point `q`
+  /// would have: protos and ids re-read from epoch b+1.
+  void replay_events(const MemoWindow& w, std::size_t b, Time q) {
+    for (const MemoEvent& m : w.events) {
+      ThreadCtx& T = thr(m.thread);
+      if (m.op < 0) {
+        Event exit;
+        exit.kind = EventKind::BarrierExit;
+        exit.barrier_id = T.code->barrier_ids[b];
+        emit_at(T, exit, q + m.dt);
+      } else {
+        const std::uint32_t i =
+            T.code->segments[b + 1].op_begin + static_cast<std::uint32_t>(m.op);
+        emit_at(T, T.code->proto[i], q + m.dt);
+      }
+    }
+  }
+
+  /// Log an event the recorded window is about to emit: `op` is the offset
+  /// of the emitted op in T's current segment, or -1 for a BarrierExit.
+  void log_event(const ThreadCtx& T, std::int32_t op) {
+    if (rec_cls_ < 0 || !opts_.emit_trace) return;
+    rec_events_.push_back({T.id, op, engine_.now() - rec_start_});
   }
 
   void stop_recording() {
@@ -1281,6 +1333,14 @@ class Simulator {
   // --- output ---------------------------------------------------------------
 
   void emit(ThreadCtx& T, const Event& e) { emit_at(T, e, engine_.now()); }
+
+  /// Emit op `i`'s proto now, on the event path.
+  void emit_op(ThreadCtx& T, std::uint32_t i) {
+    if (rec_cls_ >= 0)
+      log_event(T, static_cast<std::int32_t>(
+                       i - T.code->segments[T.barrier].op_begin));
+    emit(T, T.code->proto[i]);
+  }
 
   // By reference so the no-trace configurations (sweeps, serve, huge-n
   // hybrid runs) skip the Event copy entirely — it is measurable per-op.
@@ -1321,6 +1381,7 @@ class Simulator {
   std::int64_t rec_messages_ = 0;
   std::int64_t rec_bytes_ = 0;
   std::vector<std::int32_t> rec_samples_;
+  std::vector<MemoEvent> rec_events_;
 };
 
 }  // namespace

@@ -51,7 +51,8 @@ struct ThreadStats {
 /// Simulation mode (the hybrid analytic/discrete-event fast path).
 ///
 ///  * EventDriven — replay every op through the radix-calendar engine.
-///    The differential oracle: always available, always exact.
+///    The differential oracle: always available, always exact.  Tests ask
+///    for it explicitly; everything else takes the Auto default.
 ///  * Hybrid — collapse barrier-delimited segments whose cost has a closed
 ///    form (compute intervals + same-processor / intra-cluster remote
 ///    accesses, with no cross-cluster traffic touching the thread that
@@ -64,16 +65,18 @@ struct ThreadStats {
 ///    entirely (HybridStats::Path::PureAnalytic), which is what makes
 ///    n = 10^4..10^6 simulated processors feasible.
 ///    Under message barriers (where nothing collapses) Hybrid and Auto
-///    instead memoize barrier epochs on the event path when no trace is
-///    emitted: a window between two quiescent barrier points is simulated
-///    once per epoch class and replayed from its recorded deltas after
-///    that (DESIGN.md §16) — again bitwise-identical to EventDriven.
-///  * Auto — let the library pick: Hybrid, plus representative-epoch
-///    SAMPLING on top of the pure-analytic path (DESIGN.md §15).  When the
-///    whole run is engine-free and no extrapolated trace is requested, Auto
-///    simulates ONE exemplar per epoch class (bit-identical epochs grouped
-///    at compile time, core::EpochClassTable) and composes the prediction
-///    as Σ class_count × exemplar advance — exact, because analytic
+///    instead memoize barrier epochs on the event path: a window between
+///    two quiescent barrier points is simulated once per epoch class and
+///    replayed from its recorded deltas after that, re-emitting its
+///    recorded events time-shifted when a trace is requested (DESIGN.md
+///    §16) — again bitwise-identical to EventDriven, trace included.
+///  * Auto (the default) — let the library pick: Hybrid, plus
+///    representative-epoch SAMPLING on top of the pure-analytic path
+///    (DESIGN.md §15).  When the whole run is engine-free and no
+///    extrapolated trace is requested, Auto simulates ONE exemplar per
+///    epoch class (bit-identical epochs grouped at compile time,
+///    core::EpochClassTable) and composes the prediction as
+///    Σ class_count × exemplar advance — exact, because analytic
 ///    barriers release every thread at one uniform instant and segment
 ///    walks are start-translation-invariant, so integer per-class deltas
 ///    multiply without error.  Identical-epoch dedup is therefore ALSO
@@ -84,11 +87,13 @@ enum class SimMode : std::uint8_t { EventDriven, Hybrid, Auto };
 const char* to_string(SimMode m);
 
 struct SimOptions {
-  SimMode mode = SimMode::EventDriven;
+  SimMode mode = SimMode::Auto;
   /// Build the re-timestamped extrapolated trace.  Costs O(events) memory +
   /// a sort; numeric outputs (makespan, stats, messages) are unaffected, so
   /// huge-n scaling runs turn it off.  Also disables Auto's epoch sampling
-  /// (every epoch must be walked to emit its events).
+  /// (every epoch must be walked to emit its events); the barrier-epoch
+  /// memo stays on.  In every mode the trace is sorted stably by (time,
+  /// thread), so every mode yields the same event sequence.
   bool emit_trace = true;
   /// Representative-epoch sampling tolerance (Auto mode only).  0 = exact
   /// dedup: only bit-identical epochs share an exemplar, predictions stay
@@ -112,7 +117,7 @@ struct SimOptions {
 /// path (DESIGN.md §16): windows between two quiescent barrier points that
 /// were replayed from a recorded window of the same epoch class (hits), or
 /// had to run through the engine (misses).  Both stay zero unless the run
-/// uses message barriers, emits no trace and is not EventDriven.
+/// uses message barriers and is not EventDriven.
 struct HybridStats {
   enum class Path : std::uint8_t {
     Event,         ///< whole run replayed through the engine

@@ -345,7 +345,6 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
             SimOptions sopts;
             sopts.mode = grid[i].mode;
             sopts.emit_trace = opt_.emit_traces;
-            sopts.epoch_tolerance = opt_.epoch_tolerance;
             out.predictions[i] = predict(*prepared[i], grid[i].params, sopts);
           } catch (...) {
             keep_first_error();

@@ -156,9 +156,9 @@ struct SweepPoint {
   model::SimParams params;
   std::string label;  ///< free-form series tag (machine name, hypothesis, …)
   /// Simulation mode for this cell (core/simulator.hpp).  Hybrid/Auto are
-  /// conservative-exact, so mode choice never changes the prediction — only
-  /// how much of the replay the event engine runs.
-  SimMode mode = SimMode::EventDriven;
+  /// conservative-exact, so mode choice never changes the prediction or its
+  /// extrapolated trace — only how much of the replay the event engine runs.
+  SimMode mode = SimMode::Auto;
 };
 
 /// Per-stage timing of one sweep, for the scaling benchmarks.  Every stage
@@ -213,13 +213,10 @@ struct SweepOptions {
   std::vector<std::size_t> submit_order;
   /// Keep each prediction's extrapolated trace (SimOptions::emit_trace).
   /// phase_fit and pattern composition read them, so they stay on by
-  /// default; prediction-only sweeps can turn them off, which also lets
-  /// Auto cells take the representative-epoch sampled path.
+  /// default.  Turning them off saves the trace's memory and sort; on
+  /// pure-analytic cells it also lets Auto walk one exemplar per epoch
+  /// class instead of every epoch.
   bool emit_traces = true;
-  /// Epoch-class clustering tolerance for Auto cells
-  /// (SimOptions::epoch_tolerance).  Only reachable when emit_traces is
-  /// off; 0 keeps the sampled path bitwise-exact.
-  double epoch_tolerance = 0.0;
 };
 
 class SweepRunner {
@@ -247,7 +244,7 @@ class SweepRunner {
   SweepResult run_grid(const std::vector<int>& procs,
                        const std::vector<model::SimParams>& machines,
                        const std::vector<std::string>& labels = {},
-                       SimMode mode = SimMode::EventDriven);
+                       SimMode mode = SimMode::Auto);
 
  private:
   SweepOptions opt_;

@@ -1,18 +1,20 @@
 // Differential suite for barrier-epoch memoization on the event path
 // (core/simulator.cpp, DESIGN.md §16).
 //
-// Under message barriers, Hybrid and Auto without trace emission simulate
-// each barrier-to-barrier window once per epoch class and replay the
-// recorded deltas for later windows of the same class.  The contract is
-// bitwise: makespan, every ThreadStats field, messages, bytes and
-// avg_inflight must equal the EventDriven oracle on every code, preset,
+// Under message barriers, Hybrid and Auto simulate each barrier-to-barrier
+// window once per epoch class and replay the recorded deltas for later
+// windows of the same class, re-emitting the recorded events time-shifted
+// when a trace is requested.  The contract is bitwise: makespan, every
+// ThreadStats field, messages, bytes, avg_inflight and the extrapolated
+// event sequence must equal the EventDriven oracle on every code, preset,
 // thread count and MIPS ratio, and under the barrier, service-policy,
 // processor-sharing and contention variants.  The memo must actually
-// engage on the iterative codes, and must stay off where it does not
-// apply: the EventDriven oracle itself, runs that emit a trace, and
-// barrier points that are not quiescent.
+// engage on the iterative codes, with and without a trace, and must stay
+// off where it does not apply: the EventDriven oracle itself and barrier
+// points that are not quiescent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -60,6 +62,21 @@ void expect_bitwise_equal(const SimResult& ev, const SimResult& au,
   EXPECT_EQ(ev.messages, au.messages);
   EXPECT_EQ(ev.bytes, au.bytes);
   EXPECT_EQ(ev.avg_inflight, au.avg_inflight);
+}
+
+/// The extrapolated traces hold the same events in the same order.  Reports
+/// the first difference rather than printing whole traces.
+void expect_same_events(const SimResult& ev, const SimResult& au,
+                        const std::string& what) {
+  const auto& a = ev.extrapolated.events();
+  const auto& b = au.extrapolated.events();
+  EXPECT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i)
+    if (!(a[i] == b[i])) {
+      ADD_FAILURE() << what << ": event " << i << " is " << b[i].str()
+                    << ", oracle has " << a[i].str();
+      return;
+    }
 }
 
 const CompiledTrace& compiled(const std::string& bench, int n) {
@@ -115,12 +132,16 @@ std::int64_t memo_windows(const CompiledTrace& ct) {
 /// Auto vs EventDriven over one trace set and one machine, plus the
 /// counter contract: the oracle never memoizes, and on a valid trace
 /// every window is counted as a hit or a miss (every barrier point is
-/// quiescent).  Returns Auto's hits.
+/// quiescent).  With `emit_trace` the extrapolated event sequences must
+/// match too.  Returns Auto's hits.
 std::int64_t check_cell(const CompiledTrace& ct, const model::SimParams& p,
-                        bool messages, const std::string& what) {
-  const SimResult ev = run(ct, p, SimMode::EventDriven);
-  const SimResult au = run(ct, p, SimMode::Auto);
+                        bool messages, const std::string& what,
+                        bool emit_trace = false) {
+  const SimResult ev = run(ct, p, SimMode::EventDriven, emit_trace);
+  const SimResult au = run(ct, p, SimMode::Auto, emit_trace);
   expect_bitwise_equal(ev, au, what);
+  expect_same_events(ev, au, what);
+  EXPECT_EQ(ev.extrapolated.empty(), !emit_trace) << what;
   EXPECT_EQ(ev.hybrid.memo_hits, 0) << what;
   EXPECT_EQ(ev.hybrid.memo_misses, 0) << what;
   if (messages) {
@@ -133,10 +154,8 @@ std::int64_t check_cell(const CompiledTrace& ct, const model::SimParams& p,
   return au.hybrid.memo_hits;
 }
 
-}  // namespace
-
-// The full matrix: 7 codes x 7 presets x n in {1..32} x MIPS {1, 4}.
-TEST(EpochMemo, SuiteMatrixBitwise) {
+/// The full matrix: 7 codes x 7 presets x n in {1..32} x MIPS {1, 4}.
+void check_matrix(bool emit_trace) {
   for (const std::string& bench : suite::benchmark_names()) {
     for (const Preset& preset : all_presets()) {
       std::int64_t hits = 0;
@@ -148,14 +167,25 @@ TEST(EpochMemo, SuiteMatrixBitwise) {
           hits += check_cell(ct, p, preset.messages,
                              bench + "/" + preset.name + "/n=" +
                                  std::to_string(n) + "/mips=" +
-                                 std::to_string(mips));
+                                 std::to_string(mips),
+                             emit_trace);
         }
       }
-      if (preset.messages && iterative(bench))
+      if (preset.messages && iterative(bench)) {
         EXPECT_GT(hits, 0) << bench << "/" << preset.name;
+      }
     }
   }
 }
+
+}  // namespace
+
+TEST(EpochMemo, SuiteMatrixBitwise) { check_matrix(/*emit_trace=*/false); }
+
+// The same matrix with the extrapolated trace emitted: replayed windows
+// re-emit their recorded events, so the memo stays on and every event
+// sequence equals the oracle's, in order.
+TEST(EpochMemo, SuiteMatrixTraceBitwise) { check_matrix(/*emit_trace=*/true); }
 
 // Variants of the message-barrier machines: logarithmic barrier tree,
 // NoInterrupt service, two threads per processor, contention off.
@@ -205,9 +235,9 @@ TEST(EpochMemo, VariantsBitwise) {
   }
 }
 
-// Hybrid takes the memo path too under message barriers; trace emission
-// turns it off (replayed windows have no events to emit).
-TEST(EpochMemo, HybridMemoizesAndTraceEmissionDisablesIt) {
+// Hybrid takes the memo path too under message barriers, and trace
+// emission keeps it on: the replayed windows emit the oracle's events.
+TEST(EpochMemo, HybridMemoizesWithAndWithoutTrace) {
   const CompiledTrace& ct = compiled("grid", 8);
   const model::SimParams p = model::cm5_preset();
   const SimResult ev = run(ct, p, SimMode::EventDriven);
@@ -215,13 +245,17 @@ TEST(EpochMemo, HybridMemoizesAndTraceEmissionDisablesIt) {
   expect_bitwise_equal(ev, hy, "grid/cm5 hybrid");
   EXPECT_GT(hy.hybrid.memo_hits, 0);
 
-  const SimResult traced = run(ct, p, SimMode::Auto, /*emit_trace=*/true);
-  expect_bitwise_equal(ev, traced, "grid/cm5 auto with trace");
-  EXPECT_EQ(traced.hybrid.memo_hits, 0);
-  EXPECT_EQ(traced.hybrid.memo_misses, 0);
-  EXPECT_GT(traced.extrapolated.events().size(), 0u);
-  EXPECT_EQ(traced.engine_events, run(ct, p, SimMode::EventDriven, true)
-                                      .engine_events);
+  const SimResult ev_traced = run(ct, p, SimMode::EventDriven, true);
+  for (const SimMode mode : {SimMode::Hybrid, SimMode::Auto}) {
+    const SimResult traced = run(ct, p, mode, /*emit_trace=*/true);
+    const std::string what = std::string("grid/cm5 traced ") + to_string(mode);
+    expect_bitwise_equal(ev_traced, traced, what);
+    EXPECT_EQ(traced.hybrid.memo_hits, hy.hybrid.memo_hits) << what;
+    EXPECT_EQ(traced.hybrid.memo_misses, hy.hybrid.memo_misses) << what;
+    EXPECT_EQ(traced.engine_events, hy.engine_events) << what;
+    EXPECT_GT(traced.extrapolated.size(), 0u) << what;
+    expect_same_events(ev_traced, traced, what);
+  }
 }
 
 // On grid, one recorded window stands for every later iteration, so the
@@ -279,6 +313,9 @@ TEST(EpochMemo, NonQuiescentBarrierPointKeepsMemoOff) {
   const SimResult ev = run(ct, p, SimMode::EventDriven);
   const SimResult au = run(ct, p, SimMode::Auto);
   expect_bitwise_equal(ev, au, "non-quiescent hand-built trace");
+  expect_same_events(run(ct, p, SimMode::EventDriven, true),
+                     run(ct, p, SimMode::Auto, true),
+                     "non-quiescent hand-built trace, traced");
   EXPECT_EQ(au.hybrid.memo_hits, 0);
   // A quiescent point counts its window as a hit or a miss; the
   // non-quiescent one counts nothing.

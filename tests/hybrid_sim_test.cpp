@@ -5,16 +5,14 @@
 // collapsed into its closed form only when that form is provably exact, and
 // everything else demotes to the event engine.  The contract under test is
 // therefore not "close" but *bitwise identical* — makespan, every per-thread
-// stat, message/byte counts, and the multiset of extrapolated events must
+// stat, message/byte counts, and the extrapolated event sequence must
 // match EventDriven on every input: the golden trace, all seven suite codes
 // at n in {4, 8, 16}, and randomized contention configurations (where Auto
 // demotes contended owners, the divergence bound is exactly zero).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <fstream>
 #include <random>
-#include <tuple>
 #include <vector>
 
 #include "core/compiled_trace.hpp"
@@ -61,20 +59,9 @@ std::vector<std::pair<std::string, model::SimParams>> message_presets() {
           {"sp1", model::sp1_preset()}};
 }
 
-/// Canonical event ordering: the extrapolated trace is stable-sorted by time
-/// only, and the two modes emit ties in different insertion orders, so the
-/// comparison is over the canonically sorted multiset.
-std::vector<Event> canonical_events(const Trace& t) {
-  std::vector<Event> ev = t.events();
-  std::sort(ev.begin(), ev.end(), [](const Event& a, const Event& b) {
-    return std::tuple(a.time.count_ns(), a.thread, static_cast<int>(a.kind),
-                      a.barrier_id, a.peer, a.object, a.declared_bytes,
-                      a.actual_bytes) <
-           std::tuple(b.time.count_ns(), b.thread, static_cast<int>(b.kind),
-                      b.barrier_id, b.peer, b.object, b.declared_bytes,
-                      b.actual_bytes);
-  });
-  return ev;
+/// The differential oracle, asked for explicitly: the default mode is Auto.
+SimResult event_driven(const CompiledTrace& ct, const model::SimParams& p) {
+  return core::simulate_compiled(ct, p, {SimMode::EventDriven});
 }
 
 void expect_bitwise_equal(const SimResult& ev, const SimResult& hy,
@@ -102,8 +89,7 @@ void expect_bitwise_equal(const SimResult& ev, const SimResult& hy,
   EXPECT_EQ(ev.messages, hy.messages);
   EXPECT_EQ(ev.bytes, hy.bytes);
   EXPECT_EQ(ev.avg_inflight, hy.avg_inflight);
-  EXPECT_EQ(canonical_events(ev.extrapolated),
-            canonical_events(hy.extrapolated));
+  EXPECT_EQ(ev.extrapolated.events(), hy.extrapolated.events());
 }
 
 Trace load_golden() {
@@ -165,7 +151,7 @@ TEST(HybridSim, GoldenTraceBitwiseAllPresets) {
   auto presets = analytic_presets();
   for (auto& [name, p] : message_presets()) presets.emplace_back(name, p);
   for (const auto& [name, params] : presets) {
-    const SimResult ev = core::simulate_compiled(ct, params);
+    const SimResult ev = event_driven(ct, params);
     const SimResult hy =
         core::simulate_compiled(ct, params, {SimMode::Hybrid});
     const SimResult au = core::simulate_compiled(ct, params, {SimMode::Auto});
@@ -206,7 +192,7 @@ TEST(HybridSim, SuiteCodesBitwise) {
           {"distributed", model::distributed_preset()},
       };
       for (const auto& [pname, p] : params) {
-        const SimResult ev = core::simulate_compiled(ct, p);
+        const SimResult ev = event_driven(ct, p);
         const SimResult hy = core::simulate_compiled(ct, p, {SimMode::Hybrid});
         expect_bitwise_equal(
             ev, hy, bench + "/n=" + std::to_string(n) + "/" + pname);
@@ -225,7 +211,7 @@ TEST(HybridSim, MixedPathContentionDemotesAndMatches) {
     const CompiledTrace ct = CompiledTrace::compile(translated);
     model::SimParams p = model::shared_memory_preset();
     p.cluster.procs_per_cluster = 2;  // 4 clusters of 2 at n=8
-    const SimResult ev = core::simulate_compiled(ct, p);
+    const SimResult ev = event_driven(ct, p);
     const SimResult hy = core::simulate_compiled(ct, p, {SimMode::Hybrid});
     expect_bitwise_equal(ev, hy, bench + "/2per-cluster");
     EXPECT_GT(hy.hybrid.segments_demoted, 0) << bench;
@@ -240,7 +226,7 @@ TEST(HybridSim, PollPolicyClosedFormMatches) {
   const CompiledTrace ct = CompiledTrace::compile(translated);
   model::SimParams p = single_cluster(model::sp1_preset());
   p.barrier.by_msgs = false;  // sp1 is a message-barrier preset by default
-  const SimResult ev = core::simulate_compiled(ct, p);
+  const SimResult ev = event_driven(ct, p);
   const SimResult hy = core::simulate_compiled(ct, p, {SimMode::Hybrid});
   expect_bitwise_equal(ev, hy, "grid/sp1-analytic-barrier");
   EXPECT_GT(hy.hybrid.segments_collapsed, 0);
@@ -269,7 +255,7 @@ TEST(HybridSim, RandomizedContentionPropertyAutoIsExact) {
     p.proc.mips_ratio = mips[rng() % mips.size()];
     const auto translated = core::translate(measured(bench, n));
     const CompiledTrace ct = CompiledTrace::compile(translated);
-    const SimResult ev = core::simulate_compiled(ct, p);
+    const SimResult ev = event_driven(ct, p);
     const SimResult au = core::simulate_compiled(ct, p, {SimMode::Auto});
     expect_bitwise_equal(ev, au,
                          "iter" + std::to_string(iter) + "/" + bench + "/n=" +
@@ -317,7 +303,7 @@ TEST(HybridSim, SharedProcessorsDemoteWholesale) {
   const CompiledTrace ct = CompiledTrace::compile(translated);
   model::SimParams p = single_cluster(model::shared_memory_preset());
   p.proc.n_procs = 4;  // 2 threads per processor
-  const SimResult ev = core::simulate_compiled(ct, p);
+  const SimResult ev = event_driven(ct, p);
   const SimResult hy = core::simulate_compiled(ct, p, {SimMode::Hybrid});
   expect_bitwise_equal(ev, hy, "grid/n_procs=4");
   EXPECT_EQ(hy.hybrid.path, HybridStats::Path::Event);

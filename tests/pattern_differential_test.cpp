@@ -4,12 +4,13 @@
 // style:
 //
 //   * every SweepRunner prediction over a pattern program is bitwise
-//     identical to a sequential Extrapolator run of the same measured
-//     trace — numeric fields AND the serialized extrapolated event
-//     stream (which carries the re-timestamped pattern delimiters the
-//     composed model is extracted from);
-//   * across pool sizes {1, 2, 8} and across SimMode::EventDriven vs
-//     SimMode::Hybrid (conservative-exact, so mode may not change bits);
+//     identical to a sequential EventDriven prediction of the same
+//     measured trace — numeric fields AND the serialized extrapolated
+//     event stream (which carries the re-timestamped pattern delimiters
+//     the composed model is extracted from);
+//   * across pool sizes {1, 2, 8} and across SimMode::EventDriven,
+//     SimMode::Hybrid and SimMode::Auto, the default (conservative-exact,
+//     so mode may not change bits);
 //   * therefore the composed ComposedModel — regions, fitted curves,
 //     bands — is bitwise identical however the sweep that fed it ran.
 #include <gtest/gtest.h>
@@ -83,15 +84,17 @@ TEST_P(PatternDifferential, SweepBitwiseEqualsMonolithicSimulation) {
   const auto traces = measured_traces(name);
 
   // Monolithic baseline: sequential event-driven simulation per count.
-  const core::Extrapolator ex(model::distributed_preset());
   std::vector<core::Prediction> base;
   for (const trace::Trace& t : traces)
-    base.push_back(ex.extrapolate_trace(t));
+    base.push_back(core::predict(core::prepare_trace(t),
+                                 model::distributed_preset(),
+                                 {core::SimMode::EventDriven}));
 
   std::string composed_ref;
   for (int workers : {1, 2, 8})
     for (core::SimMode mode :
-         {core::SimMode::EventDriven, core::SimMode::Hybrid}) {
+         {core::SimMode::EventDriven, core::SimMode::Hybrid,
+          core::SimMode::Auto}) {
       SCOPED_TRACE(name + " workers=" + std::to_string(workers) +
                    " mode=" + std::to_string(static_cast<int>(mode)));
       const auto sweep = run_sweep(traces, workers, mode);

@@ -87,15 +87,18 @@ std::map<int, trace::Trace> measure_all(const std::vector<SweepPoint>& grid) {
 
 // Serialize a Prediction exhaustively; byte-equal strings <=> bitwise-equal
 // predictions (times are integer ns; avg_inflight is printed as hexfloat).
-std::string serialize(const Prediction& p) {
+// `engine_events` = false leaves out the one field that depends on the
+// simulation mode: the count of engine events that fired.
+std::string serialize(const Prediction& p, bool engine_events = true) {
   std::ostringstream os;
   os << "n=" << p.n_threads << " pred=" << p.predicted_time.count_ns()
      << " ideal=" << p.ideal_time.count_ns()
      << " meas=" << p.measured_time.count_ns()
      << " makespan=" << p.sim.makespan.count_ns()
-     << " msgs=" << p.sim.messages << " bytes=" << p.sim.bytes
-     << " events=" << p.sim.engine_events << " inflight=" << std::hexfloat
-     << p.sim.avg_inflight << std::defaultfloat << '\n';
+     << " msgs=" << p.sim.messages << " bytes=" << p.sim.bytes;
+  if (engine_events) os << " events=" << p.sim.engine_events;
+  os << " inflight=" << std::hexfloat << p.sim.avg_inflight
+     << std::defaultfloat << '\n';
   for (const auto& t : p.sim.threads) {
     os << "  t: " << t.compute.count_ns() << ' ' << t.comm_wait.count_ns()
        << ' ' << t.barrier_wait.count_ns() << ' ' << t.send_overhead.count_ns()
@@ -108,11 +111,11 @@ std::string serialize(const Prediction& p) {
   return os.str();
 }
 
-std::string serialize(const SweepResult& r) {
+std::string serialize(const SweepResult& r, bool engine_events = true) {
   std::ostringstream os;
   for (std::size_t i = 0; i < r.predictions.size(); ++i)
     os << "[" << i << " " << r.grid[i].label << "]\n"
-       << serialize(r.predictions[i]);
+       << serialize(r.predictions[i], engine_events);
   return os.str();
 }
 
@@ -201,6 +204,42 @@ TEST(SweepRunner, DeterministicAcrossRunsAndSubmissionOrders) {
     if (i % 2 == 1) shuffled.push_back(i);
   const std::string third = run_with(shuffled);
   EXPECT_EQ(first, third) << "submission order leaked into the results";
+}
+
+// Auto is the default mode, and it is exact: a default-mode sweep equals an
+// EventDriven sweep in every serialized field, the extrapolated trace text
+// included.  Only the engine-event count may differ, because it counts the
+// events that fired and the fast paths fire fewer.  The suite's grid code
+// repeats its epochs, so the barrier-epoch memo replays windows there.
+TEST(SweepRunner, DefaultModeSweepMatchesEventDriven) {
+  const std::vector<model::SimParams> machines = {
+      model::distributed_preset(), model::cm5_preset(), model::sp1_preset(),
+      model::shared_memory_preset(), model::ideal_preset()};
+  const std::vector<std::string> labels = {"distributed", "cm5", "sp1",
+                                           "shared", "ideal"};
+  const std::vector<ProgramFactory> programs = {
+      [] { return std::make_unique<SweepProgram>(); },
+      [] { return suite::make_by_name("grid", suite::SuiteConfig{}); }};
+  for (std::size_t prog = 0; prog < programs.size(); ++prog) {
+    SCOPED_TRACE("program " + std::to_string(prog));
+    SweepOptions opt;
+    opt.n_workers = 2;
+    SweepRunner runner(programs[prog], opt);
+    const SweepResult dflt = runner.run_grid({1, 2, 4, 8}, machines, labels);
+    const SweepResult event = runner.run_grid({1, 2, 4, 8}, machines, labels,
+                                              SimMode::EventDriven);
+    for (const SweepPoint& p : dflt.grid) EXPECT_EQ(p.mode, SimMode::Auto);
+    EXPECT_EQ(serialize(dflt, false), serialize(event, false));
+    std::int64_t hits = 0;
+    for (const Prediction& p : dflt.predictions) {
+      EXPECT_GT(p.sim.extrapolated.size(), 0u);
+      hits += p.sim.hybrid.memo_hits;
+    }
+    if (prog == 1) {
+      EXPECT_GT(hits, 0);
+      EXPECT_LT(dflt.stages.sim_events_fired, event.stages.sim_events_fired);
+    }
+  }
 }
 
 // Property test: for a RANDOMIZED grid (random sizes, random machine per
