@@ -8,16 +8,19 @@
 // target every segment collapses and the event engine never starts.
 //
 // This harness measures that directly: simulate Grid and Cyclic at
-// n in {64 .. 100000} under both modes (event-driven only where feasible)
-// against identical translated traces, and report wall time, engine events
-// fired, and segments collapsed per cell.  Hybrid and event-driven are
-// conservative-exact duals, so the harness also holds their predictions
+// n in {64 .. 100000} event-driven (only where feasible) and on the hybrid
+// path against identical translated traces, and report wall time, engine
+// events fired, and segments collapsed per cell.  The "hybrid" rows run
+// Auto over a trace whose epoch-class table is dropped
+// (bench::without_epoch_classes), so they time the collapse itself — every
+// epoch walked analytically — not the epoch sampling stacked on top of it.
+// Both paths are exact, so the harness also holds their predictions
 // bitwise equal where both run.
 //
 // Output rows are parsed by scripts/bench_json.sh (schema xp-bench-sim/4),
-// which gates Hybrid >= 10x event-driven at n=1024 on both benchmarks.
+// which gates hybrid >= 10x event-driven at n=1024 on both benchmarks.
 //
-//   --smoke   run only the Hybrid grid n=100000 cell (the CI huge-n smoke
+//   --smoke   run only the hybrid grid n=100000 cell (the CI huge-n smoke
 //             budget is one minute for the whole measure->predict pipeline)
 #include <time.h>
 
@@ -146,14 +149,15 @@ int run(bool smoke) {
       mo.n_threads = n;
       const trace::Trace measured = rt::measure(*prog, mo);
       const double measure_s = now_s() - m0;
-      const core::TranslatedTrace prepared = core::prepare_trace(measured);
+      const core::TranslatedTrace prepared =
+          without_epoch_classes(core::prepare_trace(measured));
       const double prep_s = now_s() - m0;
 
       const bool event_feasible = n <= 1024;
       Cell ev, hy;
       if (event_feasible)
         ev = run_cell(prepared, params, core::SimMode::EventDriven, n);
-      hy = run_cell(prepared, params, core::SimMode::Hybrid, n);
+      hy = run_cell(prepared, params, core::SimMode::Auto, n);
 
       const std::string key = study.bench + "_" + std::to_string(n);
       if (event_feasible) {

@@ -10,13 +10,15 @@
 // clustered under a relative tolerance (tier 2).
 //
 // This harness measures both tiers: simulate Grid at 100/500/1000 iterations
-// (102/502/1002 epochs) under Auto (sampled), Hybrid (full analytic), and
-// EventDriven against identical translated traces; hold all three bitwise
-// equal; and gate Auto >= 10x Hybrid simulate-stage wall time at >= 1000
-// epochs.  A cost-perturbed Grid trace (same epoch shapes, deterministic
-// per-epoch jitter) then sweeps the tolerance knob to plot the
-// accuracy-vs-speedup curve and check the certified bound is sound:
-// |sampled - exact| <= error_bound at every tolerance.
+// (102/502/1002 epochs) under Auto (sampled), full analytic ("hybrid": Auto
+// over a copy of the trace without its epoch-class table, so every epoch is
+// walked — bench::without_epoch_classes), and EventDriven against identical
+// translated traces; hold all three bitwise equal; and gate sampled >= 10x
+// full-analytic simulate-stage wall time at >= 1000 epochs.  A
+// cost-perturbed Grid trace (same epoch shapes, deterministic per-epoch
+// jitter) then sweeps the tolerance knob to plot the accuracy-vs-speedup
+// curve and check the certified bound is sound against the EventDriven
+// oracle: |sampled - exact| <= error_bound at every tolerance.
 //
 // Output rows are parsed by scripts/bench_json.sh (schema xp-bench-sim/6),
 // which gates the >= 10x dedup speedup at 1002 epochs.
@@ -255,7 +257,8 @@ int run(bool smoke) {
     const double prep_s = now_s() - m0;
 
     const Cell ev = run_cell(prepared, params, core::SimMode::EventDriven);
-    const Cell hy = run_cell(prepared, params, core::SimMode::Hybrid);
+    const Cell hy = run_cell(without_epoch_classes(prepared), params,
+                             core::SimMode::Auto);
     const Cell au = run_cell(prepared, params, core::SimMode::Auto);
     const core::SamplingStats& sp = au.pred.sim.sampling;
     const std::int64_t epochs = sp.epochs;
@@ -301,7 +304,7 @@ int run(bool smoke) {
       perturb_epoch_costs(rt::measure(*prog, mo), 0.02);
   const core::TranslatedTrace prepared = core::prepare_trace(perturbed);
   const core::Prediction exact =
-      run_cell(prepared, params, core::SimMode::Hybrid).pred;
+      run_cell(prepared, params, core::SimMode::EventDriven).pred;
 
   bool all_sound = true;
   for (double tol : {0.0, 0.005, 0.02, 0.1}) {

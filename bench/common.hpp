@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -92,6 +93,19 @@ inline metrics::Curve time_curve_ms(const std::string& label,
   c.procs = procs;
   for (const Time& t : times) c.values.push_back(t.to_ms());
   return c;
+}
+
+/// `prepared` with its compiled form's epoch-class table dropped: Auto then
+/// walks every epoch on the analytic path instead of sampling one exemplar
+/// per class (the table is the sampled path's precondition).  This is the
+/// full-analytic baseline the collapse and sampling gates time against.
+/// The compiled form is copied, so `prepared` itself is left untouched.
+inline core::TranslatedTrace without_epoch_classes(
+    core::TranslatedTrace prepared) {
+  auto compiled = std::make_shared<core::CompiledTrace>(*prepared.compiled);
+  compiled->epoch_classes = {};
+  prepared.compiled = std::move(compiled);
+  return prepared;
 }
 
 inline void shape_check(const std::string& claim, bool holds) {

@@ -207,8 +207,9 @@ with open(pattern_log) as f:
             }
 
 # Region-sampling harness: per-cell "region_sampling ..." rows, the
-# within-run "sampling_speedup ..." ratios (sampled Auto vs full-analytic
-# Hybrid on the SAME translated trace), and the tolerance sweep's
+# within-run "sampling_speedup ..." ratios (sampled Auto vs the
+# full-analytic walk of the SAME translated trace — Auto without its
+# epoch-class table, the "hybrid" rows), and the tolerance sweep's
 # "sampling_tolerance ..." soundness rows (bench/abl_region_sampling).
 sampling = {}
 sampling_speedups = {}
@@ -463,7 +464,7 @@ else:
 
 # Gate 6: representative-epoch sampling.  On the 1000-iteration Grid trace
 # (>= 1000 epochs, ~3 distinct classes) the sampled Auto path must beat the
-# full-analytic Hybrid replay of the SAME translated trace by >= 10x
+# full-analytic walk of the SAME translated trace by >= 10x
 # simulate-stage wall time — a within-run ratio, so host-speed drift cannot
 # mask a regression.  (The harness itself also holds the dedup predictions
 # bitwise-equal to full simulation and the tier-2 bound sound; a mismatch

@@ -115,7 +115,7 @@ CompiledTrace CompiledTrace::compile(
     }
   }
 
-  // Hybrid preconditions: lockstep barrier epochs + per-owner histogram.
+  // Segment-collapse preconditions: lockstep epochs + per-owner histogram.
   ct.uniform_barriers = true;
   for (std::size_t t = 1; t < ct.threads.size(); ++t)
     if (ct.threads[t].barrier_ids != ct.threads[0].barrier_ids) {

@@ -64,7 +64,7 @@ struct RemoteRec {
 /// thread lies between global barrier e-1's release and barrier e's release,
 /// so when no cross-cluster remote access touches a thread during an epoch
 /// the whole slice has a closed-form cost and the simulator can skip the
-/// event engine for it (core/simulator.hpp, SimMode::Hybrid).  `presum` is
+/// event engine for it (core/simulator.hpp, segment collapse).  `presum` is
 /// the compile-time pre-summed record: the unscaled compute total of the
 /// slice, exact to use whole when MipsRatio == 1 and the service policy is
 /// not Poll (Time scaling is llround per interval, so a scaled sum is not a

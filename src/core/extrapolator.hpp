@@ -51,8 +51,8 @@ TranslatedTrace prepare_trace(const trace::Trace& measured);
 /// Run the simulation-side half: replay a prepared trace against one
 /// parameter set.  Pure — identical inputs give bitwise-identical
 /// Predictions, the property the sweep differential tests pin down.
-/// `opts` selects the simulation mode (core/simulator.hpp); Hybrid/Auto
-/// are conservative-exact, so every mode yields the same numbers.
+/// `opts` selects the simulation mode (core/simulator.hpp); both modes
+/// yield the same numbers unless `opts.epoch_tolerance` > 0.
 Prediction predict(const TranslatedTrace& prepared, const SimParams& params,
                    const SimOptions& opts = {});
 

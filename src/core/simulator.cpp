@@ -132,7 +132,7 @@ struct ThreadCtx {
   TState state = TState::Start;
 
   // True while the hybrid fast path is replaying one of this thread's
-  // collapsed segments analytically (core/simulator.hpp, SimMode::Hybrid).
+  // collapsed segments analytically (core/simulator.hpp, segment collapse).
   // The classifier guarantees no message can target such a thread; a
   // delivery anyway means a misclassification and trips a loud check.
   bool fastforwarding = false;
@@ -196,14 +196,13 @@ class Simulator {
 
   SimResult run() {
     if (hyb_.path == HybridStats::Path::PureAnalytic) {
-      // Representative-epoch sampling (SimMode::Auto, DESIGN.md §15): only
-      // on the engine-free path, only without trace emission (every epoch
-      // must be walked to emit its events), and only when the compile-time
+      // Representative-epoch sampling (DESIGN.md §15): only on the
+      // engine-free path, only without trace emission (every epoch must be
+      // walked to emit its events), and only when the compile-time
       // epoch-class table exists (hand-built CompiledTrace instances may
       // predate it).  Dedup is bitwise-exact, so eligibility — not
       // correctness — is the only thing these conditions guard.
-      if (opts_.mode == SimMode::Auto && !opts_.emit_trace &&
-          compiled_->epoch_classes.built())
+      if (!opts_.emit_trace && compiled_->epoch_classes.built())
         run_analytic_sampled();
       else
         run_analytic();
@@ -245,7 +244,7 @@ class Simulator {
   }
 
  private:
-  // --- hybrid segment classifier (SimMode::Hybrid / Auto) -------------------
+  // --- hybrid segment classifier (SimMode::Auto) ----------------------------
   //
   // A (epoch, thread) segment has a closed-form cost — and can skip the
   // event engine — iff nothing can interleave with the thread's own replay
@@ -269,7 +268,7 @@ class Simulator {
   // service — before barrier e releases: the accessor blocks on the reply
   // and cannot reach the barrier until it arrives.  Demotion marks BOTH
   // endpoints of a cross-cluster access for that epoch; everything else is
-  // provably exact, which is why Hybrid is bitwise-identical to EventDriven.
+  // provably exact, which is why Auto is bitwise-identical to EventDriven.
   void classify(const CompiledTrace& compiled) {
     for (const CompiledThread& th : compiled.threads)
       hyb_.segments_total += static_cast<std::int64_t>(th.segments.size());
@@ -1365,7 +1364,7 @@ class Simulator {
   std::map<std::int32_t, AnalyticBarrier> analytic_;
   std::vector<Event> out_events_;
 
-  // Hybrid-mode state (classify()).
+  // Segment-collapse state (classify()).
   bool hybrid_active_ = false;
   std::int64_t epochs_ = 0;
   std::vector<char> blocked_;  ///< epochs_ x n_: segment demoted to events
@@ -1407,7 +1406,6 @@ Time SimResult::total_barrier_wait() const {
 const char* to_string(SimMode m) {
   switch (m) {
     case SimMode::EventDriven: return "event";
-    case SimMode::Hybrid: return "hybrid";
     case SimMode::Auto: return "auto";
   }
   return "?";

@@ -48,42 +48,38 @@ struct ThreadStats {
   bool operator==(const ThreadStats&) const = default;
 };
 
-/// Simulation mode (the hybrid analytic/discrete-event fast path).
+/// Simulation mode.  At the default epoch_tolerance of 0 both modes give
+/// bitwise-identical makespans, per-thread stats, traffic counts and
+/// extrapolated traces; they differ only in how much of the replay the
+/// event engine runs.
 ///
 ///  * EventDriven — replay every op through the radix-calendar engine.
 ///    The differential oracle: always available, always exact.  Tests ask
 ///    for it explicitly; everything else takes the Auto default.
-///  * Hybrid — collapse barrier-delimited segments whose cost has a closed
-///    form (compute intervals + same-processor / intra-cluster remote
-///    accesses, with no cross-cluster traffic touching the thread that
-///    epoch) into analytic cost records and drop into the engine only for
-///    the remaining event segments.  The classifier is conservative: a
-///    segment is collapsed only when the closed form is provably exact, so
-///    Hybrid produces bitwise-identical makespans and per-thread stats to
-///    EventDriven on every input — demotion, not divergence, is the
-///    fallback.  When EVERY segment collapses the engine is skipped
-///    entirely (HybridStats::Path::PureAnalytic), which is what makes
-///    n = 10^4..10^6 simulated processors feasible.
-///    Under message barriers (where nothing collapses) Hybrid and Auto
-///    instead memoize barrier epochs on the event path: a window between
-///    two quiescent barrier points is simulated once per epoch class and
-///    replayed from its recorded deltas after that, re-emitting its
-///    recorded events time-shifted when a trace is requested (DESIGN.md
-///    §16) — again bitwise-identical to EventDriven, trace included.
-///  * Auto (the default) — let the library pick: Hybrid, plus
-///    representative-epoch SAMPLING on top of the pure-analytic path
-///    (DESIGN.md §15).  When the whole run is engine-free and no
-///    extrapolated trace is requested, Auto simulates ONE exemplar per
-///    epoch class (bit-identical epochs grouped at compile time,
-///    core::EpochClassTable) and composes the prediction as
-///    Σ class_count × exemplar advance — exact, because analytic
-///    barriers release every thread at one uniform instant and segment
-///    walks are start-translation-invariant, so integer per-class deltas
-///    multiply without error.  Identical-epoch dedup is therefore ALSO
-///    bitwise-equal to EventDriven; with SimOptions::epoch_tolerance > 0
-///    it additionally substitutes near-identical classes and reports a
-///    certified error bound (SamplingStats::error_bound).
-enum class SimMode : std::uint8_t { EventDriven, Hybrid, Auto };
+///  * Auto (the default) — the one fast mode.  Three exact shortcuts, each
+///    taken only where it applies (HybridStats / SamplingStats report
+///    which ones ran):
+///      - segment collapse (DESIGN.md §13): a barrier-delimited segment
+///        whose cost has a closed form (compute + same-processor /
+///        intra-cluster accesses, no cross-cluster traffic touching the
+///        thread that epoch) is charged analytically; the classifier is
+///        conservative, so demotion to the engine, not divergence, is
+///        the fallback.  When every segment collapses the engine never
+///        starts (HybridStats::Path::PureAnalytic);
+///      - representative-epoch sampling (DESIGN.md §15): on that
+///        engine-free path, without trace emission and with a compile-time
+///        epoch-class table, ONE exemplar per class of bit-identical
+///        epochs is walked and the prediction composed as
+///        Σ class_count × exemplar advance.  With
+///        SimOptions::epoch_tolerance > 0 near-identical classes are also
+///        substituted under a certified error bound
+///        (SamplingStats::error_bound) — the only inexact option;
+///      - barrier-epoch memoization (DESIGN.md §16): under message
+///        barriers, where nothing collapses, each window between two
+///        quiescent barrier points is simulated once per epoch class and
+///        replayed from its recorded deltas (re-emitting its events
+///        time-shifted when a trace is requested).
+enum class SimMode : std::uint8_t { EventDriven, Auto };
 const char* to_string(SimMode m);
 
 struct SimOptions {

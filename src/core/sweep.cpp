@@ -343,7 +343,6 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
           const double cpu0 = util::thread_cpu_seconds();
           try {
             SimOptions sopts;
-            sopts.mode = grid[i].mode;
             sopts.emit_trace = opt_.emit_traces;
             out.predictions[i] = predict(*prepared[i], grid[i].params, sopts);
           } catch (...) {
@@ -358,12 +357,15 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
   for (double s : sim_cpu) out.stages.simulate_cpu_s += s;
   if (first_error) std::rethrow_exception(first_error);
 
-  // Simulate-mode attribution: events fired vs segments skipped, summed
-  // over the grid so scaling rows can tell engine work from analytic work.
+  // Fast-path attribution: events fired vs segments skipped vs windows
+  // replayed, summed over the grid so scaling rows can tell engine work
+  // from analytic and memoized work.
   for (const Prediction& p : out.predictions) {
     const HybridStats& h = p.sim.hybrid;
     if (h.segments_collapsed > 0)
       ++out.stages.cells_hybrid;
+    else if (h.memo_hits > 0)
+      ++out.stages.cells_memo;
     else
       ++out.stages.cells_event;
     out.stages.sim_events_fired +=
@@ -371,6 +373,8 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
     out.stages.sim_segments_collapsed += h.segments_collapsed;
     out.stages.sim_segments_total += h.segments_total;
     out.stages.sim_ops_collapsed += h.ops_collapsed;
+    out.stages.sim_memo_hits += h.memo_hits;
+    out.stages.sim_memo_misses += h.memo_misses;
     const SamplingStats& sp = p.sim.sampling;
     if (sp.active) {
       ++out.stages.cells_sampled;
@@ -388,8 +392,7 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
 
 SweepResult SweepRunner::run_grid(const std::vector<int>& procs,
                                   const std::vector<model::SimParams>& machines,
-                                  const std::vector<std::string>& labels,
-                                  SimMode mode) {
+                                  const std::vector<std::string>& labels) {
   XP_REQUIRE(labels.empty() || labels.size() == machines.size(),
              "run_grid: one label per machine (or none)");
   std::vector<SweepPoint> grid;
@@ -400,7 +403,6 @@ SweepResult SweepRunner::run_grid(const std::vector<int>& procs,
       p.n_threads = n;
       p.params = machines[m];
       p.label = labels.empty() ? "set" + std::to_string(m) : labels[m];
-      p.mode = mode;
       grid.push_back(std::move(p));
     }
   }

@@ -155,10 +155,6 @@ struct SweepPoint {
   int n_threads = 0;
   model::SimParams params;
   std::string label;  ///< free-form series tag (machine name, hypothesis, …)
-  /// Simulation mode for this cell (core/simulator.hpp).  Hybrid/Auto are
-  /// conservative-exact, so mode choice never changes the prediction or its
-  /// extrapolated trace — only how much of the replay the event engine runs.
-  SimMode mode = SimMode::Auto;
 };
 
 /// Per-stage timing of one sweep, for the scaling benchmarks.  Every stage
@@ -176,18 +172,23 @@ struct SweepStages {
   double prewarm_wall_s = 0;   ///< wall time of the measure/translate stage
   double simulate_wall_s = 0;  ///< wall time of the simulation fan-out
 
-  // Simulate-mode breakdown: how the grid's replay work split between the
-  // event engine and the hybrid analytic fast path, so scaling rows can
-  // attribute wins (events fired vs segments skipped).
-  std::int64_t cells_event = 0;     ///< cells simulated fully event-driven
+  // Fast-path breakdown: how the grid's replay work split between the
+  // event engine, the segment-collapse analytic path and the barrier-epoch
+  // memo, so scaling rows can attribute wins (events fired vs segments
+  // skipped vs windows replayed).  Every cell counts in exactly one of
+  // cells_event / cells_hybrid / cells_memo.
+  std::int64_t cells_event = 0;     ///< cells no fast path engaged on
   std::int64_t cells_hybrid = 0;    ///< cells where segments collapsed
+  std::int64_t cells_memo = 0;      ///< cells that replayed memoized windows
   std::int64_t sim_events_fired = 0;       ///< engine events, whole grid
   std::int64_t sim_segments_collapsed = 0; ///< analytic segments, whole grid
   std::int64_t sim_segments_total = 0;     ///< all segments, whole grid
   std::int64_t sim_ops_collapsed = 0;      ///< replay steps skipped
+  std::int64_t sim_memo_hits = 0;    ///< memoized windows replayed
+  std::int64_t sim_memo_misses = 0;  ///< memo windows run through the engine
 
-  // Representative-epoch sampling attribution (SimMode::Auto cells that
-  // took the sampled path, core::SamplingStats): how much trace LENGTH the
+  // Representative-epoch sampling attribution (cells that took the
+  // sampled path, core::SamplingStats): how much trace LENGTH the
   // grid's replays skipped by walking one exemplar per epoch class.
   std::int64_t cells_sampled = 0;        ///< cells on the sampled path
   std::int64_t sim_epochs_total = 0;     ///< epochs across sampled cells
@@ -240,11 +241,10 @@ class SweepRunner {
 
   /// Convenience: the full cross product procs x machines, row-major
   /// (machine-major: all procs of machines[0] first).  `labels` names each
-  /// machine series; empty = "set<i>".  `mode` applies to every cell.
+  /// machine series; empty = "set<i>".
   SweepResult run_grid(const std::vector<int>& procs,
                        const std::vector<model::SimParams>& machines,
-                       const std::vector<std::string>& labels = {},
-                       SimMode mode = SimMode::Auto);
+                       const std::vector<std::string>& labels = {});
 
  private:
   SweepOptions opt_;

@@ -125,7 +125,6 @@ const char* to_string(QueryMode m) {
   switch (m) {
     case QueryMode::Auto: return "auto";
     case QueryMode::EventDriven: return "event";
-    case QueryMode::Hybrid: return "hybrid";
   }
   return "?";
 }
@@ -145,10 +144,10 @@ Query decode_query(WireReader& r, bool with_mode, bool with_sampling) {
   q.mips_ratio = r.f64();
   q.params_text = r.str();
   if (with_mode) {
+    // Byte 2 is the retired forced-collapse mode: served as Auto.
     const std::uint8_t m = r.u8();
-    if (m > static_cast<std::uint8_t>(QueryMode::Hybrid))
-      throw ProtocolError("unknown query mode " + std::to_string(m));
-    q.mode = static_cast<QueryMode>(m);
+    if (m > 2) throw ProtocolError("unknown query mode " + std::to_string(m));
+    q.mode = m == 2 ? QueryMode::Auto : static_cast<QueryMode>(m);
   }
   if (with_sampling) {
     q.epoch_tolerance = r.f64();
@@ -323,7 +322,7 @@ void encode_stats(WireWriter& w, const ServerStats& s) {
   // Appended extensions (see ServerStats): order is part of the protocol.
   w.u64(s.queries_auto);
   w.u64(s.queries_event);
-  w.u64(s.queries_hybrid);
+  w.u64(0);  // retired slot: queries with mode byte 2 (now counted as auto)
   w.u64(s.queries_sampled);
   w.u64(s.sampling_epochs_total);
   w.u64(s.sampling_epochs_simulated);
@@ -353,7 +352,7 @@ ServerStats decode_stats(WireReader& r) {
   if (r.remaining() >= 3 * 8) {
     s.queries_auto = r.u64();
     s.queries_event = r.u64();
-    s.queries_hybrid = r.u64();
+    (void)r.u64();  // retired slot (see encode_stats)
     if (r.remaining() >= 3 * 8) {
       s.queries_sampled = r.u64();
       s.sampling_epochs_total = r.u64();

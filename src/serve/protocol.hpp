@@ -82,13 +82,15 @@ enum class MsgType : std::uint8_t {
 };
 
 /// Requested simulation mode for one query (core::SimMode on the wire).
-/// Hybrid and Auto are conservative-exact, so the mode never changes the
-/// numbers in a QueryResult — only how the server computes them.  Auto is
-/// the default so flagless (pre-mode) batches get the fast path for free.
+/// Auto is conservative-exact, so the mode never changes the numbers in a
+/// QueryResult — only how the server computes them.  Auto is the default
+/// so flagless (pre-mode) batches get the fast path for free.  Mode byte 2
+/// named a retired third mode (forced segment collapse without epoch
+/// sampling); decoders still accept it and serve it as Auto, which is
+/// bitwise-equal.  Bytes 3 and above are rejected.
 enum class QueryMode : std::uint8_t {
-  Auto = 0,         ///< server picks (hybrid where sound; the default)
+  Auto = 0,         ///< the fast exact path (the default)
   EventDriven = 1,  ///< force the full discrete-event replay
-  Hybrid = 2,       ///< force the analytic fast path where sound
 };
 
 const char* to_string(QueryMode m);
@@ -189,7 +191,8 @@ struct PatternModelResult {
 /// decoders stop at the bytes they have (decode_stats zero-fills absent
 /// trailing fields), so stats replies stay parseable across versions in
 /// both directions.  The per-mode query counts below were the first such
-/// extension.
+/// extension; their third slot counted the retired mode byte 2 and is
+/// still on the wire, written as zero and skipped on decode.
 struct ServerStats {
   std::uint64_t connections_total = 0;
   std::uint64_t connections_open = 0;
@@ -210,7 +213,6 @@ struct ServerStats {
   // Queries by requested mode (appended extension; old replies decode to 0).
   std::uint64_t queries_auto = 0;
   std::uint64_t queries_event = 0;
-  std::uint64_t queries_hybrid = 0;
   // Representative-epoch sampling counters (second appended extension):
   // how many served queries took the sampled path and how much epoch
   // replay it saved daemon-wide.  Old replies decode to 0.

@@ -164,8 +164,8 @@ QueryResult Service::run_query_on(Source& src, const Query& q) {
     }
     const auto prepared = src.cache->get_or_prepare(q.n_procs);
 
-    // Hybrid and Auto are conservative-exact (tests hold every mode
-    // bitwise-equal), so honoring the wire mode never changes a reply —
+    // Auto is conservative-exact (tests hold it bitwise-equal to the
+    // EventDriven oracle), so honoring the wire mode never changes a reply —
     // and QueryResult carries no engine-event count, so defaulting to
     // Auto is invisible to byte-comparing clients.  The served result
     // never returns the extrapolated trace, so skip emitting it; that
@@ -176,17 +176,8 @@ QueryResult Service::run_query_on(Source& src, const Query& q) {
     // path, where 0 still means exact epoch dedup.  (The wire decoder has
     // already range-checked it to [0, 1].)
     sopts.epoch_tolerance = q.epoch_tolerance;
-    switch (q.mode) {
-      case QueryMode::EventDriven:
-        sopts.mode = core::SimMode::EventDriven;
-        break;
-      case QueryMode::Hybrid:
-        sopts.mode = core::SimMode::Hybrid;
-        break;
-      case QueryMode::Auto:
-        sopts.mode = core::SimMode::Auto;
-        break;
-    }
+    sopts.mode = q.mode == QueryMode::EventDriven ? core::SimMode::EventDriven
+                                                  : core::SimMode::Auto;
     const double cpu0 = util::thread_cpu_seconds();
     const core::Prediction pred = core::predict(*prepared, params, sopts);
     simulate_cpu_s_.fetch_add(util::thread_cpu_seconds() - cpu0);
@@ -561,8 +552,6 @@ ServerStats Service::stats() const {
       queries_by_mode_[static_cast<std::size_t>(QueryMode::Auto)].load();
   s.queries_event =
       queries_by_mode_[static_cast<std::size_t>(QueryMode::EventDriven)].load();
-  s.queries_hybrid =
-      queries_by_mode_[static_cast<std::size_t>(QueryMode::Hybrid)].load();
   s.queries_sampled = queries_sampled_.load();
   s.sampling_epochs_total = sampling_epochs_total_.load();
   s.sampling_epochs_simulated = sampling_epochs_simulated_.load();

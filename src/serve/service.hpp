@@ -134,10 +134,11 @@ class Service {
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> queries_ok_{0};
   std::atomic<std::uint64_t> queries_err_{0};
-  /// Queries by REQUESTED mode (the wire byte, not the path the simulator
-  /// ended up on) — indexed by QueryMode, so the stats verb can show how
-  /// much traffic opts out of the hybrid default.
-  std::atomic<std::uint64_t> queries_by_mode_[3] = {};
+  /// Queries by REQUESTED mode (the decoded wire byte, not the path the
+  /// simulator ended up on; the retired byte 2 decodes as Auto) — indexed
+  /// by QueryMode, so the stats verb can show how much traffic opts out of
+  /// the Auto default.
+  std::atomic<std::uint64_t> queries_by_mode_[2] = {};
   /// Representative-epoch sampling: queries whose simulation took the
   /// sampled path, and the epoch replay it covered vs actually performed.
   std::atomic<std::uint64_t> queries_sampled_{0};

@@ -1,7 +1,7 @@
 // Differential suite for barrier-epoch memoization on the event path
 // (core/simulator.cpp, DESIGN.md §16).
 //
-// Under message barriers, Hybrid and Auto simulate each barrier-to-barrier
+// Under message barriers, Auto simulates each barrier-to-barrier
 // window once per epoch class and replay the recorded deltas for later
 // windows of the same class, re-emitting the recorded events time-shifted
 // when a trace is requested.  The contract is bitwise: makespan, every
@@ -235,27 +235,26 @@ TEST(EpochMemo, VariantsBitwise) {
   }
 }
 
-// Hybrid takes the memo path too under message barriers, and trace
-// emission keeps it on: the replayed windows emit the oracle's events.
-TEST(EpochMemo, HybridMemoizesWithAndWithoutTrace) {
+// Trace emission keeps the memo on: the replayed windows emit the
+// oracle's events, with the same hits, misses and engine events as an
+// untraced run.
+TEST(EpochMemo, AutoMemoizesWithAndWithoutTrace) {
   const CompiledTrace& ct = compiled("grid", 8);
   const model::SimParams p = model::cm5_preset();
   const SimResult ev = run(ct, p, SimMode::EventDriven);
-  const SimResult hy = run(ct, p, SimMode::Hybrid);
-  expect_bitwise_equal(ev, hy, "grid/cm5 hybrid");
-  EXPECT_GT(hy.hybrid.memo_hits, 0);
+  const SimResult au = run(ct, p, SimMode::Auto);
+  expect_bitwise_equal(ev, au, "grid/cm5 auto");
+  EXPECT_GT(au.hybrid.memo_hits, 0);
 
   const SimResult ev_traced = run(ct, p, SimMode::EventDriven, true);
-  for (const SimMode mode : {SimMode::Hybrid, SimMode::Auto}) {
-    const SimResult traced = run(ct, p, mode, /*emit_trace=*/true);
-    const std::string what = std::string("grid/cm5 traced ") + to_string(mode);
-    expect_bitwise_equal(ev_traced, traced, what);
-    EXPECT_EQ(traced.hybrid.memo_hits, hy.hybrid.memo_hits) << what;
-    EXPECT_EQ(traced.hybrid.memo_misses, hy.hybrid.memo_misses) << what;
-    EXPECT_EQ(traced.engine_events, hy.engine_events) << what;
-    EXPECT_GT(traced.extrapolated.size(), 0u) << what;
-    expect_same_events(ev_traced, traced, what);
-  }
+  const SimResult traced = run(ct, p, SimMode::Auto, /*emit_trace=*/true);
+  const std::string what = "grid/cm5 traced auto";
+  expect_bitwise_equal(ev_traced, traced, what);
+  EXPECT_EQ(traced.hybrid.memo_hits, au.hybrid.memo_hits) << what;
+  EXPECT_EQ(traced.hybrid.memo_misses, au.hybrid.memo_misses) << what;
+  EXPECT_EQ(traced.engine_events, au.engine_events) << what;
+  EXPECT_GT(traced.extrapolated.size(), 0u) << what;
+  expect_same_events(ev_traced, traced, what);
 }
 
 // On grid, one recorded window stands for every later iteration, so the

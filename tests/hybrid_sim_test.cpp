@@ -1,5 +1,5 @@
 // Differential suite for the hybrid analytic/discrete-event fast path
-// (core/simulator.hpp, SimMode::Hybrid / Auto).
+// (core/simulator.hpp, SimMode::Auto's segment collapse).
 //
 // The hybrid classifier is conservative: a barrier-delimited segment is
 // collapsed into its closed form only when that form is provably exact, and
@@ -143,7 +143,7 @@ TEST(HybridSim, SegmentTableInvariants) {
   }
 }
 
-// The acceptance bar: Hybrid == EventDriven bitwise on the golden trace
+// The acceptance bar: Auto == EventDriven bitwise on the golden trace
 // under every preset, analytic and message-barrier alike.
 TEST(HybridSim, GoldenTraceBitwiseAllPresets) {
   const auto translated = core::translate(load_golden());
@@ -152,23 +152,20 @@ TEST(HybridSim, GoldenTraceBitwiseAllPresets) {
   for (auto& [name, p] : message_presets()) presets.emplace_back(name, p);
   for (const auto& [name, params] : presets) {
     const SimResult ev = event_driven(ct, params);
-    const SimResult hy =
-        core::simulate_compiled(ct, params, {SimMode::Hybrid});
     const SimResult au = core::simulate_compiled(ct, params, {SimMode::Auto});
-    expect_bitwise_equal(ev, hy, "golden/" + name + "/hybrid");
     expect_bitwise_equal(ev, au, "golden/" + name + "/auto");
     EXPECT_EQ(ev.hybrid.segments_collapsed, 0);  // oracle never collapses
   }
 }
 
 // Single-cluster analytic presets must actually engage the fast path on the
-// golden trace — a hybrid mode that silently demotes everything would pass
+// golden trace — a fast path that silently demotes everything would pass
 // the differential tests while delivering no speedup.
 TEST(HybridSim, GoldenTraceCollapsesUnderSingleCluster) {
   const auto translated = core::translate(load_golden());
   const CompiledTrace ct = CompiledTrace::compile(translated);
   const SimResult hy = core::simulate_compiled(
-      ct, single_cluster(model::shared_memory_preset()), {SimMode::Hybrid});
+      ct, single_cluster(model::shared_memory_preset()), {SimMode::Auto});
   EXPECT_EQ(hy.hybrid.path, HybridStats::Path::PureAnalytic);
   EXPECT_GT(hy.hybrid.segments_collapsed, 0);
   EXPECT_EQ(hy.hybrid.segments_demoted, 0);
@@ -177,7 +174,7 @@ TEST(HybridSim, GoldenTraceCollapsesUnderSingleCluster) {
   EXPECT_EQ(hy.messages, 0);
 }
 
-// All seven suite codes at n in {4, 8, 16}: Hybrid and Auto bitwise-match
+// All seven suite codes at n in {4, 8, 16}: Auto bitwise-matches
 // the event-driven oracle under analytic presets (where segments collapse)
 // and message presets (where the run demotes wholesale).
 TEST(HybridSim, SuiteCodesBitwise) {
@@ -193,7 +190,7 @@ TEST(HybridSim, SuiteCodesBitwise) {
       };
       for (const auto& [pname, p] : params) {
         const SimResult ev = event_driven(ct, p);
-        const SimResult hy = core::simulate_compiled(ct, p, {SimMode::Hybrid});
+        const SimResult hy = core::simulate_compiled(ct, p, {SimMode::Auto});
         expect_bitwise_equal(
             ev, hy, bench + "/n=" + std::to_string(n) + "/" + pname);
         collapsed_total += hy.hybrid.segments_collapsed;
@@ -212,7 +209,7 @@ TEST(HybridSim, MixedPathContentionDemotesAndMatches) {
     model::SimParams p = model::shared_memory_preset();
     p.cluster.procs_per_cluster = 2;  // 4 clusters of 2 at n=8
     const SimResult ev = event_driven(ct, p);
-    const SimResult hy = core::simulate_compiled(ct, p, {SimMode::Hybrid});
+    const SimResult hy = core::simulate_compiled(ct, p, {SimMode::Auto});
     expect_bitwise_equal(ev, hy, bench + "/2per-cluster");
     EXPECT_GT(hy.hybrid.segments_demoted, 0) << bench;
   }
@@ -227,7 +224,7 @@ TEST(HybridSim, PollPolicyClosedFormMatches) {
   model::SimParams p = single_cluster(model::sp1_preset());
   p.barrier.by_msgs = false;  // sp1 is a message-barrier preset by default
   const SimResult ev = event_driven(ct, p);
-  const SimResult hy = core::simulate_compiled(ct, p, {SimMode::Hybrid});
+  const SimResult hy = core::simulate_compiled(ct, p, {SimMode::Auto});
   expect_bitwise_equal(ev, hy, "grid/sp1-analytic-barrier");
   EXPECT_GT(hy.hybrid.segments_collapsed, 0);
   std::int64_t polls = 0;
@@ -269,17 +266,24 @@ TEST(HybridSim, RandomizedContentionPropertyAutoIsExact) {
 }
 
 // emit_trace=false is a pure memory/time saving: identical numerics, empty
-// extrapolated stream.  Both the event and analytic paths honor it (the
-// presum shortcut is only legal without emission, so this covers it too).
+// extrapolated stream.  The event path, the full analytic walk and the
+// epoch-sampled path all honor it (the presum shortcut is only legal
+// without emission, so this covers it too).  Dropping the epoch-class
+// table keeps Auto on the full walk, since sampling needs the table.
 TEST(HybridSim, EmitTraceOffKeepsNumerics) {
   const auto translated = core::translate(measured("cyclic", 8));
   const CompiledTrace ct = CompiledTrace::compile(translated);
-  for (const SimMode mode : {SimMode::EventDriven, SimMode::Hybrid}) {
+  CompiledTrace unsampled = ct;
+  unsampled.epoch_classes = {};
+  const std::vector<std::pair<const CompiledTrace*, SimMode>> runs = {
+      {&ct, SimMode::EventDriven}, {&unsampled, SimMode::Auto},
+      {&ct, SimMode::Auto}};
+  for (const auto& [code, mode] : runs) {
     SimOptions with{mode, true};
     SimOptions without{mode, false};
-    const SimResult a = core::simulate_compiled(ct, single_cluster(
+    const SimResult a = core::simulate_compiled(*code, single_cluster(
         model::ideal_preset()), with);
-    const SimResult b = core::simulate_compiled(ct, single_cluster(
+    const SimResult b = core::simulate_compiled(*code, single_cluster(
         model::ideal_preset()), without);
     EXPECT_EQ(a.makespan.count_ns(), b.makespan.count_ns());
     EXPECT_EQ(a.messages, b.messages);
@@ -304,7 +308,7 @@ TEST(HybridSim, SharedProcessorsDemoteWholesale) {
   model::SimParams p = single_cluster(model::shared_memory_preset());
   p.proc.n_procs = 4;  // 2 threads per processor
   const SimResult ev = event_driven(ct, p);
-  const SimResult hy = core::simulate_compiled(ct, p, {SimMode::Hybrid});
+  const SimResult hy = core::simulate_compiled(ct, p, {SimMode::Auto});
   expect_bitwise_equal(ev, hy, "grid/n_procs=4");
   EXPECT_EQ(hy.hybrid.path, HybridStats::Path::Event);
   EXPECT_EQ(hy.hybrid.segments_collapsed, 0);

@@ -3,16 +3,16 @@
 // inherit the sweep's bitwise guarantees.  Held here, in sweep_test
 // style:
 //
-//   * every SweepRunner prediction over a pattern program is bitwise
-//     identical to a sequential EventDriven prediction of the same
-//     measured trace — numeric fields AND the serialized extrapolated
-//     event stream (which carries the re-timestamped pattern delimiters
-//     the composed model is extracted from);
-//   * across pool sizes {1, 2, 8} and across SimMode::EventDriven,
-//     SimMode::Hybrid and SimMode::Auto, the default (conservative-exact,
-//     so mode may not change bits);
+//   * every SweepRunner prediction over a pattern program (simulated in
+//     SimMode::Auto, the sweep's one mode) is bitwise identical to a
+//     sequential EventDriven prediction of the same measured trace —
+//     numeric fields AND the serialized extrapolated event stream (which
+//     carries the re-timestamped pattern delimiters the composed model is
+//     extracted from);
+//   * across pool sizes {1, 2, 8};
 //   * therefore the composed ComposedModel — regions, fitted curves,
-//     bands — is bitwise identical however the sweep that fed it ran.
+//     bands — is bitwise identical however the sweep that fed it ran, and
+//     equal to the model composed from the EventDriven predictions.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -58,13 +58,12 @@ std::vector<trace::Trace> measured_traces(const std::string& name) {
 }
 
 core::SweepResult run_sweep(const std::vector<trace::Trace>& traces,
-                            int n_workers, core::SimMode mode) {
+                            int n_workers) {
   core::SweepOptions opt;
   opt.n_workers = n_workers;
   core::SweepRunner runner(opt);
   for (const trace::Trace& t : traces) runner.seed_trace(t);
-  return runner.run_grid(kProcs, {model::distributed_preset()}, {"dist"},
-                         mode);
+  return runner.run_grid(kProcs, {model::distributed_preset()}, {"dist"});
 }
 
 void expect_bitwise_equal(const core::Prediction& a,
@@ -77,45 +76,47 @@ void expect_bitwise_equal(const core::Prediction& a,
   EXPECT_EQ(trace_bytes(a.sim.extrapolated), trace_bytes(b.sim.extrapolated));
 }
 
+/// A composed model down to the band bits.
+std::string signature(const ComposedModel& cm) {
+  std::ostringstream sig;
+  sig << cm.str();
+  sig.precision(17);
+  for (double n : {2.0, 8.0, 32.0, 128.0})
+    sig << cm.eval(n) << '/' << cm.band(n).lo << '/' << cm.band(n).hi << '\n';
+  return sig.str();
+}
+
 class PatternDifferential : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(PatternDifferential, SweepBitwiseEqualsMonolithicSimulation) {
   const std::string name = GetParam();
   const auto traces = measured_traces(name);
 
-  // Monolithic baseline: sequential event-driven simulation per count.
-  std::vector<core::Prediction> base;
-  for (const trace::Trace& t : traces)
-    base.push_back(core::predict(core::prepare_trace(t),
-                                 model::distributed_preset(),
-                                 {core::SimMode::EventDriven}));
+  // Monolithic baseline: sequential event-driven simulation per count,
+  // arranged as a sweep result so it composes like one.
+  core::SweepResult oracle;
+  for (const trace::Trace& t : traces) {
+    core::SweepPoint p;
+    p.n_threads = t.n_threads();
+    p.params = model::distributed_preset();
+    p.label = "dist";
+    oracle.predictions.push_back(core::predict(
+        core::prepare_trace(t), p.params, {core::SimMode::EventDriven}));
+    oracle.grid.push_back(std::move(p));
+  }
+  const std::vector<core::Prediction>& base = oracle.predictions;
+  const std::string composed_ref = signature(compose(collect(oracle, name)));
 
-  std::string composed_ref;
-  for (int workers : {1, 2, 8})
-    for (core::SimMode mode :
-         {core::SimMode::EventDriven, core::SimMode::Hybrid,
-          core::SimMode::Auto}) {
-      SCOPED_TRACE(name + " workers=" + std::to_string(workers) +
-                   " mode=" + std::to_string(static_cast<int>(mode)));
-      const auto sweep = run_sweep(traces, workers, mode);
-      ASSERT_EQ(sweep.predictions.size(), kProcs.size());
-      for (std::size_t i = 0; i < kProcs.size(); ++i)
-        expect_bitwise_equal(sweep.predictions[i], base[i]);
+  for (int workers : {1, 2, 8}) {
+    SCOPED_TRACE(name + " workers=" + std::to_string(workers));
+    const auto sweep = run_sweep(traces, workers);
+    ASSERT_EQ(sweep.predictions.size(), kProcs.size());
+    for (std::size_t i = 0; i < kProcs.size(); ++i)
+      expect_bitwise_equal(sweep.predictions[i], base[i]);
 
-      // Identical inputs must compose to the identical model, down to the
-      // band bits.
-      const ComposedModel cm = compose(collect(sweep, name));
-      std::ostringstream sig;
-      sig << cm.str();
-      sig.precision(17);
-      for (double n : {2.0, 8.0, 32.0, 128.0})
-        sig << cm.eval(n) << '/' << cm.band(n).lo << '/' << cm.band(n).hi
-            << '\n';
-      if (composed_ref.empty())
-        composed_ref = sig.str();
-      else
-        EXPECT_EQ(sig.str(), composed_ref);
-    }
+    // Identical inputs must compose to the identical model.
+    EXPECT_EQ(signature(compose(collect(sweep, name))), composed_ref);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPatternBenches, PatternDifferential,

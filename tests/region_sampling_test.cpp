@@ -235,7 +235,7 @@ TEST(EpochClasses, ToleranceBoundarySplitsClasses) {
   EXPECT_EQ(tab.n_classes(), 4);
 
   const model::SimParams params = single_cluster(model::shared_memory_preset());
-  const SimResult exact = run(ct, params, SimMode::Hybrid);
+  const SimResult exact = run(ct, params, SimMode::EventDriven);
 
   // Below the boundary: 0.004 * 1005 = 4.02 < 5, no clustering.
   const SimResult below = run(ct, params, SimMode::Auto, 0.004);
@@ -258,8 +258,9 @@ TEST(EpochClasses, ToleranceBoundarySplitsClasses) {
 }
 
 // Tier-1 acceptance bar: on every suite workload the Auto sampled path is
-// bitwise-equal to both Hybrid and EventDriven under the analytic presets
-// where it can engage.
+// bitwise-equal to both the full analytic walk (Auto without the
+// epoch-class table, which sampling needs) and EventDriven under the
+// analytic presets where it can engage.
 TEST(EpochClasses, SuiteWorkloadsBitwiseAcrossModes) {
   const std::vector<std::pair<std::string, model::SimParams>> presets = {
       {"ideal/1cluster", single_cluster(model::ideal_preset())},
@@ -268,11 +269,14 @@ TEST(EpochClasses, SuiteWorkloadsBitwiseAcrossModes) {
   for (const std::string& bench : suite::benchmark_names()) {
     const CompiledTrace ct =
         CompiledTrace::compile(core::translate(measured(bench, 4)));
+    CompiledTrace unsampled = ct;
+    unsampled.epoch_classes = {};
     for (const auto& [name, params] : presets) {
       const SimResult ev = run(ct, params, SimMode::EventDriven);
-      const SimResult hy = run(ct, params, SimMode::Hybrid);
+      const SimResult full = run(unsampled, params, SimMode::Auto);
       const SimResult au = run(ct, params, SimMode::Auto);
-      expect_bitwise_equal(au, hy, bench + "/" + name + " auto vs hybrid");
+      EXPECT_FALSE(full.sampling.active) << bench << "/" << name;
+      expect_bitwise_equal(au, full, bench + "/" + name + " auto vs full walk");
       expect_bitwise_equal(au, ev, bench + "/" + name + " auto vs event");
       if (au.sampling.active) {
         // Iterative codes dedup; codes with all-distinct epochs (embar,
@@ -308,18 +312,18 @@ TEST(EpochClasses, PollPolicyIgnoresTolerance) {
       CompiledTrace::compile(core::translate(load_golden(kGridGoldenPath)));
   model::SimParams params = single_cluster(model::shared_memory_preset());
   params.proc.policy = model::ServicePolicy::Poll;
-  const SimResult hy = run(ct, params, SimMode::Hybrid);
+  const SimResult ev = run(ct, params, SimMode::EventDriven);
   const SimResult au = run(ct, params, SimMode::Auto, 0.5);
   if (au.sampling.active) {
     EXPECT_EQ(au.sampling.epochs_approximated, 0);
     EXPECT_EQ(au.sampling.error_bound.count_ns(), 0);
   }
-  expect_bitwise_equal(au, hy, "poll policy, tolerance 0.5");
+  expect_bitwise_equal(au, ev, "poll policy, tolerance 0.5");
 }
 
 // Sweeps must stay deterministic and bitwise-identical across worker
-// counts with sampling in play, and the runner must attribute the sampled
-// cells in SweepStages.
+// counts with sampling in play, match the EventDriven oracle per cell, and
+// the runner must attribute the sampled cells in SweepStages.
 TEST(EpochClasses, SweepBitwiseAcrossWorkerCounts) {
   std::vector<core::SweepPoint> grid;
   for (int n : {2, 4, 8}) {
@@ -327,10 +331,6 @@ TEST(EpochClasses, SweepBitwiseAcrossWorkerCounts) {
     p.n_threads = n;
     p.params = single_cluster(model::shared_memory_preset());
     p.label = "sampled";
-    p.mode = SimMode::Auto;
-    grid.push_back(p);
-    p.label = "event";
-    p.mode = SimMode::EventDriven;
     grid.push_back(p);
   }
 
@@ -355,15 +355,20 @@ TEST(EpochClasses, SweepBitwiseAcrossWorkerCounts) {
     }
   }
   for (const core::SweepResult& r : results) {
-    // Auto cells took the sampled path; Event cells did not.
+    // Every cell took the sampled path.
     EXPECT_EQ(r.stages.cells_sampled, 3);
     EXPECT_GT(r.stages.sim_epochs_total, 0);
     EXPECT_GT(r.stages.sim_epoch_classes, 0);
     EXPECT_LT(r.stages.sim_epochs_simulated, r.stages.sim_epochs_total);
   }
-  // Event and Auto cells of one sweep agree pairwise (grid interleaves
-  // sampled/event per thread count).
-  for (std::size_t i = 0; i + 1 < grid.size(); i += 2)
+  // The EventDriven oracle, built per cell from the same program.
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const core::TranslatedTrace prepared =
+        core::prepare_trace(measured("grid", grid[i].n_threads));
+    const core::Prediction oracle =
+        core::predict(prepared, grid[i].params, {SimMode::EventDriven});
     EXPECT_EQ(results[0].predictions[i].predicted_time.count_ns(),
-              results[0].predictions[i + 1].predicted_time.count_ns());
+              oracle.predicted_time.count_ns())
+        << "cell " << i;
+  }
 }

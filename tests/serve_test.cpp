@@ -142,7 +142,7 @@ TEST(ServeProtocol, QueryAndResultRoundTrip) {
 
 TEST(ServeProtocol, QueryModeWireForms) {
   Query q = distributed_query(8, 2.5);
-  q.mode = QueryMode::Hybrid;
+  q.mode = QueryMode::EventDriven;
 
   // The flagged form carries the mode byte and round-trips it.
   WireWriter w;
@@ -166,13 +166,25 @@ TEST(ServeProtocol, QueryModeWireForms) {
     EXPECT_EQ(out, q);
   }
 
-  // Mode bytes outside the enum are rejected at decode.
-  WireWriter w3;
-  encode_query(w3, q);
-  w3.u8(7);
+  // Mode byte 2 named a retired mode; it still decodes, as Auto.
+  WireWriter w4;
+  encode_query(w4, q);
+  w4.u8(2);
   {
+    WireReader r(w4.data());
+    Query out = decode_query(r, /*with_mode=*/true);
+    EXPECT_NO_THROW(r.expect_end());
+    EXPECT_EQ(out.mode, QueryMode::Auto);
+  }
+
+  // Mode bytes 3 and above are rejected at decode.
+  for (const int bad : {3, 7, 255}) {
+    WireWriter w3;
+    encode_query(w3, q);
+    w3.u8(static_cast<std::uint8_t>(bad));
     WireReader r(w3.data());
-    EXPECT_THROW(decode_query(r, /*with_mode=*/true), ProtocolError);
+    EXPECT_THROW(decode_query(r, /*with_mode=*/true), ProtocolError)
+        << "mode byte " << bad;
   }
 }
 
@@ -183,7 +195,6 @@ TEST(ServeProtocol, StatsDecodeToleratesPreModeReplies) {
   s.simulate_cpu_s = 0.25;
   s.queries_auto = 2;
   s.queries_event = 1;
-  s.queries_hybrid = 1;
   s.queries_sampled = 2;
   s.sampling_epochs_total = 2002;
   s.sampling_epochs_simulated = 6;
@@ -191,6 +202,22 @@ TEST(ServeProtocol, StatsDecodeToleratesPreModeReplies) {
   encode_stats(w, s);
   {
     WireReader r(w.data());
+    EXPECT_EQ(decode_stats(r), s);
+    EXPECT_NO_THROW(r.expect_end());
+  }
+
+  // The layout is unchanged since the sampling counters were appended:
+  // 16 base fields, 3 per-mode slots (the third retired, written as zero)
+  // and 3 sampling counters.
+  constexpr std::size_t kRetiredSlot = 18 * 8;
+  ASSERT_EQ(w.data().size(), 22u * 8);
+  EXPECT_EQ(w.data().substr(kRetiredSlot, 8), std::string(8, '\0'));
+  // A reply from a server that still counted the retired mode carries a
+  // nonzero value there; the decoder skips it and reads on.
+  std::string legacy = w.data();
+  legacy[kRetiredSlot] = 5;
+  {
+    WireReader r(legacy);
     EXPECT_EQ(decode_stats(r), s);
     EXPECT_NO_THROW(r.expect_end());
   }
@@ -213,7 +240,6 @@ TEST(ServeProtocol, StatsDecodeToleratesPreModeReplies) {
   ServerStats expect_pre_modes = expect_pre_sampling;
   expect_pre_modes.queries_auto = 0;
   expect_pre_modes.queries_event = 0;
-  expect_pre_modes.queries_hybrid = 0;
   WireReader r3(pre_modes);
   EXPECT_EQ(decode_stats(r3), expect_pre_modes);
   EXPECT_NO_THROW(r3.expect_end());
@@ -383,27 +409,23 @@ TEST(ServeService, QueryModesAgreeBitwiseAndAreCounted) {
   Service svc;
   const auto session = svc.open_trace_session(load_golden());
 
-  // Hybrid/Auto are conservative-exact: on both an analytic and a
-  // message-passing machine, every requested mode serves the same bytes.
+  // Auto is conservative-exact: on both an analytic and a message-passing
+  // machine, both requested modes serve the same bytes.
   for (const char* preset : {"preset = shared", "preset = distributed"}) {
     Query q = distributed_query(4);
     q.params_text = preset;
     q.mode = QueryMode::EventDriven;
     const QueryResult ev = svc.run_query(session, q);
     ASSERT_TRUE(ev.ok) << ev.error;
-    q.mode = QueryMode::Hybrid;
-    const QueryResult hy = svc.run_query(session, q);
     q.mode = QueryMode::Auto;
     const QueryResult au = svc.run_query(session, q);
-    EXPECT_EQ(ev, hy) << preset;
     EXPECT_EQ(ev, au) << preset;
   }
 
   const ServerStats st = svc.stats();
   EXPECT_EQ(st.queries_event, 2u);
-  EXPECT_EQ(st.queries_hybrid, 2u);
   EXPECT_EQ(st.queries_auto, 2u);
-  EXPECT_EQ(st.queries_ok, 6u);
+  EXPECT_EQ(st.queries_ok, 4u);
 }
 
 // The serve_warm batch shape on a grid bench session: {distributed, cm5,
@@ -467,15 +489,16 @@ TEST(ServeService, ModeFlaggedBatchesDecodeNextToFlaglessOnes) {
   const auto session = svc.open_trace_session(load_golden());
 
   // Versioned wire form: kBatchHasModes on the count, a mode byte per
-  // query.  All three modes must come back ok and bitwise-equal.
+  // query.  Both modes, and the retired mode byte 2 (hand-encoded; it is
+  // served as Auto), must come back ok and bitwise-equal.
   WireWriter w;
   w.u64(session);
   w.u32(3u | kBatchHasModes);
   Query q = distributed_query(4);
   q.mode = QueryMode::EventDriven;
   encode_query(w, q, /*with_mode=*/true);
-  q.mode = QueryMode::Hybrid;
-  encode_query(w, q, /*with_mode=*/true);
+  encode_query(w, distributed_query(4));
+  w.u8(2);
   q.mode = QueryMode::Auto;
   encode_query(w, q, /*with_mode=*/true);
   const std::string flagged = svc.handle(
@@ -511,22 +534,26 @@ TEST(ServeService, ModeFlaggedBatchesDecodeNextToFlaglessOnes) {
 
   const ServerStats st = svc.stats();
   EXPECT_EQ(st.queries_event, 1u);
-  EXPECT_EQ(st.queries_hybrid, 1u);
-  EXPECT_EQ(st.queries_auto, 2u);  // explicit Auto + the flagless default
+  // Mode byte 2, explicit Auto and the flagless default.
+  EXPECT_EQ(st.queries_auto, 3u);
 
-  // A flagged batch with a mode byte outside the enum is a batch-wide
-  // protocol error, not a crash.
-  WireWriter w3;
-  w3.u64(session);
-  w3.u32(1u | kBatchHasModes);
-  encode_query(w3, distributed_query(4));
-  w3.u8(7);
-  const std::string bad = svc.handle(
-      encode_frame(MsgType::QueryBatch, false, 13, w3.data()).substr(4));
-  const auto parsed3 = try_parse_frame(bad);
-  ASSERT_TRUE(parsed3.has_value());
-  WireReader r3(parsed3->first.body);
-  EXPECT_NE(r3.u8(), 0) << "out-of-range mode byte was accepted";
+  // A flagged batch with a mode byte outside the enum (3 is the first) is
+  // an error reply to that request, not a crash.
+  for (const int bad_mode : {3, 7}) {
+    WireWriter w3;
+    w3.u64(session);
+    w3.u32(1u | kBatchHasModes);
+    encode_query(w3, distributed_query(4));
+    w3.u8(static_cast<std::uint8_t>(bad_mode));
+    const std::string bad = svc.handle(
+        encode_frame(MsgType::QueryBatch, false, 13, w3.data()).substr(4));
+    const auto parsed3 = try_parse_frame(bad);
+    ASSERT_TRUE(parsed3.has_value());
+    WireReader r3(parsed3->first.body);
+    EXPECT_NE(r3.u8(), 0) << "out-of-range mode byte " << bad_mode
+                          << " was accepted";
+  }
+  EXPECT_EQ(svc.stats().queries_ok, 4u);
 }
 
 TEST(ServeService, SharedSourceCachesAcrossSessions) {
@@ -741,20 +768,15 @@ TEST(ServeServer, ModeRequestsRoundTripOverTheSocket) {
 
   Query qe = distributed_query(4);
   qe.mode = QueryMode::EventDriven;
-  Query qh = distributed_query(4);
-  qh.mode = QueryMode::Hybrid;
   // Mixed batch: a non-default mode makes the client emit the flagged
   // wire form for the whole batch.
-  const auto results =
-      client.query_batch(session, {qe, qh, distributed_query(4)});
-  ASSERT_EQ(results.size(), 3u);
+  const auto results = client.query_batch(session, {qe, distributed_query(4)});
+  ASSERT_EQ(results.size(), 2u);
   for (const auto& r : results) ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(results[0], results[1]);
-  EXPECT_EQ(results[0], results[2]);
 
   const ServerStats st = client.stats();
   EXPECT_EQ(st.queries_event, 1u);
-  EXPECT_EQ(st.queries_hybrid, 1u);
   EXPECT_EQ(st.queries_auto, 1u);
 
   client.close_session(session);

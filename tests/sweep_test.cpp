@@ -17,6 +17,7 @@
 
 #include "core/extrapolator.hpp"
 #include "core/sweep.hpp"
+#include "metrics/sweep_report.hpp"
 #include "rt/collection.hpp"
 #include "suite/suite.hpp"
 #include "trace/trace_io.hpp"
@@ -206,12 +207,29 @@ TEST(SweepRunner, DeterministicAcrossRunsAndSubmissionOrders) {
   EXPECT_EQ(first, third) << "submission order leaked into the results";
 }
 
-// Auto is the default mode, and it is exact: a default-mode sweep equals an
-// EventDriven sweep in every serialized field, the extrapolated trace text
-// included.  Only the engine-event count may differ, because it counts the
-// events that fired and the fast paths fire fewer.  The suite's grid code
-// repeats its epochs, so the barrier-epoch memo replays windows there.
-TEST(SweepRunner, DefaultModeSweepMatchesEventDriven) {
+// The EventDriven oracle for every cell of `grid`, built per cell from
+// `factory`'s measurement of the cell's thread count.
+std::vector<Prediction> event_oracle(const ProgramFactory& factory,
+                                     const std::vector<SweepPoint>& grid) {
+  const TranslateCache::Measure measure = measure_fresh(factory);
+  std::map<int, TranslatedTrace> prepared;
+  std::vector<Prediction> out;
+  for (const SweepPoint& p : grid) {
+    auto it = prepared.find(p.n_threads);
+    if (it == prepared.end())
+      it = prepared.emplace(p.n_threads, prepare_trace(measure(p.n_threads)))
+               .first;
+    out.push_back(predict(it->second, p.params, {SimMode::EventDriven}));
+  }
+  return out;
+}
+
+// The sweep simulates in Auto, and Auto is exact: every sweep cell equals
+// the EventDriven oracle in every serialized field, the extrapolated trace
+// text included.  Only the engine-event count may differ, because it counts
+// the events that fired and the fast paths fire fewer.  The suite's grid
+// code repeats its epochs, so the barrier-epoch memo replays windows there.
+TEST(SweepRunner, SweepMatchesEventDrivenOracle) {
   const std::vector<model::SimParams> machines = {
       model::distributed_preset(), model::cm5_preset(), model::sp1_preset(),
       model::shared_memory_preset(), model::ideal_preset()};
@@ -225,21 +243,58 @@ TEST(SweepRunner, DefaultModeSweepMatchesEventDriven) {
     SweepOptions opt;
     opt.n_workers = 2;
     SweepRunner runner(programs[prog], opt);
-    const SweepResult dflt = runner.run_grid({1, 2, 4, 8}, machines, labels);
-    const SweepResult event = runner.run_grid({1, 2, 4, 8}, machines, labels,
-                                              SimMode::EventDriven);
-    for (const SweepPoint& p : dflt.grid) EXPECT_EQ(p.mode, SimMode::Auto);
-    EXPECT_EQ(serialize(dflt, false), serialize(event, false));
-    std::int64_t hits = 0;
-    for (const Prediction& p : dflt.predictions) {
-      EXPECT_GT(p.sim.extrapolated.size(), 0u);
-      hits += p.sim.hybrid.memo_hits;
+    const SweepResult sweep = runner.run_grid({1, 2, 4, 8}, machines, labels);
+    const std::vector<Prediction> oracle =
+        event_oracle(programs[prog], sweep.grid);
+    std::int64_t hits = 0, oracle_events = 0;
+    for (std::size_t i = 0; i < sweep.grid.size(); ++i) {
+      EXPECT_EQ(serialize(sweep.predictions[i], false),
+                serialize(oracle[i], false))
+          << "cell " << i;
+      EXPECT_GT(sweep.predictions[i].sim.extrapolated.size(), 0u);
+      hits += sweep.predictions[i].sim.hybrid.memo_hits;
+      oracle_events += static_cast<std::int64_t>(oracle[i].sim.engine_events);
     }
     if (prog == 1) {
       EXPECT_GT(hits, 0);
-      EXPECT_LT(dflt.stages.sim_events_fired, event.stages.sim_events_fired);
+      EXPECT_LT(sweep.stages.sim_events_fired, oracle_events);
     }
   }
+}
+
+// SweepStages attributes the barrier-epoch memo: on message-barrier
+// machines nothing collapses, so a grid whose windows replay from the memo
+// counts as memo cells, not event cells, the stage sums equal the
+// per-prediction sums, and the standard sweep report prints them.
+TEST(SweepRunner, StagesAttributeMemoizedCells) {
+  SweepOptions opt;
+  opt.n_workers = 2;
+  SweepRunner runner(
+      [] { return suite::make_by_name("grid", suite::SuiteConfig{}); }, opt);
+  const SweepResult r =
+      runner.run_grid({2, 4, 8, 16}, {model::cm5_preset(),
+                                      model::distributed_preset()},
+                      {"cm5", "distributed"});
+  std::int64_t hits = 0, misses = 0, memo_cells = 0;
+  for (const Prediction& p : r.predictions) {
+    hits += p.sim.hybrid.memo_hits;
+    misses += p.sim.hybrid.memo_misses;
+    if (p.sim.hybrid.memo_hits > 0) ++memo_cells;
+  }
+  EXPECT_GT(hits, 0);
+  EXPECT_GT(misses, 0);
+  EXPECT_EQ(r.stages.sim_memo_hits, hits);
+  EXPECT_EQ(r.stages.sim_memo_misses, misses);
+  EXPECT_EQ(r.stages.cells_memo, memo_cells);
+  EXPECT_GT(r.stages.cells_memo, 0);
+  EXPECT_EQ(r.stages.cells_hybrid, 0);
+  EXPECT_EQ(r.stages.cells_event + r.stages.cells_memo,
+            static_cast<std::int64_t>(r.grid.size()));
+  const std::string report = metrics::render_sweep(metrics::analyze_sweep(r));
+  EXPECT_NE(report.find(std::to_string(hits) + " memo hit(s)/" +
+                        std::to_string(misses) + " miss(es)"),
+            std::string::npos)
+      << report;
 }
 
 // Property test: for a RANDOMIZED grid (random sizes, random machine per
