@@ -17,11 +17,14 @@
 // Both paths are exact, so the harness also holds their predictions
 // bitwise equal where both run.
 //
-// Output rows are parsed by scripts/bench_json.sh (schema xp-bench-sim/4),
-// which gates hybrid >= 10x event-driven at n=1024 on both benchmarks.
+// Gates (exit code): hybrid == event-driven bitwise, every segment
+// collapsed, and hybrid >= 10x event-driven at n=1024 on both benchmarks.
+// JSON rows: one per cell (section "hybrid") and one speedup per
+// event-feasible cell (section "hybrid_speedup_vs_event").
 //
-//   --smoke   run only the hybrid grid n=100000 cell (the CI huge-n smoke
-//             budget is one minute for the whole measure->predict pipeline)
+//   --smoke   run only the hybrid grid n=100000 cell and gate it
+//             engine-free (the CI huge-n smoke budget is one minute for
+//             the whole measure->predict pipeline)
 #include <time.h>
 
 #include <cstring>
@@ -108,13 +111,13 @@ Cell run_cell(const core::TranslatedTrace& prepared,
 void print_row(const std::string& bench, int n, const char* mode,
                const Cell& cell) {
   const auto& h = cell.pred.sim.hybrid;
-  std::printf(
-      "hybrid_sim bench=%s n=%d mode=%s sim_s=%.6f engine_events=%lld"
-      " segments_collapsed=%lld segments_total=%lld path=%s\n",
-      bench.c_str(), n, mode, cell.sim_s,
-      static_cast<long long>(cell.pred.sim.engine_events),
-      static_cast<long long>(h.segments_collapsed),
-      static_cast<long long>(h.segments_total), path_name(h.path));
+  JsonRow("hybrid", "hybrid_" + bench + "_n" + std::to_string(n) + "_" + mode)
+      .field("seconds", cell.sim_s)
+      .field("engine_events", cell.pred.sim.engine_events)
+      .field("segments_collapsed", h.segments_collapsed)
+      .field("segments_total", h.segments_total)
+      .field("path", path_name(h.path))
+      .emit();
 }
 
 int run(bool smoke) {
@@ -185,26 +188,27 @@ int run(bool smoke) {
       if (hy.pred.sim.hybrid.path != core::HybridStats::Path::PureAnalytic)
         all_pure = false;
 
-      // Machine-readable rows for scripts/bench_json.sh.
       if (event_feasible) print_row(study.bench, n, "event", ev);
       print_row(study.bench, n, "hybrid", hy);
       if (event_feasible)
-        std::printf("hybrid_speedup bench=%s n=%d speedup=%.2fx\n",
-                    study.bench.c_str(), n, ev.sim_s / hy.sim_s);
+        JsonRow("hybrid_speedup_vs_event",
+                study.bench + "_n" + std::to_string(n))
+            .field("value", ev.sim_s / hy.sim_s)
+            .emit();
     }
     std::printf("\n");
   }
 
   if (smoke) {
-    shape_check("hybrid path stayed engine-free at n=100000", all_pure);
-    return 0;
+    gate("hybrid path stayed engine-free at n=100000", all_pure);
+    return exit_code();
   }
 
-  std::printf("Shape checks (paper: analytic collapse makes huge-n "
+  std::printf("Gates (paper: analytic collapse makes huge-n "
               "prediction tractable):\n");
-  shape_check("hybrid == event-driven bitwise wherever both ran", all_exact);
-  shape_check("single-cluster target collapses every segment (engine-free)",
-              all_pure);
+  gate("hybrid == event-driven bitwise wherever both ran", all_exact);
+  gate("single-cluster target collapses every segment (engine-free)",
+       all_pure);
   for (const char* bench : {"grid", "cyclic"}) {
     const std::string key = std::string(bench) + "_1024";
     const auto e = event_s.find(key);
@@ -217,9 +221,9 @@ int run(bool smoke) {
     std::snprintf(claim, sizeof claim,
                   "hybrid >= 10x event-driven at n=1024 on %s (%.1fx)", bench,
                   speedup);
-    shape_check(claim, speedup >= 10.0);
+    gate(claim, speedup >= 10.0);
   }
-  return 0;
+  return exit_code();
 }
 
 }  // namespace

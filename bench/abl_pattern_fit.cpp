@@ -13,6 +13,9 @@
 // predicted total time on the held-out counts.  Also reports how often the
 // direct simulation lands inside the composed model's confidence band, and
 // prints the Extra-P style experiment file for the first benchmark.
+//
+// Gate (exit code): composed <= Amdahl held-out error on >= 2 of the 3
+// pattern benchmarks.  One JSON row per benchmark (section "pattern").
 #include <cmath>
 #include <iostream>
 #include <sstream>
@@ -105,12 +108,13 @@ int main() {
                        std::to_string(procs.size() - train)});
 
     std::cout << "--- " << name << " ---\n" << cm.str() << '\n';
-    // Machine-parseable row for scripts/bench_json.sh.
-    std::printf(
-        "pattern_fit bench=%s regions=%zu composed_err_pct=%.2f "
-        "amdahl_err_pct=%.2f band_hits=%d band_total=%d\n",
-        name.c_str(), cm.regions.size(), 100 * ce, 100 * ae, hits,
-        static_cast<int>(procs.size() - train));
+    bench::JsonRow("pattern", "pattern_fit_" + name)
+        .field("regions", cm.regions.size())
+        .field("composed_err_pct", 100 * ce)
+        .field("amdahl_err_pct", 100 * ae)
+        .field("band_hits", hits)
+        .field("band_total", procs.size() - train)
+        .emit();
   }
   std::cout << table.to_text() << '\n';
 
@@ -121,10 +125,8 @@ int main() {
   for (const auto& name : benches)
     if (comp_err.at(name) <= amdahl_err.at(name)) ++wins;
   std::cout << "composed model wins or ties " << wins << "/" << benches.size()
-            << " pattern benchmarks\n";
-  std::printf("pattern_fit_wins %d/%d\n\n", wins,
-              static_cast<int>(benches.size()));
-  bench::shape_check(
+            << " pattern benchmarks\n\n";
+  bench::gate(
       "composed per-pattern PMNF beats flat Amdahl on >= 2 of 3 pattern "
       "benches",
       wins >= 2);
@@ -132,5 +134,5 @@ int main() {
       "held-out direct simulation lands in or near the composed band on a "
       "majority of cells",
       2 * band_hits >= band_total);
-  return 0;
+  return bench::exit_code();
 }

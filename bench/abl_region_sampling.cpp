@@ -17,21 +17,23 @@
 // full-analytic simulate-stage wall time at >= 1000 epochs.  A
 // cost-perturbed Grid trace (same epoch shapes, deterministic per-epoch
 // jitter) then sweeps the tolerance knob to plot the accuracy-vs-speedup
-// curve and check the certified bound is sound against the EventDriven
+// curve and gate the certified bound sound against the EventDriven
 // oracle: |sampled - exact| <= error_bound at every tolerance.
-//
-// Output rows are parsed by scripts/bench_json.sh (schema xp-bench-sim/6),
-// which gates the >= 10x dedup speedup at 1002 epochs.
 //
 // Barrier-epoch memoization (DESIGN.md §16) is the event-path counterpart
 // on message-barrier machines, where nothing collapses analytically.  Its
 // "epoch_memo" rows time EventDriven against Auto (no trace) on the same
 // long Grid traces on cm5, and on default-config Grid and Mgrid at n=16
-// and 32 on cm5, distributed and sp1, with memo hits/misses and a bitwise
-// check of every prediction field.  Any mismatch exits nonzero.
+// and 32 on cm5, distributed and sp1, with memo hits/misses and a gated
+// bitwise check of every prediction field.
 //
-//   --smoke   run only the Auto grid 1002-epoch cell (CI long-trace smoke,
-//             one minute for the whole measure->predict pipeline)
+// JSON rows: sections "sampling", "sampling_speedup_vs_hybrid",
+// "sampling_tolerance" and "epoch_memo".  Every check in the full run is a
+// gate (exit code) except the memo >= 5x timing claim.
+//
+//   --smoke   run only the Auto grid 1002-epoch cell and gate it sampled
+//             (CI long-trace smoke, one minute for the whole
+//             measure->predict pipeline)
 #include <time.h>
 
 #include <cmath>
@@ -130,17 +132,17 @@ bool bitwise_equal(const core::Prediction& a, const core::Prediction& b) {
 
 void print_row(std::int64_t epochs, const char* mode, const Cell& cell) {
   const core::SamplingStats& sp = cell.pred.sim.sampling;
-  std::printf(
-      "region_sampling bench=grid epochs=%lld mode=%s sim_s=%.6f"
-      " classes=%lld simulated=%lld replayed=%lld approximated=%lld"
-      " error_bound_ns=%lld predicted_ns=%lld\n",
-      static_cast<long long>(epochs), mode, cell.sim_s,
-      static_cast<long long>(sp.classes),
-      static_cast<long long>(sp.epochs_simulated),
-      static_cast<long long>(sp.epochs_replayed),
-      static_cast<long long>(sp.epochs_approximated),
-      static_cast<long long>(sp.error_bound.count_ns()),
-      static_cast<long long>(cell.pred.predicted_time.count_ns()));
+  JsonRow("sampling",
+          "sampling_grid_e" + std::to_string(epochs) + "_" + mode)
+      .field("epochs", epochs)
+      .field("seconds", cell.sim_s)
+      .field("classes", sp.classes)
+      .field("epochs_simulated", sp.epochs_simulated)
+      .field("epochs_replayed", sp.epochs_replayed)
+      .field("epochs_approximated", sp.epochs_approximated)
+      .field("error_bound_ns", sp.error_bound.count_ns())
+      .field("predicted_ns", cell.pred.predicted_time.count_ns())
+      .emit();
 }
 
 struct MemoRow {
@@ -157,20 +159,32 @@ MemoRow memo_row(const char* bench, int n, std::int64_t epochs,
   MemoRow row;
   row.speedup = au.sim_s > 0 ? ev.sim_s / au.sim_s : 0.0;
   row.exact = bitwise_equal(ev.pred, au.pred);
-  std::printf(
-      "epoch_memo bench=%s n=%d epochs=%lld preset=%s event_s=%.6f"
-      " auto_s=%.6f speedup=%.2fx hits=%lld misses=%lld bitwise=%d\n",
-      bench, n, static_cast<long long>(epochs), preset, ev.sim_s, au.sim_s,
-      row.speedup, static_cast<long long>(h.memo_hits),
-      static_cast<long long>(h.memo_misses), row.exact ? 1 : 0);
+  std::printf("  %-6s %3d %6lld  %-12s %9.3f ms %9.3f ms %7.2fx %6lld %6lld"
+              "  %s\n",
+              bench, n, static_cast<long long>(epochs), preset,
+              ev.sim_s * 1e3, au.sim_s * 1e3, row.speedup,
+              static_cast<long long>(h.memo_hits),
+              static_cast<long long>(h.memo_misses),
+              row.exact ? "yes" : "NO");
+  JsonRow("epoch_memo", std::string(bench) + "_n" + std::to_string(n) + "_e" +
+                            std::to_string(epochs) + "_" + preset)
+      .field("event_seconds", ev.sim_s)
+      .field("auto_seconds", au.sim_s)
+      .field("speedup", row.speedup)
+      .field("memo_hits", h.memo_hits)
+      .field("memo_misses", h.memo_misses)
+      .field("bitwise", row.exact)
+      .emit();
   return row;
 }
 
-/// The epoch-memo rows; false if any Auto prediction differs from the
-/// EventDriven one.
-bool run_memo() {
+/// The epoch-memo rows, gated bitwise-equal to EventDriven.
+void run_memo() {
   std::printf("\nBarrier-epoch memoization on message-barrier machines "
               "(EventDriven vs Auto, no trace):\n\n");
+  std::printf("  %-6s %3s %6s  %-12s %12s %12s %8s %6s %6s  %s\n", "bench",
+              "n", "epochs", "preset", "event", "auto", "speedup", "hits",
+              "misses", "bitwise");
   bool all_exact = true;
   for (std::int64_t iters : {100, 500, 1000}) {
     auto prog = suite::make_by_name("grid", grid_config(iters));
@@ -205,15 +219,14 @@ bool run_memo() {
       }
     }
   }
-  std::printf("\nShape checks (DESIGN.md §16: memoized windows are exact):\n");
-  shape_check("auto == event-driven bitwise on every memo row", all_exact);
+  std::printf("\nChecks (DESIGN.md §16: memoized windows are exact):\n");
+  gate("auto == event-driven bitwise on every memo row", all_exact);
   char claim[128];
   std::snprintf(claim, sizeof claim,
                 "default grid: auto >= 5x event-driven simulate on cm5, "
                 "distributed and sp1 (min %.1fx)",
                 min_grid_speedup);
   shape_check(claim, min_grid_speedup >= 5.0);
-  return all_exact;
 }
 
 int run(bool smoke) {
@@ -229,13 +242,13 @@ int run(bool smoke) {
     const Cell au = run_cell(prepared, params, core::SimMode::Auto);
     const core::SamplingStats& sp = au.pred.sim.sampling;
     print_row(sp.epochs, "auto", au);
-    shape_check("sampled path engaged on the 1002-epoch trace",
-                sp.active && sp.epochs >= 1000);
-    shape_check("distinct classes stayed tiny on the iterative trace",
-                sp.active && sp.classes > 0 && sp.classes <= 8);
-    shape_check("error bound is zero in dedup mode",
-                sp.error_bound == util::Time::zero());
-    return 0;
+    gate("sampled path engaged on the 1002-epoch trace",
+         sp.active && sp.epochs >= 1000);
+    gate("distinct classes stayed tiny on the iterative trace",
+         sp.active && sp.classes > 0 && sp.classes <= 8);
+    gate("error bound is zero in dedup mode",
+         sp.error_bound == util::Time::zero());
+    return exit_code();
   }
 
   std::printf("Representative-epoch sampling on long iterative traces "
@@ -284,8 +297,9 @@ int run(bool smoke) {
     print_row(epochs, "hybrid", hy);
     print_row(epochs, "auto", au);
     const double speedup = au.sim_s > 0 ? hy.sim_s / au.sim_s : 0.0;
-    std::printf("sampling_speedup bench=grid epochs=%lld speedup=%.2fx\n",
-                static_cast<long long>(epochs), speedup);
+    JsonRow("sampling_speedup_vs_hybrid", "grid_e" + std::to_string(epochs))
+        .field("value", speedup)
+        .emit();
     if (epochs >= 1000) speedup_at_1000 = speedup;
   }
 
@@ -320,32 +334,33 @@ int run(bool smoke) {
                 static_cast<long long>(sp.epochs_simulated),
                 static_cast<long long>(sp.error_bound.count_ns()),
                 static_cast<long long>(actual_err));
-    std::printf("sampling_tolerance bench=grid tol=%.4f clusters=%lld"
-                " simulated=%lld error_bound_ns=%lld actual_err_ns=%lld"
-                " sound=%d\n",
-                tol, static_cast<long long>(sp.clusters),
-                static_cast<long long>(sp.epochs_simulated),
-                static_cast<long long>(sp.error_bound.count_ns()),
-                static_cast<long long>(actual_err), sound ? 1 : 0);
+    char key[32];
+    std::snprintf(key, sizeof key, "grid_tol%.4f", tol);
+    JsonRow("sampling_tolerance", key)
+        .field("clusters", sp.clusters)
+        .field("epochs_simulated", sp.epochs_simulated)
+        .field("error_bound_ns", sp.error_bound.count_ns())
+        .field("actual_err_ns", actual_err)
+        .field("sound", sound)
+        .emit();
   }
 
-  std::printf("\nShape checks (DESIGN.md §15: dedup is exact, clustering "
+  std::printf("\nGates (DESIGN.md §15: dedup is exact, clustering "
               "is certified):\n");
-  shape_check("auto == hybrid == event-driven bitwise at every length",
-              all_exact);
-  shape_check("sampled path engaged and walked fewer epochs than the trace",
-              all_sampled);
+  gate("auto == hybrid == event-driven bitwise at every length", all_exact);
+  gate("sampled path engaged and walked fewer epochs than the trace",
+       all_sampled);
   {
     char claim[128];
     std::snprintf(claim, sizeof claim,
                   "sampled >= 10x full-analytic simulate at 1002 epochs "
                   "(%.1fx)",
                   speedup_at_1000);
-    shape_check(claim, speedup_at_1000 >= 10.0);
+    gate(claim, speedup_at_1000 >= 10.0);
   }
-  shape_check("|sampled - exact| <= certified bound at every tolerance",
-              all_sound);
-  return run_memo() ? 0 : 1;
+  gate("|sampled - exact| <= certified bound at every tolerance", all_sound);
+  run_memo();
+  return exit_code();
 }
 
 }  // namespace

@@ -16,9 +16,9 @@
 // MIPS ratio, so the phase also doubles as a determinism check: the same
 // (ratio) query must return bitwise-identical results everywhere.
 //
-// Output rows ("serve_qps clients=... batch=... qps=... p50_us=...
-// p99_us=...") are distilled into BENCH_sim.json by scripts/bench_json.sh,
-// which gates max QPS >= 1000 (XP_BENCH_NO_GATE=1 to skip).
+// Gates (exit code): every served prediction is bitwise-deterministic,
+// none errors, and peak throughput clears 1000 QPS.  One JSON row per
+// client count (section "serve") carries qps, p50_us and p99_us.
 #include <stdlib.h>
 #include <unistd.h>
 
@@ -175,9 +175,14 @@ int main() {
       const double qps =
           static_cast<double>(clients) * batches_per_client * batch / wall;
       max_qps = std::max(max_qps, qps);
-      std::printf("serve_qps clients=%d batch=%d qps=%.1f p50_us=%.1f "
-                  "p99_us=%.1f\n",
-                  clients, batch, qps, p50, p99);
+      std::printf("  %7d   %5d   %8.1f   %8.1f   %8.1f\n", clients, batch,
+                  qps, p50, p99);
+      bench::JsonRow("serve", "serve_qps_clients_" + std::to_string(clients))
+          .field("batch", batch)
+          .field("qps", qps)
+          .field("p50_us", p50)
+          .field("p99_us", p99)
+          .emit();
     }
 
     const serve::ServerStats stats = warm.stats();
@@ -185,15 +190,16 @@ int main() {
               << stats.queries_err << " failed, " << stats.cache_hits
               << " cache hits / " << stats.cache_misses << " misses\n\n";
 
-    bench::shape_check(
+    bench::gate(
         "every served prediction matched the warm-up result bitwise "
         "(deterministic serving)",
         deterministic);
-    bench::shape_check("no served query returned an error",
-                       stats.queries_err == 0);
-    bench::shape_check("warm-cache serving clears 1000 queries/sec",
-                       max_qps >= 1000.0);
-    if (!deterministic || stats.queries_err != 0) rc = 1;
+    bench::gate("no served query returned an error", stats.queries_err == 0);
+    char claim[96];
+    std::snprintf(claim, sizeof claim,
+                  "warm-cache serving clears 1000 queries/sec (peak %.0f)",
+                  max_qps);
+    bench::gate(claim, max_qps >= 1000.0);
 
     warm.shutdown_server();
     server.join();
@@ -203,5 +209,5 @@ int main() {
   }
   unlink(sock.c_str());
   rmdir(tmpdir);
-  return rc;
+  return rc != 0 ? rc : bench::exit_code();
 }

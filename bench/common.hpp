@@ -5,14 +5,19 @@
 // paper; the distributed-memory preset for the benchmark studies; the
 // Table 3 CM-5 preset for the Matmul validation.  Output is an aligned
 // table (plus an ASCII rendition of the figure) and a short "shape check"
-// block restating what the paper observed.
+// block restating what the paper observed.  Claims a bench enforces are
+// gates: a failed gate makes the binary exit nonzero (exit_code()), so a
+// bench run alone is its own gate.  Machine-readable results are JsonRow
+// lines that scripts/bench_json.sh merges into BENCH_sim.json.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/extrapolator.hpp"
@@ -108,8 +113,58 @@ inline core::TranslatedTrace without_epoch_classes(
   return prepared;
 }
 
+/// An informational claim: printed, never fails the run.
 inline void shape_check(const std::string& claim, bool holds) {
   std::cout << "  [" << (holds ? "OK " : "??? ") << "] " << claim << '\n';
 }
+
+inline bool gate_failed = false;
+
+/// An enforced claim: printed like shape_check, and a failure makes
+/// exit_code() nonzero.
+inline void gate(const std::string& claim, bool holds) {
+  std::cout << "  [" << (holds ? "OK " : "FAIL") << "] " << claim << '\n';
+  if (!holds) gate_failed = true;
+}
+
+/// main()'s return value: nonzero iff any gate failed.
+inline int exit_code() { return gate_failed ? 1 : 0; }
+
+/// One machine-readable result row, printed as a single-line JSON object
+/// that names the BENCH_sim.json section and key it merges into, then its
+/// fields.  A row whose only field is "value" merges as that scalar.
+/// Names and string values are plain identifiers, so nothing is escaped;
+/// a non-finite number is written as null.
+class JsonRow {
+ public:
+  JsonRow(const std::string& section, const std::string& key) {
+    field("section", section);
+    field("key", key);
+  }
+
+  template <class T>
+  JsonRow& field(const char* name, const T& v) {
+    line_ += line_.empty() ? "{\"" : ",\"";
+    line_ += name;
+    line_ += "\":";
+    if constexpr (std::is_same_v<T, bool>) {
+      line_ += v ? "true" : "false";
+    } else if constexpr (std::is_integral_v<T>) {
+      line_ += std::to_string(v);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%.6g", static_cast<double>(v));
+      line_ += std::isfinite(v) ? buf : "null";
+    } else {
+      line_ += '"' + std::string(v) + '"';
+    }
+    return *this;
+  }
+
+  void emit() const { std::cout << line_ << "}\n"; }
+
+ private:
+  std::string line_;
+};
 
 }  // namespace xp::bench
