@@ -5,20 +5,16 @@
 // which ~3 are distinct.  The sampled Auto path (DESIGN.md §15) fingerprints
 // every epoch at compile time, walks ONE exemplar per epoch class, and
 // composes the full-trace prediction as sum(class_count x exemplar_time) —
-// bitwise-equal to full simulation when classes are bit-identical (tier 1),
-// and within a certified error bound when near-identical epochs are
-// clustered under a relative tolerance (tier 2).
+// bitwise-equal to full simulation, because only bit-identical epochs
+// share a class.
 //
-// This harness measures both tiers: simulate Grid at 100/500/1000 iterations
-// (102/502/1002 epochs) under Auto (sampled), full analytic ("hybrid": Auto
-// over a copy of the trace without its epoch-class table, so every epoch is
-// walked — bench::without_epoch_classes), and EventDriven against identical
-// translated traces; hold all three bitwise equal; and gate sampled >= 10x
-// full-analytic simulate-stage wall time at >= 1000 epochs.  A
-// cost-perturbed Grid trace (same epoch shapes, deterministic per-epoch
-// jitter) then sweeps the tolerance knob to plot the accuracy-vs-speedup
-// curve and gate the certified bound sound against the EventDriven
-// oracle: |sampled - exact| <= error_bound at every tolerance.
+// This harness simulates Grid at 100/500/1000 iterations (102/502/1002
+// epochs) under Auto (sampled), the full analytic walk (Auto over a copy of
+// the trace without its epoch-class table, so every epoch is walked —
+// bench::without_epoch_classes; rows keyed "hybrid"), and EventDriven
+// against identical translated traces; holds all three bitwise equal; and
+// gates sampled >= 10x full-walk simulate-stage wall time at >= 1000
+// epochs.
 //
 // Barrier-epoch memoization (DESIGN.md §16) is the event-path counterpart
 // on message-barrier machines, where nothing collapses analytically.  Its
@@ -27,16 +23,15 @@
 // and 32 on cm5, distributed and sp1, with memo hits/misses and a gated
 // bitwise check of every prediction field.
 //
-// JSON rows: sections "sampling", "sampling_speedup_vs_hybrid",
-// "sampling_tolerance" and "epoch_memo".  Every check in the full run is a
-// gate (exit code) except the memo >= 5x timing claim.
+// JSON rows: sections "sampling", "sampling_speedup_vs_hybrid" and
+// "epoch_memo".  Every check in the full run is a gate (exit code) except
+// the memo >= 5x timing claim.
 //
 //   --smoke   run only the Auto grid 1002-epoch cell and gate it sampled
 //             (CI long-trace smoke, one minute for the whole
 //             measure->predict pipeline)
 #include <time.h>
 
-#include <cmath>
 #include <cstring>
 
 #include "common.hpp"
@@ -71,46 +66,16 @@ suite::SuiteConfig grid_config(std::int64_t iters) {
   return cfg;
 }
 
-/// Deterministically stretch each thread's inter-event gaps by a per-epoch
-/// factor (1 + amp * w_k, w_k an 11-valued pseudo-pattern over the epoch
-/// index k) so recurring epochs keep their exact shape (same ops, same
-/// remote records) but become NEAR-identical instead of bit-identical —
-/// the tier-2 clustering regime.  Translation only consumes per-thread
-/// time deltas, so shifting threads independently is safe.
-trace::Trace perturb_epoch_costs(const trace::Trace& in, double amp) {
-  trace::Trace out = in;
-  auto& ev = out.mutable_events();
-  const int n = out.n_threads();
-  std::vector<std::int64_t> shift(n, 0);     // cumulative, per thread
-  std::vector<util::Time> prev(n);           // previous ORIGINAL time
-  std::vector<std::int64_t> epoch(n, 0);
-  for (auto& e : ev) {
-    const int t = e.thread;
-    const std::int64_t gap = (e.time - prev[t]).count_ns();
-    prev[t] = e.time;
-    const double w =
-        static_cast<double>((epoch[t] * 37) % 11) / 11.0;
-    if (gap > 0) shift[t] += std::llround(static_cast<double>(gap) * amp * w);
-    e.time = e.time + util::Time::ns(shift[t]);
-    if (e.kind == trace::EventKind::BarrierExit) ++epoch[t];
-  }
-  out.sort_by_time();
-  out.validate();
-  return out;
-}
-
 struct Cell {
   double sim_s = 0;
   core::Prediction pred;
 };
 
 Cell run_cell(const core::TranslatedTrace& prepared,
-              const model::SimParams& params, core::SimMode mode,
-              double tolerance = 0.0) {
+              const model::SimParams& params, core::SimMode mode) {
   core::SimOptions opts;
   opts.mode = mode;
   opts.emit_trace = false;
-  opts.epoch_tolerance = tolerance;
   Cell cell;
   cell.sim_s = 1e30;
   for (int i = 0; i < 3; ++i) {
@@ -139,8 +104,6 @@ void print_row(std::int64_t epochs, const char* mode, const Cell& cell) {
       .field("classes", sp.classes)
       .field("epochs_simulated", sp.epochs_simulated)
       .field("epochs_replayed", sp.epochs_replayed)
-      .field("epochs_approximated", sp.epochs_approximated)
-      .field("error_bound_ns", sp.error_bound.count_ns())
       .field("predicted_ns", cell.pred.predicted_time.count_ns())
       .emit();
 }
@@ -246,15 +209,13 @@ int run(bool smoke) {
          sp.active && sp.epochs >= 1000);
     gate("distinct classes stayed tiny on the iterative trace",
          sp.active && sp.classes > 0 && sp.classes <= 8);
-    gate("error bound is zero in dedup mode",
-         sp.error_bound == util::Time::zero());
     return exit_code();
   }
 
   std::printf("Representative-epoch sampling on long iterative traces "
               "(grid, 64 threads, single-cluster target)\n\n");
-  std::printf("  %7s  %-7s %10s  %8s  %10s  %9s\n", "epochs", "mode",
-              "sim wall", "classes", "simulated", "bound");
+  std::printf("  %7s  %-9s %10s  %8s  %10s\n", "epochs", "mode",
+              "sim wall", "classes", "simulated");
 
   bool all_exact = true;
   bool all_sampled = true;
@@ -276,18 +237,17 @@ int run(bool smoke) {
     const core::SamplingStats& sp = au.pred.sim.sampling;
     const std::int64_t epochs = sp.epochs;
 
-    std::printf("  %7lld  %-7s %8.3f ms  %8s  %10s  %9s\n",
+    std::printf("  %7lld  %-9s %8.3f ms  %8s  %10s\n",
                 static_cast<long long>(epochs), "event", ev.sim_s * 1e3, "-",
+                "-");
+    std::printf("  %7lld  %-9s %8.3f ms  %8s  %10s\n",
+                static_cast<long long>(epochs), "full walk", hy.sim_s * 1e3,
                 "-", "-");
-    std::printf("  %7lld  %-7s %8.3f ms  %8s  %10s  %9s\n",
-                static_cast<long long>(epochs), "hybrid", hy.sim_s * 1e3, "-",
-                "-", "-");
-    std::printf("  %7lld  %-7s %8.3f ms  %8lld  %10lld  %6lld ns"
+    std::printf("  %7lld  %-9s %8.3f ms  %8lld  %10lld"
                 "   (measure+translate %.2f s)\n",
                 static_cast<long long>(epochs), "auto", au.sim_s * 1e3,
                 static_cast<long long>(sp.classes),
-                static_cast<long long>(sp.epochs_simulated),
-                static_cast<long long>(sp.error_bound.count_ns()), prep_s);
+                static_cast<long long>(sp.epochs_simulated), prep_s);
 
     if (!bitwise_equal(au.pred, hy.pred) || !bitwise_equal(au.pred, ev.pred))
       all_exact = false;
@@ -303,62 +263,19 @@ int run(bool smoke) {
     if (epochs >= 1000) speedup_at_1000 = speedup;
   }
 
-  // Tier 2: cost-perturbed grid (amp = 2% deterministic per-epoch jitter)
-  // under a tolerance sweep.  Every epoch keeps its shape but few stay
-  // bit-identical, so dedup alone wins little; clustering trades certified
-  // error for walked exemplars.  Soundness: |sampled - exact| <= bound.
-  std::printf("\nTolerance sweep on the cost-perturbed 1002-epoch grid "
-              "(2%% per-epoch jitter):\n\n");
-  std::printf("  %9s  %8s  %10s  %12s  %12s\n", "tolerance", "clusters",
-              "simulated", "bound", "actual err");
-  auto prog = suite::make_by_name("grid", grid_config(1000));
-  rt::MeasureOptions mo;
-  mo.n_threads = 64;
-  const trace::Trace perturbed =
-      perturb_epoch_costs(rt::measure(*prog, mo), 0.02);
-  const core::TranslatedTrace prepared = core::prepare_trace(perturbed);
-  const core::Prediction exact =
-      run_cell(prepared, params, core::SimMode::EventDriven).pred;
-
-  bool all_sound = true;
-  for (double tol : {0.0, 0.005, 0.02, 0.1}) {
-    const Cell au = run_cell(prepared, params, core::SimMode::Auto, tol);
-    const core::SamplingStats& sp = au.pred.sim.sampling;
-    const std::int64_t actual_err = std::llabs(
-        (au.pred.predicted_time - exact.predicted_time).count_ns());
-    const bool sound = actual_err <= sp.error_bound.count_ns() ||
-                       (tol == 0.0 && actual_err == 0);
-    if (!sound) all_sound = false;
-    std::printf("  %9.3f  %8lld  %10lld  %9lld ns  %9lld ns\n", tol,
-                static_cast<long long>(sp.clusters),
-                static_cast<long long>(sp.epochs_simulated),
-                static_cast<long long>(sp.error_bound.count_ns()),
-                static_cast<long long>(actual_err));
-    char key[32];
-    std::snprintf(key, sizeof key, "grid_tol%.4f", tol);
-    JsonRow("sampling_tolerance", key)
-        .field("clusters", sp.clusters)
-        .field("epochs_simulated", sp.epochs_simulated)
-        .field("error_bound_ns", sp.error_bound.count_ns())
-        .field("actual_err_ns", actual_err)
-        .field("sound", sound)
-        .emit();
-  }
-
-  std::printf("\nGates (DESIGN.md §15: dedup is exact, clustering "
-              "is certified):\n");
-  gate("auto == hybrid == event-driven bitwise at every length", all_exact);
+  std::printf("\nGates (DESIGN.md §15: dedup is exact):\n");
+  gate("auto == full analytic walk == event-driven bitwise at every length",
+       all_exact);
   gate("sampled path engaged and walked fewer epochs than the trace",
        all_sampled);
   {
     char claim[128];
     std::snprintf(claim, sizeof claim,
-                  "sampled >= 10x full-analytic simulate at 1002 epochs "
+                  "sampled >= 10x full-walk simulate at 1002 epochs "
                   "(%.1fx)",
                   speedup_at_1000);
     gate(claim, speedup_at_1000 >= 10.0);
   }
-  gate("|sampled - exact| <= certified bound at every tolerance", all_sound);
   run_memo();
   return exit_code();
 }

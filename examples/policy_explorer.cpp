@@ -5,10 +5,12 @@
 // problem specific.  All of these questions can be explored with
 // extrapolation."  This tool sweeps the three service policies and a range
 // of polling intervals for any suite benchmark and reports the best
-// runtime-system configuration per processor count.
+// runtime-system configuration per processor count, using the
+// core::choose_service_policy tuner on one prepared trace per count.
 #include <iostream>
 
 #include "core/extrapolator.hpp"
+#include "core/tuner.hpp"
 #include "suite/suite.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
@@ -29,53 +31,47 @@ int main(int argc, char** argv) {
     std::vector<int> procs;
     for (const auto& s : util::split(args.get("procs"), ','))
       procs.push_back(std::stoi(s));
-    std::vector<double> intervals;
-    for (const auto& s : util::split(args.get("poll-intervals"), ','))
-      intervals.push_back(std::stod(s));
+    std::vector<std::string> poll_labels;
+    std::vector<util::Time> intervals;
+    for (const auto& s : util::split(args.get("poll-intervals"), ',')) {
+      const double us = std::stod(s);
+      poll_labels.push_back("poll " + util::Table::num(us) + "us");
+      intervals.push_back(util::Time::us(us));
+    }
 
-    struct Config {
-      std::string label;
-      model::ServicePolicy policy;
-      double poll_us = 0;
-    };
-    std::vector<Config> configs{
-        {"no-interrupt", model::ServicePolicy::NoInterrupt, 0},
-        {"interrupt", model::ServicePolicy::Interrupt, 0},
-    };
-    for (double us : intervals)
-      configs.push_back({"poll " + util::Table::num(us) + "us",
-                         model::ServicePolicy::Poll, us});
-
-    std::vector<std::string> headers{"procs"};
-    for (const auto& c : configs) headers.push_back(c.label);
+    std::vector<std::string> headers{"procs", "no-interrupt", "interrupt"};
+    headers.insert(headers.end(), poll_labels.begin(), poll_labels.end());
     headers.push_back("best");
     util::Table t(headers);
 
+    auto params = model::distributed_preset();
+    params.comm.comm_startup = util::Time::us(args.get_double("startup"));
     for (int n : procs) {
-      // Measure once per processor count, simulate every policy.
+      // Measure, translate and compile once per processor count; the
+      // tuner re-simulates the compiled trace under every policy.
       auto prog = suite::make_by_name(args.get("bench"));
       rt::MeasureOptions mo;
       mo.n_threads = n;
-      const trace::Trace measured = rt::measure(*prog, mo);
+      const core::TranslatedTrace prepared =
+          core::prepare_trace(rt::measure(*prog, mo));
+      const core::PolicyChoice c =
+          core::choose_service_policy(*prepared.compiled, params, intervals);
 
-      std::vector<std::string> row{std::to_string(n)};
-      util::Time best_time = util::Time::max();
-      std::string best;
-      for (const auto& c : configs) {
-        auto params = model::distributed_preset();
-        params.comm.comm_startup = util::Time::us(args.get_double("startup"));
-        params.proc.policy = c.policy;
-        if (c.poll_us > 0) params.proc.poll_interval = util::Time::us(c.poll_us);
-        const util::Time pred =
-            core::Extrapolator(params).extrapolate_trace(measured)
-                .predicted_time;
-        row.push_back(pred.str());
-        if (pred < best_time) {
-          best_time = pred;
-          best = c.label;
-        }
+      std::vector<std::string> row{std::to_string(n),
+                                   c.no_interrupt_time.str(),
+                                   c.interrupt_time.str()};
+      for (const auto& [interval, time] : c.poll.tried)
+        row.push_back(time.str());
+      if (c.policy == model::ServicePolicy::Poll) {
+        // The tuner keeps the first of equal minima, as does this search.
+        std::size_t i = 0;
+        while (c.poll.tried[i].first != c.poll.best_interval) ++i;
+        row.push_back(poll_labels[i]);
+      } else {
+        row.push_back(c.policy == model::ServicePolicy::NoInterrupt
+                          ? "no-interrupt"
+                          : "interrupt");
       }
-      row.push_back(best);
       t.add_row(std::move(row));
     }
 
@@ -83,7 +79,7 @@ int main(int argc, char** argv) {
               << "  (CommStartupTime = " << args.get("startup") << "us)\n\n"
               << t.to_text()
               << "\nEach row reuses one 1-processor measurement for all "
-              << configs.size() << " policy simulations.\n";
+              << 2 + intervals.size() << " policy simulations.\n";
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;

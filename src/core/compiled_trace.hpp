@@ -117,8 +117,7 @@ struct CompiledThread {
 ///
 /// Built once per CompiledTrace (uniform_barriers only — the lockstep
 /// precondition the sampled path shares with the hybrid fast path) and
-/// shared read-only by every simulation; tolerance CLUSTERING of
-/// near-identical classes is per-simulation state (core/simulator.hpp).
+/// shared read-only by every simulation.
 struct EpochClassTable {
   std::vector<std::uint64_t> fingerprint;  ///< per epoch
   std::vector<std::int32_t> class_of;      ///< per epoch -> class index

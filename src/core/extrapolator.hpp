@@ -52,7 +52,7 @@ TranslatedTrace prepare_trace(const trace::Trace& measured);
 /// parameter set.  Pure — identical inputs give bitwise-identical
 /// Predictions, the property the sweep differential tests pin down.
 /// `opts` selects the simulation mode (core/simulator.hpp); both modes
-/// yield the same numbers unless `opts.epoch_tolerance` > 0.
+/// yield the same numbers.
 Prediction predict(const TranslatedTrace& prepared, const SimParams& params,
                    const SimOptions& opts = {});
 

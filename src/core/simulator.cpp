@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <deque>
 #include <map>
 #include <memory>
@@ -647,55 +646,6 @@ class Simulator {
     });
   }
 
-  /// Tolerance clustering test: can class `c` take its costs from class
-  /// `rep`'s exemplar?  Requires identical structure (same op kinds and
-  /// remote records — communication cost is then IDENTICAL, only compute
-  /// intervals differ) and per-thread interval distance within the
-  /// relative tolerance.  On success `slack_out` is the certified
-  /// per-epoch advance error:
-  ///
-  ///   per thread, |walk(c) − walk(rep)| = |Σ scale(aᵢ) − Σ scale(bᵢ)|
-  ///     <= ratio · Σ|aᵢ − bᵢ| + 1 ns per interval (one llround each;
-  ///        exact — no rounding term — when MipsRatio == 1), and
-  ///   the barrier release is max(arrivals) + constants: monotone and
-  ///   translation-invariant, hence 1-Lipschitz in the sup norm, so the
-  ///   epoch advance error is at most the worst per-thread walk error.
-  bool try_cluster(const EpochClassTable& tab, std::int32_t rep,
-                   std::int32_t c, double tol, Time& slack_out) const {
-    const CompiledTrace& ct = *compiled_;
-    const std::int64_t ea = tab.exemplar[static_cast<std::size_t>(rep)];
-    const std::int64_t eb = tab.exemplar[static_cast<std::size_t>(c)];
-    if (!epochs_same_shape(ct, ea, eb)) return false;
-    const double ratio = params_.proc.mips_ratio;
-    std::int64_t max_slack_ns = 0;
-    for (int t = 0; t < n_; ++t) {
-      const CompiledThread& th = ct.threads[static_cast<std::size_t>(t)];
-      const Segment& sa = th.segments[static_cast<std::size_t>(ea)];
-      const Segment& sb = th.segments[static_cast<std::size_t>(eb)];
-      const std::uint32_t n_ops = sa.op_end - sa.op_begin;
-      std::int64_t sum_abs = 0;
-      for (std::uint32_t i = 0; i <= n_ops; ++i) {
-        const std::int64_t d =
-            th.pre_delta[sa.op_begin + i].count_ns() -
-            th.pre_delta[sb.op_begin + i].count_ns();
-        sum_abs += d < 0 ? -d : d;
-      }
-      const auto bigger =
-          std::max(sa.presum.count_ns(), sb.presum.count_ns());
-      if (static_cast<double>(sum_abs) > tol * static_cast<double>(bigger))
-        return false;
-      const std::int64_t slack =
-          ratio == 1.0
-              ? sum_abs
-              : static_cast<std::int64_t>(
-                    std::ceil(ratio * static_cast<double>(sum_abs))) +
-                    (n_ops + 1);
-      max_slack_ns = std::max(max_slack_ns, slack);
-    }
-    slack_out = Time::ns(max_slack_ns);
-    return true;
-  }
-
   void run_analytic_sampled() {
     const EpochClassTable& tab = compiled_->epoch_classes;
     const auto n_classes = static_cast<std::int32_t>(tab.n_classes());
@@ -706,50 +656,19 @@ class Simulator {
     // singleton class, walked last (it closes the threads out).
     const std::int32_t final_class = tab.class_of.back();
 
-    // Tier 2: attach same-shape classes within the relative tolerance to
-    // an earlier representative.  Excluded under Poll (see
-    // SimOptions::epoch_tolerance) — poll-boundary counts jump, so the
-    // Lipschitz bound above would not hold.
-    const bool polling = params_.proc.policy == model::ServicePolicy::Poll;
-    const double tol = polling ? 0.0 : opts_.epoch_tolerance;
-    std::vector<std::int32_t> rep_of(static_cast<std::size_t>(n_classes));
-    std::vector<Time> slack_of(static_cast<std::size_t>(n_classes));
-    std::vector<std::int32_t> reps;
-    reps.reserve(static_cast<std::size_t>(n_classes));
-    for (std::int32_t c = 0; c < n_classes; ++c) {
-      rep_of[static_cast<std::size_t>(c)] = c;
-      if (tol > 0 && c != final_class) {
-        for (const std::int32_t r : reps) {
-          if (r == final_class) continue;
-          Time slack;
-          if (try_cluster(tab, r, c, tol, slack)) {
-            rep_of[static_cast<std::size_t>(c)] = r;
-            slack_of[static_cast<std::size_t>(c)] = slack;
-            break;
-          }
-        }
-      }
-      if (rep_of[static_cast<std::size_t>(c)] == c) reps.push_back(c);
-    }
-    samp_.clusters = static_cast<std::int64_t>(reps.size());
-
-    std::vector<std::int64_t> mult(static_cast<std::size_t>(n_classes), 0);
-    for (std::int32_t c = 0; c < n_classes; ++c)
-      mult[static_cast<std::size_t>(rep_of[static_cast<std::size_t>(c)])] +=
-          tab.count[static_cast<std::size_t>(c)];
-
-    // One exemplar walk per cluster, from time zero (walks are
+    // One exemplar walk per class, from time zero (walks are
     // translation-invariant, so position never matters).  `base`
     // accumulates Σ count × advance over the barrier epochs — the uniform
     // instant at which the final epoch starts.
     std::vector<Time> at(static_cast<std::size_t>(n_));
     std::vector<Time> arrival(static_cast<std::size_t>(n_));
     Time base;
-    for (const std::int32_t r : reps) {
-      if (r == final_class) continue;
+    for (std::int32_t c = 0; c < n_classes; ++c) {
+      if (c == final_class) continue;
       const auto e = static_cast<std::size_t>(
-          tab.exemplar[static_cast<std::size_t>(r)]);
-      const std::int64_t m = mult[static_cast<std::size_t>(r)];
+          tab.exemplar[static_cast<std::size_t>(c)]);
+      const std::int64_t m = tab.count[static_cast<std::size_t>(c)];
+      if (m == 1) ++samp_.epochs_replayed;
       Time max_arrival;
       for (int t = 0; t < n_; ++t) {
         ThreadCtx& T = thr(t);
@@ -795,15 +714,7 @@ class Simulator {
         T.stats.finish = base + w;
       }
       ++samp_.epochs_simulated;
-    }
-
-    for (std::int32_t c = 0; c < n_classes; ++c) {
-      const auto ci = static_cast<std::size_t>(c);
-      if (rep_of[ci] != c)
-        samp_.epochs_approximated += tab.count[ci];
-      else if (tab.count[ci] == 1)
-        ++samp_.epochs_replayed;
-      samp_.error_bound += times(slack_of[ci], tab.count[ci]);
+      ++samp_.epochs_replayed;
     }
   }
 

@@ -222,12 +222,8 @@ std::uint64_t epoch_fingerprint(const CompiledTrace& ct, std::int64_t epoch) {
   return f.h;
 }
 
-namespace {
-
-/// Shared walk of epochs_identical / epochs_same_shape: op kinds, remote
-/// records, terminator — and optionally the compute intervals.
-bool epochs_equal_impl(const CompiledTrace& ct, std::int64_t a,
-                       std::int64_t b, bool compare_costs) {
+bool epochs_identical(const CompiledTrace& ct, std::int64_t a,
+                      std::int64_t b) {
   if (a == b) return true;
   for (std::size_t t = 0; t < ct.threads.size(); ++t) {
     const CompiledThread& th = ct.threads[t];
@@ -239,8 +235,7 @@ bool epochs_equal_impl(const CompiledTrace& ct, std::int64_t a,
       return false;
     for (std::uint32_t i = 0; i <= n_ops_a; ++i) {
       if (th.ops[sa.op_begin + i] != th.ops[sb.op_begin + i]) return false;
-      if (compare_costs &&
-          th.pre_delta[sa.op_begin + i] != th.pre_delta[sb.op_begin + i])
+      if (th.pre_delta[sa.op_begin + i] != th.pre_delta[sb.op_begin + i])
         return false;
     }
     for (std::uint32_t r = 0; r < sa.remote_end - sa.remote_begin; ++r) {
@@ -252,18 +247,6 @@ bool epochs_equal_impl(const CompiledTrace& ct, std::int64_t a,
     }
   }
   return true;
-}
-
-}  // namespace
-
-bool epochs_identical(const CompiledTrace& ct, std::int64_t a,
-                      std::int64_t b) {
-  return epochs_equal_impl(ct, a, b, /*compare_costs=*/true);
-}
-
-bool epochs_same_shape(const CompiledTrace& ct, std::int64_t a,
-                       std::int64_t b) {
-  return epochs_equal_impl(ct, a, b, /*compare_costs=*/false);
 }
 
 EpochClassTable build_epoch_classes(const CompiledTrace& ct) {

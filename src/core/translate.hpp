@@ -76,14 +76,6 @@ std::uint64_t epoch_fingerprint(const CompiledTrace& ct, std::int64_t epoch);
 /// EVERY parameter set.
 bool epochs_identical(const CompiledTrace& ct, std::int64_t a, std::int64_t b);
 
-/// Structure-only equality: op kinds and remote records match but compute
-/// intervals may differ.  Two same-shape epochs have identical
-/// communication cost and differ only through their compute intervals —
-/// the precondition for tolerance clustering, whose certified error bound
-/// (core/simulator.hpp) covers exactly that remaining difference.
-bool epochs_same_shape(const CompiledTrace& ct, std::int64_t a,
-                       std::int64_t b);
-
 /// Group all epochs into classes of bit-identical content (fingerprint
 /// match + epochs_identical verification).  Requires uniform_barriers;
 /// class indices are in first-occurrence order, so exemplar[] is strictly

@@ -14,13 +14,6 @@ const std::vector<Time>& default_poll_intervals() {
   return intervals;
 }
 
-PollTuneResult tune_poll_interval(const std::vector<trace::Trace>& translated,
-                                  SimParams params,
-                                  const std::vector<Time>& candidates) {
-  return tune_poll_interval(CompiledTrace::compile(translated),
-                            std::move(params), candidates);
-}
-
 PollTuneResult tune_poll_interval(const CompiledTrace& compiled,
                                   SimParams params,
                                   const std::vector<Time>& candidates) {
@@ -42,13 +35,6 @@ PollTuneResult tune_poll_interval(const CompiledTrace& compiled,
 }
 
 PolicyChoice choose_service_policy(
-    const std::vector<trace::Trace>& translated, SimParams params,
-    const std::vector<Time>& poll_candidates) {
-  return choose_service_policy(CompiledTrace::compile(translated),
-                               std::move(params), poll_candidates);
-}
-
-PolicyChoice choose_service_policy(
     const CompiledTrace& compiled, SimParams params,
     const std::vector<Time>& poll_candidates) {
   PolicyChoice c;
@@ -59,9 +45,7 @@ PolicyChoice choose_service_policy(
   params.proc.policy = model::ServicePolicy::Interrupt;
   c.interrupt_time = simulate_compiled(compiled, params).makespan;
 
-  const PollTuneResult poll =
-      tune_poll_interval(compiled, params, poll_candidates);
-  c.poll_time = poll.best_time;
+  c.poll = tune_poll_interval(compiled, params, poll_candidates);
 
   c.policy = model::ServicePolicy::NoInterrupt;
   c.predicted = c.no_interrupt_time;
@@ -69,11 +53,10 @@ PolicyChoice choose_service_policy(
     c.policy = model::ServicePolicy::Interrupt;
     c.predicted = c.interrupt_time;
   }
-  if (poll.best_time < c.predicted) {
+  if (c.poll.best_time < c.predicted) {
     c.policy = model::ServicePolicy::Poll;
-    c.predicted = poll.best_time;
+    c.predicted = c.poll.best_time;
   }
-  c.poll_interval = poll.best_interval;
   return c;
 }
 

@@ -5,9 +5,12 @@
 // certainly system and likely problem specific.  All of these questions
 // can be explored with extrapolation."
 //
-// These helpers run the exploration: given one set of translated traces,
-// they re-simulate under candidate configurations and report the winner.
-// Measurements are never repeated — only simulations.
+// These helpers run the exploration: given one compiled trace set (a
+// TranslatedTrace's `compiled`), they re-simulate it under candidate
+// configurations and report the winner.  Measurement, translation and
+// compilation are never repeated — only simulations, each one bitwise
+// what core::predict gives for the same parameters.  The command-line
+// front end is examples/policy_explorer.cpp.
 #pragma once
 
 #include <vector>
@@ -26,30 +29,26 @@ struct PollTuneResult {
 /// Default candidate intervals: 10 us .. 5 ms, roughly logarithmic.
 const std::vector<Time>& default_poll_intervals();
 
-/// Find the polling interval minimizing predicted execution time.
-/// `params.proc.policy` is forced to Poll for each trial.  The trace-set
-/// overload compiles once and re-simulates the compiled form per candidate.
-PollTuneResult tune_poll_interval(
-    const std::vector<trace::Trace>& translated, SimParams params,
-    const std::vector<Time>& candidates = default_poll_intervals());
+/// Find the polling interval minimizing predicted execution time (the
+/// first candidate wins a tie).  `params.proc.policy` is forced to Poll
+/// for each trial.
 PollTuneResult tune_poll_interval(
     const CompiledTrace& compiled, SimParams params,
     const std::vector<Time>& candidates = default_poll_intervals());
 
 struct PolicyChoice {
   model::ServicePolicy policy;
-  Time poll_interval;  ///< meaningful only when policy == Poll
   Time predicted;
-  /// Predicted time for every policy considered:
-  /// [NoInterrupt, Interrupt, best Poll].
-  Time no_interrupt_time, interrupt_time, poll_time;
+  /// Predicted time under each non-polling policy.
+  Time no_interrupt_time, interrupt_time;
+  /// Every poll interval tried; poll.best_interval is meaningful as the
+  /// chosen configuration only when policy == Poll.
+  PollTuneResult poll;
 };
 
 /// Compare all three service policies (polling at its tuned interval) and
-/// return the best configuration for this program/environment.
-PolicyChoice choose_service_policy(
-    const std::vector<trace::Trace>& translated, SimParams params,
-    const std::vector<Time>& poll_candidates = default_poll_intervals());
+/// return the best configuration for this program/environment.  Ties go
+/// to the earlier of NoInterrupt, Interrupt, Poll.
 PolicyChoice choose_service_policy(
     const CompiledTrace& compiled, SimParams params,
     const std::vector<Time>& poll_candidates = default_poll_intervals());

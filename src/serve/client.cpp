@@ -184,22 +184,17 @@ std::vector<QueryResult> Client::query_batch(
 
 Client::Ticket Client::submit_batch(std::uint64_t session,
                                     const std::vector<Query>& queries) {
-  // All-default batches keep the flagless (pre-mode) wire form, so a
-  // client that never asks for an explicit mode or a sampling tolerance
-  // stays compatible with servers that predate the flags.  Each flag is
-  // raised independently, only when some query actually needs it.
+  // All-Auto batches keep the flagless (pre-mode) wire form, so a client
+  // that never asks for an explicit mode stays compatible with servers
+  // that predate the flag.  kBatchHasSampling is never raised.
   const bool with_modes =
       std::any_of(queries.begin(), queries.end(),
                   [](const Query& q) { return q.mode != QueryMode::Auto; });
-  const bool with_sampling =
-      std::any_of(queries.begin(), queries.end(),
-                  [](const Query& q) { return q.epoch_tolerance > 0.0; });
   WireWriter w;
   w.u64(session);
   w.u32(static_cast<std::uint32_t>(queries.size()) |
-        (with_modes ? kBatchHasModes : 0u) |
-        (with_sampling ? kBatchHasSampling : 0u));
-  for (const Query& q : queries) encode_query(w, q, with_modes, with_sampling);
+        (with_modes ? kBatchHasModes : 0u));
+  for (const Query& q : queries) encode_query(w, q, with_modes);
   return send_request(MsgType::QueryBatch, w.data());
 }
 

@@ -129,13 +129,11 @@ const char* to_string(QueryMode m) {
   return "?";
 }
 
-void encode_query(WireWriter& w, const Query& q, bool with_mode,
-                  bool with_sampling) {
+void encode_query(WireWriter& w, const Query& q, bool with_mode) {
   w.i32(q.n_procs);
   w.f64(q.mips_ratio);
   w.str(q.params_text);
   if (with_mode) w.u8(static_cast<std::uint8_t>(q.mode));
-  if (with_sampling) w.f64(q.epoch_tolerance);
 }
 
 Query decode_query(WireReader& r, bool with_mode, bool with_sampling) {
@@ -150,10 +148,11 @@ Query decode_query(WireReader& r, bool with_mode, bool with_sampling) {
     q.mode = m == 2 ? QueryMode::Auto : static_cast<QueryMode>(m);
   }
   if (with_sampling) {
-    q.epoch_tolerance = r.f64();
-    // Reject garbage here, where the reply can say which query is bad —
-    // not deep in the simulator.  (NaN fails both comparisons.)
-    if (!(q.epoch_tolerance >= 0.0) || q.epoch_tolerance > 1.0)
+    // The retired epoch tolerance: old clients still send it.  Garbage
+    // is still an error (NaN fails both comparisons); a valid value is
+    // discarded, since every answer is exact.
+    const double tolerance = r.f64();
+    if (!(tolerance >= 0.0) || tolerance > 1.0)
       throw ProtocolError("epoch tolerance must be in [0, 1]");
   }
   return q;
@@ -178,7 +177,7 @@ void encode_query_result(WireWriter& w, const QueryResult& res,
     w.i64(res.sampling_epochs);
     w.i64(res.sampling_classes);
     w.i64(res.sampling_simulated);
-    w.i64(res.sampling_error_bound_ns);
+    w.i64(0);  // retired slot: certified error bound (answers are exact)
   }
 }
 
@@ -201,7 +200,7 @@ QueryResult decode_query_result(WireReader& r, bool with_sampling) {
     res.sampling_epochs = r.i64();
     res.sampling_classes = r.i64();
     res.sampling_simulated = r.i64();
-    res.sampling_error_bound_ns = r.i64();
+    (void)r.i64();  // retired slot (see encode_query_result)
   }
   return res;
 }

@@ -55,15 +55,15 @@ constexpr std::uint8_t kReplyBit = 0x80;
 constexpr std::uint32_t kBatchHasModes = 1u << 31;
 
 /// QUERY_BATCH versioning, second flag: set on the query-count u32 when
-/// every encoded query carries a trailing epoch-tolerance f64 (the
-/// representative-epoch sampling knob, core::SimOptions::epoch_tolerance).
+/// every encoded query carries a trailing epoch-tolerance f64.  The
+/// tolerance named a retired inexact sampling tier; current clients never
+/// set this flag.  Servers still accept it from old clients: the f64 is
+/// range-checked to [0, 1] and then ignored, since every answer is exact.
 /// Unambiguous for the same reason as kBatchHasModes — the 2^20 query cap
 /// leaves bits 20..31 free.  The server ECHOES this flag on the reply's
 /// result-count u32 and appends per-result sampling stats when set, so
 /// clients decode replies statelessly.  Composes independently with
-/// kBatchHasModes (either, both, or neither may be set).  Old servers
-/// reject a flagged count as oversized with a clear error reply rather
-/// than misparsing the bodies.
+/// kBatchHasModes (either, both, or neither may be set).
 constexpr std::uint32_t kBatchHasSampling = 1u << 30;
 
 enum class MsgType : std::uint8_t {
@@ -105,12 +105,6 @@ struct Query {
   std::string params_text;
   /// Only on the wire when the batch count carries kBatchHasModes.
   QueryMode mode = QueryMode::Auto;
-  /// Representative-epoch sampling tolerance (core::SimOptions
-  /// ::epoch_tolerance): 0 = exact dedup only (still bitwise-equal to full
-  /// simulation), > 0 allows clustering near-identical epochs under a
-  /// certified error bound.  Only on the wire when the batch count carries
-  /// kBatchHasSampling; only consulted on the SimMode::Auto path.
-  double epoch_tolerance = 0.0;
 
   bool operator==(const Query&) const = default;
 };
@@ -131,11 +125,11 @@ struct QueryResult {
   std::int64_t barrier_wait_ns = 0;
   // Representative-epoch sampling attribution (core::SamplingStats).  On
   // the wire only when the reply count echoes kBatchHasSampling; zero when
-  // the query's simulation did not take the sampled path.
+  // the query's simulation did not take the sampled path.  A fourth
+  // wire slot after these, once a certified error bound, is always 0.
   std::int64_t sampling_epochs = 0;      ///< epochs in the replayed trace
   std::int64_t sampling_classes = 0;     ///< distinct epoch classes
   std::int64_t sampling_simulated = 0;   ///< exemplar epochs actually walked
-  std::int64_t sampling_error_bound_ns = 0;  ///< certified |err| on predicted_ns
 
   bool operator==(const QueryResult&) const = default;
 };
@@ -297,17 +291,17 @@ std::optional<std::pair<Frame, std::size_t>> try_parse_frame(
 
 /// `with_mode` selects the kBatchHasModes wire form (a trailing mode
 /// byte); without it the mode is neither written nor read and defaults to
-/// QueryMode::Auto on decode.  `with_sampling` likewise selects the
-/// kBatchHasSampling form (a trailing epoch-tolerance f64 after the mode
-/// byte, when both are present); the two flags compose independently.
-void encode_query(WireWriter& w, const Query& q, bool with_mode = false,
-                  bool with_sampling = false);
+/// QueryMode::Auto on decode.  `with_sampling` makes decode_query read
+/// the kBatchHasSampling form's trailing epoch-tolerance f64 (after the
+/// mode byte, when both are present), range-check it and discard it;
+/// encode_query never writes it.
+void encode_query(WireWriter& w, const Query& q, bool with_mode = false);
 Query decode_query(WireReader& r, bool with_mode = false,
                    bool with_sampling = false);
 
 /// `with_sampling` mirrors the kBatchHasSampling reply form: ok results
-/// gain four trailing sampling-attribution i64s.  Error results are
-/// unchanged in either form.
+/// gain four trailing i64s, the three sampling-attribution counters and a
+/// slot written as 0.  Error results are unchanged in either form.
 void encode_query_result(WireWriter& w, const QueryResult& res,
                          bool with_sampling = false);
 QueryResult decode_query_result(WireReader& r, bool with_sampling = false);

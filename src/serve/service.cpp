@@ -172,10 +172,6 @@ QueryResult Service::run_query_on(Source& src, const Query& q) {
     // also unlocks the simulator's pre-summed segment shortcut.
     core::SimOptions sopts;
     sopts.emit_trace = false;
-    // The sampling knob rides along verbatim; it only matters on the Auto
-    // path, where 0 still means exact epoch dedup.  (The wire decoder has
-    // already range-checked it to [0, 1].)
-    sopts.epoch_tolerance = q.epoch_tolerance;
     sopts.mode = q.mode == QueryMode::EventDriven ? core::SimMode::EventDriven
                                                   : core::SimMode::Auto;
     const double cpu0 = util::thread_cpu_seconds();
@@ -196,7 +192,6 @@ QueryResult Service::run_query_on(Source& src, const Query& q) {
       res.sampling_epochs = sp.epochs;
       res.sampling_classes = sp.classes;
       res.sampling_simulated = sp.epochs_simulated;
-      res.sampling_error_bound_ns = sp.error_bound.count_ns();
       queries_sampled_.fetch_add(1);
       sampling_epochs_total_.fetch_add(
           static_cast<std::uint64_t>(sp.epochs));
@@ -394,9 +389,9 @@ void Service::dispatch_batch(Frame frame, Completion done) {
   const std::uint64_t session = r.u64();
   const std::uint32_t raw_count = r.u32();
   // kBatchHasModes flags the versioned wire form (per-query mode byte);
-  // kBatchHasSampling adds a per-query epoch-tolerance f64 and asks for
-  // sampling attribution on the reply.  Flagless batches decode exactly
-  // as before, with every mode Auto and tolerance 0.
+  // kBatchHasSampling adds a per-query epoch-tolerance f64 (checked, then
+  // ignored) and asks for sampling attribution on the reply.  Flagless
+  // batches decode exactly as before, with every mode Auto.
   const bool has_modes = (raw_count & kBatchHasModes) != 0;
   const bool has_sampling = (raw_count & kBatchHasSampling) != 0;
   const std::uint32_t count =

@@ -2,17 +2,13 @@
 //
 // The sampled Auto path simulates ONE exemplar per epoch class and
 // composes the full-trace prediction as sum(class_count x exemplar_time).
-// The contract under test has two tiers: identical-epoch dedup
-// (epoch_tolerance == 0) must be BITWISE equal to full simulation on every
-// input — the golden traces, the suite codes, and sweeps at any worker
-// count — and tolerance clustering must stay within its certified error
-// bound (SamplingStats::error_bound) while splitting classes exactly at
-// the tolerance boundary.  The fingerprint itself must be collision-robust:
+// The contract under test: identical-epoch dedup must be BITWISE equal to
+// full simulation on every input — the golden traces, the suite codes,
+// and sweeps at any worker count — and only bit-identical epochs may
+// share a class.  The fingerprint itself must be collision-robust:
 // permuting work across threads must never merge epochs.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string>
@@ -97,11 +93,10 @@ void expect_bitwise_equal(const SimResult& a, const SimResult& b,
 }
 
 SimResult run(const CompiledTrace& ct, const model::SimParams& params,
-              SimMode mode, double tolerance = 0.0) {
+              SimMode mode) {
   SimOptions opts;
   opts.mode = mode;
   opts.emit_trace = false;
-  opts.epoch_tolerance = tolerance;
   return core::simulate_compiled(ct, params, opts);
 }
 
@@ -210,7 +205,6 @@ TEST(EpochClasses, PermutedThreadEpochsDoNotCollide) {
   // shape; the interesting comparisons are all interior.
   EXPECT_NE(core::epoch_fingerprint(ct, 1), core::epoch_fingerprint(ct, 2));
   EXPECT_FALSE(core::epochs_identical(ct, 1, 2));
-  EXPECT_TRUE(core::epochs_same_shape(ct, 1, 2));
   EXPECT_TRUE(core::epochs_identical(ct, 1, 3));
 
   const EpochClassTable& tab = ct.epoch_classes;
@@ -218,11 +212,10 @@ TEST(EpochClasses, PermutedThreadEpochsDoNotCollide) {
   EXPECT_EQ(tab.class_of[1], tab.class_of[3]);
 }
 
-// Tolerance clustering must split exactly at the relative-cost boundary:
-// epochs differing by 5 ns on a 1005 ns segment (0.4975%) stay separate
-// classes below that ratio and cluster above it — and the clustered
-// prediction stays within the certified bound.
-TEST(EpochClasses, ToleranceBoundarySplitsClasses) {
+// Dedup merges only bit-identical epochs: epochs that differ by 5 ns on
+// one thread stay in separate classes, and the sampled prediction built
+// from those classes is bitwise-equal to EventDriven.
+TEST(EpochClasses, NearIdenticalEpochsStaySeparateClasses) {
   const Trace t = epoch_trace({{500, 500},    // warmup epoch (carries Begin)
                                {1000, 1000},
                                {1005, 1000},  // +5 ns on thread 0
@@ -233,28 +226,18 @@ TEST(EpochClasses, ToleranceBoundarySplitsClasses) {
   ASSERT_TRUE(tab.built());
   // warmup + {e1,e3} + {e2,e4} + final = 4 classes.
   EXPECT_EQ(tab.n_classes(), 4);
+  EXPECT_NE(tab.class_of[1], tab.class_of[2]);
+  EXPECT_EQ(tab.class_of[1], tab.class_of[3]);
+  EXPECT_EQ(tab.class_of[2], tab.class_of[4]);
 
   const model::SimParams params = single_cluster(model::shared_memory_preset());
   const SimResult exact = run(ct, params, SimMode::EventDriven);
-
-  // Below the boundary: 0.004 * 1005 = 4.02 < 5, no clustering.
-  const SimResult below = run(ct, params, SimMode::Auto, 0.004);
-  ASSERT_TRUE(below.sampling.active);
-  EXPECT_EQ(below.sampling.clusters, below.sampling.classes);
-  EXPECT_EQ(below.sampling.epochs_approximated, 0);
-  EXPECT_EQ(below.sampling.error_bound.count_ns(), 0);
-  expect_bitwise_equal(below, exact, "below-tolerance run is still exact");
-
-  // Above the boundary: 0.006 * 1005 = 6.03 >= 5, the +5 ns class folds
-  // onto the first representative.
-  const SimResult above = run(ct, params, SimMode::Auto, 0.006);
-  ASSERT_TRUE(above.sampling.active);
-  EXPECT_EQ(above.sampling.clusters, above.sampling.classes - 1);
-  EXPECT_EQ(above.sampling.epochs_approximated, 2);
-  EXPECT_GT(above.sampling.error_bound.count_ns(), 0);
-  const std::int64_t err =
-      std::llabs((above.makespan - exact.makespan).count_ns());
-  EXPECT_LE(err, above.sampling.error_bound.count_ns());
+  const SimResult au = run(ct, params, SimMode::Auto);
+  ASSERT_TRUE(au.sampling.active);
+  EXPECT_EQ(au.sampling.classes, 4);
+  EXPECT_EQ(au.sampling.epochs_simulated, 4);
+  EXPECT_EQ(au.sampling.epochs_replayed, 2);  // warmup and final
+  expect_bitwise_equal(au, exact, "5 ns apart: auto vs event");
 }
 
 // Tier-1 acceptance bar: on every suite workload the Auto sampled path is
@@ -283,7 +266,6 @@ TEST(EpochClasses, SuiteWorkloadsBitwiseAcrossModes) {
         // cyclic) legitimately walk every one.
         EXPECT_LE(au.sampling.epochs_simulated, au.sampling.epochs)
             << bench << "/" << name;
-        EXPECT_EQ(au.sampling.error_bound.count_ns(), 0);
       }
     }
   }
@@ -304,21 +286,17 @@ TEST(EpochClasses, LongGoldenSampledPathEngagesAndStaysExact) {
   expect_bitwise_equal(au, ev, "long golden auto vs event");
 }
 
-// Under the Poll service policy the per-epoch cost is not Lipschitz in the
-// compute intervals, so the tolerance knob must be ignored: the run stays
-// tier-1 exact with a zero bound no matter how loose the tolerance.
-TEST(EpochClasses, PollPolicyIgnoresTolerance) {
+// Poll policy: Auto bitwise-equal to EventDriven on the grid golden.
+// Poll chunking makes an epoch's cost jump at every poll boundary, so
+// only exact dedup can be sound here.
+TEST(EpochClasses, PollPolicyAutoBitwiseEqualToEventDriven) {
   const CompiledTrace ct =
       CompiledTrace::compile(core::translate(load_golden(kGridGoldenPath)));
   model::SimParams params = single_cluster(model::shared_memory_preset());
   params.proc.policy = model::ServicePolicy::Poll;
   const SimResult ev = run(ct, params, SimMode::EventDriven);
-  const SimResult au = run(ct, params, SimMode::Auto, 0.5);
-  if (au.sampling.active) {
-    EXPECT_EQ(au.sampling.epochs_approximated, 0);
-    EXPECT_EQ(au.sampling.error_bound.count_ns(), 0);
-  }
-  expect_bitwise_equal(au, ev, "poll policy, tolerance 0.5");
+  const SimResult au = run(ct, params, SimMode::Auto);
+  expect_bitwise_equal(au, ev, "poll policy, auto vs event");
 }
 
 // Sweeps must stay deterministic and bitwise-identical across worker

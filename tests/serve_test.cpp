@@ -15,7 +15,9 @@
 
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -68,6 +70,47 @@ PatternQuery distributed_pattern_query() {
   q.eval_at = {8.0, 16.0};
   return q;
 }
+
+/// A raw Unix-socket connection for hand-encoded frames, as an old or
+/// foreign client would send them.
+class RawConnection {
+ public:
+  explicit RawConnection(const std::string& path) {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    fd_ = socket(AF_UNIX, SOCK_STREAM, 0);
+    EXPECT_GE(fd_, 0);
+    EXPECT_EQ(
+        connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  }
+  ~RawConnection() {
+    if (fd_ >= 0) close(fd_);
+  }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  /// Send one frame and read the next reply frame into `reply`.
+  void exchange(const std::string& frame_bytes, Frame& reply) {
+    ASSERT_GT(send(fd_, frame_bytes.data(), frame_bytes.size(), MSG_NOSIGNAL),
+              0);
+    char buf[1 << 12];
+    for (;;) {
+      if (auto parsed = try_parse_frame(rbuf_)) {
+        rbuf_.erase(0, parsed->second);
+        reply = std::move(parsed->first);
+        return;
+      }
+      const ssize_t n = read(fd_, buf, sizeof buf);
+      ASSERT_GT(n, 0) << "server closed the connection";
+      rbuf_.append(buf, static_cast<std::size_t>(n));
+    }
+  }
+
+ private:
+  int fd_ = -1;
+  std::string rbuf_;
+};
 
 // --- protocol --------------------------------------------------------------
 
@@ -984,28 +1027,10 @@ TEST(ServeServer, OldWireFormsStillWorkOnAPatternAwareServer) {
   Server server(std::move(opt));
   server.start();
 
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, sock.c_str(), sizeof(addr.sun_path) - 1);
-  const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  RawConnection conn(sock);
   Frame reply;
   const auto exchange = [&](const std::string& frame_bytes) {
-    ASSERT_GT(send(fd, frame_bytes.data(), frame_bytes.size(), MSG_NOSIGNAL),
-              0);
-    std::string rbuf;
-    char buf[1 << 12];
-    for (;;) {
-      if (auto parsed = try_parse_frame(rbuf)) {
-        rbuf.erase(0, parsed->second);
-        reply = std::move(parsed->first);
-        return;
-      }
-      const ssize_t n = read(fd, buf, sizeof buf);
-      ASSERT_GT(n, 0) << "server closed the connection";
-      rbuf.append(buf, static_cast<std::size_t>(n));
-    }
+    conn.exchange(frame_bytes, reply);
   };
 
   // An old client's session open + flagless (pre-mode) batch.
@@ -1042,7 +1067,98 @@ TEST(ServeServer, OldWireFormsStillWorkOnAPatternAwareServer) {
     EXPECT_EQ(r2.u8(), 0) << "connection poisoned by unknown type";
   }
 
-  close(fd);
+  server.stop();
+  server.join();
+}
+
+TEST(ServeServer, OldSamplingBatchesGetExactReplies) {
+  // kBatchHasSampling once carried an inexact epoch tolerance.  Current
+  // clients never raise it, but an old client's flagged batch must still
+  // be served: the tolerance is range-checked and ignored, the reply
+  // echoes the flag with the old layout, and the certified-bound slot is
+  // 0 because every answer is exact.
+  const std::string sock = unique_socket("oldsampling");
+  ServerOptions opt;
+  opt.unix_path = sock;
+  Server server(std::move(opt));
+  server.start();
+
+  RawConnection conn(sock);
+  Frame reply;
+  conn.exchange(
+      [] {
+        WireWriter w;
+        w.str("cyclic");
+        return encode_frame(MsgType::OpenBench, false, 1, w.data());
+      }(),
+      reply);
+  WireReader ro(reply.body);
+  ASSERT_EQ(ro.u8(), 0) << "OpenBench rejected";
+  const std::uint64_t session = ro.u64();
+
+  Query shared;
+  shared.n_procs = 4;
+  shared.params_text =
+      "preset = shared\ncluster.procs_per_cluster = 1048576";
+  const std::vector<Query> queries{distributed_query(4), shared};
+  const auto batch = [&](std::uint64_t id, std::optional<double> tolerance) {
+    WireWriter w;
+    w.u64(session);
+    w.u32(static_cast<std::uint32_t>(queries.size()) |
+          (tolerance ? kBatchHasSampling : 0u));
+    for (const Query& q : queries) {
+      encode_query(w, q);
+      if (tolerance) w.f64(*tolerance);
+    }
+    return encode_frame(MsgType::QueryBatch, false, id, w.data());
+  };
+
+  conn.exchange(batch(2, std::nullopt), reply);
+  WireReader rf(reply.body);
+  ASSERT_EQ(rf.u8(), 0) << "flagless batch rejected";
+  ASSERT_EQ(rf.u32(), queries.size());
+  std::vector<QueryResult> flagless;
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    flagless.push_back(decode_query_result(rf));
+  rf.expect_end();
+
+  conn.exchange(batch(3, 0.25), reply);
+  WireReader rs(reply.body);
+  ASSERT_EQ(rs.u8(), 0) << "sampling-flagged batch rejected";
+  ASSERT_EQ(rs.u32(), queries.size() | kBatchHasSampling)
+      << "the reply must echo kBatchHasSampling";
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    const QueryResult res = decode_query_result(rs);  // base fields
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res, flagless[i]);
+    const std::int64_t epochs = rs.i64();
+    const std::int64_t classes = rs.i64();
+    const std::int64_t simulated = rs.i64();
+    // Only the single-cluster shared-memory query is fully analytic, so
+    // only it takes the sampled path.
+    EXPECT_EQ(epochs > 0, i == 1);
+    EXPECT_LE(classes, epochs);
+    EXPECT_LE(simulated, epochs);
+    EXPECT_EQ(rs.i64(), 0) << "retired bound slot must be 0";
+  }
+  rs.expect_end();
+
+  // Out-of-range tolerances are error replies; the connection survives
+  // and serves the next valid batch.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), 1.5}) {
+    SCOPED_TRACE(bad);
+    conn.exchange(batch(4, bad), reply);
+    WireReader rb(reply.body);
+    EXPECT_NE(rb.u8(), 0) << "tolerance " << bad << " was accepted";
+    conn.exchange(batch(5, std::nullopt), reply);
+    WireReader rv(reply.body);
+    ASSERT_EQ(rv.u8(), 0) << "connection poisoned by a bad tolerance";
+    ASSERT_EQ(rv.u32(), queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i)
+      EXPECT_EQ(decode_query_result(rv), flagless[i]);
+  }
+
   server.stop();
   server.join();
 }
