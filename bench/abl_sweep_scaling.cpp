@@ -5,10 +5,9 @@
 //  1. Warm cache: once the per-thread-count traces are measured and
 //     translated, the simulations of a what-if grid are independent and
 //     fan out across the work-stealing pool with near-linear speedup.
-//  2. Cold cache: the pre-warm stage fans the (measure -> translate ->
-//     compile) jobs of all distinct thread counts across the same pool,
-//     so END-TO-END sweeps scale too — previously the measurements ran
-//     sequentially on the caller thread and flattened the curve.
+//  2. Cold cache: the (measure -> translate -> compile) jobs of all
+//     distinct thread counts fan across the same pool, each submitting
+//     its cells once its trace is ready, so END-TO-END sweeps scale too.
 //
 // Both sections time the SAME 60-point grid (6 machine parameter sets x
 // 10 processor counts; the cold end-to-end run takes ~0.4 s at 1 worker
@@ -157,10 +156,10 @@ int main() {
 
   // Cold cache: a fresh runner with a ProgramFactory, so every run pays
   // the full measure -> translate -> compile -> simulate pipeline.  The
-  // pre-warm stage fans the 10 distinct measurements over the pool.
+  // 10 distinct measurements fan over the pool ahead of the cells.
   // Stage columns: CPU-second sums for measure/translate/simulate (work
-  // done — inflation vs the 1-worker row is contention), then the wall
-  // clock of the pre-warm and simulate stages.
+  // done — inflation vs the 1-worker row is contention), then the sweep's
+  // wall split at the instant the last trace was prepared.
   const int e2e_reps = 2;  // measurements dominate; two reps bound the noise
   std::map<int, double> e2e_best_s;
   std::map<int, core::SweepStages> e2e_stages;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <exception>
-#include <unordered_set>
 #include <utility>
 
 #include "rt/runtime.hpp"
@@ -241,6 +241,12 @@ void SweepRunner::seed_trace(const trace::Trace& measured) {
 }
 
 SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
+  using Clock = std::chrono::steady_clock;
+  const auto secs = [](Clock::duration d) {
+    return std::chrono::duration<double>(d).count();
+  };
+  const auto sweep0 = Clock::now();
+
   SweepResult out;
   out.grid = grid;
   out.predictions.resize(grid.size());
@@ -250,64 +256,6 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
     XP_REQUIRE(p.n_threads >= 1, "sweep point needs n_threads >= 1");
     p.params.validate(p.n_threads);
   }
-
-  const std::uint64_t hits0 = cache_->hits();
-  const std::uint64_t misses0 = cache_->misses();
-  const double measure_cpu0 = cache_->measure_cpu_s();
-  const double translate_cpu0 = cache_->translate_cpu_s();
-
-  using Clock = std::chrono::steady_clock;
-  const auto secs = [](Clock::duration d) {
-    return std::chrono::duration<double>(d).count();
-  };
-
-  const int n_workers =
-      opt_.n_workers > 0 ? opt_.n_workers : util::ThreadPool::default_workers();
-  std::mutex err_mu;
-  std::exception_ptr first_error;
-  const auto keep_first_error = [&] {
-    std::lock_guard<std::mutex> lock(err_mu);
-    if (!first_error) first_error = std::current_exception();
-  };
-
-  util::ThreadPool pool(n_workers);
-
-  // Pre-warm: one (measure -> translate -> compile) job per distinct thread
-  // count, fanned across the pool before any cell simulates.  Submitted
-  // with n_threads as the LPT cost hint: measurement cost grows with n, so
-  // the pool starts the big ones earliest, minimizing the stage's makespan.
-  // Each Scheduler is confined to the OS thread that runs it, so
-  // concurrent measurements on pool workers are safe.
-  std::vector<std::size_t> first_cells;  ///< first cell of each thread count
-  std::unordered_set<int> seen;
-  for (std::size_t i = 0; i < grid.size(); ++i)
-    if (seen.insert(grid[i].n_threads).second) first_cells.push_back(i);
-
-  std::vector<std::shared_ptr<const TranslatedTrace>> prepared(grid.size());
-  const auto prewarm0 = Clock::now();
-  for (const std::size_t i : first_cells) {
-    pool.submit(
-        [&, i] {
-          try {
-            prepared[i] = cache_->get_or_prepare(grid[i].n_threads);
-          } catch (...) {
-            keep_first_error();
-          }
-        },
-        static_cast<double>(grid[i].n_threads));
-  }
-  pool.wait();
-  out.stages.prewarm_wall_s = secs(Clock::now() - prewarm0);
-  out.stages.measure_cpu_s = cache_->measure_cpu_s() - measure_cpu0;
-  out.stages.translate_cpu_s = cache_->translate_cpu_s() - translate_cpu0;
-  if (first_error) std::rethrow_exception(first_error);
-
-  // Resolve the remaining cells' traces.  The first cell of every thread
-  // count holds its pre-warm result; duplicates go through the cache (and
-  // count as hits), preserving the pre-pre-warm accounting: hits + misses
-  // over a sweep always equals the grid size.
-  for (std::size_t i = 0; i < grid.size(); ++i)
-    if (!prepared[i]) prepared[i] = cache_->get_or_prepare(grid[i].n_threads);
 
   std::vector<std::size_t> order = opt_.submit_order;
   if (order.empty()) {
@@ -324,36 +272,100 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
     }
   }
 
-  // Fan the simulations out on the same pool, biggest cells first (LPT on
-  // the cell's translated event count x thread count — simulation cost is
-  // linear in replayed events).  Each task writes only its own grid slot,
-  // so completion order is irrelevant to the result; the first exception is
-  // kept and rethrown once the batch has drained.
-  std::vector<double> sim_cpu(grid.size(), 0.0);
-  const auto sim_cost = [&](std::size_t i) {
-    double events = 0;
-    for (const trace::Trace& t : prepared[i]->translated)
-      events += static_cast<double>(t.size());
-    return events;
-  };
-  const auto sim0 = Clock::now();
+  // The cells of each distinct thread count, in submission order.
+  std::vector<std::vector<std::size_t>> cells_of;
+  std::unordered_map<int, std::size_t> group_of;
   for (std::size_t i : order) {
-    pool.submit(
-        [&, i] {
-          const double cpu0 = util::thread_cpu_seconds();
-          try {
-            SimOptions sopts;
-            sopts.emit_trace = opt_.emit_traces;
-            out.predictions[i] = predict(*prepared[i], grid[i].params, sopts);
-          } catch (...) {
-            keep_first_error();
-          }
-          sim_cpu[i] = util::thread_cpu_seconds() - cpu0;
-        },
-        sim_cost(i));
+    const auto [it, fresh] =
+        group_of.emplace(grid[i].n_threads, cells_of.size());
+    if (fresh) cells_of.emplace_back();
+    cells_of[it->second].push_back(i);
   }
-  pool.wait();
-  out.stages.simulate_wall_s = secs(Clock::now() - sim0);
+
+  const std::uint64_t hits0 = cache_->hits();
+  const std::uint64_t misses0 = cache_->misses();
+  const double measure_cpu0 = cache_->measure_cpu_s();
+  const double translate_cpu0 = cache_->translate_cpu_s();
+
+  std::mutex mu;  // guards first_error and last_prepared
+  std::exception_ptr first_error;
+  std::atomic<bool> failed{false};
+  auto last_prepared = sweep0;
+  const auto keep_first_error = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    if (!first_error) first_error = std::current_exception();
+    failed.store(true);
+  };
+
+  std::vector<std::shared_ptr<const TranslatedTrace>> prepared(grid.size());
+  std::vector<double> sim_cpu(grid.size(), 0.0);
+  const auto simulate = [&](std::size_t i) {
+    if (failed.load()) return;
+    const double cpu0 = util::thread_cpu_seconds();
+    try {
+      SimOptions sopts;
+      sopts.emit_trace = opt_.emit_traces;
+      out.predictions[i] = predict(*prepared[i], grid[i].params, sopts);
+    } catch (...) {
+      keep_first_error();
+    }
+    sim_cpu[i] = util::thread_cpu_seconds() - cpu0;
+  };
+
+  // One pipelined phase.  Each distinct thread count gets one job that
+  // measures, translates and compiles its trace (a cache miss, or a hit on
+  // a seeded key), resolves its cells through the cache, and submits them
+  // to the same pool.  Every task writes only its own grid slots, so
+  // completion order never reaches the result; the first exception is kept
+  // and rethrown once the pool has drained, and later tasks skip their
+  // work.  Both kinds of job are LPT-ordered by the pool's injector:
+  // preparation jobs by n (measurement cost grows with n), cells by their
+  // translated event count (simulation cost is linear in replayed events),
+  // ties in submission order.  A preparation job's hint is n * 2^64, above
+  // any cell's event count, so every pending measurement starts before any
+  // cell simulates: the longest measurement starts first and the cells of
+  // early traces fill the workers that would otherwise idle behind it.
+  // Each Scheduler is confined to the OS thread that runs it, so
+  // concurrent measurements on pool workers are safe.
+  {
+    const int n_workers = opt_.n_workers > 0
+                              ? opt_.n_workers
+                              : util::ThreadPool::default_workers();
+    util::ThreadPool pool(n_workers);
+    for (const std::vector<std::size_t>& cells : cells_of) {
+      const int n = grid[cells.front()].n_threads;
+      pool.submit(
+          [&, n] {
+            if (failed.load()) return;
+            try {
+              // hits + misses over a sweep equals its grid size: the first
+              // lookup is the key's miss (or a seeded hit), the rest hit.
+              for (std::size_t i : cells)
+                prepared[i] = cache_->get_or_prepare(n);
+            } catch (...) {
+              keep_first_error();
+              return;
+            }
+            {
+              std::lock_guard<std::mutex> lock(mu);
+              last_prepared = std::max(last_prepared, Clock::now());
+            }
+            double events = 0;
+            for (const trace::Trace& t : prepared[cells.front()]->translated)
+              events += static_cast<double>(t.size());
+            for (std::size_t i : cells)
+              pool.submit([&, i] { simulate(i); }, events);
+          },
+          std::ldexp(static_cast<double>(n), 64));
+    }
+    pool.wait();
+  }
+  // The sweep's wall splits at the instant the last trace was prepared.
+  const auto sweep1 = Clock::now();
+  out.stages.prewarm_wall_s = secs(last_prepared - sweep0);
+  out.stages.simulate_wall_s = secs(sweep1 - last_prepared);
+  out.stages.measure_cpu_s = cache_->measure_cpu_s() - measure_cpu0;
+  out.stages.translate_cpu_s = cache_->translate_cpu_s() - translate_cpu0;
   for (double s : sim_cpu) out.stages.simulate_cpu_s += s;
   if (first_error) std::rethrow_exception(first_error);
 

@@ -13,12 +13,15 @@
 // splits each miss's thread-CPU time into measure and translate counters.
 // SweepRunner, the xp::serve daemon and the bench/ harnesses all resolve
 // their traces through it.  SweepRunner measures each distinct thread
-// count ONCE and fans BOTH halves out over one util::ThreadPool: a
-// pre-warm stage runs the independent measure->translate->compile jobs of
-// all distinct thread counts concurrently (largest first, so the longest
-// measurement starts earliest), then the per-cell simulations fan out once
-// their traces are ready.  Schedulers are strictly per-OS-thread
-// (fiber/scheduler.hpp), so one measurement per worker is safe.
+// count ONCE and runs BOTH halves as one pipelined phase on one
+// util::ThreadPool: each distinct thread count gets one
+// measure->translate->compile job (largest n first, so the longest
+// measurement starts earliest), and that job submits its cells' simulations
+// to the same pool as soon as its trace is ready.  Pending measurements
+// run before any cell, and cells fill the workers that would otherwise
+// idle behind the last measurement.  Schedulers are strictly
+// per-OS-thread (fiber/scheduler.hpp), so one measurement per worker is
+// safe.
 //
 // Determinism guarantee: results land in SweepResult::predictions by GRID
 // INDEX, never by completion order, and the simulator itself is a
@@ -157,20 +160,21 @@ struct SweepPoint {
   std::string label;  ///< free-form series tag (machine name, hypothesis, …)
 };
 
-/// Per-stage timing of one sweep, for the scaling benchmarks.  Every stage
-/// reports BOTH views: *_cpu_s sums per-job thread-CPU seconds
-/// (CLOCK_THREAD_CPUTIME_ID — actual work done, immune to oversubscription
-/// and time-slicing), and *_wall_s is the elapsed wall-clock of the stage.
-/// Parallelism pays when wall shrinks while the CPU sum stays flat; a CPU
-/// sum that inflates with the worker count is real contention.  (The old
-/// per-job *wall*-time sums conflated the two: on an oversubscribed host
-/// they counted time-sliced waiting as "measurement getting slower".)
+/// Per-stage timing of one sweep, for the scaling benchmarks.  The
+/// *_cpu_s fields sum per-job thread-CPU seconds (CLOCK_THREAD_CPUTIME_ID —
+/// actual work done, immune to oversubscription and time-slicing).
+/// Measurement and simulation overlap in one pipelined phase, so the two
+/// *_wall_s fields split the sweep's wall clock at one instant, the moment
+/// the last trace is prepared: they sum to the sweep's wall, and
+/// CPU sum / (workers x wall) is the pool's busy fraction.  Parallelism
+/// pays when wall shrinks while the CPU sum stays flat; a CPU sum that
+/// inflates with the worker count is real contention.
 struct SweepStages {
   double measure_cpu_s = 0;    ///< summed program-measurement CPU seconds
   double translate_cpu_s = 0;  ///< summed translate + compile CPU seconds
   double simulate_cpu_s = 0;   ///< summed per-cell simulation CPU seconds
-  double prewarm_wall_s = 0;   ///< wall time of the measure/translate stage
-  double simulate_wall_s = 0;  ///< wall time of the simulation fan-out
+  double prewarm_wall_s = 0;   ///< sweep start until the last trace is ready
+  double simulate_wall_s = 0;  ///< the rest of the sweep's wall
 
   // Fast-path breakdown: how the grid's replay work split between the
   // event engine, the segment-collapse analytic path and the barrier-epoch
@@ -234,9 +238,9 @@ class SweepRunner {
   void seed_trace(const trace::Trace& measured);
 
   /// Run the whole grid.  Measurements for distinct thread counts happen
-  /// once each; simulations run on the pool; predictions return in grid
-  /// order.  The first task exception (if any) is rethrown after the batch
-  /// drains.
+  /// once each; each thread count's simulations run on the pool once its
+  /// trace is ready; predictions return in grid order.  The first task
+  /// exception (if any) is rethrown after the pool drains.
   SweepResult run(const std::vector<SweepPoint>& grid);
 
   /// Convenience: the full cross product procs x machines, row-major
@@ -245,6 +249,9 @@ class SweepRunner {
   SweepResult run_grid(const std::vector<int>& procs,
                        const std::vector<model::SimParams>& machines,
                        const std::vector<std::string>& labels = {});
+
+  /// The runner's translate cache (its entries persist across run() calls).
+  const TranslateCache& cache() const { return *cache_; }
 
  private:
   SweepOptions opt_;

@@ -32,9 +32,11 @@ struct SweepReport {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   /// Per-stage timing and simulate-mode attribution of the sweep
-  /// (core::SweepStages): event vs hybrid vs epoch-sampled cells, engine
-  /// events fired, segments collapsed, epoch classes walked.  Rendered as
-  /// the report footer so mode attribution lands in the standard table.
+  /// (core::SweepStages): CPU sums per stage and the sweep's wall split at
+  /// the last prepared trace; event vs hybrid vs memo vs epoch-sampled
+  /// cells, engine events fired, segments collapsed, epoch classes walked.
+  /// The attribution is rendered as the report footer so it lands in the
+  /// standard table.
   core::SweepStages stages;
 };
 

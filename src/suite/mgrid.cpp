@@ -150,6 +150,7 @@ class MgridProgram final : public rt::Program {
     const int n = rt.n_threads();
     cell_bytes_ = std::max(static_cast<std::int32_t>(depth_ * 8),
                            static_cast<std::int32_t>(sizeof(Cell)));
+    zeros_.assign(static_cast<std::size_t>(depth_), 0.0);
     levels_.clear();
     for (std::int64_t s = finest_; s >= 4; s /= 2) {
       Level lv;
@@ -216,33 +217,28 @@ class MgridProgram final : public rt::Program {
     std::unique_ptr<rt::Collection<Cell>> res;
   };
 
-  /// Neighbor cell or null outside the domain (zero boundary).
-  const Cell* edge(rt::Collection<Cell>& c, std::int64_t s, std::int64_t i,
-                   std::int64_t j) {
-    if (i < 0 || j < 0 || i >= s || j >= s) return nullptr;
-    return &c.get_rc(i, j, cell_bytes_);
-  }
-
-  static double zval(const Cell* c, int d) {
-    return c ? c->z[static_cast<std::size_t>(d)] : 0.0;
+  /// Neighbor cell's depth column, or the zero column outside the domain
+  /// (zero boundary).
+  const double* edge(rt::Collection<Cell>& c, std::int64_t s, std::int64_t i,
+                     std::int64_t j) {
+    if (i < 0 || j < 0 || i >= s || j >= s) return zeros_.data();
+    return c.get_rc(i, j, cell_bytes_).z.data();
   }
 
   void smooth(rt::Runtime& rt, Level& lv, int& parity) {
     rt::Collection<Cell>& src = *lv.u[parity];
     rt::Collection<Cell>& dst = *lv.u[1 - parity];
-    const auto mine = src.my_elements();
+    const auto& mine = src.my_elements();
     for (std::int64_t e : mine) {
       const std::int64_t i = e / lv.size, j = e % lv.size;
-      const Cell* up = edge(src, lv.size, i - 1, j);
-      const Cell* dn = edge(src, lv.size, i + 1, j);
-      const Cell* lf = edge(src, lv.size, i, j - 1);
-      const Cell* rg = edge(src, lv.size, i, j + 1);
-      const Cell& rhs = lv.rhs->get(e);
-      Cell& out = dst.local(e);
+      const double* up = edge(src, lv.size, i - 1, j);
+      const double* dn = edge(src, lv.size, i + 1, j);
+      const double* lf = edge(src, lv.size, i, j - 1);
+      const double* rg = edge(src, lv.size, i, j + 1);
+      const double* rhs = lv.rhs->get(e).z.data();
+      double* out = dst.local(e).z.data();
       for (int d = 0; d < depth_; ++d)
-        out.z[static_cast<std::size_t>(d)] =
-            0.25 * (zval(up, d) + zval(dn, d) + zval(lf, d) + zval(rg, d) +
-                    rhs.z[static_cast<std::size_t>(d)]);
+        out[d] = 0.25 * (up[d] + dn[d] + lf[d] + rg[d] + rhs[d]);
     }
     rt.compute_flops(5.0 * static_cast<double>(depth_) *
                      static_cast<double>(mine.size()));
@@ -261,20 +257,18 @@ class MgridProgram final : public rt::Program {
     // Residual on this level.
     {
       rt::Collection<Cell>& u = *lv.u[parity[l]];
-      const auto mine = u.my_elements();
+      const auto& mine = u.my_elements();
       for (std::int64_t e : mine) {
         const std::int64_t i = e / lv.size, j = e % lv.size;
-        const Cell* up = edge(u, lv.size, i - 1, j);
-        const Cell* dn = edge(u, lv.size, i + 1, j);
-        const Cell* lf = edge(u, lv.size, i, j - 1);
-        const Cell* rg = edge(u, lv.size, i, j + 1);
-        const Cell& me = u.get(e);
-        Cell& out = lv.res->local(e);
+        const double* up = edge(u, lv.size, i - 1, j);
+        const double* dn = edge(u, lv.size, i + 1, j);
+        const double* lf = edge(u, lv.size, i, j - 1);
+        const double* rg = edge(u, lv.size, i, j + 1);
+        const double* me = u.get(e).z.data();
+        const double* rhs = lv.rhs->get(e).z.data();
+        double* out = lv.res->local(e).z.data();
         for (int d = 0; d < depth_; ++d)
-          out.z[static_cast<std::size_t>(d)] =
-              lv.rhs->get(e).z[static_cast<std::size_t>(d)] -
-              (4.0 * me.z[static_cast<std::size_t>(d)] - zval(up, d) -
-               zval(dn, d) - zval(lf, d) - zval(rg, d));
+          out[d] = rhs[d] - (4.0 * me[d] - up[d] - dn[d] - lf[d] - rg[d]);
       }
       rt.compute_flops(8.0 * static_cast<double>(depth_) *
                        static_cast<double>(mine.size()));
@@ -284,19 +278,23 @@ class MgridProgram final : public rt::Program {
     // Restrict to the coarser level; reset its solution.
     Level& cl = levels_[l + 1];
     {
-      const auto mine = cl.rhs->my_elements();
+      const auto& mine = cl.rhs->my_elements();
       for (std::int64_t e : mine) {
         const std::int64_t i = e / cl.size, j = e % cl.size;
-        const Cell& c00 = lv.res->get_rc(2 * i, 2 * j, cell_bytes_);
-        const Cell& c10 = lv.res->get_rc(2 * i + 1, 2 * j, cell_bytes_);
-        const Cell& c01 = lv.res->get_rc(2 * i, 2 * j + 1, cell_bytes_);
-        const Cell& c11 = lv.res->get_rc(2 * i + 1, 2 * j + 1, cell_bytes_);
-        Cell& out = cl.rhs->local(e);
+        const double* c00 = lv.res->get_rc(2 * i, 2 * j, cell_bytes_).z.data();
+        const double* c10 =
+            lv.res->get_rc(2 * i + 1, 2 * j, cell_bytes_).z.data();
+        const double* c01 =
+            lv.res->get_rc(2 * i, 2 * j + 1, cell_bytes_).z.data();
+        const double* c11 =
+            lv.res->get_rc(2 * i + 1, 2 * j + 1, cell_bytes_).z.data();
+        double* out = cl.rhs->local(e).z.data();
+        double* u0 = cl.u[0]->local(e).z.data();
+        double* u1 = cl.u[1]->local(e).z.data();
         for (int d = 0; d < depth_; ++d) {
-          const auto di = static_cast<std::size_t>(d);
-          out.z[di] = 0.25 * (c00.z[di] + c10.z[di] + c01.z[di] + c11.z[di]);
-          cl.u[0]->local(e).z[di] = 0.0;
-          cl.u[1]->local(e).z[di] = 0.0;
+          out[d] = 0.25 * (c00[d] + c10[d] + c01[d] + c11[d]);
+          u0[d] = 0.0;
+          u1[d] = 0.0;
         }
       }
       rt.compute_flops(4.0 * static_cast<double>(depth_) *
@@ -311,14 +309,12 @@ class MgridProgram final : public rt::Program {
     {
       rt::Collection<Cell>& u = *lv.u[parity[l]];
       rt::Collection<Cell>& cu = *cl.u[parity[l + 1]];
-      const auto mine = u.my_elements();
+      const auto& mine = u.my_elements();
       for (std::int64_t e : mine) {
         const std::int64_t i = e / lv.size, j = e % lv.size;
-        const Cell& c = cu.get_rc(i / 2, j / 2, cell_bytes_);
-        Cell& out = u.local(e);
-        for (int d = 0; d < depth_; ++d)
-          out.z[static_cast<std::size_t>(d)] +=
-              c.z[static_cast<std::size_t>(d)];
+        const double* c = cu.get_rc(i / 2, j / 2, cell_bytes_).z.data();
+        double* out = u.local(e).z.data();
+        for (int d = 0; d < depth_; ++d) out[d] += c[d];
       }
       rt.compute_flops(static_cast<double>(depth_) *
                        static_cast<double>(mine.size()));
@@ -333,6 +329,7 @@ class MgridProgram final : public rt::Program {
   int cycles_;
   std::int32_t cell_bytes_ = 0;
   std::vector<Level> levels_;
+  std::vector<double> zeros_;  ///< the zero depth column beyond the domain
   int final_parity_ = 0;
 };
 

@@ -68,46 +68,16 @@ double Xoshiro256ss::normal() {
 
 // --- NAS LCG -----------------------------------------------------------
 
-namespace {
-// Constants from the NPB randlc specification.
-constexpr double kR23 = 0x1.0p-23, kR46 = 0x1.0p-46;
-constexpr double kT23 = 0x1.0p23, kT46 = 0x1.0p46;
-constexpr double kA = 1220703125.0;  // 5^13
-
-// One randlc step: x <- a*x mod 2^46, returns x * 2^-46.
-double randlc(double& x, double a) {
-  const double t1a = kR23 * a;
-  const double a1 = static_cast<double>(static_cast<long long>(t1a));
-  const double a2 = a - kT23 * a1;
-
-  double t1 = kR23 * x;
-  const double x1 = static_cast<double>(static_cast<long long>(t1));
-  const double x2 = x - kT23 * x1;
-
-  t1 = a1 * x2 + a2 * x1;
-  const double t2 = static_cast<double>(static_cast<long long>(kR23 * t1));
-  const double z = t1 - kT23 * t2;
-  const double t3 = kT23 * z + a2 * x2;
-  const double t4 = static_cast<double>(static_cast<long long>(kR46 * t3));
-  x = t3 - kT46 * t4;
-  return kR46 * x;
-}
-}  // namespace
-
-double NasLcg::next() { return randlc(x_, kA); }
-
 double NasLcg::skip_ahead(double seed, std::uint64_t n) {
-  // Compute a^n mod 2^46 by binary exponentiation, applying it to the seed.
-  double x = seed;
-  double a = kA;
+  // Multiply the seed by a^n mod 2^46, with a^n by binary exponentiation.
+  std::uint64_t x = static_cast<std::uint64_t>(seed);
+  std::uint64_t a = kA;
   while (n != 0) {
-    if (n & 1) randlc(x, a);
-    double t = a;
-    randlc(t, a);  // t <- a*a mod 2^46
-    a = t;
+    if (n & 1) x = (x * a) & kMask;
+    a = (a * a) & kMask;
     n >>= 1;
   }
-  return x;
+  return static_cast<double>(x);
 }
 
 }  // namespace xp::util

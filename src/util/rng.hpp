@@ -5,7 +5,7 @@
 //    machine simulator's deterministic jitter.  Seeded explicitly; never
 //    seeded from the wall clock, so every run of every experiment is
 //    reproducible.
-//  * NasLcg — the 48-bit linear congruential generator specified by the NAS
+//  * NasLcg — the 46-bit linear congruential generator specified by the NAS
 //    Parallel Benchmarks (x_{k+1} = a*x_k mod 2^46, a = 5^13), used by the
 //    Embar (NAS EP) and Sparse (NAS CG) codes so their random streams have
 //    the same leapfrog structure as the originals.
@@ -41,24 +41,35 @@ class Xoshiro256ss {
   std::uint64_t s_[4];
 };
 
-/// NAS Parallel Benchmarks pseudorandom generator (46-bit LCG).
+/// NAS Parallel Benchmarks pseudorandom generator (46-bit LCG).  The state
+/// is the 46-bit integer NAS's randlc keeps in a double; stepping it in
+/// integer arithmetic (the product mod 2^64, masked to 46 bits, is the
+/// product mod 2^46) yields randlc's stream bit for bit.
 class NasLcg {
  public:
   static constexpr double kDefaultSeed = 271828183.0;
 
-  explicit NasLcg(double seed = kDefaultSeed) : x_(seed) {}
+  /// `seed` is an integer in [0, 2^46), as in NAS.
+  explicit NasLcg(double seed = kDefaultSeed)
+      : x_(static_cast<std::uint64_t>(seed)) {}
 
   /// Next value in (0, 1).
-  double next();
+  double next() {
+    x_ = (x_ * kA) & kMask;
+    return static_cast<double>(x_) * 0x1p-46;
+  }
 
   /// Jump the seed forward by n steps from `seed` (leapfrogging for
   /// parallel streams), as NAS's randlc/ipow46 do.
   static double skip_ahead(double seed, std::uint64_t n);
 
-  double state() const { return x_; }
+  double state() const { return static_cast<double>(x_); }
 
  private:
-  double x_;
+  static constexpr std::uint64_t kA = 1220703125;  // 5^13
+  static constexpr std::uint64_t kMask = (std::uint64_t{1} << 46) - 1;
+
+  std::uint64_t x_;
 };
 
 /// Fisher–Yates shuffle driven by Xoshiro; deterministic given the RNG state.

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -169,9 +170,9 @@ TEST(SweepRunner, FactoryPathMatchesSeededPath) {
   const SweepResult from_seed = seeded.run(grid);
   EXPECT_EQ(serialize(from_factory), serialize(from_seed));
 
-  // The factory path did real measurements through the pre-warm stage, so
-  // the per-stage breakdown must account for them; the seeded path never
-  // measures.  Both CPU-sum and wall views must be populated.
+  // The factory path did real measurements, so the per-stage breakdown
+  // must account for them; the seeded path never measures.  Both CPU-sum
+  // and wall views must be populated.
   EXPECT_GT(from_factory.stages.measure_cpu_s, 0.0);
   EXPECT_GT(from_factory.stages.translate_cpu_s, 0.0);
   EXPECT_GT(from_factory.stages.prewarm_wall_s, 0.0);
@@ -205,6 +206,92 @@ TEST(SweepRunner, DeterministicAcrossRunsAndSubmissionOrders) {
     if (i % 2 == 1) shuffled.push_back(i);
   const std::string third = run_with(shuffled);
   EXPECT_EQ(first, third) << "submission order leaked into the results";
+}
+
+// The pipelined phase (measurement jobs submitting their cells) is as
+// deterministic as the seeded fan-out: cold sweeps are bitwise-equal across
+// submission orders and worker counts, and measure each thread count once.
+TEST(SweepRunner, PipelineIsBitwiseEqualAcrossOrdersAndWorkers) {
+  const auto grid = test_grid();
+  std::vector<std::size_t> reversed(grid.size()), interleaved;
+  for (std::size_t i = 0; i < grid.size(); ++i)
+    reversed[i] = grid.size() - 1 - i;
+  for (std::size_t i = 1; i < grid.size(); i += 2) interleaved.push_back(i);
+  for (std::size_t i = 0; i < grid.size(); i += 2) interleaved.push_back(i);
+
+  std::string first;
+  for (int workers : {1, 2, 4}) {
+    for (const auto& order : {std::vector<std::size_t>{}, reversed,
+                              interleaved}) {
+      SweepOptions opt;
+      opt.n_workers = workers;
+      opt.submit_order = order;
+      SweepRunner runner([] { return std::make_unique<SweepProgram>(); },
+                         opt);
+      const SweepResult r = runner.run(grid);
+      const std::string what = "workers=" + std::to_string(workers) +
+                               " order size " + std::to_string(order.size());
+      EXPECT_EQ(r.cache_misses, 4u) << what;
+      EXPECT_EQ(r.cache_hits + r.cache_misses, grid.size()) << what;
+      const std::string serial = serialize(r);
+      if (first.empty())
+        first = serial;
+      else
+        EXPECT_EQ(serial, first) << what;
+    }
+  }
+}
+
+// A measurement that throws at one thread count fails the whole sweep with
+// that error and leaves no cache entry for the failed key; once the program
+// measures again, the same runner completes the grid.
+TEST(SweepRunner, FailedMeasurementRethrowsAndPinsNoEntry) {
+  std::atomic<bool> broken{true};
+  SweepOptions opt;
+  opt.n_workers = 4;
+  // Throws from setup(), on the measuring worker's own stack: ASan reports
+  // a false stack-use-after-scope for exceptions thrown on a fiber stack.
+  class Failing : public SweepProgram {
+    void setup(rt::Runtime& rt) override {
+      XP_REQUIRE(rt.n_threads() != 4, "no measurement at n=4");
+      SweepProgram::setup(rt);
+    }
+  };
+  SweepRunner failing(
+      [&]() -> std::unique_ptr<rt::Program> {
+        if (broken.load()) return std::make_unique<Failing>();
+        return std::make_unique<SweepProgram>();
+      },
+      opt);
+  const auto grid = test_grid();
+  EXPECT_THROW(failing.run(grid), util::Error);
+  EXPECT_EQ(failing.cache().get(4), nullptr);
+  EXPECT_LE(failing.cache().size(), 3u);
+
+  broken.store(false);
+  const SweepResult healed = failing.run(grid);
+  EXPECT_NE(failing.cache().get(4), nullptr);
+  EXPECT_EQ(failing.cache().size(), 4u);
+  SweepRunner reference([] { return std::make_unique<SweepProgram>(); }, opt);
+  EXPECT_EQ(serialize(healed), serialize(reference.run(grid)));
+}
+
+// The two stage walls split the sweep's wall at the instant the last trace
+// is prepared, so they sum to the wall a caller measures around run().
+TEST(SweepRunner, StageWallsSumToTheSweepWall) {
+  SweepOptions opt;
+  opt.n_workers = 2;
+  SweepRunner runner([] { return std::make_unique<SweepProgram>(); }, opt);
+  const auto t0 = std::chrono::steady_clock::now();
+  const SweepResult r = runner.run(test_grid());
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_GT(r.stages.prewarm_wall_s, 0.0);
+  EXPECT_GE(r.stages.simulate_wall_s, 0.0);
+  const double sum = r.stages.prewarm_wall_s + r.stages.simulate_wall_s;
+  EXPECT_LE(sum, wall);
+  EXPECT_NEAR(sum, wall, 1e-3);
 }
 
 // The EventDriven oracle for every cell of `grid`, built per cell from

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 
 #include "util/args.hpp"
@@ -134,6 +136,57 @@ TEST(NasLcg, SkipAheadMatchesSequentialDraws) {
 
 TEST(NasLcg, SkipAheadZeroIsIdentity) {
   EXPECT_DOUBLE_EQ(NasLcg::skip_ahead(12345.0, 0), 12345.0);
+}
+
+// NAS's double-arithmetic randlc, kept here as the oracle for NasLcg's
+// integer arithmetic: x <- a*x mod 2^46 by 23-bit halves, returns x * 2^-46.
+double randlc(double& x, double a) {
+  constexpr double r23 = 0x1.0p-23, r46 = 0x1.0p-46;
+  constexpr double t23 = 0x1.0p23, t46 = 0x1.0p46;
+  const double a1 = static_cast<double>(static_cast<long long>(r23 * a));
+  const double a2 = a - t23 * a1;
+  const double x1 = static_cast<double>(static_cast<long long>(r23 * x));
+  const double x2 = x - t23 * x1;
+  const double t1 = a1 * x2 + a2 * x1;
+  const double t2 = static_cast<double>(static_cast<long long>(r23 * t1));
+  const double z = t1 - t23 * t2;
+  const double t3 = t23 * z + a2 * x2;
+  const double t4 = static_cast<double>(static_cast<long long>(r46 * t3));
+  x = t3 - t46 * t4;
+  return r46 * x;
+}
+
+constexpr double kA513 = 1220703125.0;  // 5^13
+
+std::uint64_t bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+TEST(NasLcg, NextIsBitwiseRandlc) {
+  for (double seed : {NasLcg::kDefaultSeed, 1.0, 314159265.0,
+                      70368744177663.0 /* 2^46 - 1 */}) {
+    NasLcg rng(seed);
+    double x = seed;
+    for (int i = 0; i < 1000000; ++i) {
+      const double want = randlc(x, kA513);
+      const double got = rng.next();
+      ASSERT_EQ(bits(got), bits(want)) << "seed " << seed << " draw " << i;
+    }
+    EXPECT_EQ(bits(rng.state()), bits(x)) << "seed " << seed;
+  }
+}
+
+TEST(NasLcg, SkipAheadIsBitwiseRandlcSteps) {
+  for (double seed : {NasLcg::kDefaultSeed, 314159265.0}) {
+    for (std::uint64_t n : {0ull, 1ull, 137ull, (1ull << 20) + 3}) {
+      double x = seed;
+      for (std::uint64_t i = 0; i < n; ++i) (void)randlc(x, kA513);
+      EXPECT_EQ(bits(NasLcg::skip_ahead(seed, n)), bits(x))
+          << "seed " << seed << " n " << n;
+    }
+  }
 }
 
 TEST(ShuffleTest, IsPermutationAndDeterministic) {
