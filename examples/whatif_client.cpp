@@ -116,7 +116,10 @@ int main(int argc, char** argv) {
                 << "cpu-s: measure " << util::Table::fixed(s.measure_cpu_s, 3)
                 << "  translate " << util::Table::fixed(s.translate_cpu_s, 3)
                 << "  simulate " << util::Table::fixed(s.simulate_cpu_s, 3)
-                << '\n';
+                << "\nsimulate:";
+      for (const core::SimCounterField& f : core::kSimCounterFields)
+        std::cout << ' ' << f.key << '=' << s.sim.*f.member;
+      std::cout << '\n';
     }
     client.close_session(session);
     if (args.has("shutdown")) client.shutdown_server();

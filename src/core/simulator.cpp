@@ -1314,6 +1314,30 @@ Time SimResult::total_barrier_wait() const {
   return t;
 }
 
+void SimCounters::add(const SimResult& r) {
+  const HybridStats& h = r.hybrid;
+  if (h.segments_collapsed > 0)
+    ++cells_hybrid;
+  else if (h.memo_hits > 0)
+    ++cells_memo;
+  else
+    ++cells_event;
+  events_fired += static_cast<std::int64_t>(r.engine_events);
+  segments_collapsed += h.segments_collapsed;
+  segments_total += h.segments_total;
+  ops_collapsed += h.ops_collapsed;
+  memo_hits += h.memo_hits;
+  memo_misses += h.memo_misses;
+  const SamplingStats& sp = r.sampling;
+  if (sp.active) {
+    ++cells_sampled;
+    epochs_total += sp.epochs;
+    epoch_classes += sp.classes;
+    epochs_simulated += sp.epochs_simulated;
+    epochs_replayed += sp.epochs_replayed;
+  }
+}
+
 const char* to_string(SimMode m) {
   switch (m) {
     case SimMode::EventDriven: return "event";

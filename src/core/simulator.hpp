@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "core/compiled_trace.hpp"
@@ -129,6 +130,69 @@ struct SamplingStats {
   std::int64_t epochs_replayed = 0;     ///< non-recurring (count-1) epochs
                                         ///  replayed exactly, warmup/teardown
 };
+
+struct SimResult;
+
+/// HybridStats and SamplingStats summed over many runs (cells): how a
+/// sweep's or a daemon's replay work split between the event engine,
+/// segment collapse, the barrier-epoch memo and epoch sampling.  Every
+/// cell counts in exactly one of cells_event / cells_hybrid / cells_memo;
+/// cells_sampled and the epoch totals count sampled cells only.
+/// kSimCounterFields lists the fields once for every sum, wire form,
+/// report and bench row.
+struct SimCounters {
+  std::int64_t cells_event = 0;   ///< cells no fast path engaged on
+  std::int64_t cells_hybrid = 0;  ///< cells where segments collapsed
+  std::int64_t cells_memo = 0;    ///< cells that replayed memoized windows
+  std::int64_t events_fired = 0;  ///< engine events
+  std::int64_t segments_collapsed = 0;
+  std::int64_t segments_total = 0;
+  std::int64_t ops_collapsed = 0;  ///< replay steps that skipped the engine
+  std::int64_t memo_hits = 0;
+  std::int64_t memo_misses = 0;
+  std::int64_t cells_sampled = 0;  ///< cells on the sampled path
+  std::int64_t epochs_total = 0;
+  std::int64_t epoch_classes = 0;
+  std::int64_t epochs_simulated = 0;
+  std::int64_t epochs_replayed = 0;
+
+  SimCounters& operator+=(const SimCounters& o);
+  /// Count one run as one cell.
+  void add(const SimResult& r);
+  bool operator==(const SimCounters&) const = default;
+};
+
+/// Every SimCounters field with its report and bench-row key, in wire
+/// order.
+struct SimCounterField {
+  const char* key;
+  std::int64_t SimCounters::*member;
+};
+inline constexpr SimCounterField kSimCounterFields[] = {
+    {"cells_event", &SimCounters::cells_event},
+    {"cells_hybrid", &SimCounters::cells_hybrid},
+    {"cells_memo", &SimCounters::cells_memo},
+    {"sim_events_fired", &SimCounters::events_fired},
+    {"sim_segments_collapsed", &SimCounters::segments_collapsed},
+    {"sim_segments_total", &SimCounters::segments_total},
+    {"sim_ops_collapsed", &SimCounters::ops_collapsed},
+    {"sim_memo_hits", &SimCounters::memo_hits},
+    {"sim_memo_misses", &SimCounters::memo_misses},
+    {"cells_sampled", &SimCounters::cells_sampled},
+    {"sim_epochs_total", &SimCounters::epochs_total},
+    {"sim_epoch_classes", &SimCounters::epoch_classes},
+    {"sim_epochs_simulated", &SimCounters::epochs_simulated},
+    {"sim_epochs_replayed", &SimCounters::epochs_replayed},
+};
+static_assert(sizeof(SimCounters) ==
+                  std::size(kSimCounterFields) * sizeof(std::int64_t),
+              "list every SimCounters field in kSimCounterFields");
+
+inline SimCounters& SimCounters::operator+=(const SimCounters& o) {
+  for (const SimCounterField& f : kSimCounterFields)
+    this->*f.member += o.*f.member;
+  return *this;
+}
 
 struct SimResult {
   Time makespan;                   ///< predicted n-processor execution time

@@ -369,34 +369,7 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
   for (double s : sim_cpu) out.stages.simulate_cpu_s += s;
   if (first_error) std::rethrow_exception(first_error);
 
-  // Fast-path attribution: events fired vs segments skipped vs windows
-  // replayed, summed over the grid so scaling rows can tell engine work
-  // from analytic and memoized work.
-  for (const Prediction& p : out.predictions) {
-    const HybridStats& h = p.sim.hybrid;
-    if (h.segments_collapsed > 0)
-      ++out.stages.cells_hybrid;
-    else if (h.memo_hits > 0)
-      ++out.stages.cells_memo;
-    else
-      ++out.stages.cells_event;
-    out.stages.sim_events_fired +=
-        static_cast<std::int64_t>(p.sim.engine_events);
-    out.stages.sim_segments_collapsed += h.segments_collapsed;
-    out.stages.sim_segments_total += h.segments_total;
-    out.stages.sim_ops_collapsed += h.ops_collapsed;
-    out.stages.sim_memo_hits += h.memo_hits;
-    out.stages.sim_memo_misses += h.memo_misses;
-    const SamplingStats& sp = p.sim.sampling;
-    if (sp.active) {
-      ++out.stages.cells_sampled;
-      out.stages.sim_epochs_total += sp.epochs;
-      out.stages.sim_epoch_classes += sp.classes;
-      out.stages.sim_epochs_simulated += sp.epochs_simulated;
-      out.stages.sim_epochs_replayed += sp.epochs_replayed;
-    }
-  }
-
+  for (const Prediction& p : out.predictions) out.stages.sim.add(p.sim);
   out.cache_hits = cache_->hits() - hits0;
   out.cache_misses = cache_->misses() - misses0;
   return out;

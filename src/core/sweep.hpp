@@ -176,29 +176,7 @@ struct SweepStages {
   double prewarm_wall_s = 0;   ///< sweep start until the last trace is ready
   double simulate_wall_s = 0;  ///< the rest of the sweep's wall
 
-  // Fast-path breakdown: how the grid's replay work split between the
-  // event engine, the segment-collapse analytic path and the barrier-epoch
-  // memo, so scaling rows can attribute wins (events fired vs segments
-  // skipped vs windows replayed).  Every cell counts in exactly one of
-  // cells_event / cells_hybrid / cells_memo.
-  std::int64_t cells_event = 0;     ///< cells no fast path engaged on
-  std::int64_t cells_hybrid = 0;    ///< cells where segments collapsed
-  std::int64_t cells_memo = 0;      ///< cells that replayed memoized windows
-  std::int64_t sim_events_fired = 0;       ///< engine events, whole grid
-  std::int64_t sim_segments_collapsed = 0; ///< analytic segments, whole grid
-  std::int64_t sim_segments_total = 0;     ///< all segments, whole grid
-  std::int64_t sim_ops_collapsed = 0;      ///< replay steps skipped
-  std::int64_t sim_memo_hits = 0;    ///< memoized windows replayed
-  std::int64_t sim_memo_misses = 0;  ///< memo windows run through the engine
-
-  // Representative-epoch sampling attribution (cells that took the
-  // sampled path, core::SamplingStats): how much trace LENGTH the
-  // grid's replays skipped by walking one exemplar per epoch class.
-  std::int64_t cells_sampled = 0;        ///< cells on the sampled path
-  std::int64_t sim_epochs_total = 0;     ///< epochs across sampled cells
-  std::int64_t sim_epoch_classes = 0;    ///< distinct classes, sampled cells
-  std::int64_t sim_epochs_simulated = 0; ///< exemplar walks performed
-  std::int64_t sim_epochs_replayed = 0;  ///< non-recurring epochs replayed
+  SimCounters sim;  ///< the grid's fast-path counters, one cell per point
 };
 
 struct SweepResult {

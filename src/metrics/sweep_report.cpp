@@ -67,26 +67,14 @@ std::string render_sweep(const SweepReport& r, bool chart) {
   if (r.cache_misses > 0)
     os << "\n(translate cache: " << r.cache_misses << " measurement(s), "
        << r.cache_hits << " reuse(s))\n";
-  // Fast-path attribution footer: how the grid's replay work split
-  // between the event engine, the hybrid analytic path, the barrier-epoch
-  // memo, and the representative-epoch sampled path (core::SweepStages —
-  // computed by every sweep, surfaced here so the standard report shows
-  // it).
-  const core::SweepStages& st = r.stages;
-  if (st.cells_event + st.cells_hybrid + st.cells_memo > 0) {
-    os << "(simulate: " << st.cells_event << " event cell(s), "
-       << st.cells_hybrid << " hybrid cell(s), " << st.cells_memo
-       << " memo cell(s), " << st.cells_sampled
-       << " epoch-sampled cell(s); " << st.sim_events_fired
-       << " engine event(s), " << st.sim_segments_collapsed << "/"
-       << st.sim_segments_total << " segment(s) collapsed, "
-       << st.sim_memo_hits << " memo hit(s)/" << st.sim_memo_misses
-       << " miss(es)";
-    if (st.cells_sampled > 0)
-      os << "; " << st.sim_epochs_simulated << " exemplar(s) walked for "
-         << st.sim_epochs_total << " epoch(s) in " << st.sim_epoch_classes
-         << " class(es), " << st.sim_epochs_replayed
-         << " non-recurring replayed exactly";
+  // Fast-path footer (core::SimCounters): how the grid's replay work split
+  // between the event engine, segment collapse, the barrier-epoch memo and
+  // epoch sampling.
+  const core::SimCounters& sim = r.stages.sim;
+  if (sim.cells_event + sim.cells_hybrid + sim.cells_memo > 0) {
+    os << "(simulate:";
+    for (const core::SimCounterField& f : core::kSimCounterFields)
+      os << ' ' << f.key << '=' << sim.*f.member;
     os << ")\n";
   }
   return os.str();

@@ -31,12 +31,10 @@ struct SweepReport {
   std::vector<SweepSeries> series;  ///< label first-appearance order
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// Per-stage timing and simulate-mode attribution of the sweep
-  /// (core::SweepStages): CPU sums per stage and the sweep's wall split at
-  /// the last prepared trace; event vs hybrid vs memo vs epoch-sampled
-  /// cells, engine events fired, segments collapsed, epoch classes walked.
-  /// The attribution is rendered as the report footer so it lands in the
-  /// standard table.
+  /// Per-stage timing and fast-path counters of the sweep
+  /// (core::SweepStages): CPU sums per stage, the sweep's wall split at
+  /// the last prepared trace, and core::SimCounters, which the report
+  /// renders as its footer.
   core::SweepStages stages;
 };
 

@@ -7,7 +7,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <utility>
@@ -184,17 +183,10 @@ std::vector<QueryResult> Client::query_batch(
 
 Client::Ticket Client::submit_batch(std::uint64_t session,
                                     const std::vector<Query>& queries) {
-  // All-Auto batches keep the flagless (pre-mode) wire form, so a client
-  // that never asks for an explicit mode stays compatible with servers
-  // that predate the flag.  kBatchHasSampling is never raised.
-  const bool with_modes =
-      std::any_of(queries.begin(), queries.end(),
-                  [](const Query& q) { return q.mode != QueryMode::Auto; });
   WireWriter w;
   w.u64(session);
-  w.u32(static_cast<std::uint32_t>(queries.size()) |
-        (with_modes ? kBatchHasModes : 0u));
-  for (const Query& q : queries) encode_query(w, q, with_modes);
+  w.u32(static_cast<std::uint32_t>(queries.size()));
+  for (const Query& q : queries) encode_query(w, q);
   return send_request(MsgType::QueryBatch, w.data());
 }
 
@@ -214,15 +206,11 @@ PatternModelResult Client::pattern_model(std::uint64_t session,
 std::vector<QueryResult> Client::wait_batch(Ticket t) {
   const std::string body = wait_ok(t);
   WireReader r(body);
-  // The server echoes kBatchHasSampling on the count when the results
-  // carry sampling attribution, so decoding needs no submit-side state.
-  const std::uint32_t raw_count = r.u32();
-  const bool with_sampling = (raw_count & kBatchHasSampling) != 0;
-  const std::uint32_t count = raw_count & ~kBatchHasSampling;
+  const std::uint32_t count = r.u32();
   std::vector<QueryResult> out;
   out.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i)
-    out.push_back(decode_query_result(r, with_sampling));
+    out.push_back(decode_query_result(r));
   r.expect_end();
   return out;
 }
@@ -230,9 +218,9 @@ std::vector<QueryResult> Client::wait_batch(Ticket t) {
 ServerStats Client::stats() {
   const std::string body = wait_ok(send_request(MsgType::Stats, {}));
   WireReader r(body);
-  // No expect_end: stats replies are extensible (fields append at the
-  // end, see ServerStats), so tolerate counters newer than this client.
-  return decode_stats(r);
+  ServerStats s = decode_stats(r);
+  r.expect_end();
+  return s;
 }
 
 void Client::shutdown_server() {

@@ -84,15 +84,34 @@ void WireReader::expect_end() const {
 
 std::string encode_frame(MsgType type, bool is_reply, std::uint64_t request_id,
                          std::string_view body) {
-  const std::size_t payload = 1 + 8 + body.size();
+  const std::size_t payload = kHeaderBytes + body.size();
   if (payload > kMaxFrameBytes) throw ProtocolError("frame body too large");
   WireWriter w;
   w.u32(static_cast<std::uint32_t>(payload));
   w.u8(static_cast<std::uint8_t>(type) |
        (is_reply ? kReplyBit : std::uint8_t{0}));
+  w.u8(kProtocolVersion);
   w.u64(request_id);
   w.raw(body);
   return w.take();
+}
+
+void parse_payload(std::string_view payload, Frame& f) {
+  WireReader r(payload);
+  const std::uint8_t t = r.u8();
+  const std::uint8_t version = r.u8();
+  f.request_id = r.u64();
+  f.is_reply = (t & kReplyBit) != 0;
+  const std::uint8_t raw_type = t & static_cast<std::uint8_t>(~kReplyBit);
+  if (raw_type < static_cast<std::uint8_t>(MsgType::LoadTrace) ||
+      raw_type > static_cast<std::uint8_t>(MsgType::PatternModel))
+    throw ProtocolError("unknown message type " + std::to_string(raw_type));
+  f.type = static_cast<MsgType>(raw_type);
+  if (version != kProtocolVersion)
+    throw ProtocolError("protocol version " + std::to_string(version) +
+                        ", this end speaks " +
+                        std::to_string(kProtocolVersion));
+  f.body = std::string(r.rest());
 }
 
 std::optional<std::pair<Frame, std::size_t>> try_parse_frame(
@@ -102,64 +121,31 @@ std::optional<std::pair<Frame, std::size_t>> try_parse_frame(
   for (int i = 0; i < 4; ++i)
     len |= static_cast<std::uint32_t>(static_cast<unsigned char>(data[i]))
            << (8 * i);
-  if (len < 1 + 8) throw ProtocolError("frame shorter than its header");
+  if (len < kHeaderBytes) throw ProtocolError("frame shorter than its header");
   if (len > kMaxFrameBytes) throw ProtocolError("frame exceeds 64 MiB cap");
   if (data.size() < 4u + len) return std::nullopt;
-  WireReader r(data.substr(4, len));
   Frame f;
-  const std::uint8_t t = r.u8();
-  f.is_reply = (t & kReplyBit) != 0;
-  const std::uint8_t raw_type = t & static_cast<std::uint8_t>(~kReplyBit);
-  if (raw_type < static_cast<std::uint8_t>(MsgType::LoadTrace) ||
-      raw_type > static_cast<std::uint8_t>(MsgType::PatternModel))
-    throw ProtocolError("unknown message type " + std::to_string(raw_type));
-  f.type = static_cast<MsgType>(raw_type);
-  f.request_id = r.u64();
-  f.body = std::string(r.rest());
+  parse_payload(data.substr(4, len), f);
   return std::make_pair(std::move(f), 4u + static_cast<std::size_t>(len));
 }
 
 // --- message bodies --------------------------------------------------------
 
-const char* to_string(QueryMode m) {
-  switch (m) {
-    case QueryMode::Auto: return "auto";
-    case QueryMode::EventDriven: return "event";
-  }
-  return "?";
-}
-
-void encode_query(WireWriter& w, const Query& q, bool with_mode) {
+void encode_query(WireWriter& w, const Query& q) {
   w.i32(q.n_procs);
   w.f64(q.mips_ratio);
   w.str(q.params_text);
-  if (with_mode) w.u8(static_cast<std::uint8_t>(q.mode));
 }
 
-Query decode_query(WireReader& r, bool with_mode, bool with_sampling) {
+Query decode_query(WireReader& r) {
   Query q;
   q.n_procs = r.i32();
   q.mips_ratio = r.f64();
   q.params_text = r.str();
-  if (with_mode) {
-    // Byte 2 is the retired forced-collapse mode: served as Auto.
-    const std::uint8_t m = r.u8();
-    if (m > 2) throw ProtocolError("unknown query mode " + std::to_string(m));
-    q.mode = m == 2 ? QueryMode::Auto : static_cast<QueryMode>(m);
-  }
-  if (with_sampling) {
-    // The retired epoch tolerance: old clients still send it.  Garbage
-    // is still an error (NaN fails both comparisons); a valid value is
-    // discarded, since every answer is exact.
-    const double tolerance = r.f64();
-    if (!(tolerance >= 0.0) || tolerance > 1.0)
-      throw ProtocolError("epoch tolerance must be in [0, 1]");
-  }
   return q;
 }
 
-void encode_query_result(WireWriter& w, const QueryResult& res,
-                         bool with_sampling) {
+void encode_query_result(WireWriter& w, const QueryResult& res) {
   w.u8(res.ok ? 1 : 0);
   if (!res.ok) {
     w.str(res.error);
@@ -173,15 +159,9 @@ void encode_query_result(WireWriter& w, const QueryResult& res,
   w.i64(res.compute_ns);
   w.i64(res.comm_wait_ns);
   w.i64(res.barrier_wait_ns);
-  if (with_sampling) {
-    w.i64(res.sampling_epochs);
-    w.i64(res.sampling_classes);
-    w.i64(res.sampling_simulated);
-    w.i64(0);  // retired slot: certified error bound (answers are exact)
-  }
 }
 
-QueryResult decode_query_result(WireReader& r, bool with_sampling) {
+QueryResult decode_query_result(WireReader& r) {
   QueryResult res;
   res.ok = r.u8() != 0;
   if (!res.ok) {
@@ -196,12 +176,6 @@ QueryResult decode_query_result(WireReader& r, bool with_sampling) {
   res.compute_ns = r.i64();
   res.comm_wait_ns = r.i64();
   res.barrier_wait_ns = r.i64();
-  if (with_sampling) {
-    res.sampling_epochs = r.i64();
-    res.sampling_classes = r.i64();
-    res.sampling_simulated = r.i64();
-    (void)r.i64();  // retired slot (see encode_query_result)
-  }
   return res;
 }
 
@@ -318,13 +292,8 @@ void encode_stats(WireWriter& w, const ServerStats& s) {
   w.f64(s.measure_cpu_s);
   w.f64(s.translate_cpu_s);
   w.f64(s.simulate_cpu_s);
-  // Appended extensions (see ServerStats): order is part of the protocol.
-  w.u64(s.queries_auto);
-  w.u64(s.queries_event);
-  w.u64(0);  // retired slot: queries with mode byte 2 (now counted as auto)
-  w.u64(s.queries_sampled);
-  w.u64(s.sampling_epochs_total);
-  w.u64(s.sampling_epochs_simulated);
+  for (const core::SimCounterField& f : core::kSimCounterFields)
+    w.i64(s.sim.*f.member);
 }
 
 ServerStats decode_stats(WireReader& r) {
@@ -345,19 +314,8 @@ ServerStats decode_stats(WireReader& r) {
   s.measure_cpu_s = r.f64();
   s.translate_cpu_s = r.f64();
   s.simulate_cpu_s = r.f64();
-  // Trailing fields are optional: a pre-mode server stops here, and the
-  // per-mode counts keep their zero defaults.  Each appended block gates
-  // on its own remaining() check, so every protocol generation decodes.
-  if (r.remaining() >= 3 * 8) {
-    s.queries_auto = r.u64();
-    s.queries_event = r.u64();
-    (void)r.u64();  // retired slot (see encode_stats)
-    if (r.remaining() >= 3 * 8) {
-      s.queries_sampled = r.u64();
-      s.sampling_epochs_total = r.u64();
-      s.sampling_epochs_simulated = r.u64();
-    }
-  }
+  for (const core::SimCounterField& f : core::kSimCounterFields)
+    s.sim.*f.member = r.i64();
   return s;
 }
 

@@ -6,7 +6,22 @@
 // it.  The protocol is deliberately small and fully little-endian:
 //
 //   Frame   := u32 payload_len | payload          (len caps at 64 MiB)
-//   Payload := u8 type | u64 request_id | body
+//   Payload := u8 type | u8 version | u64 request_id | body
+//   str     := u32 len | len bytes
+//
+//   type           request body                  ok reply fields
+//   LOAD_TRACE     XPTB trace bytes              u64 session | i32 n_threads
+//   OPEN_BENCH     str name                      u64 session | i32 0
+//   QUERY_BATCH    u64 session | u32 n | n Query u32 n | n QueryResult
+//   STATS          (empty)                       ServerStats
+//   CLOSE_SESSION  u64 session                   (none)
+//   SHUTDOWN       (empty)                       (none)
+//   PATTERN_MODEL  u64 session | PatternQuery    PatternModelResult
+//
+// Every message has exactly one body at a protocol version: the version
+// byte is the whole compatibility story, with no flag bits or optional
+// trailing fields.  A request of any other version gets an error reply and
+// the connection stays up; changing a body means bumping kProtocolVersion.
 //
 // Requests carry a client-chosen request_id; the matching reply echoes it
 // with the high bit of the type set (kReplyBit), so clients may PIPELINE —
@@ -30,6 +45,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/simulator.hpp"
 #include "util/error.hpp"
 
 namespace xp::serve {
@@ -47,23 +63,14 @@ constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 /// Replies echo the request type with this bit set.
 constexpr std::uint8_t kReplyBit = 0x80;
 
-/// QUERY_BATCH versioning: set on the query-count u32 when every encoded
-/// query carries a trailing mode byte.  Unambiguous — the server caps
-/// batches at 2^20 queries, so a count with this bit set can only mean a
-/// mode-carrying batch.  Clients that never set a non-default mode keep
-/// emitting the flagless wire form, which old servers parse unchanged.
-constexpr std::uint32_t kBatchHasModes = 1u << 31;
+/// The payload's version byte.  The unversioned protocol before it counts
+/// as version 1 (its first request id would read as 1 in this position).
+constexpr std::uint8_t kProtocolVersion = 2;
 
-/// QUERY_BATCH versioning, second flag: set on the query-count u32 when
-/// every encoded query carries a trailing epoch-tolerance f64.  The
-/// tolerance named a retired inexact sampling tier; current clients never
-/// set this flag.  Servers still accept it from old clients: the f64 is
-/// range-checked to [0, 1] and then ignored, since every answer is exact.
-/// Unambiguous for the same reason as kBatchHasModes — the 2^20 query cap
-/// leaves bits 20..31 free.  The server ECHOES this flag on the reply's
-/// result-count u32 and appends per-result sampling stats when set, so
-/// clients decode replies statelessly.  Composes independently with
-/// kBatchHasModes (either, both, or neither may be set).
+/// Payload header bytes: type, version and request id.
+constexpr std::uint32_t kHeaderBytes = 1 + 1 + 8;
+
+/// A retired QUERY_BATCH count flag; the server never sets it.
 constexpr std::uint32_t kBatchHasSampling = 1u << 30;
 
 enum class MsgType : std::uint8_t {
@@ -74,26 +81,9 @@ enum class MsgType : std::uint8_t {
   CloseSession = 5,  ///< body: session
   Shutdown = 6,      ///< body: empty; server drains and exits
   /// body: session + PatternQuery -> composed per-pattern cost model
-  /// (xp::pattern).  Versioning: a NEW verb is the whole gate — servers
-  /// that predate it reject the type byte with an error reply and every
-  /// pre-existing verb's wire form is untouched, so old clients and old
-  /// servers interoperate with pattern-aware peers unchanged.
+  /// (xp::pattern).
   PatternModel = 7,
 };
-
-/// Requested simulation mode for one query (core::SimMode on the wire).
-/// Auto is conservative-exact, so the mode never changes the numbers in a
-/// QueryResult — only how the server computes them.  Auto is the default
-/// so flagless (pre-mode) batches get the fast path for free.  Mode byte 2
-/// named a retired third mode (forced segment collapse without epoch
-/// sampling); decoders still accept it and serve it as Auto, which is
-/// bitwise-equal.  Bytes 3 and above are rejected.
-enum class QueryMode : std::uint8_t {
-  Auto = 0,         ///< the fast exact path (the default)
-  EventDriven = 1,  ///< force the full discrete-event replay
-};
-
-const char* to_string(QueryMode m);
 
 /// One what-if query against a session: predict the session's program on
 /// `n_procs` processors of the machine described by `params_text`
@@ -103,15 +93,14 @@ struct Query {
   std::int32_t n_procs = 0;
   double mips_ratio = 0.0;  ///< <= 0: keep the value in params_text
   std::string params_text;
-  /// Only on the wire when the batch count carries kBatchHasModes.
-  QueryMode mode = QueryMode::Auto;
 
   bool operator==(const Query&) const = default;
 };
 
 /// The served prediction.  Integer-nanosecond fields come straight from
 /// the deterministic simulator, so a served result is bitwise-comparable
-/// to an in-process core::Extrapolator run on the same inputs.
+/// to an in-process core::Extrapolator run on the same inputs, and equal
+/// to Service::run_query's.
 struct QueryResult {
   bool ok = false;
   std::string error;  ///< set when !ok
@@ -123,13 +112,6 @@ struct QueryResult {
   std::int64_t compute_ns = 0;
   std::int64_t comm_wait_ns = 0;
   std::int64_t barrier_wait_ns = 0;
-  // Representative-epoch sampling attribution (core::SamplingStats).  On
-  // the wire only when the reply count echoes kBatchHasSampling; zero when
-  // the query's simulation did not take the sampled path.  A fourth
-  // wire slot after these, once a certified error bound, is always 0.
-  std::int64_t sampling_epochs = 0;      ///< epochs in the replayed trace
-  std::int64_t sampling_classes = 0;     ///< distinct epoch classes
-  std::int64_t sampling_simulated = 0;   ///< exemplar epochs actually walked
 
   bool operator==(const QueryResult&) const = default;
 };
@@ -177,16 +159,10 @@ struct PatternModelResult {
   bool operator==(const PatternModelResult&) const = default;
 };
 
-/// The `stats` verb's answer: service counters plus the translate-cache
-/// totals (summed over all per-source caches) and per-stage CPU-seconds in
-/// the spirit of core::SweepStages.
-///
-/// Extensibility rule: new fields append at the END of the encoding and
-/// decoders stop at the bytes they have (decode_stats zero-fills absent
-/// trailing fields), so stats replies stay parseable across versions in
-/// both directions.  The per-mode query counts below were the first such
-/// extension; their third slot counted the retired mode byte 2 and is
-/// still on the wire, written as zero and skipped on decode.
+/// The `stats` verb's answer: service counters, the translate-cache totals
+/// (summed over all per-source caches), per-stage CPU-seconds in the
+/// spirit of core::SweepStages, and the served queries' fast-path counters.
+/// On the wire in declaration order, `sim` as kSimCounterFields' i64s.
 struct ServerStats {
   std::uint64_t connections_total = 0;
   std::uint64_t connections_open = 0;
@@ -204,15 +180,7 @@ struct ServerStats {
   double measure_cpu_s = 0;
   double translate_cpu_s = 0;
   double simulate_cpu_s = 0;
-  // Queries by requested mode (appended extension; old replies decode to 0).
-  std::uint64_t queries_auto = 0;
-  std::uint64_t queries_event = 0;
-  // Representative-epoch sampling counters (second appended extension):
-  // how many served queries took the sampled path and how much epoch
-  // replay it saved daemon-wide.  Old replies decode to 0.
-  std::uint64_t queries_sampled = 0;          ///< queries on the sampled path
-  std::uint64_t sampling_epochs_total = 0;    ///< epochs covered by those
-  std::uint64_t sampling_epochs_simulated = 0;  ///< exemplar walks performed
+  core::SimCounters sim;  ///< summed over served queries, one cell each
 
   bool operator==(const ServerStats&) const = default;
 };
@@ -276,35 +244,33 @@ struct Frame {
   std::string body;
 };
 
-/// Serialize a full frame (length prefix + type + id + body).
+/// Serialize a full frame (length prefix + header at kProtocolVersion +
+/// body).
 std::string encode_frame(MsgType type, bool is_reply, std::uint64_t request_id,
                          std::string_view body);
+
+/// Parse one payload (type | version | request_id | body) into `f`.  The
+/// whole header is read before it is checked, so when the check fails
+/// (unknown type, other version) f.request_id is already set for the
+/// error reply; f.type is only set to a known type.  Throws ProtocolError.
+void parse_payload(std::string_view payload, Frame& f);
 
 /// Try to parse one frame from the front of `data`.  Returns the frame and
 /// the number of bytes consumed, or nullopt if the buffer does not yet hold
 /// a complete frame.  Throws ProtocolError on an oversized or undersized
-/// length prefix.
+/// length prefix and on a payload parse_payload rejects.
 std::optional<std::pair<Frame, std::size_t>> try_parse_frame(
     std::string_view data);
 
 // --- message bodies --------------------------------------------------------
 
-/// `with_mode` selects the kBatchHasModes wire form (a trailing mode
-/// byte); without it the mode is neither written nor read and defaults to
-/// QueryMode::Auto on decode.  `with_sampling` makes decode_query read
-/// the kBatchHasSampling form's trailing epoch-tolerance f64 (after the
-/// mode byte, when both are present), range-check it and discard it;
-/// encode_query never writes it.
-void encode_query(WireWriter& w, const Query& q, bool with_mode = false);
-Query decode_query(WireReader& r, bool with_mode = false,
-                   bool with_sampling = false);
+void encode_query(WireWriter& w, const Query& q);
+Query decode_query(WireReader& r);
 
-/// `with_sampling` mirrors the kBatchHasSampling reply form: ok results
-/// gain four trailing i64s, the three sampling-attribution counters and a
-/// slot written as 0.  Error results are unchanged in either form.
-void encode_query_result(WireWriter& w, const QueryResult& res,
-                         bool with_sampling = false);
-QueryResult decode_query_result(WireReader& r, bool with_sampling = false);
+/// Ok results carry the eight i64 fields in declaration order, error
+/// results the message.
+void encode_query_result(WireWriter& w, const QueryResult& res);
+QueryResult decode_query_result(WireReader& r);
 
 void encode_stats(WireWriter& w, const ServerStats& s);
 ServerStats decode_stats(WireReader& r);

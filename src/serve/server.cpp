@@ -228,7 +228,7 @@ void Server::read_ready(Conn& c) {
       len |= static_cast<std::uint32_t>(
                  static_cast<unsigned char>(c.rbuf[pos + i]))
              << (8 * i);
-    if (len < 1 + 8 || len > kMaxFrameBytes) {
+    if (len < kHeaderBytes || len > kMaxFrameBytes) {
       c.broken = true;
       return;
     }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <condition_variable>
 #include <exception>
-#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -145,9 +144,6 @@ void Service::close_session(std::uint64_t id) {
 
 QueryResult Service::run_query_on(Source& src, const Query& q) {
   QueryResult res;
-  queries_by_mode_[static_cast<std::size_t>(q.mode) %
-                   std::size(queries_by_mode_)]
-      .fetch_add(1);
   try {
     XP_REQUIRE(q.n_procs >= 1, "query needs n_procs >= 1");
     if (!src.measured) require_bench_threads(q.n_procs);
@@ -165,18 +161,18 @@ QueryResult Service::run_query_on(Source& src, const Query& q) {
     const auto prepared = src.cache->get_or_prepare(q.n_procs);
 
     // Auto is conservative-exact (tests hold it bitwise-equal to the
-    // EventDriven oracle), so honoring the wire mode never changes a reply —
-    // and QueryResult carries no engine-event count, so defaulting to
-    // Auto is invisible to byte-comparing clients.  The served result
-    // never returns the extrapolated trace, so skip emitting it; that
-    // also unlocks the simulator's pre-summed segment shortcut.
+    // EventDriven oracle).  The served result never returns the
+    // extrapolated trace, so skip emitting it; that also unlocks the
+    // simulator's pre-summed segment shortcut and epoch sampling.
     core::SimOptions sopts;
     sopts.emit_trace = false;
-    sopts.mode = q.mode == QueryMode::EventDriven ? core::SimMode::EventDriven
-                                                  : core::SimMode::Auto;
     const double cpu0 = util::thread_cpu_seconds();
     const core::Prediction pred = core::predict(*prepared, params, sopts);
     simulate_cpu_s_.fetch_add(util::thread_cpu_seconds() - cpu0);
+    {
+      std::lock_guard<std::mutex> lock(sim_mu_);
+      sim_.add(pred.sim);
+    }
 
     res.ok = true;
     res.predicted_ns = pred.predicted_time.count_ns();
@@ -187,17 +183,6 @@ QueryResult Service::run_query_on(Source& src, const Query& q) {
     res.compute_ns = pred.sim.total_compute().count_ns();
     res.comm_wait_ns = pred.sim.total_comm_wait().count_ns();
     res.barrier_wait_ns = pred.sim.total_barrier_wait().count_ns();
-    const core::SamplingStats& sp = pred.sim.sampling;
-    if (sp.active) {
-      res.sampling_epochs = sp.epochs;
-      res.sampling_classes = sp.classes;
-      res.sampling_simulated = sp.epochs_simulated;
-      queries_sampled_.fetch_add(1);
-      sampling_epochs_total_.fetch_add(
-          static_cast<std::uint64_t>(sp.epochs));
-      sampling_epochs_simulated_.fetch_add(
-          static_cast<std::uint64_t>(sp.epochs_simulated));
-    }
   } catch (const std::exception& e) {
     res = QueryResult{};
     res.error = e.what();
@@ -358,7 +343,7 @@ std::string Service::dispatch(const Frame& frame) {
   throw ProtocolError("unexpected message type in dispatch");
 }
 
-void Service::dispatch_pattern(Frame frame, Completion done) {
+void Service::dispatch_pattern(const Frame& frame, Completion done) {
   WireReader r(frame.body);
   const std::uint64_t session = r.u64();
   const PatternQuery q = decode_pattern_query(r);
@@ -384,25 +369,17 @@ void Service::dispatch_pattern(Frame frame, Completion done) {
   });
 }
 
-void Service::dispatch_batch(Frame frame, Completion done) {
+void Service::dispatch_batch(const Frame& frame, Completion done) {
   WireReader r(frame.body);
   const std::uint64_t session = r.u64();
-  const std::uint32_t raw_count = r.u32();
-  // kBatchHasModes flags the versioned wire form (per-query mode byte);
-  // kBatchHasSampling adds a per-query epoch-tolerance f64 (checked, then
-  // ignored) and asks for sampling attribution on the reply.  Flagless
-  // batches decode exactly as before, with every mode Auto.
-  const bool has_modes = (raw_count & kBatchHasModes) != 0;
-  const bool has_sampling = (raw_count & kBatchHasSampling) != 0;
-  const std::uint32_t count =
-      raw_count & ~(kBatchHasModes | kBatchHasSampling);
+  const std::uint32_t count = r.u32();
   if (count > kMaxBatchQueries)
     throw ProtocolError("batch of " + std::to_string(count) +
                         " queries exceeds the per-request cap");
   std::vector<Query> queries;
   queries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i)
-    queries.push_back(decode_query(r, has_modes, has_sampling));
+    queries.push_back(decode_query(r));
   r.expect_end();
 
   const auto src = session_source(session);
@@ -418,7 +395,6 @@ void Service::dispatch_batch(Frame frame, Completion done) {
     std::atomic<std::size_t> remaining;
     Completion done;
     std::uint64_t request_id;
-    bool has_sampling = false;
   };
   auto st = std::make_shared<BatchState>();
   st->src = src;
@@ -427,14 +403,10 @@ void Service::dispatch_batch(Frame frame, Completion done) {
   st->remaining.store(count);
   st->done = std::move(done);
   st->request_id = frame.request_id;
-  st->has_sampling = has_sampling;
 
-  // The reply ECHOES the sampling flag on its result count, so the client
-  // decodes the extended results statelessly.
-  const std::uint32_t reply_flags = has_sampling ? kBatchHasSampling : 0u;
   if (count == 0) {
     WireWriter w;
-    w.u32(reply_flags);
+    w.u32(0);
     st->done(encode_frame(MsgType::QueryBatch, true, st->request_id,
                           ok_reply_body(w.data())));
     return;
@@ -451,10 +423,8 @@ void Service::dispatch_batch(Frame frame, Completion done) {
       queue_depth_.fetch_sub(1);
       if (st->remaining.fetch_sub(1) == 1) {
         WireWriter w;
-        w.u32(static_cast<std::uint32_t>(st->results.size()) |
-              (st->has_sampling ? kBatchHasSampling : 0u));
-        for (const QueryResult& res : st->results)
-          encode_query_result(w, res, st->has_sampling);
+        w.u32(static_cast<std::uint32_t>(st->results.size()));
+        for (const QueryResult& res : st->results) encode_query_result(w, res);
         st->done(encode_frame(MsgType::QueryBatch, true, st->request_id,
                               ok_reply_body(w.data())));
       }
@@ -464,37 +434,27 @@ void Service::dispatch_batch(Frame frame, Completion done) {
 
 void Service::handle_async(std::string payload, Completion done) {
   requests_total_.fetch_add(1);
-  MsgType type = MsgType::Stats;
-  std::uint64_t request_id = 0;
+  Frame frame;
+  frame.type = MsgType::Stats;  // the error reply's type if none is known
   try {
-    WireReader r(payload);
-    const std::uint8_t t = r.u8();
-    if (t & kReplyBit) throw ProtocolError("request has the reply bit set");
-    if (t < static_cast<std::uint8_t>(MsgType::LoadTrace) ||
-        t > static_cast<std::uint8_t>(MsgType::PatternModel))
-      throw ProtocolError("unknown message type " + std::to_string(t));
-    type = static_cast<MsgType>(t);
-    request_id = r.u64();
-    Frame frame;
-    frame.type = type;
-    frame.request_id = request_id;
-    frame.body = std::string(r.rest());
-
+    parse_payload(payload, frame);
+    if (frame.is_reply) throw ProtocolError("request has the reply bit set");
+    const MsgType type = frame.type;
     if (type == MsgType::QueryBatch) {
       // Pass a COPY of the completion: if batch decode throws, the catch
       // below must still hold a live callback to deliver the error reply
       // (a moved-from one is a bad_function_call).
-      dispatch_batch(std::move(frame), done);
+      dispatch_batch(frame, done);
       return;
     }
     if (type == MsgType::PatternModel) {
       // Same copy-the-completion rule as batches: decode errors fall to
       // the catch below, which still needs a live callback.
-      dispatch_pattern(std::move(frame), done);
+      dispatch_pattern(frame, done);
       return;
     }
     const std::string body = dispatch(frame);
-    done(encode_frame(type, true, request_id, body));
+    done(encode_frame(type, true, frame.request_id, body));
     if (type == MsgType::Shutdown) {
       std::function<void()> handler;
       {
@@ -504,7 +464,8 @@ void Service::handle_async(std::string payload, Completion done) {
       if (handler) handler();
     }
   } catch (const std::exception& e) {
-    done(encode_frame(type, true, request_id, error_reply_body(e.what())));
+    done(encode_frame(frame.type, true, frame.request_id,
+                      error_reply_body(e.what())));
   }
 }
 
@@ -543,13 +504,10 @@ ServerStats Service::stats() const {
   s.queue_depth =
       static_cast<std::uint64_t>(std::max<std::int64_t>(0, queue_depth_));
   s.simulate_cpu_s = simulate_cpu_s_.load();
-  s.queries_auto =
-      queries_by_mode_[static_cast<std::size_t>(QueryMode::Auto)].load();
-  s.queries_event =
-      queries_by_mode_[static_cast<std::size_t>(QueryMode::EventDriven)].load();
-  s.queries_sampled = queries_sampled_.load();
-  s.sampling_epochs_total = sampling_epochs_total_.load();
-  s.sampling_epochs_simulated = sampling_epochs_simulated_.load();
+  {
+    std::lock_guard<std::mutex> lock(sim_mu_);
+    s.sim = sim_;
+  }
   std::lock_guard<std::mutex> lock(mu_);
   s.sessions_open = sessions_.size();
   for (const auto& [fp, src] : sources_) {

@@ -111,8 +111,8 @@ class Service {
   PatternModelResult run_pattern_model_on(Source& src, const PatternQuery& q);
 
   std::string dispatch(const Frame& frame);  ///< non-batch verbs, inline
-  void dispatch_batch(Frame frame, Completion done);
-  void dispatch_pattern(Frame frame, Completion done);
+  void dispatch_batch(const Frame& frame, Completion done);
+  void dispatch_pattern(const Frame& frame, Completion done);
 
   ServiceOptions opt_;
 
@@ -134,18 +134,10 @@ class Service {
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> queries_ok_{0};
   std::atomic<std::uint64_t> queries_err_{0};
-  /// Queries by REQUESTED mode (the decoded wire byte, not the path the
-  /// simulator ended up on; the retired byte 2 decodes as Auto) — indexed
-  /// by QueryMode, so the stats verb can show how much traffic opts out of
-  /// the Auto default.
-  std::atomic<std::uint64_t> queries_by_mode_[2] = {};
-  /// Representative-epoch sampling: queries whose simulation took the
-  /// sampled path, and the epoch replay it covered vs actually performed.
-  std::atomic<std::uint64_t> queries_sampled_{0};
-  std::atomic<std::uint64_t> sampling_epochs_total_{0};
-  std::atomic<std::uint64_t> sampling_epochs_simulated_{0};
   std::atomic<std::int64_t> queue_depth_{0};
   std::atomic<double> simulate_cpu_s_{0};
+  mutable std::mutex sim_mu_;
+  core::SimCounters sim_;  ///< served queries' fast-path counters
 
   /// Declared last: destroyed first, so in-flight query tasks drain while
   /// every member they touch is still alive.

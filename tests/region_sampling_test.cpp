@@ -334,10 +334,10 @@ TEST(EpochClasses, SweepBitwiseAcrossWorkerCounts) {
   }
   for (const core::SweepResult& r : results) {
     // Every cell took the sampled path.
-    EXPECT_EQ(r.stages.cells_sampled, 3);
-    EXPECT_GT(r.stages.sim_epochs_total, 0);
-    EXPECT_GT(r.stages.sim_epoch_classes, 0);
-    EXPECT_LT(r.stages.sim_epochs_simulated, r.stages.sim_epochs_total);
+    EXPECT_EQ(r.stages.sim.cells_sampled, 3);
+    EXPECT_GT(r.stages.sim.epochs_total, 0);
+    EXPECT_GT(r.stages.sim.epoch_classes, 0);
+    EXPECT_LT(r.stages.sim.epochs_simulated, r.stages.sim.epochs_total);
   }
   // The EventDriven oracle, built per cell from the same program.
   for (std::size_t i = 0; i < grid.size(); ++i) {

@@ -15,9 +15,7 @@
 
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -53,6 +51,32 @@ Query distributed_query(int n_procs, double mips = 0.0) {
   return q;
 }
 
+/// The fields a served reply carries, taken from an in-process prediction.
+QueryResult result_of(const core::Prediction& p) {
+  QueryResult r;
+  r.ok = true;
+  r.predicted_ns = p.predicted_time.count_ns();
+  r.ideal_ns = p.ideal_time.count_ns();
+  r.measured_ns = p.measured_time.count_ns();
+  r.messages = p.sim.messages;
+  r.bytes = p.sim.bytes;
+  r.compute_ns = p.sim.total_compute().count_ns();
+  r.comm_wait_ns = p.sim.total_comm_wait().count_ns();
+  r.barrier_wait_ns = p.sim.total_barrier_wait().count_ns();
+  return r;
+}
+
+/// The EventDriven oracle's answer to `q` over `prepared`: what every
+/// served (Auto) reply must equal bitwise.
+QueryResult event_driven_result(const core::TranslatedTrace& prepared,
+                                const Query& q) {
+  model::SimParams params = model::parse_params_string(q.params_text);
+  if (q.mips_ratio > 0) params.proc.mips_ratio = q.mips_ratio;
+  core::SimOptions opts;
+  opts.mode = core::SimMode::EventDriven;
+  return result_of(core::predict(prepared, params, opts));
+}
+
 /// Small pattern workloads so pattern-model sweeps stay fast in tests.
 ServiceOptions pattern_service_options() {
   ServiceOptions opt;
@@ -71,8 +95,8 @@ PatternQuery distributed_pattern_query() {
   return q;
 }
 
-/// A raw Unix-socket connection for hand-encoded frames, as an old or
-/// foreign client would send them.
+/// A raw Unix-socket connection for hand-encoded frames, as a foreign
+/// client could send them.
 class RawConnection {
  public:
   explicit RawConnection(const std::string& path) {
@@ -134,16 +158,25 @@ TEST(ServeProtocol, PartialFrameIsIncomplete) {
 }
 
 TEST(ServeProtocol, MalformedFramesThrow) {
-  // Forged length below the type+id header.
+  // Forged length below the type+version+id header.
   EXPECT_THROW(try_parse_frame(std::string("\x01\x00\x00\x00zzzzzzzzzzzz", 16)),
                ProtocolError);
   // Forged length above the 64 MiB cap.
   EXPECT_THROW(try_parse_frame(std::string("\xff\xff\xff\xffzzzzzzzzzzzz", 16)),
                ProtocolError);
+  // Forged length of the unversioned header (type + id, no version byte).
+  EXPECT_THROW(try_parse_frame(std::string("\x09\x00\x00\x00zzzzzzzzz", 13)),
+               ProtocolError);
   // Unknown message type.
   std::string bad = encode_frame(MsgType::LoadTrace, false, 1, "");
   bad[4] = 0x33;
   EXPECT_THROW(try_parse_frame(bad), ProtocolError);
+  // Another protocol version.
+  for (const int version : {0, 1, kProtocolVersion + 1}) {
+    std::string other = encode_frame(MsgType::Stats, false, 1, "");
+    other[5] = static_cast<char>(version);
+    EXPECT_THROW(try_parse_frame(other), ProtocolError) << version;
+  }
 }
 
 TEST(ServeProtocol, QueryAndResultRoundTrip) {
@@ -183,109 +216,28 @@ TEST(ServeProtocol, QueryAndResultRoundTrip) {
   }
 }
 
-TEST(ServeProtocol, QueryModeWireForms) {
-  Query q = distributed_query(8, 2.5);
-  q.mode = QueryMode::EventDriven;
-
-  // The flagged form carries the mode byte and round-trips it.
-  WireWriter w;
-  encode_query(w, q, /*with_mode=*/true);
-  {
-    WireReader r(w.data());
-    EXPECT_EQ(decode_query(r, /*with_mode=*/true), q);
-    EXPECT_NO_THROW(r.expect_end());
-  }
-
-  // The flagless (pre-mode) form neither writes nor reads the byte: the
-  // decoded query falls back to Auto.
-  WireWriter w2;
-  encode_query(w2, q);
-  {
-    WireReader r(w2.data());
-    Query out = decode_query(r);
-    EXPECT_NO_THROW(r.expect_end());
-    EXPECT_EQ(out.mode, QueryMode::Auto);
-    out.mode = q.mode;
-    EXPECT_EQ(out, q);
-  }
-
-  // Mode byte 2 named a retired mode; it still decodes, as Auto.
-  WireWriter w4;
-  encode_query(w4, q);
-  w4.u8(2);
-  {
-    WireReader r(w4.data());
-    Query out = decode_query(r, /*with_mode=*/true);
-    EXPECT_NO_THROW(r.expect_end());
-    EXPECT_EQ(out.mode, QueryMode::Auto);
-  }
-
-  // Mode bytes 3 and above are rejected at decode.
-  for (const int bad : {3, 7, 255}) {
-    WireWriter w3;
-    encode_query(w3, q);
-    w3.u8(static_cast<std::uint8_t>(bad));
-    WireReader r(w3.data());
-    EXPECT_THROW(decode_query(r, /*with_mode=*/true), ProtocolError)
-        << "mode byte " << bad;
-  }
-}
-
-TEST(ServeProtocol, StatsDecodeToleratesPreModeReplies) {
+TEST(ServeProtocol, StatsRoundTrip) {
   ServerStats s;
   s.requests_total = 5;
   s.queries_ok = 4;
   s.simulate_cpu_s = 0.25;
-  s.queries_auto = 2;
-  s.queries_event = 1;
-  s.queries_sampled = 2;
-  s.sampling_epochs_total = 2002;
-  s.sampling_epochs_simulated = 6;
+  std::int64_t v = 1;
+  for (const core::SimCounterField& f : core::kSimCounterFields)
+    s.sim.*f.member = v++;
   WireWriter w;
   encode_stats(w, s);
+  // 16 service fields, then every SimCounters field.
+  EXPECT_EQ(w.data().size(), (16 + std::size(core::kSimCounterFields)) * 8);
   {
     WireReader r(w.data());
     EXPECT_EQ(decode_stats(r), s);
     EXPECT_NO_THROW(r.expect_end());
   }
-
-  // The layout is unchanged since the sampling counters were appended:
-  // 16 base fields, 3 per-mode slots (the third retired, written as zero)
-  // and 3 sampling counters.
-  constexpr std::size_t kRetiredSlot = 18 * 8;
-  ASSERT_EQ(w.data().size(), 22u * 8);
-  EXPECT_EQ(w.data().substr(kRetiredSlot, 8), std::string(8, '\0'));
-  // A reply from a server that still counted the retired mode carries a
-  // nonzero value there; the decoder skips it and reads on.
-  std::string legacy = w.data();
-  legacy[kRetiredSlot] = 5;
-  {
-    WireReader r(legacy);
-    EXPECT_EQ(decode_stats(r), s);
-    EXPECT_NO_THROW(r.expect_end());
+  // One layout per version: every truncation throws.
+  for (std::size_t n = 0; n < w.data().size(); ++n) {
+    WireReader r(std::string_view(w.data()).substr(0, n));
+    EXPECT_THROW((void)decode_stats(r), ProtocolError) << n << " bytes";
   }
-
-  // A reply from a server that predates the sampling counters is 24 bytes
-  // shorter; the decoder must zero-fill that block instead of throwing.
-  const std::string pre_sampling =
-      w.data().substr(0, w.data().size() - 3 * 8);
-  ServerStats expect_pre_sampling = s;
-  expect_pre_sampling.queries_sampled = 0;
-  expect_pre_sampling.sampling_epochs_total = 0;
-  expect_pre_sampling.sampling_epochs_simulated = 0;
-  WireReader r2(pre_sampling);
-  EXPECT_EQ(decode_stats(r2), expect_pre_sampling);
-  EXPECT_NO_THROW(r2.expect_end());
-
-  // One generation further back (pre-mode counters): both appended blocks
-  // zero-fill.
-  const std::string pre_modes = w.data().substr(0, w.data().size() - 6 * 8);
-  ServerStats expect_pre_modes = expect_pre_sampling;
-  expect_pre_modes.queries_auto = 0;
-  expect_pre_modes.queries_event = 0;
-  WireReader r3(pre_modes);
-  EXPECT_EQ(decode_stats(r3), expect_pre_modes);
-  EXPECT_NO_THROW(r3.expect_end());
 }
 
 TEST(ServeProtocol, PatternQueryAndResultRoundTrip) {
@@ -448,72 +400,72 @@ TEST(ServeService, BatchedQueriesAreDeterministicAndInOrder) {
   EXPECT_FALSE(decode_query_result(r2).ok);
 }
 
-TEST(ServeService, QueryModesAgreeBitwiseAndAreCounted) {
+TEST(ServeService, AutoRepliesMatchEventDrivenAndAreCounted) {
   Service svc;
-  const auto session = svc.open_trace_session(load_golden());
+  const trace::Trace golden = load_golden();
+  const auto session = svc.open_trace_session(golden);
+  const core::TranslatedTrace prepared = core::prepare_trace(golden);
 
   // Auto is conservative-exact: on both an analytic and a message-passing
-  // machine, both requested modes serve the same bytes.
+  // machine, the served reply equals the EventDriven oracle's.
   for (const char* preset : {"preset = shared", "preset = distributed"}) {
     Query q = distributed_query(4);
     q.params_text = preset;
-    q.mode = QueryMode::EventDriven;
-    const QueryResult ev = svc.run_query(session, q);
-    ASSERT_TRUE(ev.ok) << ev.error;
-    q.mode = QueryMode::Auto;
-    const QueryResult au = svc.run_query(session, q);
-    EXPECT_EQ(ev, au) << preset;
+    const QueryResult served = svc.run_query(session, q);
+    ASSERT_TRUE(served.ok) << served.error;
+    EXPECT_EQ(served, event_driven_result(prepared, q)) << preset;
   }
 
+  // Every served query counts as one cell of the fast-path counters.
   const ServerStats st = svc.stats();
-  EXPECT_EQ(st.queries_event, 2u);
-  EXPECT_EQ(st.queries_auto, 2u);
-  EXPECT_EQ(st.queries_ok, 4u);
+  EXPECT_EQ(st.queries_ok, 2u);
+  EXPECT_EQ(st.sim.cells_event + st.sim.cells_hybrid + st.sim.cells_memo, 2);
 }
 
 // The serve_warm batch shape on a grid bench session: {distributed, cm5,
 // paragon, sp1} x MIPS {1, 4}.  These message-barrier machines are where
-// Auto memoizes barrier epochs on the event path, so the EventDriven and
-// Auto replies must still be byte-identical — and in-process, the same
-// Auto simulations must actually replay memoized windows.
-TEST(ServeService, MemoizedAutoRepliesMatchEventDrivenBytes) {
+// Auto memoizes barrier epochs on the event path, so the served replies
+// must still equal the EventDriven oracle's bitwise — and in-process, the
+// same Auto simulations must actually replay memoized windows.
+TEST(ServeService, MemoizedAutoRepliesMatchEventDrivenPredictions) {
   constexpr int kProcs = 16;
   Service svc;
   const auto session = svc.open_bench_session("grid");
-  auto batch_reply = [&](QueryMode mode) {
-    WireWriter w;
-    w.u64(session);
-    w.u32(8u | kBatchHasModes);
-    for (const char* preset : {"distributed", "cm5", "paragon", "sp1"})
-      for (const double mips : {1.0, 4.0}) {
-        Query q;
-        q.n_procs = kProcs;
-        q.mips_ratio = mips;
-        q.params_text = std::string("preset = ") + preset;
-        q.mode = mode;
-        encode_query(w, q, /*with_mode=*/true);
-      }
-    return svc.handle(
-        encode_frame(MsgType::QueryBatch, false, 9, w.data()).substr(4));
-  };
-  const std::string event = batch_reply(QueryMode::EventDriven);
-  const std::string autom = batch_reply(QueryMode::Auto);
-  EXPECT_EQ(event, autom) << "memoized replies differ from the oracle's";
-  const auto parsed = try_parse_frame(autom);
-  ASSERT_TRUE(parsed.has_value());
-  WireReader r(parsed->first.body);
-  ASSERT_EQ(r.u8(), 0);
-  ASSERT_EQ(r.u32(), 8u);
-  for (int i = 0; i < 8; ++i) {
-    const QueryResult res = decode_query_result(r);
-    ASSERT_TRUE(res.ok) << res.error;
-  }
+  std::vector<Query> queries;
+  WireWriter w;
+  w.u64(session);
+  w.u32(8);
+  for (const char* preset : {"distributed", "cm5", "paragon", "sp1"})
+    for (const double mips : {1.0, 4.0}) {
+      Query q;
+      q.n_procs = kProcs;
+      q.mips_ratio = mips;
+      q.params_text = std::string("preset = ") + preset;
+      encode_query(w, q);
+      queries.push_back(std::move(q));
+    }
+  const std::string reply = svc.handle(
+      encode_frame(MsgType::QueryBatch, false, 9, w.data()).substr(4));
 
   auto prog = suite::make_by_name("grid", suite::SuiteConfig{});
   rt::MeasureOptions mo;
   mo.n_threads = kProcs;
   const core::TranslatedTrace prepared =
       core::prepare_trace(rt::measure(*prog, mo));
+  const auto parsed = try_parse_frame(reply);
+  ASSERT_TRUE(parsed.has_value());
+  WireReader r(parsed->first.body);
+  ASSERT_EQ(r.u8(), 0);
+  ASSERT_EQ(r.u32(), 8u);
+  for (const Query& q : queries) {
+    const QueryResult res = decode_query_result(r);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res, event_driven_result(prepared, q))
+        << "memoized reply differs from the oracle's: " << q.params_text
+        << " mips " << q.mips_ratio;
+  }
+  r.expect_end();
+
   core::SimOptions sopts;
   sopts.mode = core::SimMode::Auto;
   sopts.emit_trace = false;
@@ -525,78 +477,6 @@ TEST(ServeService, MemoizedAutoRepliesMatchEventDrivenBytes) {
       const core::Prediction p = core::predict(prepared, params, sopts);
       EXPECT_GT(p.sim.hybrid.memo_hits, 0) << preset << " mips " << mips;
     }
-}
-
-TEST(ServeService, ModeFlaggedBatchesDecodeNextToFlaglessOnes) {
-  Service svc;
-  const auto session = svc.open_trace_session(load_golden());
-
-  // Versioned wire form: kBatchHasModes on the count, a mode byte per
-  // query.  Both modes, and the retired mode byte 2 (hand-encoded; it is
-  // served as Auto), must come back ok and bitwise-equal.
-  WireWriter w;
-  w.u64(session);
-  w.u32(3u | kBatchHasModes);
-  Query q = distributed_query(4);
-  q.mode = QueryMode::EventDriven;
-  encode_query(w, q, /*with_mode=*/true);
-  encode_query(w, distributed_query(4));
-  w.u8(2);
-  q.mode = QueryMode::Auto;
-  encode_query(w, q, /*with_mode=*/true);
-  const std::string flagged = svc.handle(
-      encode_frame(MsgType::QueryBatch, false, 11, w.data()).substr(4));
-  const auto parsed = try_parse_frame(flagged);
-  ASSERT_TRUE(parsed.has_value());
-  WireReader r(parsed->first.body);
-  ASSERT_EQ(r.u8(), 0) << "flagged batch rejected";
-  ASSERT_EQ(r.u32(), 3u);
-  std::vector<QueryResult> results;
-  for (int i = 0; i < 3; ++i) results.push_back(decode_query_result(r));
-  r.expect_end();
-  for (const auto& res : results) ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_EQ(results[0], results[1]);
-  EXPECT_EQ(results[0], results[2]);
-
-  // The flagless (pre-mode) form from an old client still parses and runs
-  // as Auto.
-  WireWriter w2;
-  w2.u64(session);
-  w2.u32(1);
-  encode_query(w2, distributed_query(4));
-  const std::string flagless = svc.handle(
-      encode_frame(MsgType::QueryBatch, false, 12, w2.data()).substr(4));
-  const auto parsed2 = try_parse_frame(flagless);
-  ASSERT_TRUE(parsed2.has_value());
-  WireReader r2(parsed2->first.body);
-  ASSERT_EQ(r2.u8(), 0) << "flagless batch rejected";
-  ASSERT_EQ(r2.u32(), 1u);
-  const QueryResult legacy = decode_query_result(r2);
-  ASSERT_TRUE(legacy.ok) << legacy.error;
-  EXPECT_EQ(legacy, results[0]);
-
-  const ServerStats st = svc.stats();
-  EXPECT_EQ(st.queries_event, 1u);
-  // Mode byte 2, explicit Auto and the flagless default.
-  EXPECT_EQ(st.queries_auto, 3u);
-
-  // A flagged batch with a mode byte outside the enum (3 is the first) is
-  // an error reply to that request, not a crash.
-  for (const int bad_mode : {3, 7}) {
-    WireWriter w3;
-    w3.u64(session);
-    w3.u32(1u | kBatchHasModes);
-    encode_query(w3, distributed_query(4));
-    w3.u8(static_cast<std::uint8_t>(bad_mode));
-    const std::string bad = svc.handle(
-        encode_frame(MsgType::QueryBatch, false, 13, w3.data()).substr(4));
-    const auto parsed3 = try_parse_frame(bad);
-    ASSERT_TRUE(parsed3.has_value());
-    WireReader r3(parsed3->first.body);
-    EXPECT_NE(r3.u8(), 0) << "out-of-range mode byte " << bad_mode
-                          << " was accepted";
-  }
-  EXPECT_EQ(svc.stats().queries_ok, 4u);
 }
 
 TEST(ServeService, SharedSourceCachesAcrossSessions) {
@@ -799,28 +679,32 @@ TEST(ServeServer, ConcurrentClientsShareOneCache) {
   server.join();
 }
 
-TEST(ServeServer, ModeRequestsRoundTripOverTheSocket) {
-  const std::string sock = unique_socket("mode");
+TEST(ServeServer, ServedBatchesMatchEventDrivenOverTheSocket) {
+  const std::string sock = unique_socket("oracle");
   ServerOptions opt;
   opt.unix_path = sock;
   Server server(std::move(opt));
   server.start();
 
   Client client = Client::connect_unix(sock);
-  const auto session = client.load_trace(load_golden());
+  const trace::Trace golden = load_golden();
+  const auto session = client.load_trace(golden);
+  const core::TranslatedTrace prepared = core::prepare_trace(golden);
 
-  Query qe = distributed_query(4);
-  qe.mode = QueryMode::EventDriven;
-  // Mixed batch: a non-default mode makes the client emit the flagged
-  // wire form for the whole batch.
-  const auto results = client.query_batch(session, {qe, distributed_query(4)});
-  ASSERT_EQ(results.size(), 2u);
-  for (const auto& r : results) ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(results[0], results[1]);
+  Query shared = distributed_query(4, 2.0);
+  shared.params_text = "preset = shared";
+  const std::vector<Query> queries{distributed_query(4), shared};
+  const auto results = client.query_batch(session, queries);
+  ASSERT_EQ(results.size(), queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(results[i].ok) << results[i].error;
+    EXPECT_EQ(results[i], event_driven_result(prepared, queries[i]))
+        << queries[i].params_text;
+  }
 
   const ServerStats st = client.stats();
-  EXPECT_EQ(st.queries_event, 1u);
-  EXPECT_EQ(st.queries_auto, 1u);
+  EXPECT_EQ(st.sim.cells_event + st.sim.cells_hybrid + st.sim.cells_memo,
+            static_cast<std::int64_t>(queries.size()));
 
   client.close_session(session);
   server.stop();
@@ -1015,148 +899,97 @@ TEST(ServeServer, ServedPatternModelMatchesInProcessServiceBitwise) {
   server.join();
 }
 
-TEST(ServeServer, OldWireFormsStillWorkOnAPatternAwareServer) {
-  // The version gate is the NEW VERB ITSELF: a pattern-aware server must
-  // keep serving every pre-pattern wire form byte-compatibly, and reject
-  // type bytes beyond its ken with an error reply, not a dropped
-  // connection.
-  const std::string sock = unique_socket("oldwire");
+TEST(ServeServer, UnknownTypesAndVersionsGetErrorReplies) {
+  // A request this server cannot read gets an error reply that echoes its
+  // request id, and the connection stays up: the next request succeeds.
+  const std::string sock = unique_socket("version");
   ServerOptions opt;
   opt.unix_path = sock;
-  opt.service = pattern_service_options();
   Server server(std::move(opt));
   server.start();
 
   RawConnection conn(sock);
   Frame reply;
-  const auto exchange = [&](const std::string& frame_bytes) {
-    conn.exchange(frame_bytes, reply);
-  };
 
-  // An old client's session open + flagless (pre-mode) batch.
-  {
-    WireWriter w;
-    w.str("mrhist");
-    exchange(encode_frame(MsgType::OpenBench, false, 1, w.data()));
-    WireReader r(reply.body);
-    ASSERT_EQ(r.u8(), 0) << "old OpenBench form rejected";
-    const std::uint64_t session = r.u64();
-
-    WireWriter wb;
-    wb.u64(session);
-    wb.u32(1);  // flagless count: the pre-kBatchHasModes form
-    encode_query(wb, distributed_query(2));
-    exchange(encode_frame(MsgType::QueryBatch, false, 2, wb.data()));
-    WireReader rb(reply.body);
-    ASSERT_EQ(rb.u8(), 0) << "old flagless batch rejected";
-    ASSERT_EQ(rb.u32(), 1u);
-    const QueryResult res = decode_query_result(rb);
-    EXPECT_TRUE(res.ok) << res.error;
-  }
-
-  // A type byte from beyond this server's protocol version: error reply,
-  // connection stays up (the next exchange proves it).
+  // A type byte from beyond this server's protocol.
   {
     std::string future = encode_frame(MsgType::Stats, false, 3, "");
     future[4] = static_cast<char>(MsgType::PatternModel) + 1;
-    exchange(future);
+    conn.exchange(future, reply);
+    EXPECT_EQ(reply.request_id, 3u);
     WireReader r(reply.body);
     EXPECT_NE(r.u8(), 0) << "unknown type byte was accepted";
-    exchange(encode_frame(MsgType::Stats, false, 4, ""));
+    conn.exchange(encode_frame(MsgType::Stats, false, 4, ""), reply);
     WireReader r2(reply.body);
     EXPECT_EQ(r2.u8(), 0) << "connection poisoned by unknown type";
+  }
+
+  // A request of another protocol version, then the same request at this
+  // version.
+  WireWriter open;
+  open.str("cyclic");
+  for (const int version : {0, 1, kProtocolVersion + 1}) {
+    SCOPED_TRACE(version);
+    std::string other = encode_frame(MsgType::OpenBench, false, 5, open.data());
+    other[5] = static_cast<char>(version);
+    conn.exchange(other, reply);
+    EXPECT_EQ(reply.type, MsgType::OpenBench);
+    EXPECT_EQ(reply.request_id, 5u);
+    WireReader r(reply.body);
+    ASSERT_NE(r.u8(), 0) << "request of version " << version
+                         << " was accepted";
+    EXPECT_NE(r.str().find("protocol version"), std::string::npos);
+
+    conn.exchange(encode_frame(MsgType::OpenBench, false, 6, open.data()),
+                  reply);
+    EXPECT_EQ(reply.request_id, 6u);
+    WireReader r2(reply.body);
+    ASSERT_EQ(r2.u8(), 0) << "connection poisoned by another version";
+    const std::uint64_t session = r2.u64();
+    WireWriter wb;
+    wb.u64(session);
+    wb.u32(1);
+    encode_query(wb, distributed_query(2));
+    conn.exchange(encode_frame(MsgType::QueryBatch, false, 7, wb.data()),
+                  reply);
+    WireReader rb(reply.body);
+    ASSERT_EQ(rb.u8(), 0);
+    ASSERT_EQ(rb.u32(), 1u);
+    const QueryResult res = decode_query_result(rb);
+    EXPECT_TRUE(res.ok) << res.error;
+    rb.expect_end();
   }
 
   server.stop();
   server.join();
 }
 
-TEST(ServeServer, OldSamplingBatchesGetExactReplies) {
-  // kBatchHasSampling once carried an inexact epoch tolerance.  Current
-  // clients never raise it, but an old client's flagged batch must still
-  // be served: the tolerance is range-checked and ignored, the reply
-  // echoes the flag with the old layout, and the certified-bound slot is
-  // 0 because every answer is exact.
-  const std::string sock = unique_socket("oldsampling");
+// A served reply equals Service::run_query field for field, on the
+// message-passing path and on the epoch-sampled path alike (a single-
+// cluster shared-memory machine is fully analytic, so Auto samples it).
+TEST(ServeServer, ServedRepliesEqualRunQuery) {
+  const std::string sock = unique_socket("runquery");
   ServerOptions opt;
   opt.unix_path = sock;
   Server server(std::move(opt));
   server.start();
 
-  RawConnection conn(sock);
-  Frame reply;
-  conn.exchange(
-      [] {
-        WireWriter w;
-        w.str("cyclic");
-        return encode_frame(MsgType::OpenBench, false, 1, w.data());
-      }(),
-      reply);
-  WireReader ro(reply.body);
-  ASSERT_EQ(ro.u8(), 0) << "OpenBench rejected";
-  const std::uint64_t session = ro.u64();
-
+  Client client = Client::connect_unix(sock);
+  const auto session = client.open_bench("cyclic");
   Query shared;
   shared.n_procs = 4;
-  shared.params_text =
-      "preset = shared\ncluster.procs_per_cluster = 1048576";
+  shared.params_text = "preset = shared\ncluster.procs_per_cluster = 1048576";
   const std::vector<Query> queries{distributed_query(4), shared};
-  const auto batch = [&](std::uint64_t id, std::optional<double> tolerance) {
-    WireWriter w;
-    w.u64(session);
-    w.u32(static_cast<std::uint32_t>(queries.size()) |
-          (tolerance ? kBatchHasSampling : 0u));
-    for (const Query& q : queries) {
-      encode_query(w, q);
-      if (tolerance) w.f64(*tolerance);
-    }
-    return encode_frame(MsgType::QueryBatch, false, id, w.data());
-  };
+  const std::vector<QueryResult> served = client.query_batch(session, queries);
+  ASSERT_EQ(served.size(), queries.size());
+  // The batch covered both paths: exactly the shared query was sampled.
+  EXPECT_EQ(client.stats().sim.cells_sampled, 1);
 
-  conn.exchange(batch(2, std::nullopt), reply);
-  WireReader rf(reply.body);
-  ASSERT_EQ(rf.u8(), 0) << "flagless batch rejected";
-  ASSERT_EQ(rf.u32(), queries.size());
-  std::vector<QueryResult> flagless;
-  for (std::size_t i = 0; i < queries.size(); ++i)
-    flagless.push_back(decode_query_result(rf));
-  rf.expect_end();
-
-  conn.exchange(batch(3, 0.25), reply);
-  WireReader rs(reply.body);
-  ASSERT_EQ(rs.u8(), 0) << "sampling-flagged batch rejected";
-  ASSERT_EQ(rs.u32(), queries.size() | kBatchHasSampling)
-      << "the reply must echo kBatchHasSampling";
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    SCOPED_TRACE("query " + std::to_string(i));
-    const QueryResult res = decode_query_result(rs);  // base fields
-    ASSERT_TRUE(res.ok) << res.error;
-    EXPECT_EQ(res, flagless[i]);
-    const std::int64_t epochs = rs.i64();
-    const std::int64_t classes = rs.i64();
-    const std::int64_t simulated = rs.i64();
-    // Only the single-cluster shared-memory query is fully analytic, so
-    // only it takes the sampled path.
-    EXPECT_EQ(epochs > 0, i == 1);
-    EXPECT_LE(classes, epochs);
-    EXPECT_LE(simulated, epochs);
-    EXPECT_EQ(rs.i64(), 0) << "retired bound slot must be 0";
-  }
-  rs.expect_end();
-
-  // Out-of-range tolerances are error replies; the connection survives
-  // and serves the next valid batch.
-  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), 1.5}) {
-    SCOPED_TRACE(bad);
-    conn.exchange(batch(4, bad), reply);
-    WireReader rb(reply.body);
-    EXPECT_NE(rb.u8(), 0) << "tolerance " << bad << " was accepted";
-    conn.exchange(batch(5, std::nullopt), reply);
-    WireReader rv(reply.body);
-    ASSERT_EQ(rv.u8(), 0) << "connection poisoned by a bad tolerance";
-    ASSERT_EQ(rv.u32(), queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i)
-      EXPECT_EQ(decode_query_result(rv), flagless[i]);
+    SCOPED_TRACE(queries[i].params_text);
+    const QueryResult local = server.service().run_query(session, queries[i]);
+    ASSERT_TRUE(local.ok) << local.error;
+    EXPECT_EQ(served[i], local);
   }
 
   server.stop();

@@ -344,7 +344,7 @@ TEST(SweepRunner, SweepMatchesEventDrivenOracle) {
     }
     if (prog == 1) {
       EXPECT_GT(hits, 0);
-      EXPECT_LT(sweep.stages.sim_events_fired, oracle_events);
+      EXPECT_LT(sweep.stages.sim.events_fired, oracle_events);
     }
   }
 }
@@ -370,16 +370,16 @@ TEST(SweepRunner, StagesAttributeMemoizedCells) {
   }
   EXPECT_GT(hits, 0);
   EXPECT_GT(misses, 0);
-  EXPECT_EQ(r.stages.sim_memo_hits, hits);
-  EXPECT_EQ(r.stages.sim_memo_misses, misses);
-  EXPECT_EQ(r.stages.cells_memo, memo_cells);
-  EXPECT_GT(r.stages.cells_memo, 0);
-  EXPECT_EQ(r.stages.cells_hybrid, 0);
-  EXPECT_EQ(r.stages.cells_event + r.stages.cells_memo,
+  EXPECT_EQ(r.stages.sim.memo_hits, hits);
+  EXPECT_EQ(r.stages.sim.memo_misses, misses);
+  EXPECT_EQ(r.stages.sim.cells_memo, memo_cells);
+  EXPECT_GT(r.stages.sim.cells_memo, 0);
+  EXPECT_EQ(r.stages.sim.cells_hybrid, 0);
+  EXPECT_EQ(r.stages.sim.cells_event + r.stages.sim.cells_memo,
             static_cast<std::int64_t>(r.grid.size()));
   const std::string report = metrics::render_sweep(metrics::analyze_sweep(r));
-  EXPECT_NE(report.find(std::to_string(hits) + " memo hit(s)/" +
-                        std::to_string(misses) + " miss(es)"),
+  EXPECT_NE(report.find("sim_memo_hits=" + std::to_string(hits) +
+                        " sim_memo_misses=" + std::to_string(misses)),
             std::string::npos)
       << report;
 }
