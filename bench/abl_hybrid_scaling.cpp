@@ -11,8 +11,8 @@
 // n in {64 .. 100000} event-driven (only where feasible) and on the hybrid
 // path against identical translated traces, and report wall time, engine
 // events fired, and segments collapsed per cell.  The "hybrid" rows run
-// Auto over a trace whose epoch-class table is dropped
-// (bench::without_epoch_classes), so they time the collapse itself — every
+// Auto over a trace whose every epoch is its own class
+// (bench::with_singleton_classes), so they time the collapse itself — every
 // epoch walked analytically — not the epoch sampling stacked on top of it.
 // Both paths are exact, so the harness also holds their predictions
 // bitwise equal where both run.
@@ -153,7 +153,7 @@ int run(bool smoke) {
       const trace::Trace measured = rt::measure(*prog, mo);
       const double measure_s = now_s() - m0;
       const core::TranslatedTrace prepared =
-          without_epoch_classes(core::prepare_trace(measured));
+          with_singleton_classes(core::prepare_trace(measured));
       const double prep_s = now_s() - m0;
 
       const bool event_feasible = n <= 1024;

@@ -10,8 +10,8 @@
 //
 // This harness simulates Grid at 100/500/1000 iterations (102/502/1002
 // epochs) under Auto (sampled), the full analytic walk (Auto over a copy of
-// the trace without its epoch-class table, so every epoch is walked —
-// bench::without_epoch_classes; rows keyed "hybrid"), and EventDriven
+// the trace whose every epoch is its own class, so every epoch is walked —
+// bench::with_singleton_classes; rows keyed "hybrid"), and EventDriven
 // against identical translated traces; holds all three bitwise equal; and
 // gates sampled >= 10x full-walk simulate-stage wall time at >= 1000
 // epochs.
@@ -27,14 +27,17 @@
 // "epoch_memo".  Every check in the full run is a gate (exit code) except
 // the memo >= 5x timing claim.
 //
-//   --smoke   run only the Auto grid 1002-epoch cell and gate it sampled
-//             (CI long-trace smoke, one minute for the whole
-//             measure->predict pipeline)
+//   --smoke   run only the Auto grid 1002-epoch cell and gate it sampled,
+//             without and with a trace, the traced cell's trace bytes
+//             equal to the full walk's (CI long-trace smoke, one minute
+//             for the whole measure->predict pipeline)
 #include <time.h>
 
 #include <cstring>
+#include <sstream>
 
 #include "common.hpp"
+#include "trace/trace_io.hpp"
 
 namespace xp::bench {
 namespace {
@@ -72,10 +75,9 @@ struct Cell {
 };
 
 Cell run_cell(const core::TranslatedTrace& prepared,
-              const model::SimParams& params, core::SimMode mode) {
-  core::SimOptions opts;
-  opts.mode = mode;
-  opts.emit_trace = false;
+              const model::SimParams& params, core::SimMode mode,
+              bool emit_trace = false) {
+  const core::SimOptions opts{mode, emit_trace};
   Cell cell;
   cell.sim_s = 1e30;
   for (int i = 0; i < 3; ++i) {
@@ -85,6 +87,12 @@ Cell run_cell(const core::TranslatedTrace& prepared,
     cell.pred = std::move(p);
   }
   return cell;
+}
+
+std::string trace_bytes(const trace::Trace& t) {
+  std::ostringstream os(std::ios::binary);
+  trace::write_binary(t, os);
+  return os.str();
 }
 
 /// Every simulated quantity, bitwise: makespan, per-thread stats, traffic.
@@ -209,6 +217,17 @@ int run(bool smoke) {
          sp.active && sp.epochs >= 1000);
     gate("distinct classes stayed tiny on the iterative trace",
          sp.active && sp.classes > 0 && sp.classes <= 8);
+    const Cell traced =
+        run_cell(prepared, params, core::SimMode::Auto, /*emit_trace=*/true);
+    const Cell walk = run_cell(with_singleton_classes(prepared), params,
+                               core::SimMode::Auto, /*emit_trace=*/true);
+    const core::SamplingStats& tsp = traced.pred.sim.sampling;
+    gate("a trace keeps the 1002-epoch cell sampled",
+         tsp.active && tsp.epochs_simulated < tsp.epochs);
+    gate("its trace bytes equal the full analytic walk's",
+         !traced.pred.sim.extrapolated.events().empty() &&
+             trace_bytes(traced.pred.sim.extrapolated) ==
+                 trace_bytes(walk.pred.sim.extrapolated));
     return exit_code();
   }
 
@@ -231,7 +250,7 @@ int run(bool smoke) {
     const double prep_s = now_s() - m0;
 
     const Cell ev = run_cell(prepared, params, core::SimMode::EventDriven);
-    const Cell hy = run_cell(without_epoch_classes(prepared), params,
+    const Cell hy = run_cell(with_singleton_classes(prepared), params,
                              core::SimMode::Auto);
     const Cell au = run_cell(prepared, params, core::SimMode::Auto);
     const core::SamplingStats& sp = au.pred.sim.sampling;

@@ -100,15 +100,15 @@ inline metrics::Curve time_curve_ms(const std::string& label,
   return c;
 }
 
-/// `prepared` with its compiled form's epoch-class table dropped: Auto then
-/// walks every epoch on the analytic path instead of sampling one exemplar
-/// per class (the table is the sampled path's precondition).  This is the
-/// full-analytic baseline the collapse and sampling gates time against.
-/// The compiled form is copied, so `prepared` itself is left untouched.
-inline core::TranslatedTrace without_epoch_classes(
+/// `prepared` with every epoch made its own class
+/// (core::singleton_epoch_classes): Auto's analytic path then walks every
+/// epoch instead of one exemplar per class.  This is the full-analytic
+/// baseline the collapse and sampling gates time against.  The compiled
+/// form is copied, so `prepared` itself is left untouched.
+inline core::TranslatedTrace with_singleton_classes(
     core::TranslatedTrace prepared) {
   auto compiled = std::make_shared<core::CompiledTrace>(*prepared.compiled);
-  compiled->epoch_classes = {};
+  compiled->epoch_classes = core::singleton_epoch_classes(*compiled);
   prepared.compiled = std::move(compiled);
   return prepared;
 }

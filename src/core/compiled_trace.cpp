@@ -115,18 +115,13 @@ CompiledTrace CompiledTrace::compile(
     }
   }
 
-  // Segment-collapse preconditions: lockstep epochs + per-owner histogram.
+  // Segment-collapse precondition: lockstep epochs.
   ct.uniform_barriers = true;
   for (std::size_t t = 1; t < ct.threads.size(); ++t)
     if (ct.threads[t].barrier_ids != ct.threads[0].barrier_ids) {
       ct.uniform_barriers = false;
       break;
     }
-  ct.inbound_remotes.assign(translated.size(), 0);
-  for (const CompiledThread& th : ct.threads)
-    for (const RemoteRec& r : th.remotes)
-      if (r.peer >= 0 && r.peer < ct.n_threads)
-        ++ct.inbound_remotes[static_cast<std::size_t>(r.peer)];
   // Representative-epoch class table (core/translate.hpp): grouped here,
   // once per compile, so sampling shares it across every simulation of a
   // sweep — the same amortization contract as the segment table.  Only

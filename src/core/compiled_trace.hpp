@@ -143,11 +143,6 @@ struct CompiledTrace {
   /// trace sets may not.
   bool uniform_barriers = false;
 
-  /// inbound_remotes[t]: remote accesses (across all threads) whose owner is
-  /// thread t — the per-owner access histogram of the contention pre-pass.
-  /// A thread that is never an owner is trivially uncontended.
-  std::vector<std::int64_t> inbound_remotes;
-
   /// Epoch -> class grouping for representative-epoch sampling; built by
   /// compile() iff uniform_barriers (empty otherwise — check built()).
   EpochClassTable epoch_classes;

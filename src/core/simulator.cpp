@@ -155,6 +155,23 @@ struct ThreadCtx {
   ThreadStats stats;
 };
 
+// One emitted trace event, the 16-byte record every replay path appends to
+// the simulator's one emission log.  `op` names the event in the thread's
+// compiled ops: op_ref(i) is op i's proto, exit_ref(i) the BarrierExit that
+// follows Barrier op i.  Slices of the log are moved between epochs by
+// adding 2 x the op distance (the flag bit survives) and a time shift.
+struct Emission {
+  Time time;
+  std::int32_t thread;
+  std::int32_t op;
+};
+static_assert(sizeof(Emission) == 16, "the emission record stays 16 bytes");
+
+constexpr std::int32_t op_ref(std::uint32_t i) {
+  return static_cast<std::int32_t>(2 * i);
+}
+constexpr std::int32_t exit_ref(std::uint32_t i) { return op_ref(i) + 1; }
+
 struct AnalyticBarrier {
   std::vector<Time> arrival;
   int count = 0;
@@ -184,8 +201,9 @@ class Simulator {
     classify(compiled);
     // Barrier-epoch memoization (DESIGN.md §16): message barriers only
     // (analytic ones take the hybrid path), and the compile-time class
-    // table supplies the key.  Replayed windows re-emit their recorded
-    // events time-shifted, so trace emission does not turn it off.
+    // table supplies the key.  Replayed windows append their recorded
+    // slice of the emission log time-shifted, so a trace does not turn it
+    // off.
     memo_on_ = opts_.mode != SimMode::EventDriven && use_messages() &&
                compiled.epoch_classes.built();
     if (memo_on_)
@@ -195,16 +213,7 @@ class Simulator {
 
   SimResult run() {
     if (hyb_.path == HybridStats::Path::PureAnalytic) {
-      // Representative-epoch sampling (DESIGN.md §15): only on the
-      // engine-free path, only without trace emission (every epoch must be
-      // walked to emit its events), and only when the compile-time
-      // epoch-class table exists (hand-built CompiledTrace instances may
-      // predate it).  Dedup is bitwise-exact, so eligibility — not
-      // correctness — is the only thing these conditions guard.
-      if (!opts_.emit_trace && compiled_->epoch_classes.built())
-        run_analytic_sampled();
-      else
-        run_analytic();
+      run_analytic_sampled();
     } else {
       for (auto& t : threads_) proceed(*t);
       engine_.run();
@@ -220,19 +229,7 @@ class Simulator {
       r.makespan = util::max(r.makespan, t->stats.finish);
       r.threads.push_back(t->stats);
     }
-    // Stable by (time, thread): each thread's own emission order is the
-    // same in every mode, but the fast paths emit a whole segment or window
-    // at once, so same-time events of different threads would otherwise
-    // keep a mode-dependent global order.
-    std::stable_sort(out_events_.begin(), out_events_.end(),
-                     [](const Event& a, const Event& b) {
-                       return a.time != b.time ? a.time < b.time
-                                               : a.thread < b.thread;
-                     });
-    trace::Trace out(n_);
-    out.set_meta("extrapolated", "1");
-    out.mutable_events() = std::move(out_events_);
-    r.extrapolated = std::move(out);
+    r.extrapolated = materialize();
     r.messages = network_.messages_sent();
     r.bytes = network_.bytes_sent();
     r.avg_inflight = network_.load_samples().mean();
@@ -257,8 +254,7 @@ class Simulator {
   //     on request/reply messages whose latency depends on network state),
   //     and no other thread's same-epoch segment targets this thread as a
   //     cross-cluster owner (servicing the request would consume this CPU
-  //     at a message-determined time — the contended-owner case of the
-  //     per-owner access histogram).
+  //     at a message-determined time: the contended-owner case).
   //
   // Same-processor accesses are free and intra-cluster accesses cost a
   // fixed latency + per-byte copy on the accessing CPU only, so both stay
@@ -276,15 +272,16 @@ class Simulator {
       hyb_.segments_demoted = hyb_.segments_total;
       return;
     }
-    epochs_ = static_cast<std::int64_t>(compiled.threads[0].segments.size());
-    hyb_.epochs = epochs_;
-    blocked_.assign(static_cast<std::size_t>(epochs_ * n_), 0);
+    const auto epochs =
+        static_cast<std::int64_t>(compiled.threads[0].segments.size());
+    hyb_.epochs = epochs;
+    blocked_.assign(static_cast<std::size_t>(epochs * n_), 0);
     if (params_.cluster.procs_per_cluster < n_procs_) {
       // Multiple clusters: walk each segment's remote slice and demote both
       // endpoints of every cross-cluster access for that epoch.
       for (int t = 0; t < n_; ++t) {
         const CompiledThread& th = compiled.threads[static_cast<std::size_t>(t)];
-        for (std::int64_t e = 0; e < epochs_; ++e) {
+        for (std::int64_t e = 0; e < epochs; ++e) {
           const Segment& seg = th.segments[static_cast<std::size_t>(e)];
           for (std::uint32_t ri = seg.remote_begin; ri < seg.remote_end; ++ri) {
             const RemoteRec& rec = th.remotes[ri];
@@ -475,10 +472,10 @@ class Simulator {
       switch (k) {
         case OpKind::Begin:
         case OpKind::Phase:
-          emit_at(T, code.proto[i], now);
+          emit_at(T, op_ref(i), now);
           break;
         case OpKind::Remote: {
-          emit_at(T, code.proto[i], now);
+          emit_at(T, op_ref(i), now);
           const RemoteRec& rec = code.remotes[T.remote++];
           ++T.stats.remote_accesses;
           if (rec.peer != T.id) {
@@ -512,7 +509,7 @@ class Simulator {
       ++hyb_.ops_collapsed;
       T.op = i + 1;
       T.fastforwarding = false;
-      emit_at(T, T.code->proto[i], at);
+      emit_at(T, op_ref(i), at);
       T.state = TState::Done;
       T.stats.finish = at;
       // The inbox is provably empty (no inbound traffic in a collapsed
@@ -525,65 +522,9 @@ class Simulator {
     engine_.schedule_at(at, [this, &T, i] {
       T.fastforwarding = false;
       T.op = i + 1;
-      emit(T, T.code->proto[i]);
+      emit(T, op_ref(i));
       begin_barrier(T, T.code->barrier_ids[T.barrier++]);
     });
-  }
-
-  /// The engine-free path: every segment of every thread collapsed, so the
-  /// whole run is a per-epoch loop of analytic segment walks joined by the
-  /// analytic barrier formula — the same arrival/release/exit values the
-  /// event path computes, without scheduling a single event.  This is what
-  /// makes n = 10^4..10^6 simulated processors feasible.
-  void run_analytic() {
-    const std::int64_t n_barriers = epochs_ - 1;
-    std::vector<Time> cur(static_cast<std::size_t>(n_),  Time::zero());
-    std::vector<Time> wait_start(static_cast<std::size_t>(n_), Time::zero());
-    std::vector<Time> arrival(static_cast<std::size_t>(n_), Time::zero());
-    for (std::int64_t e = 0; e < epochs_; ++e) {
-      Time max_arrival;
-      for (int t = 0; t < n_; ++t) {
-        ThreadCtx& T = *threads_[static_cast<std::size_t>(t)];
-        const Segment& seg = T.code->segments[static_cast<std::size_t>(e)];
-        const Time at = walk_segment(T, seg, cur[static_cast<std::size_t>(t)]);
-        const std::uint32_t i = T.op;
-        ++hyb_.ops_collapsed;
-        T.op = i + 1;
-        emit_at(T, T.code->proto[i], at);
-        if (e < n_barriers) {
-          ++T.barrier;
-          wait_start[static_cast<std::size_t>(t)] = at;
-          // Arrival is the entry-time CPU activity's completion, exactly as
-          // begin_barrier queues it before analytic_arrive records it.
-          arrival[static_cast<std::size_t>(t)] =
-              at + params_.barrier.entry_time;
-          max_arrival = util::max(
-              max_arrival, arrival[static_cast<std::size_t>(t)]);
-        } else {
-          T.state = TState::Done;
-          T.stats.finish = at;
-        }
-      }
-      if (e >= n_barriers) break;
-      // analytic_arrive fires the releases when the last arrival lands
-      // (engine clock == max arrival), clamping each exit to that instant.
-      const std::vector<Time> release =
-          model::analytic_release(params_.barrier, arrival);
-      const std::int32_t id =
-          threads_[0]->code->barrier_ids[static_cast<std::size_t>(e)];
-      for (int t = 0; t < n_; ++t) {
-        ThreadCtx& T = *threads_[static_cast<std::size_t>(t)];
-        const Time exit_at =
-            util::max(release[static_cast<std::size_t>(t)], max_arrival);
-        Event exit;
-        exit.kind = EventKind::BarrierExit;
-        exit.barrier_id = id;
-        emit_at(T, exit, exit_at);
-        T.stats.barrier_wait +=
-            exit_at - wait_start[static_cast<std::size_t>(t)];
-        cur[static_cast<std::size_t>(t)] = exit_at;
-      }
-    }
   }
 
   // --- representative-epoch sampling (SimMode::Auto, DESIGN.md §15) --------
@@ -602,7 +543,11 @@ class Simulator {
   //   * therefore bit-identical epochs (EpochClassTable classes) have
   //     bit-identical advances and per-thread stat deltas, and the
   //     epoch-by-epoch sum reorders into per-class integer multiplies
-  //     without changing a single bit.
+  //     without changing a single bit;
+  //   * for the same reason every member epoch emits its exemplar's events
+  //     at the same offsets from the epoch start, for the same op offsets
+  //     into its own segments — so the exemplar's log slice, rebased and
+  //     shifted, is exactly what each member epoch would have emitted.
   //
   // The full-trace prediction is composed as Σ_c count_c × advance_c over
   // the barrier epochs plus the final (End-terminated, always singleton)
@@ -646,28 +591,37 @@ class Simulator {
     });
   }
 
+  /// The engine-free path: every segment of every thread collapsed, so the
+  /// run is a loop over epoch classes of analytic segment walks joined by
+  /// the analytic barrier formula — the same arrival/release/exit values
+  /// the event path computes, without scheduling a single event.  This is
+  /// what makes n = 10^4..10^6 simulated processors feasible.  With a
+  /// trace requested, each exemplar walk's slice of the emission log is
+  /// replayed once per member epoch, in epoch order, at that epoch's start.
   void run_analytic_sampled() {
     const EpochClassTable& tab = compiled_->epoch_classes;
-    const auto n_classes = static_cast<std::int32_t>(tab.n_classes());
+    XP_CHECK(tab.built(), "the analytic path needs the epoch-class table");
+    const auto n_classes = static_cast<std::size_t>(tab.n_classes());
     samp_.active = true;
     samp_.epochs = tab.epochs();
-    samp_.classes = n_classes;
-    // End-terminated, so never mergeable with a barrier epoch: always a
-    // singleton class, walked last (it closes the threads out).
-    const std::int32_t final_class = tab.class_of.back();
+    samp_.classes = tab.n_classes();
 
     // One exemplar walk per class, from time zero (walks are
-    // translation-invariant, so position never matters).  `base`
-    // accumulates Σ count × advance over the barrier epochs — the uniform
-    // instant at which the final epoch starts.
+    // translation-invariant, so position never matters), in class order.
+    // Classes are numbered by first occurrence, so the final epoch — End-
+    // terminated, hence a singleton class — comes last and closes the
+    // threads out at `base`, Σ count × advance over the barrier classes.
     std::vector<Time> at(static_cast<std::size_t>(n_));
     std::vector<Time> arrival(static_cast<std::size_t>(n_));
+    std::vector<Time> advance(n_classes);           // per class: exit instant
+    std::vector<std::size_t> slice(n_classes + 1);  // per class: log_ start
     Time base;
-    for (std::int32_t c = 0; c < n_classes; ++c) {
-      if (c == final_class) continue;
-      const auto e = static_cast<std::size_t>(
-          tab.exemplar[static_cast<std::size_t>(c)]);
-      const std::int64_t m = tab.count[static_cast<std::size_t>(c)];
+    for (std::size_t c = 0; c < n_classes; ++c) {
+      const auto e = static_cast<std::size_t>(tab.exemplar[c]);
+      const std::int64_t m = tab.count[c];
+      const bool last = c + 1 == n_classes;
+      slice[c] = log_.size();
+      ++samp_.epochs_simulated;
       if (m == 1) ++samp_.epochs_replayed;
       Time max_arrival;
       for (int t = 0; t < n_; ++t) {
@@ -676,8 +630,14 @@ class Simulator {
         const ThreadStats before = T.stats;
         T.remote = seg.remote_begin;
         const Time w = walk_segment(T, seg, Time::zero());
-        ++hyb_.ops_collapsed;  // the terminating Barrier op
+        ++hyb_.ops_collapsed;  // the terminating Barrier or End op
         T.op = seg.op_end + 1;
+        emit_at(T, op_ref(seg.op_end), w);
+        if (last) {
+          T.state = TState::Done;
+          T.stats.finish = base + w;
+          continue;
+        }
         at[static_cast<std::size_t>(t)] = w;
         arrival[static_cast<std::size_t>(t)] =
             w + params_.barrier.entry_time;
@@ -685,6 +645,7 @@ class Simulator {
             util::max(max_arrival, arrival[static_cast<std::size_t>(t)]);
         scale_stats_delta(T.stats, before, m);
       }
+      if (last) break;
       const std::vector<Time> release =
           model::analytic_release(params_.barrier, arrival);
       const Time exit = util::max(release[0], max_arrival);
@@ -692,29 +653,34 @@ class Simulator {
         XP_CHECK(util::max(release[static_cast<std::size_t>(t)],
                            max_arrival) == exit,
                  "sampled composition needs uniform analytic barrier exits");
-      for (int t = 0; t < n_; ++t)
-        thr(t).stats.barrier_wait +=
-            times(exit - at[static_cast<std::size_t>(t)], m);
-      base += times(exit, m);
-      ++samp_.epochs_simulated;
-    }
-
-    // Final epoch: exact replay (singleton class); closes every thread.
-    {
-      const auto e = static_cast<std::size_t>(
-          tab.exemplar[static_cast<std::size_t>(final_class)]);
       for (int t = 0; t < n_; ++t) {
         ThreadCtx& T = thr(t);
-        const Segment& seg = T.code->segments[e];
-        T.remote = seg.remote_begin;
-        const Time w = walk_segment(T, seg, Time::zero());
-        ++hyb_.ops_collapsed;  // the End op
-        T.op = seg.op_end + 1;
-        T.state = TState::Done;
-        T.stats.finish = base + w;
+        T.stats.barrier_wait +=
+            times(exit - at[static_cast<std::size_t>(t)], m);
+        emit_at(T, exit_ref(T.code->segments[e].op_end), exit);
       }
-      ++samp_.epochs_simulated;
-      ++samp_.epochs_replayed;
+      advance[c] = exit;
+      base += times(exit, m);
+    }
+    slice[n_classes] = log_.size();
+    if (!opts_.emit_trace) return;
+
+    std::vector<Emission> walked;
+    walked.swap(log_);
+    std::size_t events = 0;
+    for (std::size_t c = 0; c < n_classes; ++c) {
+      rebase(walked.data() + slice[c], walked.data() + slice[c + 1],
+             static_cast<std::size_t>(tab.exemplar[c]), Time::zero());
+      events +=
+          static_cast<std::size_t>(tab.count[c]) * (slice[c + 1] - slice[c]);
+    }
+    log_.reserve(events);
+    Time start;
+    for (std::size_t e = 0; e < tab.class_of.size(); ++e) {
+      const auto c = static_cast<std::size_t>(tab.class_of[e]);
+      append_slice(walked.data() + slice[c], walked.data() + slice[c + 1], e,
+                   start);
+      start += advance[c];
     }
   }
 
@@ -758,7 +724,7 @@ class Simulator {
   void exec_op(ThreadCtx& T) {
     const CompiledThread& code = *T.code;
     const std::uint32_t i = T.op++;
-    emit_op(T, i);
+    emit(T, op_ref(i));
     switch (code.ops[i]) {
       case OpKind::Begin:
       case OpKind::Phase:
@@ -1024,12 +990,7 @@ class Simulator {
   }
 
   void barrier_exit_done(ThreadCtx& T) {
-    Event exit;
-    exit.thread = T.id;
-    exit.kind = EventKind::BarrierExit;
-    exit.barrier_id = T.cur_barrier;
-    log_event(T, -1);
-    emit(T, exit);
+    emit(T, exit_ref(T.op - 1));  // T.op is one past the Barrier op
     T.stats.barrier_wait += engine_.now() - T.wait_start;
     T.self_arrived = false;
     T.children_arrived = 0;
@@ -1083,21 +1044,16 @@ class Simulator {
   // so a window's delta does not depend on the window before it; the split
   // is exact in integer nanoseconds.
   //
-  // Time-shifted emission: with a trace requested, the recording also logs
-  // every event the window emits as (thread, op offset into the thread's
-  // segment of epoch b+1 or -1 for barrier b's BarrierExit, time - Q).  A
-  // hit re-reads the protos and barrier ids from its own epoch (the class
-  // key compares op kinds, not ids or objects) and emits them at q + dt in
-  // the recorded order, before the engine resumes.  That is the oracle's
-  // order: the window's internal order is fixed by the argument above, and
-  // every replayed event lies in [Q_b, Q_{b+1}].
-
-  /// One event a recorded window emitted (see above).
-  struct MemoEvent {
-    std::int32_t thread;
-    std::int32_t op;  ///< offset into the segment; -1 = BarrierExit
-    Time dt;          ///< time since the window's barrier point
-  };
+  // Time-shifted emission: with a trace requested, the recording also keeps
+  // the window's slice of the emission log, rebased to times since Q and to
+  // op offsets from each thread's segment of epoch b+1 (barrier b's
+  // BarrierExit is the offset just before it).  A hit appends the slice
+  // shifted to its own point and epoch — the protos and barrier ids are
+  // re-read from that epoch at materialization, since the class key
+  // compares op kinds, not ids or objects — in the recorded order, before
+  // the engine resumes.  That is the oracle's order: the window's internal
+  // order is fixed by the argument above, and every replayed event lies in
+  // [Q_b, Q_{b+1}].
 
   /// Recorded effect of one barrier-to-barrier window.
   struct MemoWindow {
@@ -1107,7 +1063,7 @@ class Simulator {
     std::int64_t messages = 0;
     std::int64_t bytes = 0;
     std::vector<std::int32_t> samples;  ///< load samples, injection order
-    std::vector<MemoEvent> events;      ///< emission order; trace runs only
+    std::vector<Emission> events;  ///< rebased log slice; trace runs only
   };
 
   bool quiescent(const ThreadCtx& R) const {
@@ -1154,7 +1110,8 @@ class Simulator {
         zip_stats(t->stats, w.delta[static_cast<std::size_t>(t->id)],
                   [](auto& x, const auto& d) { x += d; });
       network_.replay(w.messages, w.bytes, w.samples);
-      replay_events(w, b, q);
+      append_slice(w.events.data(), w.events.data() + w.events.size(), b + 1,
+                   q);
       q += w.advance;
       ++hyb_.memo_hits;
     }
@@ -1162,7 +1119,8 @@ class Simulator {
       ++hyb_.memo_misses;
       const std::int32_t c = tab.class_of[b + 1];
       // A class that never recurs is not worth recording.
-      if (tab.count[static_cast<std::size_t>(c)] > 1) start_recording(c, q);
+      if (tab.count[static_cast<std::size_t>(c)] > 1)
+        start_recording(c, q, b + 1);
     }
     if (b == b0) {
       lower_barrier(R);
@@ -1181,16 +1139,17 @@ class Simulator {
     engine_.schedule_at(q, [this, &R] { lower_barrier(R); });
   }
 
-  void start_recording(std::int32_t cls, Time q) {
+  void start_recording(std::int32_t cls, Time q, std::size_t epoch) {
     rec_cls_ = cls;
     rec_start_ = q;
+    rec_epoch_ = epoch;
+    rec_log_ = log_.size();
     rec_base_.clear();
     for (const auto& t : threads_) rec_base_.push_back(t->stats);
     rec_messages_ = network_.messages_sent();
     rec_bytes_ = network_.bytes_sent();
     rec_samples_.clear();
     network_.log_samples(&rec_samples_);
-    rec_events_.clear();
   }
 
   void finish_recording(Time q) {
@@ -1206,33 +1165,11 @@ class Simulator {
     w.messages = network_.messages_sent() - rec_messages_;
     w.bytes = network_.bytes_sent() - rec_bytes_;
     w.samples = rec_samples_;
-    w.events = rec_events_;
+    w.events.assign(log_.begin() + static_cast<std::ptrdiff_t>(rec_log_),
+                    log_.end());
+    rebase(w.events.data(), w.events.data() + w.events.size(), rec_epoch_,
+           rec_start_);
     stop_recording();
-  }
-
-  /// Emit the events of window `w` as lowering barrier `b` at point `q`
-  /// would have: protos and ids re-read from epoch b+1.
-  void replay_events(const MemoWindow& w, std::size_t b, Time q) {
-    for (const MemoEvent& m : w.events) {
-      ThreadCtx& T = thr(m.thread);
-      if (m.op < 0) {
-        Event exit;
-        exit.kind = EventKind::BarrierExit;
-        exit.barrier_id = T.code->barrier_ids[b];
-        emit_at(T, exit, q + m.dt);
-      } else {
-        const std::uint32_t i =
-            T.code->segments[b + 1].op_begin + static_cast<std::uint32_t>(m.op);
-        emit_at(T, T.code->proto[i], q + m.dt);
-      }
-    }
-  }
-
-  /// Log an event the recorded window is about to emit: `op` is the offset
-  /// of the emitted op in T's current segment, or -1 for a BarrierExit.
-  void log_event(const ThreadCtx& T, std::int32_t op) {
-    if (rec_cls_ < 0 || !opts_.emit_trace) return;
-    rec_events_.push_back({T.id, op, engine_.now() - rec_start_});
   }
 
   void stop_recording() {
@@ -1242,24 +1179,67 @@ class Simulator {
 
   // --- output ---------------------------------------------------------------
 
-  void emit(ThreadCtx& T, const Event& e) { emit_at(T, e, engine_.now()); }
-
-  /// Emit op `i`'s proto now, on the event path.
-  void emit_op(ThreadCtx& T, std::uint32_t i) {
-    if (rec_cls_ >= 0)
-      log_event(T, static_cast<std::int32_t>(
-                       i - T.code->segments[T.barrier].op_begin));
-    emit(T, T.code->proto[i]);
+  void emit(const ThreadCtx& T, std::int32_t op) {
+    emit_at(T, op, engine_.now());
   }
 
-  // By reference so the no-trace configurations (sweeps, serve, huge-n
-  // hybrid runs) skip the Event copy entirely — it is measurable per-op.
-  void emit_at(ThreadCtx& T, const Event& e, Time at) {
-    if (!opts_.emit_trace) return;
-    Event out = e;
-    out.time = at;
-    out.thread = T.id;
-    out_events_.push_back(out);
+  // The no-trace configurations (sweeps, serve, huge-n runs) log nothing.
+  void emit_at(const ThreadCtx& T, std::int32_t op, Time at) {
+    if (opts_.emit_trace) log_.push_back({at, T.id, op});
+  }
+
+  /// Rebase the records in [first, last), emitted from epoch `e`, to times
+  /// since `origin` and ops relative to each thread's segment of epoch e.
+  void rebase(Emission* first, Emission* last, std::size_t e, Time origin) {
+    for (; first != last; ++first) {
+      first->time -= origin;
+      first->op -= op_ref(thr(first->thread).code->segments[e].op_begin);
+    }
+  }
+
+  /// Append the rebased records in [first, last) as epoch `e` starting at
+  /// `at` emits them.
+  void append_slice(const Emission* first, const Emission* last,
+                    std::size_t e, Time at) {
+    for (; first != last; ++first)
+      log_.push_back(
+          {at + first->time, first->thread,
+           first->op +
+               op_ref(thr(first->thread).code->segments[e].op_begin)});
+  }
+
+  /// The extrapolated trace: the log stable-sorted by (time, thread), each
+  /// record expanded from its proto.  Each thread's own emission order is
+  /// the same in every mode, but the fast paths emit a whole segment,
+  /// window or epoch at once, so same-time events of different threads
+  /// would otherwise keep a mode-dependent global order.
+  trace::Trace materialize() {
+    std::stable_sort(log_.begin(), log_.end(),
+                     [](const Emission& a, const Emission& b) {
+                       return a.time != b.time ? a.time < b.time
+                                               : a.thread < b.thread;
+                     });
+    trace::Trace out(n_);
+    out.set_meta("extrapolated", "1");
+    std::vector<const Event*> protos;
+    for (const auto& t : threads_) protos.push_back(t->code->proto.data());
+    std::vector<Event>& events = out.mutable_events();
+    events.reserve(log_.size());
+    for (const Emission& m : log_) {
+      const Event& proto =
+          protos[static_cast<std::size_t>(m.thread)][m.op >> 1];
+      Event e;
+      if (m.op & 1) {
+        e.kind = EventKind::BarrierExit;
+        e.barrier_id = proto.barrier_id;
+      } else {
+        e = proto;
+      }
+      e.time = m.time;
+      e.thread = m.thread;
+      events.push_back(e);
+    }
+    return out;
   }
 
   SimParams params_;
@@ -1273,12 +1253,11 @@ class Simulator {
   std::vector<std::unique_ptr<ThreadCtx>> threads_;
   std::vector<Cpu> cpus_;
   std::map<std::int32_t, AnalyticBarrier> analytic_;
-  std::vector<Event> out_events_;
+  std::vector<Emission> log_;  ///< emission order; trace runs only
 
   // Segment-collapse state (classify()).
   bool hybrid_active_ = false;
-  std::int64_t epochs_ = 0;
-  std::vector<char> blocked_;  ///< epochs_ x n_: segment demoted to events
+  std::vector<char> blocked_;  ///< epochs x n_: segment demoted to events
   HybridStats hyb_;
   SamplingStats samp_;
 
@@ -1287,11 +1266,12 @@ class Simulator {
   std::vector<MemoWindow> memo_;  ///< by epoch class
   std::int32_t rec_cls_ = -1;     ///< class being recorded; -1 = none
   Time rec_start_;
+  std::size_t rec_epoch_ = 0;     ///< the recorded window's epoch
+  std::size_t rec_log_ = 0;       ///< log_ index where the window starts
   std::vector<ThreadStats> rec_base_;
   std::int64_t rec_messages_ = 0;
   std::int64_t rec_bytes_ = 0;
   std::vector<std::int32_t> rec_samples_;
-  std::vector<MemoEvent> rec_events_;
 };
 
 }  // namespace

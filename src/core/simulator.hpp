@@ -67,15 +67,20 @@ struct ThreadStats {
 ///        the fallback.  When every segment collapses the engine never
 ///        starts (HybridStats::Path::PureAnalytic);
 ///      - representative-epoch sampling (DESIGN.md §15): on that
-///        engine-free path, without trace emission and with a compile-time
-///        epoch-class table, ONE exemplar per class of bit-identical
-///        epochs is walked and the prediction composed as
-///        Σ class_count × exemplar advance;
+///        engine-free path ONE exemplar per class of bit-identical epochs
+///        (the compile-time epoch-class table) is walked and the
+///        prediction composed as Σ class_count × exemplar advance; with a
+///        trace requested, each exemplar's emitted slice is replayed once
+///        per member epoch, time-shifted;
 ///      - barrier-epoch memoization (DESIGN.md §16): under message
 ///        barriers, where nothing collapses, each window between two
 ///        quiescent barrier points is simulated once per epoch class and
-///        replayed from its recorded deltas (re-emitting its events
-///        time-shifted when a trace is requested).
+///        replayed from its recorded deltas (and, when a trace is
+///        requested, its recorded slice of emitted events, time-shifted).
+///
+/// Every path emits through one log of 16-byte {time, thread, op} records
+/// that run() sorts by (time, thread) and expands into the extrapolated
+/// trace once.
 enum class SimMode : std::uint8_t { EventDriven, Auto };
 const char* to_string(SimMode m);
 
@@ -83,10 +88,9 @@ struct SimOptions {
   SimMode mode = SimMode::Auto;
   /// Build the re-timestamped extrapolated trace.  Costs O(events) memory +
   /// a sort; numeric outputs (makespan, stats, messages) are unaffected, so
-  /// huge-n scaling runs turn it off.  Also disables Auto's epoch sampling
-  /// (every epoch must be walked to emit its events); the barrier-epoch
-  /// memo stays on.  In every mode the trace is sorted stably by (time,
-  /// thread), so every mode yields the same event sequence.
+  /// huge-n scaling runs turn it off.  Every fast path stays on either way.
+  /// In every mode the trace is sorted stably by (time, thread), so every
+  /// mode yields the same event sequence.
   bool emit_trace = true;
 };
 

@@ -49,7 +49,8 @@ std::size_t TranslateCache::footprint_bytes(const TranslatedTrace& tt) {
       b += th.ops.size() * (sizeof(OpKind) + sizeof(Time)) +
            th.proto.size() * sizeof(trace::Event) +
            th.remotes.size() * sizeof(RemoteRec) +
-           th.barrier_ids.size() * sizeof(std::int32_t);
+           th.barrier_ids.size() * sizeof(std::int32_t) +
+           th.segments.size() * sizeof(Segment);
     }
     const EpochClassTable& ec = tt.compiled->epoch_classes;
     b += ec.fingerprint.size() * sizeof(std::uint64_t) +
@@ -59,98 +60,72 @@ std::size_t TranslateCache::footprint_bytes(const TranslatedTrace& tt) {
   return b;
 }
 
-void TranslateCache::account_insert(Entry& e, const TranslatedTrace& tt) {
+// Charges a freshly computed entry to the byte budget.  The key is
+// re-inserted if a failed requester's erase() dropped it meanwhile (see
+// erase()); an entry that another insert replaced is not charged.
+void TranslateCache::account_insert(int n_threads,
+                                    const std::shared_ptr<Entry>& e,
+                                    const TranslatedTrace& tt) {
   const std::size_t b = footprint_bytes(tt);
-  e.bytes.store(b, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto& slot = map_[n_threads];
+  if (!slot) slot = e;
+  if (slot != e) return;
+  e->bytes.store(b, std::memory_order_relaxed);
   bytes_.fetch_add(b, std::memory_order_relaxed);
   evict_to_budget();
 }
 
 void TranslateCache::set_byte_budget(std::size_t budget) {
+  std::lock_guard<std::mutex> lock(mu_);
   budget_.store(budget);
   evict_to_budget();
 }
 
 // Evict least-recently-used COMPLETED entries until the estimated bytes fit
-// the budget again.  Concurrency notes: each pass re-scans the shards under
-// their locks, so two racing evictors can pick the same victim — only the
-// one that still finds it in the map erases it and adjusts the accounting.
-// Entries still computing have unknown size and an imminent user; they are
-// skipped (their own account_insert() re-runs eviction once they finish).
-// The most recently used completed entry is never evicted, so a single
-// over-budget translation stays usable instead of thrashing miss-evict.
+// the budget again: one scan picks the victim, and it is erased under the
+// same lock.  Entries still computing have unknown size and an imminent
+// user; they are skipped (their own account_insert() re-runs eviction once
+// they finish).  The most recently used completed entry is never evicted,
+// so a single over-budget translation stays usable instead of thrashing
+// miss-evict.
 void TranslateCache::evict_to_budget() {
   const std::size_t budget = budget_.load();
   if (budget == 0) return;
   while (bytes_.load(std::memory_order_relaxed) > budget) {
-    int victim_key = 0;
-    std::size_t victim_shard = 0;
+    auto victim = map_.end();
     std::uint64_t victim_tick = 0;
     std::uint64_t newest_tick = 0;
     std::size_t completed = 0;
-    bool found = false;
-    for (std::size_t s = 0; s < kShards; ++s) {
-      std::lock_guard<std::mutex> lock(shards_[s].mu);
-      for (const auto& [key, entry] : shards_[s].map) {
-        if (entry->cell.peek() == nullptr) continue;  // still computing
-        const std::uint64_t t = entry->last_use.load(std::memory_order_relaxed);
-        newest_tick = std::max(newest_tick, t);
-        ++completed;
-        if (!found || t < victim_tick) {
-          found = true;
-          victim_key = key;
-          victim_shard = s;
-          victim_tick = t;
-        }
+    for (auto it = map_.begin(); it != map_.end(); ++it) {
+      const Entry& entry = *it->second;
+      if (entry.cell.peek() == nullptr) continue;  // still computing
+      const std::uint64_t t = entry.last_use.load(std::memory_order_relaxed);
+      newest_tick = std::max(newest_tick, t);
+      ++completed;
+      if (victim == map_.end() || t < victim_tick) {
+        victim = it;
+        victim_tick = t;
       }
     }
     // Nothing evictable, or the LRU entry is also the newest (it is the
     // only completed entry): keep it.
-    if (!found || completed <= 1 || victim_tick == newest_tick) return;
-    Shard& shard = shards_[victim_shard];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.map.find(victim_key);
-    if (it == shard.map.end()) continue;  // a racing evictor beat us to it
-    // Re-check the tick: a toucher may have promoted the victim since the
-    // scan; if so, rescan rather than evict a hot entry.
-    if (it->second->last_use.load(std::memory_order_relaxed) != victim_tick)
-      continue;
-    bytes_.fetch_sub(it->second->bytes.load(std::memory_order_relaxed),
+    if (completed <= 1 || victim_tick == newest_tick) return;
+    bytes_.fetch_sub(victim->second->bytes.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    shard.map.erase(it);
+    map_.erase(victim);
   }
-}
-
-TranslateCache::Shard& TranslateCache::shard_for(int n_threads) const {
-  // Top bits of a Fibonacci-mixed key (std::hash<int> is the identity):
-  // unordered_map buckets use the low bits, so shard choice and bucket
-  // choice stay decorrelated.
-  static_assert(kShards == 16, "the shift below picks 4 bits");
-  const std::uint64_t h =
-      static_cast<std::uint64_t>(n_threads) * 0x9E3779B97F4A7C15ull;
-  return shards_[h >> 60];
-}
-
-// The key's entry, inserting `e` (a fresh entry when null) if absent.
-std::shared_ptr<TranslateCache::Entry> TranslateCache::entry_for(
-    int n_threads, std::shared_ptr<Entry> e) {
-  Shard& shard = shard_for(n_threads);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto& slot = shard.map[n_threads];
-  if (!slot) slot = e ? std::move(e) : std::make_shared<Entry>();
-  return slot;
 }
 
 // Drops the key's entry if it is still `e`.  Runs while `e`'s computation
 // is unwinding, so no requester can have completed it; requesters already
 // waiting on `e` retry the computation on the orphan, and a retry that
-// succeeds re-inserts it (prepare()).
+// succeeds re-inserts it (account_insert()).
 void TranslateCache::erase(int n_threads, const std::shared_ptr<Entry>& e) {
-  Shard& shard = shard_for(n_threads);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.map.find(n_threads);
-  if (it != shard.map.end() && it->second == e) shard.map.erase(it);
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = map_.find(n_threads);
+  if (it != map_.end() && it->second == e) map_.erase(it);
 }
 
 // The one miss path: measure (unless a seed trace is given), translate and
@@ -158,7 +133,13 @@ void TranslateCache::erase(int n_threads, const std::shared_ptr<Entry>& e) {
 std::shared_ptr<const TranslatedTrace> TranslateCache::prepare(
     int n_threads, const trace::Trace* seed, bool& computed) {
   XP_REQUIRE(n_threads >= 1, "translate-cache key needs n_threads >= 1");
-  const auto entry = entry_for(n_threads);
+  std::shared_ptr<Entry> entry;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto& slot = map_[n_threads];
+    if (!slot) slot = std::make_shared<Entry>();
+    entry = slot;
+  }
   computed = false;
   const auto& value = entry->cell.get_or_init([&] {
     computed = true;
@@ -183,8 +164,7 @@ std::shared_ptr<const TranslatedTrace> TranslateCache::prepare(
     }
   });
   touch(*entry);
-  if (computed && entry_for(n_threads, entry) == entry)
-    account_insert(*entry, *value);
+  if (computed) account_insert(n_threads, entry, *value);
   return value;
 }
 
@@ -203,12 +183,11 @@ void TranslateCache::put(const trace::Trace& measured) {
 
 std::shared_ptr<const TranslatedTrace> TranslateCache::get(
     int n_threads) const {
-  const Shard& shard = shard_for(n_threads);
   std::shared_ptr<Entry> entry;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.map.find(n_threads);
-    if (it == shard.map.end()) return nullptr;
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = map_.find(n_threads);
+    if (it == map_.end()) return nullptr;
     entry = it->second;
   }
   // peek() is nullptr while the entry is still computing, so a concurrent
@@ -220,12 +199,8 @@ std::shared_ptr<const TranslatedTrace> TranslateCache::get(
 }
 
 std::size_t TranslateCache::size() const {
-  std::size_t n = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.map.size();
-  }
-  return n;
+  std::lock_guard<std::mutex> lock(mu_);
+  return map_.size();
 }
 
 SweepRunner::SweepRunner(ProgramFactory factory, SweepOptions opt)
@@ -303,9 +278,7 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
     if (failed.load()) return;
     const double cpu0 = util::thread_cpu_seconds();
     try {
-      SimOptions sopts;
-      sopts.emit_trace = opt_.emit_traces;
-      out.predictions[i] = predict(*prepared[i], grid[i].params, sopts);
+      out.predictions[i] = predict(*prepared[i], grid[i].params);
     } catch (...) {
       keep_first_error();
     }

@@ -36,7 +36,6 @@
 // reference, so concurrent simulations never copy or mutate trace data.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -60,13 +59,12 @@ using ProgramFactory = std::function<std::unique_ptr<rt::Program>()>;
 /// ready) and is immutable afterwards.  A computation that throws leaves no
 /// entry behind, so a failing thread count costs nothing once it fails.
 ///
-/// The key map is SHARDED by a mixed hash of the thread count: concurrent
-/// lookups of distinct keys take independent mutexes, so a pool's
-/// simulation fan-out (every cell resolves its trace through here) never
-/// serializes on one cache-wide lock.  Each shard's lock only covers the
-/// entry lookup — measurement and translation run outside it under the
-/// entry's own OnceCell, so a slow miss never blocks hits on other keys of
-/// the same shard either.
+/// One mutex guards the key map, and it covers only the entry lookup:
+/// measurement and translation run outside it under the entry's own
+/// OnceCell, so a slow miss never blocks lookups of other keys.  Lookups
+/// are rare next to the work they gate (a sweep makes one per grid point,
+/// in sequence from one job per distinct n; the daemon one per query), so
+/// the one lock never serializes a simulation.
 ///
 /// Long-lived holders (the xp::serve daemon keeps one cache per source hot
 /// for the process lifetime) can cap the resident footprint with
@@ -113,30 +111,24 @@ class TranslateCache {
   std::uint64_t evictions() const { return evictions_.load(); }
 
   /// The footprint estimate eviction accounts with: translated events plus
-  /// the compiled SoA arrays (the two allocations that dominate an entry).
+  /// every compiled array (the allocations that dominate an entry).
   static std::size_t footprint_bytes(const TranslatedTrace& tt);
 
  private:
   struct Entry;
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<int, std::shared_ptr<Entry>> map;
-  };
-  static constexpr std::size_t kShards = 16;
 
-  Shard& shard_for(int n_threads) const;
-  std::shared_ptr<Entry> entry_for(int n_threads,
-                                   std::shared_ptr<Entry> e = nullptr);
   void erase(int n_threads, const std::shared_ptr<Entry>& e);
   std::shared_ptr<const TranslatedTrace> prepare(int n_threads,
                                                  const trace::Trace* seed,
                                                  bool& computed);
   void touch(Entry& e) const;
-  void account_insert(Entry& e, const TranslatedTrace& tt);
-  void evict_to_budget();
+  void account_insert(int n_threads, const std::shared_ptr<Entry>& e,
+                      const TranslatedTrace& tt);
+  void evict_to_budget();  ///< caller holds mu_
 
   Measure measure_;
-  mutable std::array<Shard, kShards> shards_;
+  mutable std::mutex mu_;  ///< guards map_
+  std::unordered_map<int, std::shared_ptr<Entry>> map_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<double> measure_cpu_s_{0};
@@ -181,7 +173,9 @@ struct SweepStages {
 
 struct SweepResult {
   std::vector<SweepPoint> grid;         ///< the request, verbatim
-  std::vector<Prediction> predictions;  ///< by grid index
+  /// By grid index.  Each keeps its extrapolated trace: phase_fit and
+  /// pattern composition read them.
+  std::vector<Prediction> predictions;
   std::uint64_t cache_hits = 0;    ///< sweep-wide translate-cache hits
   std::uint64_t cache_misses = 0;  ///< = distinct uncached thread counts
   SweepStages stages;              ///< where this sweep's time went
@@ -194,12 +188,6 @@ struct SweepOptions {
   /// permutation; exposed so the determinism tests can prove submission
   /// order does not leak into results.
   std::vector<std::size_t> submit_order;
-  /// Keep each prediction's extrapolated trace (SimOptions::emit_trace).
-  /// phase_fit and pattern composition read them, so they stay on by
-  /// default.  Turning them off saves the trace's memory and sort; on
-  /// pure-analytic cells it also lets Auto walk one exemplar per epoch
-  /// class instead of every epoch.
-  bool emit_traces = true;
 };
 
 class SweepRunner {

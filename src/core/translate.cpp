@@ -1,5 +1,6 @@
 #include "core/translate.hpp"
 
+#include <numeric>
 #include <string>
 #include <unordered_map>
 
@@ -152,20 +153,6 @@ Time ideal_parallel_time(const std::vector<trace::Trace>& translated) {
   return t;
 }
 
-std::vector<std::int64_t> owner_access_histogram(
-    const std::vector<trace::Trace>& translated) {
-  XP_REQUIRE(!translated.empty(), "no translated traces");
-  const auto n = static_cast<std::int64_t>(translated.size());
-  std::vector<std::int64_t> hist(translated.size(), 0);
-  for (const trace::Trace& part : translated)
-    for (const trace::Event& e : part.events())
-      if ((e.kind == trace::EventKind::RemoteRead ||
-           e.kind == trace::EventKind::RemoteWrite) &&
-          e.peer >= 0 && e.peer < n)
-        ++hist[static_cast<std::size_t>(e.peer)];
-  return hist;
-}
-
 // --- representative-epoch fingerprints (DESIGN.md §15) ----------------------
 
 namespace {
@@ -283,6 +270,17 @@ EpochClassTable build_epoch_classes(const CompiledTrace& ct) {
     tab.class_of.push_back(cls);
     ++tab.count[static_cast<std::size_t>(cls)];
   }
+  return tab;
+}
+
+EpochClassTable singleton_epoch_classes(const CompiledTrace& ct) {
+  XP_REQUIRE(ct.epoch_classes.built(), "no epoch-class table to split");
+  EpochClassTable tab;
+  tab.fingerprint = ct.epoch_classes.fingerprint;
+  tab.class_of.resize(tab.fingerprint.size());
+  std::iota(tab.class_of.begin(), tab.class_of.end(), 0);
+  tab.exemplar.assign(tab.class_of.begin(), tab.class_of.end());
+  tab.count.assign(tab.class_of.size(), 1);
   return tab;
 }
 

@@ -47,14 +47,6 @@ std::vector<trace::Trace> translate(const trace::Trace& measured,
 /// under zero communication/synchronization cost.
 Time ideal_parallel_time(const std::vector<trace::Trace>& translated);
 
-/// Per-owner remote-access histogram: out[t] counts the RemoteRead/
-/// RemoteWrite events (across all threads) whose owner is thread t.  This is
-/// the contention pre-pass of the hybrid simulator: a thread nobody targets
-/// is demonstrably idle as an owner, so accesses it *makes* can be costed
-/// analytically without queueing through the event engine.
-std::vector<std::int64_t> owner_access_histogram(
-    const std::vector<trace::Trace>& translated);
-
 // --- representative-epoch fingerprints (DESIGN.md §15) ----------------------
 //
 // Computed at translation/compile time so the (expensive, parameter-
@@ -81,5 +73,11 @@ bool epochs_identical(const CompiledTrace& ct, std::int64_t a, std::int64_t b);
 /// class indices are in first-occurrence order, so exemplar[] is strictly
 /// increasing and the final (End-terminated) epoch is always a singleton.
 EpochClassTable build_epoch_classes(const CompiledTrace& ct);
+
+/// `ct`'s class table with every epoch made its own class (count 1).  The
+/// sampled path over it walks every epoch in order: the full analytic walk
+/// the benches and tests measure epoch sampling against.  Requires a built
+/// table.
+EpochClassTable singleton_epoch_classes(const CompiledTrace& ct);
 
 }  // namespace xp::core

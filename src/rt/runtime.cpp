@@ -215,22 +215,11 @@ class MeasureRuntime final : public Runtime {
 /// Rerunning the same configuration (fitting takes repeated measurements;
 /// sweeps re-measure per distinct thread count) seeds the tracer with the
 /// previous run's count so every per-thread arena reserves exactly once.
-/// Sharded by key hash so concurrent sweep measurements on pool workers
-/// never serialize on one registry mutex (each measurement touches the
-/// registry twice; distinct (program, n_threads) keys land on independent
-/// shards).
+/// One mutex: a measurement touches the registry twice, a negligible share
+/// of the measurement itself.
 struct HintRegistry {
-  static constexpr std::size_t kShards = 8;
-
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<std::string, std::int64_t> counts;
-  };
-  Shard shards[kShards];
-
-  Shard& shard_for(const std::string& key) {
-    return shards[std::hash<std::string>{}(key) % kShards];
-  }
+  std::mutex mu;
+  std::unordered_map<std::string, std::int64_t> counts;
 
   static HintRegistry& instance() {
     static HintRegistry r;
@@ -246,10 +235,10 @@ std::string hint_key(const std::string& program, int n_threads) {
 
 std::int64_t measured_event_hint(const std::string& program, int n_threads) {
   const std::string key = hint_key(program, n_threads);
-  auto& shard = HintRegistry::instance().shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.counts.find(key);
-  return it != shard.counts.end() ? it->second : 0;
+  HintRegistry& r = HintRegistry::instance();
+  std::lock_guard<std::mutex> lock(r.mu);
+  const auto it = r.counts.find(key);
+  return it != r.counts.end() ? it->second : 0;
 }
 
 trace::Trace measure(Program& prog, const MeasureOptions& opt) {
@@ -257,9 +246,9 @@ trace::Trace measure(Program& prog, const MeasureOptions& opt) {
   MeasureRuntime rt(opt.n_threads, opt.host, hint);
   trace::Trace t = rt.run(prog);
   const std::string key = hint_key(prog.name(), opt.n_threads);
-  auto& shard = HintRegistry::instance().shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.counts[key] = rt.events_recorded();
+  HintRegistry& r = HintRegistry::instance();
+  std::lock_guard<std::mutex> lock(r.mu);
+  r.counts[key] = rt.events_recorded();
   return t;
 }
 

@@ -1,7 +1,7 @@
 // xp::serve request execution — the daemon's socket-free core.
 //
 // Service owns everything behind the protocol verbs: the session table,
-// the per-source sharded core::TranslateCache instances (kept hot for the
+// the per-source core::TranslateCache instances (kept hot for the
 // process lifetime and SHARED across connections — two sessions over the
 // same uploaded trace or benchmark name resolve to one cache), the
 // work-stealing util::ThreadPool the query batches fan out over, and the
@@ -14,8 +14,8 @@
 //     over the pool, and the completion callback fires on the worker that
 //     finishes the batch's last query;
 //   * session/source tables are a single mutex (touched per request, not
-//     per query); the caches behind them are the sharded TranslateCache,
-//     so concurrent queries contend only on their key's shard;
+//     per query); each cache behind them locks once per query lookup and
+//     computes a miss outside its lock;
 //   * query results are written by batch index, never completion order, so
 //     a served batch is deterministic and bitwise-reproducible.
 #pragma once

@@ -117,7 +117,6 @@ TEST(HybridSim, SegmentTableInvariants) {
   const auto translated = core::translate(load_golden());
   const CompiledTrace ct = CompiledTrace::compile(translated);
   EXPECT_TRUE(ct.uniform_barriers);
-  EXPECT_EQ(ct.inbound_remotes, core::owner_access_histogram(translated));
   for (const auto& th : ct.threads) {
     ASSERT_EQ(th.segments.size(), th.barrier_ids.size() + 1);
     std::uint32_t next_op = 0, next_remote = 0;
@@ -268,16 +267,17 @@ TEST(HybridSim, RandomizedContentionPropertyAutoIsExact) {
 // emit_trace=false is a pure memory/time saving: identical numerics, empty
 // extrapolated stream.  The event path, the full analytic walk and the
 // epoch-sampled path all honor it (the presum shortcut is only legal
-// without emission, so this covers it too).  Dropping the epoch-class
-// table keeps Auto on the full walk, since sampling needs the table.
+// without emission, so this covers it too).  The full walk is the sampled
+// path over a singleton class table, so it walks every epoch either way.
 TEST(HybridSim, EmitTraceOffKeepsNumerics) {
   const auto translated = core::translate(measured("cyclic", 8));
   const CompiledTrace ct = CompiledTrace::compile(translated);
   CompiledTrace unsampled = ct;
-  unsampled.epoch_classes = {};
+  unsampled.epoch_classes = core::singleton_epoch_classes(ct);
   const std::vector<std::pair<const CompiledTrace*, SimMode>> runs = {
       {&ct, SimMode::EventDriven}, {&unsampled, SimMode::Auto},
       {&ct, SimMode::Auto}};
+  std::vector<Event> oracle;  // the EventDriven run's trace, first in `runs`
   for (const auto& [code, mode] : runs) {
     SimOptions with{mode, true};
     SimOptions without{mode, false};
@@ -296,6 +296,14 @@ TEST(HybridSim, EmitTraceOffKeepsNumerics) {
     }
     EXPECT_GT(a.extrapolated.events().size(), 0u);
     EXPECT_EQ(b.extrapolated.events().size(), 0u);
+    if (oracle.empty()) oracle = a.extrapolated.events();
+    EXPECT_EQ(a.extrapolated.events(), oracle);
+    EXPECT_EQ(a.sampling.active, mode == SimMode::Auto);
+    EXPECT_EQ(b.sampling.active, mode == SimMode::Auto);
+    if (code == &unsampled) {
+      EXPECT_EQ(a.sampling.epochs_simulated, a.sampling.epochs);
+      EXPECT_EQ(b.sampling.epochs_simulated, b.sampling.epochs);
+    }
   }
 }
 

@@ -62,9 +62,8 @@ const Trace& measured(const std::string& bench, int n) {
   return cache.emplace(key, rt::measure(*prog, mo)).first->second;
 }
 
-/// Bitwise comparison of two simulations that both ran with
-/// emit_trace == false (the sampled path never emits a trace, so the
-/// extrapolated-event comparison of hybrid_sim_test does not apply).
+/// Bitwise comparison of two simulations, extrapolated events included
+/// (both empty when neither run emitted a trace).
 void expect_bitwise_equal(const SimResult& a, const SimResult& b,
                           const std::string& what) {
   SCOPED_TRACE(what);
@@ -90,14 +89,12 @@ void expect_bitwise_equal(const SimResult& a, const SimResult& b,
   EXPECT_EQ(a.messages, b.messages);
   EXPECT_EQ(a.bytes, b.bytes);
   EXPECT_EQ(a.avg_inflight, b.avg_inflight);
+  EXPECT_EQ(a.extrapolated.events(), b.extrapolated.events());
 }
 
 SimResult run(const CompiledTrace& ct, const model::SimParams& params,
-              SimMode mode) {
-  SimOptions opts;
-  opts.mode = mode;
-  opts.emit_trace = false;
-  return core::simulate_compiled(ct, params, opts);
+              SimMode mode, bool emit_trace = false) {
+  return core::simulate_compiled(ct, params, {mode, emit_trace});
 }
 
 Event ev(std::int64_t t_ns, int thread, EventKind kind, int barrier = -1) {
@@ -241,9 +238,9 @@ TEST(EpochClasses, NearIdenticalEpochsStaySeparateClasses) {
 }
 
 // Tier-1 acceptance bar: on every suite workload the Auto sampled path is
-// bitwise-equal to both the full analytic walk (Auto without the
-// epoch-class table, which sampling needs) and EventDriven under the
-// analytic presets where it can engage.
+// bitwise-equal to both the full analytic walk (the same path over a
+// singleton class table, so every epoch is walked) and EventDriven under
+// the analytic presets where it can engage, with and without a trace.
 TEST(EpochClasses, SuiteWorkloadsBitwiseAcrossModes) {
   const std::vector<std::pair<std::string, model::SimParams>> presets = {
       {"ideal/1cluster", single_cluster(model::ideal_preset())},
@@ -253,37 +250,51 @@ TEST(EpochClasses, SuiteWorkloadsBitwiseAcrossModes) {
     const CompiledTrace ct =
         CompiledTrace::compile(core::translate(measured(bench, 4)));
     CompiledTrace unsampled = ct;
-    unsampled.epoch_classes = {};
+    unsampled.epoch_classes = core::singleton_epoch_classes(ct);
     for (const auto& [name, params] : presets) {
-      const SimResult ev = run(ct, params, SimMode::EventDriven);
-      const SimResult full = run(unsampled, params, SimMode::Auto);
-      const SimResult au = run(ct, params, SimMode::Auto);
-      EXPECT_FALSE(full.sampling.active) << bench << "/" << name;
-      expect_bitwise_equal(au, full, bench + "/" + name + " auto vs full walk");
-      expect_bitwise_equal(au, ev, bench + "/" + name + " auto vs event");
-      if (au.sampling.active) {
-        // Iterative codes dedup; codes with all-distinct epochs (embar,
-        // cyclic) legitimately walk every one.
-        EXPECT_LE(au.sampling.epochs_simulated, au.sampling.epochs)
-            << bench << "/" << name;
+      for (const bool trace : {false, true}) {
+        const std::string what = bench + "/" + name +
+                                 (trace ? "/trace" : "/no trace");
+        const SimResult ev = run(ct, params, SimMode::EventDriven, trace);
+        const SimResult full = run(unsampled, params, SimMode::Auto, trace);
+        const SimResult au = run(ct, params, SimMode::Auto, trace);
+        EXPECT_EQ(full.sampling.epochs_simulated, full.sampling.epochs)
+            << what;
+        expect_bitwise_equal(au, full, what + " auto vs full walk");
+        expect_bitwise_equal(au, ev, what + " auto vs event");
+        if (name != "shared") {
+          // One cluster: every segment collapses, so Auto samples.
+          // Iterative codes dedup; codes with all-distinct epochs (embar,
+          // cyclic) legitimately walk every one.
+          EXPECT_TRUE(au.sampling.active) << what;
+          EXPECT_TRUE(full.sampling.active) << what;
+          EXPECT_EQ(au.sampling.epochs_simulated, ct.epoch_classes.n_classes())
+              << what;
+        }
       }
     }
   }
 }
 
 // The long iterative golden must actually take the sampled path and win:
-// far fewer exemplar walks than epochs, bitwise-equal anyway.
+// far fewer exemplar walks than epochs, bitwise-equal anyway — and with a
+// trace requested, each exemplar's emission slice replayed once per member
+// epoch gives EventDriven's exact trace.
 TEST(EpochClasses, LongGoldenSampledPathEngagesAndStaysExact) {
   const CompiledTrace ct =
       CompiledTrace::compile(core::translate(load_golden(kLongGoldenPath)));
   const model::SimParams params = single_cluster(model::shared_memory_preset());
-  const SimResult ev = run(ct, params, SimMode::EventDriven);
-  const SimResult au = run(ct, params, SimMode::Auto);
-  ASSERT_TRUE(au.sampling.active);
-  EXPECT_EQ(au.sampling.epochs, ct.epoch_classes.epochs());
-  EXPECT_EQ(au.sampling.epochs_simulated, ct.epoch_classes.n_classes());
-  EXPECT_LT(au.sampling.epochs_simulated, au.sampling.epochs / 2);
-  expect_bitwise_equal(au, ev, "long golden auto vs event");
+  for (const bool trace : {false, true}) {
+    SCOPED_TRACE(trace ? "trace" : "no trace");
+    const SimResult ev = run(ct, params, SimMode::EventDriven, trace);
+    const SimResult au = run(ct, params, SimMode::Auto, trace);
+    ASSERT_TRUE(au.sampling.active);
+    EXPECT_EQ(au.sampling.epochs, ct.epoch_classes.epochs());
+    EXPECT_EQ(au.sampling.epochs_simulated, ct.epoch_classes.n_classes());
+    EXPECT_LT(au.sampling.epochs_simulated, au.sampling.epochs / 2);
+    EXPECT_EQ(au.extrapolated.events().empty(), !trace);
+    expect_bitwise_equal(au, ev, "long golden auto vs event");
+  }
 }
 
 // Poll policy: Auto bitwise-equal to EventDriven on the grid golden.
@@ -300,8 +311,10 @@ TEST(EpochClasses, PollPolicyAutoBitwiseEqualToEventDriven) {
 }
 
 // Sweeps must stay deterministic and bitwise-identical across worker
-// counts with sampling in play, match the EventDriven oracle per cell, and
-// the runner must attribute the sampled cells in SweepStages.
+// counts with sampling in play, match the EventDriven oracle per cell
+// (extrapolated traces included), and the runner must attribute the
+// sampled cells in SweepStages.  The sweep runs with its defaults, which
+// keep every cell's trace, so this also proves a default sweep samples.
 TEST(EpochClasses, SweepBitwiseAcrossWorkerCounts) {
   std::vector<core::SweepPoint> grid;
   for (int n : {2, 4, 8}) {
@@ -316,7 +329,6 @@ TEST(EpochClasses, SweepBitwiseAcrossWorkerCounts) {
   for (int workers : {1, 2, 8}) {
     core::SweepOptions opt;
     opt.n_workers = workers;
-    opt.emit_traces = false;  // prediction-only sweep: let sampling engage
     core::SweepRunner runner(
         [] { return suite::make_by_name("grid", suite::SuiteConfig{}); },
         opt);
@@ -347,6 +359,9 @@ TEST(EpochClasses, SweepBitwiseAcrossWorkerCounts) {
         core::predict(prepared, grid[i].params, {SimMode::EventDriven});
     EXPECT_EQ(results[0].predictions[i].predicted_time.count_ns(),
               oracle.predicted_time.count_ns())
+        << "cell " << i;
+    EXPECT_EQ(results[0].predictions[i].sim.extrapolated.events(),
+              oracle.sim.extrapolated.events())
         << "cell " << i;
   }
 }

@@ -10,8 +10,19 @@
 // table below.  Every measurement also runs the code's verify(), so the
 // numerics are checked against their sequential references on the way.
 //
-// A mismatch prints the replacement table row.  Regenerate the table only
-// after an intentional change to the tracer or to what a code charges.
+// A second table pins the simulator's output the same way: the FNV-1a
+// digest of trace_io::write_binary of the extrapolated trace, plus the
+// makespan, of every code at n in {1,4,16} under five configurations that
+// reach every replay path (message barriers with the epoch memo, segment
+// collapse with and without demoted segments, the sampled epoch path, poll
+// chunking).  Both SimMode::EventDriven and SimMode::Auto must reproduce
+// each row, so a bug shared by every mode (in the trace materializer, say)
+// cannot hide behind a mode-against-mode comparison.
+//
+// A mismatch prints the replacement table row.  Regenerate the measured
+// table only after an intentional change to the tracer or to what a code
+// charges, and the extrapolated table only after an intentional change to
+// the simulator's model.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -20,8 +31,11 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 
+#include "core/extrapolator.hpp"
+#include "model/params.hpp"
 #include "rt/runtime.hpp"
 #include "suite/suite.hpp"
 #include "trace/trace_io.hpp"
@@ -107,6 +121,124 @@ constexpr Digest kDigests[] = {
 };
 // clang-format on
 
+struct SimDigest {
+  const char* code;
+  int n;
+  const char* config;
+  std::uint64_t fnv;
+  std::int64_t makespan_ns;
+};
+
+// clang-format off
+constexpr SimDigest kSimDigests[] = {
+    {"embar", 1, "distributed", 0x7ecb135cc2456dc1ull, 2730416760},
+    {"embar", 1, "cm5", 0x8a7dc8eeb00ceba6ull, 1119472472},
+    {"embar", 1, "shared/1cluster", 0x9100ac8be6c5463bull, 2730385760},
+    {"embar", 1, "shared", 0x9100ac8be6c5463bull, 2730385760},
+    {"embar", 1, "ideal/1cluster/poll", 0x5782ebf065f7d412ull, 2730376760},
+    {"embar", 4, "distributed", 0x5b6cf9d1932e1f2aull, 685300173},
+    {"embar", 4, "cm5", 0x4093a4ed55defe05ull, 280602220},
+    {"embar", 4, "shared/1cluster", 0x2ff5161ec0dee47dull, 683812213},
+    {"embar", 4, "shared", 0x47ddcb59a236aeb9ull, 683847553},
+    {"embar", 4, "ideal/1cluster/poll", 0xc298df18744105e4ull, 683800213},
+    {"embar", 16, "distributed", 0x07dc0398152d171eull, 178447526},
+    {"embar", 16, "cm5", 0x46b7dba6d6ccbef8ull, 71436736},
+    {"embar", 16, "shared/1cluster", 0xd2ebb8798108328bull, 171584926},
+    {"embar", 16, "shared", 0x8e18e881685772dbull, 171761626},
+    {"embar", 16, "ideal/1cluster/poll", 0xfcd035f5230b0b23ull, 171560926},
+    {"cyclic", 1, "distributed", 0x03fe3cf82dd23ea7ull, 559995232},
+    {"cyclic", 1, "cm5", 0xf9984cb43f68a6d7ull, 229606848},
+    {"cyclic", 1, "shared/1cluster", 0x6c4ffb9ea017473dull, 559824732},
+    {"cyclic", 1, "shared", 0x6c4ffb9ea017473dull, 559824732},
+    {"cyclic", 1, "ideal/1cluster/poll", 0x213d82ead5897d97ull, 559775232},
+    {"cyclic", 4, "distributed", 0x175ba5553df79ba4ull, 324708723},
+    {"cyclic", 4, "cm5", 0xf1d84bd72c37a91bull, 118224971},
+    {"cyclic", 4, "shared/1cluster", 0x33e490acd9236c84ull, 141541008},
+    {"cyclic", 4, "shared", 0xb371a49bcf4fbf8aull, 150738981},
+    {"cyclic", 4, "ideal/1cluster/poll", 0x751ea5cabce4eaccull, 141475008},
+    {"cyclic", 16, "distributed", 0xbfc5a17142f7392full, 141149943},
+    {"cyclic", 16, "cm5", 0x4e183f019acf2dacull, 47751958},
+    {"cyclic", 16, "shared/1cluster", 0xebde2ac141230d86ull, 35804352},
+    {"cyclic", 16, "shared", 0x9edc4c2ce7ad2742ull, 40869697},
+    {"cyclic", 16, "ideal/1cluster/poll", 0xff484816cedaaa22ull, 35672352},
+    {"sparse", 1, "distributed", 0xa9cc3a39c8d23411ull, 191650178},
+    {"sparse", 1, "cm5", 0xd7ecf9cd4853fb35ull, 78600575},
+    {"sparse", 1, "shared/1cluster", 0x8dc587b05be5e66aull, 191185178},
+    {"sparse", 1, "shared", 0x8dc587b05be5e66aull, 191185178},
+    {"sparse", 1, "ideal/1cluster/poll", 0x257db558916126c5ull, 191050178},
+    {"sparse", 4, "distributed", 0xe49af21f09485317ull, 78082402},
+    {"sparse", 4, "cm5", 0x2091297a7b681fbaull, 37824333},
+    {"sparse", 4, "shared/1cluster", 0x1800059657410721ull, 48280484},
+    {"sparse", 4, "shared", 0x8db62349662d5948ull, 49132396},
+    {"sparse", 4, "ideal/1cluster/poll", 0xf77249cf79042a4full, 48100484},
+    {"sparse", 16, "distributed", 0xabc8fc98d562bacfull, 138591096},
+    {"sparse", 16, "cm5", 0x26d84a0e90235510ull, 41851250},
+    {"sparse", 16, "shared/1cluster", 0xa77482355d93b054ull, 12947340},
+    {"sparse", 16, "shared", 0xe374c6c019411848ull, 17199185},
+    {"sparse", 16, "ideal/1cluster/poll", 0x511530f3599d54e9ull, 12587340},
+    {"grid", 1, "distributed", 0x2f6db7b55199c31dull, 41537521760},
+    {"grid", 1, "cm5", 0x7654ba7ba3c112dfull, 17030408730},
+    {"grid", 1, "shared/1cluster", 0x71cf6a24c7f1d7f3ull, 41537041260},
+    {"grid", 1, "shared", 0x71cf6a24c7f1d7f3ull, 41537041260},
+    {"grid", 1, "ideal/1cluster/poll", 0x49f57ecdc40a6ea1ull, 41536901760},
+    {"grid", 4, "distributed", 0x7269f65fe0ca2fe1ull, 17410609240},
+    {"grid", 4, "cm5", 0xf2f234f42bbe14f6ull, 4307701596},
+    {"grid", 4, "shared/1cluster", 0xa97db28ae9c9e3daull, 10662428940},
+    {"grid", 4, "shared", 0x65dc54c13a92ce7aull, 10770167640},
+    {"grid", 4, "ideal/1cluster/poll", 0x6b0dec408e7242e6ull, 10662242940},
+    {"grid", 16, "distributed", 0x490817974d839595ull, 9329200160},
+    {"grid", 16, "cm5", 0x5ed2a71d728d32e2ull, 1116188836},
+    {"grid", 16, "shared/1cluster", 0x27be34c589c43eaeull, 2874445860},
+    {"grid", 16, "shared", 0x214425942eba0c9cull, 2975079390},
+    {"grid", 16, "ideal/1cluster/poll", 0xabb24d979643af16ull, 2874073860},
+    {"mgrid", 1, "distributed", 0x77e620af89e21d02ull, 2290597466},
+    {"mgrid", 1, "cm5", 0x5a7da1880dcc02c7ull, 939185768},
+    {"mgrid", 1, "shared/1cluster", 0xad7a40a54151a76dull, 2289806966},
+    {"mgrid", 1, "shared", 0xad7a40a54151a76dull, 2289806966},
+    {"mgrid", 1, "ideal/1cluster/poll", 0x0dd965f6f1e2b14eull, 2289577466},
+    {"mgrid", 4, "distributed", 0x09b58b1b4695b479ull, 790054968},
+    {"mgrid", 4, "cm5", 0x7958dbf00a5b6185ull, 300508126},
+    {"mgrid", 4, "shared/1cluster", 0xe951816ebf45008cull, 574050128},
+    {"mgrid", 4, "shared", 0x99cde850a15933e4ull, 583737848},
+    {"mgrid", 4, "ideal/1cluster/poll", 0x5a75f4a7f8ccbe64ull, 573744128},
+    {"mgrid", 16, "distributed", 0x578a74749dcb4ca5ull, 409115490},
+    {"mgrid", 16, "cm5", 0xd119533143554987ull, 128881036},
+    {"mgrid", 16, "shared/1cluster", 0x0b35fcb18ad5b624ull, 145060350},
+    {"mgrid", 16, "shared", 0xcc364640f687f693ull, 154624150},
+    {"mgrid", 16, "ideal/1cluster/poll", 0x9875a31359849b42ull, 144448350},
+    {"poisson", 1, "distributed", 0x8435c00765b51f1full, 955612992},
+    {"poisson", 1, "cm5", 0x71aaf6c88c16de5full, 391806126},
+    {"poisson", 1, "shared/1cluster", 0x1bdc3223ccbf9dcbull, 955519992},
+    {"poisson", 1, "shared", 0x1bdc3223ccbf9dcbull, 955519992},
+    {"poisson", 1, "ideal/1cluster/poll", 0x4dd98c67855362bfull, 955492992},
+    {"poisson", 4, "distributed", 0x8233acd8ce667cb7ull, 280887648},
+    {"poisson", 4, "cm5", 0x4d6343ecdc07879aull, 105169423},
+    {"poisson", 4, "shared/1cluster", 0xed1b1fedb9531851ull, 239251008},
+    {"poisson", 4, "shared", 0x0e4b0541a385689dull, 241190008},
+    {"poisson", 4, "ideal/1cluster/poll", 0x2875bea248471d91ull, 239215008},
+    {"poisson", 16, "distributed", 0x7bc5342534166c2eull, 136605312},
+    {"poisson", 16, "cm5", 0x8412009bd15b3c31ull, 35261269},
+    {"poisson", 16, "shared/1cluster", 0xd47ed937b67af9f6ull, 60217512},
+    {"poisson", 16, "shared", 0xf318a92238d87250ull, 64421004},
+    {"poisson", 16, "ideal/1cluster/poll", 0x5f71af40b7111b66ull, 60145512},
+    {"sort", 1, "distributed", 0xeb3cbc3cfb1e609aull, 403850986},
+    {"sort", 1, "cm5", 0xfa96e2277ab25608ull, 165579704},
+    {"sort", 1, "shared/1cluster", 0x2759ec354bbc2b0aull, 403835486},
+    {"sort", 1, "shared", 0x2759ec354bbc2b0aull, 403835486},
+    {"sort", 1, "ideal/1cluster/poll", 0xfa8b1d089f1910e4ull, 403830986},
+    {"sort", 4, "distributed", 0xfea2b8ea7c4d6649ull, 144685216},
+    {"sort", 4, "cm5", 0x875a4bf5de94a890ull, 82616602},
+    {"sort", 4, "shared/1cluster", 0xeea2ca2793524142ull, 130321336},
+    {"sort", 4, "shared", 0xd4a6739424803d9full, 130541086},
+    {"sort", 4, "ideal/1cluster/poll", 0x4fcbba7e1be9b3d6ull, 130297336},
+    {"sort", 16, "distributed", 0x7ffd9ee000635f93ull, 84212509},
+    {"sort", 16, "cm5", 0x7c596af71327305full, 52834157},
+    {"sort", 16, "shared/1cluster", 0xd96e137efa030c24ull, 54636109},
+    {"sort", 16, "shared", 0x6ee853936b3767feull, 54946289},
+    {"sort", 16, "ideal/1cluster/poll", 0xdeccd18ac4a68f04ull, 54504109},
+};
+// clang-format on
+
 const int kProcs[] = {1, 2, 3, 4, 5, 7, 8, 16, 32, 64};
 
 bool measured_at(const std::string& code, int n) {
@@ -122,14 +254,43 @@ std::uint64_t fnv1a(const std::string& bytes) {
   return h;
 }
 
-std::uint64_t measured_digest(const std::string& code, int n) {
+trace::Trace measure(const std::string& code, int n) {
   auto prog = make_by_name(code);
   rt::MeasureOptions mo;
   mo.n_threads = n;
+  return rt::measure(*prog, mo);
+}
+
+std::uint64_t trace_digest(const trace::Trace& t) {
   std::ostringstream os(std::ios::binary);
-  trace::write_binary(rt::measure(*prog, mo), os);
+  trace::write_binary(t, os);
   return fnv1a(os.str());
 }
+
+std::uint64_t measured_digest(const std::string& code, int n) {
+  return trace_digest(measure(code, n));
+}
+
+const int kSimProcs[] = {1, 4, 16};
+
+model::SimParams single_cluster(model::SimParams p) {
+  p.cluster.procs_per_cluster = 1 << 30;
+  return p;
+}
+
+model::SimParams sim_config(const std::string& name) {
+  if (name == "distributed") return model::distributed_preset();
+  if (name == "cm5") return model::cm5_preset();
+  if (name == "shared/1cluster")
+    return single_cluster(model::shared_memory_preset());
+  if (name == "shared") return model::shared_memory_preset();
+  model::SimParams p = single_cluster(model::ideal_preset());
+  p.proc.policy = model::ServicePolicy::Poll;
+  return p;
+}
+
+const char* const kSimConfigs[] = {"distributed", "cm5", "shared/1cluster",
+                                   "shared", "ideal/1cluster/poll"};
 
 // The table covers exactly every Table-2 code at every measured n, so a code
 // cannot drop out of the check unnoticed.
@@ -152,6 +313,53 @@ TEST(SuiteDigest, MeasuredTracesAreByteIdentical) {
                   d.code, d.n, got);
     EXPECT_EQ(got, d.fnv) << "measured trace moved; new row: " << row;
   }
+}
+
+TEST(SuiteDigest, SimTableCoversEveryCodeCountAndConfig) {
+  std::set<std::tuple<std::string, int, std::string>> want, have;
+  for (const std::string& code : benchmark_names())
+    for (int n : kSimProcs)
+      for (const char* config : kSimConfigs) want.emplace(code, n, config);
+  for (const SimDigest& d : kSimDigests)
+    EXPECT_TRUE(have.emplace(d.code, d.n, d.config).second)
+        << "duplicate row " << d.code << " n=" << d.n << " " << d.config;
+  EXPECT_EQ(have, want);
+}
+
+TEST(SuiteDigest, ExtrapolatedTracesAreByteIdenticalInEveryMode) {
+  std::string prepared_key;
+  core::TranslatedTrace prepared;
+  // Auto cells per fast path, to show the configurations reach each one.
+  int memo = 0, mixed = 0, sampled = 0;
+  for (const SimDigest& d : kSimDigests) {
+    const std::string key = std::string(d.code) + "/" + std::to_string(d.n);
+    if (key != prepared_key) {
+      prepared = core::prepare_trace(measure(d.code, d.n));
+      prepared_key = key;
+    }
+    for (const core::SimMode mode :
+         {core::SimMode::EventDriven, core::SimMode::Auto}) {
+      const core::Prediction p =
+          core::predict(prepared, sim_config(d.config), {mode, true});
+      const std::uint64_t got = trace_digest(p.sim.extrapolated);
+      const std::int64_t makespan = p.sim.makespan.count_ns();
+      char row[160];
+      std::snprintf(row, sizeof row,
+                    "{\"%s\", %d, \"%s\", 0x%016" PRIx64 "ull, %" PRId64 "},",
+                    d.code, d.n, d.config, got, makespan);
+      EXPECT_TRUE(got == d.fnv && makespan == d.makespan_ns)
+          << core::to_string(mode) << ": extrapolated trace moved; new row: "
+          << row;
+      if (mode == core::SimMode::Auto) {
+        memo += p.sim.hybrid.memo_hits > 0;
+        mixed += p.sim.hybrid.path == core::HybridStats::Path::Mixed;
+        sampled += p.sim.sampling.active;
+      }
+    }
+  }
+  EXPECT_GT(memo, 0);
+  EXPECT_GT(mixed, 0);
+  EXPECT_GT(sampled, 0);
 }
 
 }  // namespace

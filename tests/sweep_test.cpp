@@ -610,7 +610,7 @@ TEST(TranslateCache, MeasuresOncePerKeyUnderConcurrency) {
   EXPECT_EQ(cache.hits(), 31u);
 }
 
-// Concurrency regression for the sharded cache: N threads hammer
+// Concurrency regression for the cache: N threads hammer
 // get_or_prepare over OVERLAPPING keys.  Exactly one miss (one measurement)
 // per distinct key, every other call a hit, and every returned translation
 // complete and shared — the invariants that hold the sweep's
@@ -732,6 +732,30 @@ TEST(TranslateCache, ByteBudgetEvictsLeastRecentlyUsed) {
       << "the most recently used entry was evicted";
   EXPECT_EQ(cache.get(3), nullptr)
       << "the least recently used entry survived";
+}
+
+// The budget is only as good as the footprint estimate, which must count
+// every array an entry holds.  The static_asserts trip when CompiledThread
+// or EpochClassTable gains an array, so the estimate and this test grow
+// with it.
+TEST(TranslateCache, FootprintCoversEveryCompiledArray) {
+  static_assert(sizeof(CompiledThread) == 6 * sizeof(std::vector<int>),
+                "count the new CompiledThread array in footprint_bytes");
+  static_assert(sizeof(EpochClassTable) == 4 * sizeof(std::vector<int>),
+                "count the new EpochClassTable array in footprint_bytes");
+  const TranslatedTrace tt = prepare_trace(measure_n(4));
+  const auto bytes = [](const auto& v) { return v.size() * sizeof(v[0]); };
+  std::size_t want = sizeof(TranslatedTrace);
+  for (const trace::Trace& t : tt.translated) want += bytes(t.events());
+  for (const CompiledThread& th : tt.compiled->threads) {
+    ASSERT_FALSE(th.segments.empty());
+    want += bytes(th.ops) + bytes(th.pre_delta) + bytes(th.remotes) +
+            bytes(th.barrier_ids) + bytes(th.proto) + bytes(th.segments);
+  }
+  const EpochClassTable& ec = tt.compiled->epoch_classes;
+  want += bytes(ec.fingerprint) + bytes(ec.class_of) + bytes(ec.exemplar) +
+          bytes(ec.count);
+  EXPECT_EQ(TranslateCache::footprint_bytes(tt), want);
 }
 
 TEST(TranslateCache, BudgetNeverEvictsTheOnlyOrNewestEntry) {
