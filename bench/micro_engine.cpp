@@ -105,16 +105,22 @@ suite::SuiteConfig micro_cfg() {
   return cfg;
 }
 
+// Items are measured events, so items_per_second across the thread counts
+// shows how the per-event measurement cost grows with n.
 void BM_MeasureCyclic(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
+  std::int64_t events = 0;
   for (auto _ : state) {
     auto prog = suite::make_cyclic(micro_cfg());
     rt::MeasureOptions mo;
     mo.n_threads = n;
-    benchmark::DoNotOptimize(rt::measure(*prog, mo));
+    const trace::Trace t = rt::measure(*prog, mo);
+    events += static_cast<std::int64_t>(t.size());
+    benchmark::DoNotOptimize(t);
   }
+  state.SetItemsProcessed(events);
 }
-BENCHMARK(BM_MeasureCyclic)->Arg(8)->Arg(32);
+BENCHMARK(BM_MeasureCyclic)->Arg(8)->Arg(32)->Arg(1024)->Arg(4096);
 
 void BM_TranslateCyclic(benchmark::State& state) {
   auto prog = suite::make_cyclic(micro_cfg());

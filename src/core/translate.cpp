@@ -178,6 +178,27 @@ const Segment& epoch_segment(const CompiledTrace& ct, std::size_t t,
   return ct.threads[t].segments[static_cast<std::size_t>(epoch)];
 }
 
+/// Thread `t`'s share of an epoch fingerprint: mixed into the epoch's hash
+/// once per thread, in thread order.
+void mix_thread_segment(Fnv64& f, const CompiledThread& th, std::size_t t,
+                        const Segment& seg) {
+  // The thread index anchors each per-thread signature: the same work
+  // moved to a different thread is a different epoch shape (barrier
+  // arrival pattern and owner targeting both change).
+  f.mix(static_cast<std::uint64_t>(t));
+  for (std::uint32_t i = seg.op_begin; i <= seg.op_end; ++i) {
+    f.mix(static_cast<std::uint64_t>(th.ops[i]));
+    f.mix_i64(th.pre_delta[i].count_ns());
+  }
+  for (std::uint32_t r = seg.remote_begin; r < seg.remote_end; ++r) {
+    const RemoteRec& rec = th.remotes[r];
+    f.mix_i64(rec.peer);
+    f.mix_i64(rec.declared_bytes);
+    f.mix_i64(rec.actual_bytes);
+    f.mix(rec.is_write ? 1u : 0u);
+  }
+}
+
 }  // namespace
 
 std::uint64_t epoch_fingerprint(const CompiledTrace& ct, std::int64_t epoch) {
@@ -187,25 +208,8 @@ std::uint64_t epoch_fingerprint(const CompiledTrace& ct, std::int64_t epoch) {
                  epoch < static_cast<std::int64_t>(ct.threads[0].segments.size()),
              "epoch index out of range");
   Fnv64 f;
-  for (std::size_t t = 0; t < ct.threads.size(); ++t) {
-    const CompiledThread& th = ct.threads[t];
-    const Segment& seg = epoch_segment(ct, t, epoch);
-    // The thread index anchors each per-thread signature: the same work
-    // moved to a different thread is a different epoch shape (barrier
-    // arrival pattern and owner targeting both change).
-    f.mix(static_cast<std::uint64_t>(t));
-    for (std::uint32_t i = seg.op_begin; i <= seg.op_end; ++i) {
-      f.mix(static_cast<std::uint64_t>(th.ops[i]));
-      f.mix_i64(th.pre_delta[i].count_ns());
-    }
-    for (std::uint32_t r = seg.remote_begin; r < seg.remote_end; ++r) {
-      const RemoteRec& rec = th.remotes[r];
-      f.mix_i64(rec.peer);
-      f.mix_i64(rec.declared_bytes);
-      f.mix_i64(rec.actual_bytes);
-      f.mix(rec.is_write ? 1u : 0u);
-    }
-  }
+  for (std::size_t t = 0; t < ct.threads.size(); ++t)
+    mix_thread_segment(f, ct.threads[t], t, epoch_segment(ct, t, epoch));
   return f.h;
 }
 
@@ -245,10 +249,20 @@ EpochClassTable build_epoch_classes(const CompiledTrace& ct) {
       static_cast<std::int64_t>(ct.threads[0].segments.size());
   tab.fingerprint.reserve(static_cast<std::size_t>(epochs));
   tab.class_of.reserve(static_cast<std::size_t>(epochs));
+  // Fingerprint every epoch in one pass over the threads, each thread's
+  // segments in order: the same mix calls as epoch_fingerprint(ct, e) per
+  // epoch, without an epoch-by-epoch walk that touches every thread's
+  // arrays once per epoch.
+  std::vector<Fnv64> fps(static_cast<std::size_t>(epochs));
+  for (std::size_t t = 0; t < ct.threads.size(); ++t) {
+    const CompiledThread& th = ct.threads[t];
+    for (std::size_t e = 0; e < fps.size(); ++e)
+      mix_thread_segment(fps[e], th, t, th.segments[e]);
+  }
   // fingerprint -> class indices sharing it (collision candidates).
   std::unordered_map<std::uint64_t, std::vector<std::int32_t>> by_hash;
   for (std::int64_t e = 0; e < epochs; ++e) {
-    const std::uint64_t fp = epoch_fingerprint(ct, e);
+    const std::uint64_t fp = fps[static_cast<std::size_t>(e)].h;
     tab.fingerprint.push_back(fp);
     std::int32_t cls = -1;
     auto& candidates = by_hash[fp];

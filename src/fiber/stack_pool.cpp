@@ -14,17 +14,14 @@ namespace xp::fiber {
 
 namespace {
 
-constexpr std::size_t kMaxFreePerSize = 32;       // shared pool, per size
-constexpr std::size_t kMaxLocalFreePerSize = 8;   // per-thread cache, per size
-
-// Beyond this many live stacks, new stacks come from SLABS: one mapping
-// holding kSlabStacks stacks with no interior guard pages.  A guarded
-// stack costs ~2 kernel vmas (the PROT_NONE guard splits its mapping), so
-// 10^5 concurrent fibers — the hybrid simulator's huge-n measurements —
-// would blow through vm.max_map_count (65530 by default) long before
-// memory runs out.  Slabs trade the guard page for a ~128x smaller vma
-// footprint; the threshold keeps every normal workload on guarded stacks.
-constexpr std::size_t kGuardedStackLimit = 16384;
+// Beyond kGuardedStackLimit live stacks, new stacks come from SLABS: one
+// mapping holding kSlabStacks stacks with no interior guard pages.  A
+// guarded stack costs ~2 kernel vmas (the PROT_NONE guard splits its
+// mapping), so 10^5 concurrent fibers — the hybrid simulator's huge-n
+// measurements — would blow through vm.max_map_count (65530 by default)
+// long before memory runs out.  Slabs trade the guard page for a ~128x
+// smaller vma footprint; the threshold keeps every normal workload on
+// guarded stacks.
 constexpr std::size_t kSlabStacks = 64;
 
 std::size_t page_size() {
@@ -32,9 +29,8 @@ std::size_t page_size() {
   return ps;
 }
 
-// Counters are atomics so the lock-free thread-local fast path can account
-// without touching the shared pool's mutex (relaxed: they are statistics,
-// not synchronization).
+// Counters are atomics so the mmap path can account outside the mutex
+// (relaxed: they are statistics, not synchronization).
 struct AtomicStats {
   std::atomic<std::uint64_t> mapped{0};
   std::atomic<std::uint64_t> reused{0};
@@ -46,8 +42,10 @@ struct Pool {
   std::mutex mu;
   // Free stacks keyed by USABLE bytes, so guarded and slab-backed stacks
   // of one size class share a free list (their map_bytes differ by the
-  // guard page).
+  // guard page).  `free_count` sums the lists; it never exceeds
+  // kGuardedStackLimit.
   std::unordered_map<std::size_t, std::vector<StackSpan>> free_by_size;
+  std::size_t free_count = 0;
   AtomicStats stats;
 
   ~Pool() {
@@ -57,46 +55,18 @@ struct Pool {
 };
 
 Pool& pool() {
-  static Pool p;  // leaked-on-exit order is fine; dtor unmaps free stacks
+  static Pool p;  // dtor unmaps free stacks at exit
   return p;
 }
 
-// Per-thread stack cache in front of the shared pool.  A Scheduler is
-// confined to one OS thread and releases a finished fiber's stack on that
-// same thread, so a measurement sweep's fiber churn is served entirely from
-// this cache — no shared-pool mutex on the hot path, which is what let
-// concurrent pool workers measure without serializing on stack recycling.
-// On thread exit the cache drains into the shared pool (the worker that
-// measured first hands its stacks to whichever worker measures next).
-struct LocalCache {
-  Pool* shared;  // captured eagerly: keeps destruction ordered after pool()
-  std::unordered_map<std::size_t, std::vector<StackSpan>> free_by_size;
-
-  explicit LocalCache(Pool* p) : shared(p) {}
-
-  ~LocalCache() {
-    for (auto& [bytes, spans] : free_by_size) {
-      std::vector<StackSpan> overflow;
-      {
-        std::lock_guard<std::mutex> lock(shared->mu);
-        auto& dst = shared->free_by_size[bytes];
-        for (StackSpan& s : spans) {
-          if (dst.size() < kMaxFreePerSize)
-            dst.push_back(s);
-          else
-            overflow.push_back(s);
-        }
-      }
-      shared->stats.unmapped.fetch_add(overflow.size(),
-                                       std::memory_order_relaxed);
-      for (const StackSpan& s : overflow) ::munmap(s.map_base, s.map_bytes);
-    }
-  }
-};
-
-LocalCache& local_cache() {
-  thread_local LocalCache cache(&pool());
-  return cache;
+/// Stack `i` of a guard-less slab mapped at `base`.
+StackSpan slab_stack(void* base, std::size_t i, std::size_t usable) {
+  StackSpan s;
+  s.map_base = static_cast<char*>(base) + i * usable;
+  s.map_bytes = usable;
+  s.top = static_cast<char*>(s.map_base) + usable;
+  s.usable = usable;
+  return s;
 }
 
 }  // namespace
@@ -107,23 +77,13 @@ StackSpan stack_acquire(std::size_t usable_bytes) {
   const std::size_t usable = ((usable_bytes + ps - 1) / ps) * ps;
 
   Pool& p = pool();
-  LocalCache& local = local_cache();
-  {
-    auto it = local.free_by_size.find(usable);
-    if (it != local.free_by_size.end() && !it->second.empty()) {
-      StackSpan s = it->second.back();
-      it->second.pop_back();
-      p.stats.reused.fetch_add(1, std::memory_order_relaxed);
-      p.stats.active.fetch_add(1, std::memory_order_relaxed);
-      return s;
-    }
-  }
   {
     std::lock_guard<std::mutex> lock(p.mu);
     auto it = p.free_by_size.find(usable);
     if (it != p.free_by_size.end() && !it->second.empty()) {
       StackSpan s = it->second.back();
       it->second.pop_back();
+      --p.free_count;
       p.stats.reused.fetch_add(1, std::memory_order_relaxed);
       p.stats.active.fetch_add(1, std::memory_order_relaxed);
       return s;
@@ -140,22 +100,26 @@ StackSpan stack_acquire(std::size_t usable_bytes) {
                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     XP_CHECK(base != MAP_FAILED, "mmap of fiber stack slab failed");
     p.stats.mapped.fetch_add(kSlabStacks, std::memory_order_relaxed);
-    auto& inventory = local.free_by_size[usable];
-    for (std::size_t i = 1; i < kSlabStacks; ++i) {
-      StackSpan s;
-      s.map_base = static_cast<char*>(base) + i * usable;
-      s.map_bytes = usable;
-      s.top = static_cast<char*>(s.map_base) + usable;
-      s.usable = usable;
-      inventory.push_back(s);
-    }
-    StackSpan s;
-    s.map_base = base;
-    s.map_bytes = usable;
-    s.top = static_cast<char*>(base) + usable;
-    s.usable = usable;
     p.stats.active.fetch_add(1, std::memory_order_relaxed);
-    return s;
+    // The first stack is returned; the rest go to the free list, as far as
+    // the pool's cap allows.
+    std::size_t dropped = 0;
+    {
+      std::lock_guard<std::mutex> lock(p.mu);
+      auto& spans = p.free_by_size[usable];
+      for (std::size_t i = 1; i < kSlabStacks; ++i) {
+        const StackSpan s = slab_stack(base, i, usable);
+        if (p.free_count < kGuardedStackLimit) {
+          spans.push_back(s);
+          ++p.free_count;
+        } else {
+          ::munmap(s.map_base, s.map_bytes);
+          ++dropped;
+        }
+      }
+    }
+    p.stats.unmapped.fetch_add(dropped, std::memory_order_relaxed);
+    return slab_stack(base, 0, usable);
   }
 
   const std::size_t map_bytes = usable + ps;  // + guard page
@@ -179,16 +143,11 @@ void stack_release(StackSpan s) {
   if (!s) return;
   Pool& p = pool();
   p.stats.active.fetch_sub(1, std::memory_order_relaxed);
-  auto& local = local_cache().free_by_size[s.usable];
-  if (local.size() < kMaxLocalFreePerSize) {
-    local.push_back(s);
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(p.mu);
-    auto& spans = p.free_by_size[s.usable];
-    if (spans.size() < kMaxFreePerSize) {
-      spans.push_back(s);
+    if (p.free_count < kGuardedStackLimit) {
+      p.free_by_size[s.usable].push_back(s);
+      ++p.free_count;
       return;
     }
   }
@@ -210,17 +169,13 @@ StackPoolStats stack_pool_stats() {
 void stack_pool_trim() {
   Pool& p = pool();
   std::unordered_map<std::size_t, std::vector<StackSpan>> drop;
-  local_cache().free_by_size.swap(drop);
+  std::uint64_t n = 0;
   {
     std::lock_guard<std::mutex> lock(p.mu);
-    for (auto& [bytes, spans] : p.free_by_size) {
-      auto& dst = drop[bytes];
-      dst.insert(dst.end(), spans.begin(), spans.end());
-    }
-    p.free_by_size.clear();
+    drop.swap(p.free_by_size);
+    n = p.free_count;
+    p.free_count = 0;
   }
-  std::uint64_t n = 0;
-  for (const auto& [bytes, spans] : drop) n += spans.size();
   p.stats.unmapped.fetch_add(n, std::memory_order_relaxed);
   for (const auto& [bytes, spans] : drop)
     for (const StackSpan& s : spans) ::munmap(s.map_base, s.map_bytes);

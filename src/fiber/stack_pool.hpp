@@ -6,22 +6,22 @@
 //    end, so running off the end of a fiber stack faults immediately
 //    instead of silently corrupting neighboring allocations (the heap-stack
 //    failure mode of the ucontext fallback);
-//  * released stacks go to a free list keyed by mapped size and are reused
-//    by later fibers — a measurement sweep spawning thousands of
-//    short-lived fibers pays the mmap/mprotect syscalls only for its
-//    high-water mark.  The Scheduler releases a stack as soon as its fiber
-//    finishes (a Finished fiber is never resumed), so the high-water mark
-//    is the peak number of *started, unfinished* fibers, not the spawn
-//    count.
+//  * released stacks go to one process-wide free list, keyed by usable
+//    size and guarded by one mutex, and are reused by later fibers — a
+//    measurement, or a sweep of them, pays the mmap/mprotect syscalls and
+//    first-touch page faults only for its high-water mark, once per
+//    process.  The Scheduler releases a stack as soon as its fiber finishes
+//    (a Finished fiber is never resumed), so the high-water mark is the
+//    peak number of *started, unfinished* fibers, not the spawn count.
 //
-// The free list is two-level: a lock-free THREAD-LOCAL cache in front of a
-// mutex-guarded process-wide pool.  Schedulers are confined to one OS
-// thread and release stacks on the acquiring thread, so steady-state fiber
-// churn (the sweep engine's concurrent measurements) recycles stacks
-// entirely within each pool worker — zero shared-mutex traffic on the hot
-// path.  A thread's cache drains into the shared pool when the thread
-// exits.  Each level holds a bounded number of stacks per size class;
-// overflow unmaps immediately, bounding idle memory.
+// The free list holds at most kGuardedStackLimit stacks over all sizes;
+// a release beyond that unmaps.  A guarded stack costs at most 2 kernel
+// vmas, so a full pool stays under half of the default vm.max_map_count
+// (65530).  Its memory is the pages the fibers touched: one 4 KiB page
+// per stack for the suite's thread bodies (16 MB for the 4096 stacks of
+// an n = 4096 measurement), the whole stack only for a fiber that used
+// all of it.  The cost of one lock per acquire and per release
+// is negligible next to the fiber's own run.
 //
 // Huge fiber counts (the hybrid simulator's 10^5-thread measurements)
 // switch to SLAB allocation: past kGuardedStackLimit live stacks, new
@@ -34,6 +34,10 @@
 #include <cstdint>
 
 namespace xp::fiber {
+
+/// Live stacks past which new ones come from guard-less slabs, and the
+/// most free stacks the pool keeps.
+inline constexpr std::size_t kGuardedStackLimit = 16384;
 
 /// One pooled stack.  `top` is the high end (stacks grow down); the guard
 /// page lies below `top - usable`.
@@ -57,16 +61,14 @@ struct StackPoolStats {
 /// whole pages), from the pool when one of that size is free.
 StackSpan stack_acquire(std::size_t usable_bytes);
 
-/// Return a stack to the pool (or unmap it if the size class is full).
-/// No-op for empty spans.
+/// Return a stack to the pool (or unmap it if the pool is full).  No-op for
+/// empty spans.
 void stack_release(StackSpan s);
 
 StackPoolStats stack_pool_stats();
 
-/// Unmap every pooled (free) stack reachable from this thread: the shared
-/// pool plus the calling thread's local cache (other threads' caches drain
-/// when those threads exit).  Tests use this to take delta-free baselines;
-/// safe at any time, acquired stacks are unaffected.
+/// Unmap every pooled (free) stack.  Tests use this to take delta-free
+/// baselines; safe at any time, acquired stacks are unaffected.
 void stack_pool_trim();
 
 }  // namespace xp::fiber

@@ -27,8 +27,8 @@ struct HostMachine {
   ///    the paper measured on its Sun 4 — the benchmark's actual
   ///    computation time (including this machine's cache behaviour and OS
   ///    noise) lands in the trace.  Traces are NOT reproducible run to
-  ///    run; instrumentation overheads are real rather than modeled, so
-  ///    event_overhead/flush parameters are ignored.
+  ///    run; instrumentation and switch overheads are real rather than
+  ///    modeled, so event_overhead/flush/switch parameters are ignored.
   enum class ClockMode { Virtual, HostClock };
   ClockMode clock_mode = ClockMode::Virtual;
 

@@ -25,8 +25,9 @@ class MeasureRuntime final : public Runtime {
       : n_(n_threads),
         host_(host),
         host_clock_(host.clock_mode == HostMachine::ClockMode::HostClock),
-        // Real instrumentation costs are inherent in host-clock mode; the
-        // modeled overheads apply only to the virtual clock.
+        // Real instrumentation and switch costs are inherent in host-clock
+        // mode; the modeled overheads apply only to the virtual clock (which
+        // also keeps host-clock timestamps monotonic, as the tracer needs).
         tracer_(n_threads, host_clock_ ? Time::zero() : host.event_overhead,
                 host_clock_ ? 0 : host.flush_every,
                 host_clock_ ? Time::zero() : host.flush_cost, capacity_hint),
@@ -97,7 +98,7 @@ class MeasureRuntime final : public Runtime {
     BarrierState& b = pending_[id];
     if (++b.arrived < n_) {
       b.waiters.push_back(t);
-      clock_ += host_.switch_overhead;
+      if (!host_clock_) clock_ += host_.switch_overhead;
       sched_.block();
       // Resumed by the last arriver; the shared clock has meanwhile been
       // advanced by whichever threads ran — exactly as on a real
@@ -214,7 +215,7 @@ class MeasureRuntime final : public Runtime {
 /// Event counts from completed measurements, keyed "program/n_threads".
 /// Rerunning the same configuration (fitting takes repeated measurements;
 /// sweeps re-measure per distinct thread count) seeds the tracer with the
-/// previous run's count so every per-thread arena reserves exactly once.
+/// previous run's count so its event log is reserved exactly once.
 /// One mutex: a measurement touches the registry twice, a negligible share
 /// of the measurement itself.
 struct HintRegistry {

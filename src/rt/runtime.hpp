@@ -112,7 +112,7 @@ trace::Trace measure(Program& prog, const MeasureOptions& opt);
 /// Event count recorded by the most recent measure() of this (program,
 /// n_threads) configuration, or 0 if it has not run in this process.  The
 /// next measure() of the same configuration uses it as the tracer capacity
-/// hint so arena reruns reserve once; exposed for tests.
+/// hint so a rerun reserves its event log once; exposed for tests.
 std::int64_t measured_event_hint(const std::string& program, int n_threads);
 
 }  // namespace xp::rt

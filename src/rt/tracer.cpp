@@ -1,24 +1,12 @@
 #include "rt/tracer.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace xp::rt {
-namespace {
-
-/// Default first-chunk capacity (events per thread) when no hint is given.
-constexpr std::size_t kDefaultChunkEvents = 1024;
-
-/// Largest chunk the geometric growth will allocate in one go.
-constexpr std::size_t kMaxChunkEvents = 1u << 20;
-
-}  // namespace
 
 Tracer::Tracer(int n_threads, Time event_overhead, std::int64_t flush_every,
                Time flush_cost, std::int64_t capacity_hint)
     : trace_(n_threads),
-      arenas_(static_cast<std::size_t>(n_threads > 0 ? n_threads : 1)),
       overhead_(event_overhead),
       flush_every_(flush_every),
       flush_cost_(flush_cost) {
@@ -27,17 +15,7 @@ Tracer::Tracer(int n_threads, Time event_overhead, std::int64_t flush_every,
   XP_REQUIRE(flush_every >= 0, "flush period must be >= 0");
   XP_REQUIRE(!flush_cost.is_negative(), "flush cost must be >= 0");
   XP_REQUIRE(capacity_hint >= 0, "capacity hint must be >= 0");
-  if (capacity_hint > 0) {
-    // The hint is a whole-run event count (from a previous measurement of
-    // the same program); threads in the data-parallel model record nearly
-    // identical event streams, so an even share plus a little slack covers
-    // each arena in a single chunk.
-    const auto total = static_cast<std::size_t>(capacity_hint);
-    const auto n = static_cast<std::size_t>(n_threads);
-    first_chunk_events_ = (total + n - 1) / n + total / (8 * n) + 32;
-  } else {
-    first_chunk_events_ = kDefaultChunkEvents;
-  }
+  trace_.mutable_events().reserve(static_cast<std::size_t>(capacity_hint));
   trace_.set_meta("event_overhead_ns",
                   std::to_string(event_overhead.count_ns()));
   if (flush_every_ > 0) {
@@ -46,27 +24,14 @@ Tracer::Tracer(int n_threads, Time event_overhead, std::int64_t flush_every,
   }
 }
 
-void Tracer::grow(Arena& a) {
-  std::size_t cap = a.chunks.empty()
-                        ? first_chunk_events_
-                        : std::min(a.cap * 2, kMaxChunkEvents);
-  a.chunks.push_back(std::make_unique<Rec[]>(cap));
-  a.caps.push_back(cap);
-  a.cur = a.chunks.back().get();
-  a.used = 0;
-  a.cap = cap;
-  ++chunks_allocated_;
-}
-
 void Tracer::record(Time* clock, trace::Event e) {
   e.time = *clock;
-  XP_REQUIRE(e.thread >= 0 &&
-                 static_cast<std::size_t>(e.thread) < arenas_.size(),
+  XP_REQUIRE(e.thread >= 0 && e.thread < trace_.n_threads(),
              "record: event thread out of range");
-  Arena& a = arenas_[static_cast<std::size_t>(e.thread)];
-  if (a.used == a.cap) grow(a);
-  a.cur[a.used++] = Rec{e, seq_++};
-  ++a.total;
+  std::vector<trace::Event>& log = trace_.mutable_events();
+  XP_REQUIRE(log.empty() || log.back().time <= e.time,
+             "record: clock went backwards");
+  log.push_back(e);
   ++count_;
   *clock += overhead_;
   if (flush_every_ > 0 && count_ % flush_every_ == 0) *clock += flush_cost_;
@@ -76,37 +41,6 @@ void Tracer::set_meta(const std::string& k, const std::string& v) {
   trace_.set_meta(k, v);
 }
 
-trace::Trace Tracer::take() {
-  // Splice the arenas into one flat record list and order it by
-  // (timestamp, global recording index).  Equal timestamps are common —
-  // the measurement threads share one virtual clock — and the seq
-  // tiebreaker reproduces exactly what the old single-vector tracer's
-  // stable sort produced, keeping traces (and golden files) bitwise
-  // stable across the arena rewrite.
-  std::vector<Rec> recs;
-  recs.reserve(static_cast<std::size_t>(count_));
-  for (Arena& a : arenas_) {
-    std::size_t remaining = a.total;
-    for (std::size_t c = 0; c < a.chunks.size() && remaining > 0; ++c) {
-      const std::size_t in_chunk = std::min(remaining, a.caps[c]);
-      recs.insert(recs.end(), a.chunks[c].get(),
-                  a.chunks[c].get() + in_chunk);
-      remaining -= in_chunk;
-    }
-    a.chunks.clear();
-    a.caps.clear();
-    a.cur = nullptr;
-    a.used = a.cap = a.total = 0;
-  }
-  std::sort(recs.begin(), recs.end(), [](const Rec& x, const Rec& y) {
-    if (x.e.time != y.e.time) return x.e.time < y.e.time;
-    return x.seq < y.seq;
-  });
-  auto& events = trace_.mutable_events();
-  events.clear();
-  events.reserve(recs.size());
-  for (const Rec& r : recs) events.push_back(r.e);
-  return std::move(trace_);
-}
+trace::Trace Tracer::take() { return std::move(trace_); }
 
 }  // namespace xp::rt

@@ -8,21 +8,18 @@
 // trace translation algorithm is easily modified to handle the overhead for
 // recording the events").
 //
-// Recording is allocation-free on the hot path: each program thread owns an
-// arena of block-stable chunks (like the simulation engine's callback
-// slab); record() writes into the current chunk and only grabs a new chunk
-// when one fills.  take() splices the arenas into one trace::Trace, ordered
-// by (timestamp, recording order) — byte-identical to appending every event
-// into one vector and stable-sorting by time, which is what earlier
-// versions did.  A capacity hint (the event count of a previous run of the
-// same program) sizes the first chunk of every arena so rerun measurements
-// allocate each arena exactly once.
+// Recording appends to one event vector in recording order, and take()
+// moves it out unchanged.  That is already the trace's (time, recording
+// order) order: all n threads run on one processor and share one clock,
+// which only moves forward (compute charges and overheads are >= 0, and
+// host-clock mode reads a monotonic clock), so record() requires every
+// timestamp to be at least the previous one.  A capacity hint (the event
+// count of a previous run of the same program) reserves the vector once,
+// so a rerun measurement never reallocates it.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "trace/trace.hpp"
 #include "util/time.hpp"
@@ -36,50 +33,21 @@ class Tracer {
   Tracer(int n_threads, Time event_overhead, std::int64_t flush_every = 0,
          Time flush_cost = Time::zero(), std::int64_t capacity_hint = 0);
 
-  /// Record an event at time `*clock`; adds the event overhead to *clock
-  /// after stamping (so the overhead lands between this event and the
-  /// next) and, every `flush_every` events, the buffer-flush cost.
+  /// Record an event at time `*clock`, which must not be earlier than the
+  /// previous event's; adds the event overhead to *clock after stamping (so
+  /// the overhead lands between this event and the next) and, every
+  /// `flush_every` events, the buffer-flush cost.
   void record(Time* clock, trace::Event e);
 
   void set_meta(const std::string& k, const std::string& v);
 
-  /// Finalize: merge the per-thread arenas time-ordered (recording order
-  /// among ties) and return the trace (call once).
+  /// Finalize: return the trace, time-ordered as recorded (call once).
   trace::Trace take();
 
   std::int64_t events_recorded() const { return count_; }
 
-  /// Arena chunks allocated so far, across all threads.  With a capacity
-  /// hint covering the run this stays at one per recording thread — the
-  /// property the capacity-hint tests pin down.
-  std::size_t chunks_allocated() const { return chunks_allocated_; }
-
  private:
-  /// One recorded event plus its global recording index, which reproduces
-  /// the stable-sort tie order when the arenas are merged.
-  struct Rec {
-    trace::Event e;
-    std::uint64_t seq;
-  };
-
-  /// Block-stable chunk list for one thread; cur points into the chunk
-  /// being filled.
-  struct Arena {
-    std::vector<std::unique_ptr<Rec[]>> chunks;
-    std::vector<std::size_t> caps;  ///< capacity of each chunk
-    Rec* cur = nullptr;
-    std::size_t used = 0;  ///< filled slots in the current chunk
-    std::size_t cap = 0;   ///< capacity of the current chunk
-    std::size_t total = 0;
-  };
-
-  void grow(Arena& a);
-
-  trace::Trace trace_;  ///< carries n_threads + metadata until take()
-  std::vector<Arena> arenas_;
-  std::size_t first_chunk_events_;
-  std::size_t chunks_allocated_ = 0;
-  std::uint64_t seq_ = 0;
+  trace::Trace trace_;  ///< the log itself, plus n_threads and metadata
   Time overhead_;
   std::int64_t flush_every_;
   Time flush_cost_;

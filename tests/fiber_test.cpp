@@ -281,6 +281,50 @@ TEST(FiberStackPool, InterleavedFibersGetDistinctStacks) {
   EXPECT_EQ(after.active, before.active);
 }
 
+/// Stacks in the free list: every mapped stack is active, pooled or
+/// unmapped.
+std::uint64_t pooled(const StackPoolStats& s) {
+  return s.mapped - s.unmapped - s.active;
+}
+
+TEST(FiberStackPool, ReleasePastCapUnmapsExactlyTheExcess) {
+  stack_pool_trim();
+  // Past kGuardedStackLimit live stacks the rest come from a slab; all of
+  // them are released into a pool that keeps kGuardedStackLimit.
+  constexpr std::size_t kStacks = kGuardedStackLimit + 64;
+  std::vector<StackSpan> spans;
+  spans.reserve(kStacks);
+  for (std::size_t i = 0; i < kStacks; ++i)
+    spans.push_back(stack_acquire(16 * 1024));
+  const StackPoolStats before = stack_pool_stats();
+  ASSERT_LE(pooled(before), kGuardedStackLimit);
+  for (const StackSpan& s : spans) stack_release(s);
+  const StackPoolStats after = stack_pool_stats();
+  EXPECT_EQ(after.unmapped - before.unmapped,
+            kStacks - (kGuardedStackLimit - pooled(before)));
+  EXPECT_EQ(pooled(after), kGuardedStackLimit);
+  EXPECT_EQ(after.active, before.active - kStacks);
+  stack_pool_trim();
+  EXPECT_EQ(pooled(stack_pool_stats()), 0u);
+}
+
+TEST(FiberStackPool, TrimEmptiesThePool) {
+  std::vector<StackSpan> spans;
+  for (int i = 0; i < 8; ++i) spans.push_back(stack_acquire(64 * 1024));
+  for (int i = 0; i < 4; ++i) spans.push_back(stack_acquire(128 * 1024));
+  for (const StackSpan& s : spans) stack_release(s);
+  const StackPoolStats before = stack_pool_stats();
+  EXPECT_GE(pooled(before), 12u);
+  stack_pool_trim();
+  const StackPoolStats after = stack_pool_stats();
+  EXPECT_EQ(pooled(after), 0u);
+  EXPECT_EQ(after.unmapped - before.unmapped, pooled(before));
+  // A later acquisition maps afresh.
+  const StackSpan s = stack_acquire(64 * 1024);
+  EXPECT_EQ(stack_pool_stats().mapped, after.mapped + 1);
+  stack_release(s);
+}
+
 TEST(FiberStackPoolDeathTest, GuardPageCatchesStackOverflow) {
   if (!fcontext_supported()) GTEST_SKIP() << "no fcontext port";
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";

@@ -276,6 +276,43 @@ TEST(EpochClasses, SuiteWorkloadsBitwiseAcrossModes) {
   }
 }
 
+// build_epoch_classes fingerprints all epochs in one pass over the threads.
+// It must give exactly the table of the epoch-by-epoch grouping below: the
+// same fingerprints, bitwise, and the same classes, exemplars and counts.
+TEST(EpochClasses, ThreadPassMatchesEpochByEpochGrouping) {
+  for (const std::string& bench : suite::benchmark_names()) {
+    for (const int n : {4, 16}) {
+      SCOPED_TRACE(bench + " n=" + std::to_string(n));
+      const CompiledTrace ct =
+          CompiledTrace::compile(core::translate(measured(bench, n)));
+      ASSERT_TRUE(ct.uniform_barriers);
+      const EpochClassTable& tab = ct.epoch_classes;
+      ASSERT_TRUE(tab.built());
+      EpochClassTable ref;
+      for (std::int64_t e = 0; e < tab.epochs(); ++e) {
+        ref.fingerprint.push_back(core::epoch_fingerprint(ct, e));
+        std::int32_t cls = -1;
+        for (std::size_t c = 0; c < ref.exemplar.size() && cls < 0; ++c)
+          if (ref.fingerprint[static_cast<std::size_t>(ref.exemplar[c])] ==
+                  ref.fingerprint.back() &&
+              core::epochs_identical(ct, ref.exemplar[c], e))
+            cls = static_cast<std::int32_t>(c);
+        if (cls < 0) {
+          cls = static_cast<std::int32_t>(ref.exemplar.size());
+          ref.exemplar.push_back(e);
+          ref.count.push_back(0);
+        }
+        ref.class_of.push_back(cls);
+        ++ref.count[static_cast<std::size_t>(cls)];
+      }
+      EXPECT_EQ(tab.fingerprint, ref.fingerprint);
+      EXPECT_EQ(tab.class_of, ref.class_of);
+      EXPECT_EQ(tab.exemplar, ref.exemplar);
+      EXPECT_EQ(tab.count, ref.count);
+    }
+  }
+}
+
 // The long iterative golden must actually take the sampled path and win:
 // far fewer exemplar walks than epochs, bitwise-equal anyway — and with a
 // trace requested, each exemplar's emission slice replayed once per member

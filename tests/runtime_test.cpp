@@ -5,8 +5,11 @@
 
 #include "rt/collection.hpp"
 #include "core/extrapolator.hpp"
+#include "fiber/context.hpp"
+#include "fiber/stack_pool.hpp"
 #include "rt/runtime.hpp"
 #include "rt/tracer.hpp"
+#include "suite/suite.hpp"
 #include "trace/summary.hpp"
 #include "util/error.hpp"
 
@@ -246,7 +249,7 @@ TEST(Tracer, ArenaOrderMatchesRecordingStableSort) {
     EXPECT_EQ(t[i].object, static_cast<std::int64_t>(i));  // recording order
 }
 
-TEST(Tracer, CapacityHintReservesOneChunkPerThread) {
+TEST(Tracer, CapacityHintAllocatesLogOnce) {
   const auto record_n = [](Tracer& tr, int n_threads, int per_thread) {
     Time clock = Time::zero();
     for (int i = 0; i < per_thread; ++i)
@@ -257,22 +260,34 @@ TEST(Tracer, CapacityHintReservesOneChunkPerThread) {
         tr.record(&clock, e);
       }
   };
-  // Unhinted: 3000 events/thread overflow the 1024-event default chunk.
   Tracer cold(2, Time::zero());
   record_n(cold, 2, 3000);
-  EXPECT_GT(cold.chunks_allocated(), 2u);
-  // Hinted with the previous run's total: one chunk per thread.
   Tracer warm(2, Time::zero(), 0, Time::zero(), cold.events_recorded());
   record_n(warm, 2, 3000);
-  EXPECT_EQ(warm.chunks_allocated(), 2u);
-  // Identical output either way.
   const trace::Trace a = cold.take();
   const trace::Trace b = warm.take();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].time, b[i].time);
-    EXPECT_EQ(a[i].thread, b[i].thread);
-  }
+  // take() moves the log out, so its capacity shows how it grew.  Hinted
+  // with the previous run's total, it is the one reserve(6000) made at
+  // construction: the log was never reallocated.  Unhinted, it grew.
+  EXPECT_EQ(b.events().capacity(), 6000u);
+  EXPECT_GT(a.events().capacity(), 6000u);
+  // Identical output either way.
+  EXPECT_EQ(a.size(), 6000u);
+  EXPECT_EQ(a.events(), b.events());
+}
+
+TEST(Tracer, RejectsClockGoingBackwards) {
+  Tracer tr(2, Time::zero());
+  trace::Event e;
+  e.thread = 0;
+  e.kind = trace::EventKind::PhaseBegin;
+  Time clock = Time::ns(10);
+  tr.record(&clock, e);
+  e.thread = 1;
+  tr.record(&clock, e);  // an equal timestamp is fine
+  clock = Time::ns(9);
+  EXPECT_THROW(tr.record(&clock, e), util::Error);
+  EXPECT_EQ(tr.events_recorded(), 2);
 }
 
 TEST(MeasureRuntime, RerunUsesCapacityHintFromFirstRun) {
@@ -295,6 +310,27 @@ TEST(MeasureRuntime, RerunUsesCapacityHintFromFirstRun) {
     EXPECT_EQ(t1[i].time, t2[i].time);
     EXPECT_EQ(t1[i].thread, t2[i].thread);
   }
+}
+
+TEST(MeasureRuntime, RemeasureReusesEveryFiberStack) {
+  if (fiber::default_backend() != fiber::Backend::Fcontext)
+    GTEST_SKIP() << "pooled stacks need the fcontext backend";
+  const auto run = [] {
+    auto prog = suite::make_by_name("cyclic");
+    return measure(*prog, opts(256));
+  };
+  const fiber::StackPoolStats base = fiber::stack_pool_stats();
+  const trace::Trace first = run();
+  const fiber::StackPoolStats mid = fiber::stack_pool_stats();
+  EXPECT_EQ(mid.active, base.active);
+  // The second measurement finds all 256 stacks in the pool.
+  const trace::Trace second = run();
+  const fiber::StackPoolStats after = fiber::stack_pool_stats();
+  EXPECT_EQ(after.mapped, mid.mapped);
+  EXPECT_GE(after.reused - mid.reused, 256u);
+  EXPECT_EQ(after.active, base.active);
+  EXPECT_EQ(first.events(), second.events());
+  EXPECT_EQ(first.all_meta(), second.all_meta());
 }
 
 TEST(Calibration, MflopsRatingIsPlausible) {
