@@ -63,7 +63,7 @@ int main() {
     for (std::size_t i = 0; i < train; ++i) {
       e.procs.push_back(procs[i]);
       e.spans.push_back(
-          pattern::extract_regions(sweep.predictions[i].sim.extrapolated));
+          pattern::extract_regions(sweep.predictions[i].sim.extrapolated()));
       e.totals.push_back(sweep.predictions[i].predicted_time);
     }
     const pattern::ComposedModel cm = pattern::compose(e);

@@ -225,9 +225,9 @@ int run(bool smoke) {
     gate("a trace keeps the 1002-epoch cell sampled",
          tsp.active && tsp.epochs_simulated < tsp.epochs);
     gate("its trace bytes equal the full analytic walk's",
-         !traced.pred.sim.extrapolated.events().empty() &&
-             trace_bytes(traced.pred.sim.extrapolated) ==
-                 trace_bytes(walk.pred.sim.extrapolated));
+         !traced.pred.sim.extrapolated().events().empty() &&
+             trace_bytes(traced.pred.sim.extrapolated()) ==
+                 trace_bytes(walk.pred.sim.extrapolated()));
     return exit_code();
   }
 

@@ -146,6 +146,48 @@ void BM_SimulateCyclic(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateCyclic);
 
+// Grid measured once at n threads, outside the timing.
+trace::Trace measured_grid(int n) {
+  auto prog = suite::make_grid(suite::SuiteConfig{});
+  rt::MeasureOptions mo;
+  mo.n_threads = n;
+  return rt::measure(*prog, mo);
+}
+
+// Measured trace -> compiled form (validate, one-pass lowering, epoch
+// classes): the preparation a TranslateCache miss pays.  Items are
+// measured events.
+void BM_PrepareTrace(benchmark::State& state) {
+  const trace::Trace measured =
+      measured_grid(static_cast<int>(state.range(0)));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(core::prepare_trace(measured));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(measured.size()));
+}
+BENCHMARK(BM_PrepareTrace)->Arg(64)->Arg(4096)->Unit(benchmark::kMillisecond);
+
+// The first read of a traced prediction's extrapolated trace: the sort and
+// the expansion a simulation no longer pays up front.  Each iteration
+// simulates (untimed) and times only extrapolated().  Items are the
+// extrapolated trace's events.
+void BM_MaterializeExtrapolated(benchmark::State& state) {
+  const core::TranslatedTrace tt =
+      core::prepare_trace(measured_grid(static_cast<int>(state.range(0))));
+  const auto params = model::distributed_preset();
+  std::int64_t events = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const core::Prediction p = core::predict(tt, params);
+    state.ResumeTiming();
+    events += static_cast<std::int64_t>(p.sim.extrapolated().size());
+  }
+  state.SetItemsProcessed(events);
+}
+BENCHMARK(BM_MaterializeExtrapolated)
+    ->Arg(4096)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_FullPipelineGrid(benchmark::State& state) {
   suite::SuiteConfig cfg;
   cfg.grid_blocks = 8;

@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
     std::cout << "final max step delta: " << prog.last_delta() << '\n';
     if (args.has("timeline"))
       std::cout << '\n'
-                << metrics::render_timeline(p.sim.extrapolated, 64);
+                << metrics::render_timeline(p.sim.extrapolated(), 64);
     std::cout << "\n(numerics verified against the sequential reference)\n";
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';

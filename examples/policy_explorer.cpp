@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
       const core::TranslatedTrace prepared =
           core::prepare_trace(rt::measure(*prog, mo));
       const core::PolicyChoice c =
-          core::choose_service_policy(*prepared.compiled, params, intervals);
+          core::choose_service_policy(prepared.compiled, params, intervals);
 
       std::vector<std::string> row{std::to_string(n),
                                    c.no_interrupt_time.str(),

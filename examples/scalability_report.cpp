@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
       const core::Prediction& last = sweep.predictions.back();
       std::cout << "\nper-phase profile at n=" << procs.back() << ":\n"
                 << metrics::render_phase_table(
-                       metrics::profile_phases(last.sim.extrapolated));
+                       metrics::profile_phases(last.sim.extrapolated()));
     }
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';

@@ -47,9 +47,9 @@ int main(int argc, char** argv) {
               << preset << " preset): predicted "
               << p.predicted_time.str() << "\n\n";
     std::cout << metrics::render_timeline(
-        p.sim.extrapolated, static_cast<int>(args.get_int("width")));
+        p.sim.extrapolated(), static_cast<int>(args.get_int("width")));
 
-    const auto tl = metrics::build_timeline(p.sim.extrapolated);
+    const auto tl = metrics::build_timeline(p.sim.extrapolated());
     util::Table t({"thr", "compute", "comm wait", "barrier wait", "idle"});
     for (std::size_t i = 0; i < tl.size(); ++i) {
       const auto tot = metrics::totals(tl[i], p.predicted_time);

@@ -8,6 +8,66 @@ namespace xp::core {
 using trace::Event;
 using trace::EventKind;
 
+void ThreadLowering::push(const Event& e, Time delta, Time at) {
+  OpKind op = OpKind::Phase;
+  switch (e.kind) {
+    case EventKind::ThreadBegin:
+      op = OpKind::Begin;
+      break;
+    case EventKind::PhaseBegin:
+    case EventKind::PhaseEnd:
+    // Pattern-region delimiters are zero-cost markers exactly like user
+    // phases: replay re-emits them at the simulated clock so region spans
+    // can be extracted from the extrapolated trace.
+    case EventKind::PatternBegin:
+    case EventKind::PatternEnd:
+      break;
+    case EventKind::ThreadEnd:
+      op = OpKind::End;
+      break;
+    case EventKind::RemoteRead:
+    case EventKind::RemoteWrite: {
+      op = OpKind::Remote;
+      RemoteRec r;
+      r.object = e.object;
+      r.peer = e.peer;
+      r.declared_bytes = e.declared_bytes;
+      r.actual_bytes = e.actual_bytes;
+      r.is_write = e.kind == EventKind::RemoteWrite;
+      out->remotes.push_back(r);
+      if (r.peer != thread) {
+        ++open.nonself_remotes;
+        open.nonself_declared_bytes += r.declared_bytes;
+        open.nonself_actual_bytes += r.actual_bytes;
+      }
+      break;
+    }
+    case EventKind::BarrierEntry:
+      op = OpKind::Barrier;
+      out->barrier_ids.push_back(e.barrier_id);
+      break;
+    case EventKind::BarrierExit:
+      XP_CHECK(false, "unpaired BarrierExit reached replay");
+      break;
+  }
+  out->ops.push_back(op);
+  out->pre_delta.push_back(delta);
+  out->proto.push_back(e);
+  out->proto.back().time = at;
+  open.presum += delta;
+  if (op == OpKind::Barrier || op == OpKind::End) {
+    // Close the barrier-delimited slice this step terminates.
+    const auto i = static_cast<std::uint32_t>(out->ops.size() - 1);
+    const auto r = static_cast<std::uint32_t>(out->remotes.size());
+    open.op_end = i;
+    open.remote_end = r;
+    out->segments.push_back(open);
+    open = Segment{};
+    open.op_begin = i + 1;
+    open.remote_begin = r;
+  }
+}
+
 CompiledTrace CompiledTrace::compile(
     const std::vector<trace::Trace>& translated) {
   CompiledTrace ct;
@@ -25,10 +85,10 @@ CompiledTrace CompiledTrace::compile(
     out.pre_delta.reserve(events.size());
     out.proto.reserve(events.size());
 
+    ThreadLowering low{&out, static_cast<std::int32_t>(t), {}};
     Time prev;
     bool first = true;
-    bool done = false;
-    for (std::size_t i = 0; i < events.size() && !done; ++i) {
+    for (std::size_t i = 0; i < events.size(); ++i) {
       const Event& e = events[i];
       Time delta = Time::zero();
       if (first) {
@@ -38,96 +98,41 @@ CompiledTrace CompiledTrace::compile(
         XP_CHECK(!delta.is_negative(), "translated trace not time-ordered");
       }
       prev = e.time;
-      switch (e.kind) {
-        case EventKind::ThreadBegin:
-          out.ops.push_back(OpKind::Begin);
-          break;
-        case EventKind::PhaseBegin:
-        case EventKind::PhaseEnd:
-        // Pattern-region delimiters are zero-cost markers exactly like user
-        // phases: replay re-emits them at the simulated clock so region
-        // spans can be extracted from the extrapolated trace.
-        case EventKind::PatternBegin:
-        case EventKind::PatternEnd:
-          out.ops.push_back(OpKind::Phase);
-          break;
-        case EventKind::ThreadEnd:
-          out.ops.push_back(OpKind::End);
-          done = true;  // replay stops here; trailing events never run
-          break;
-        case EventKind::RemoteRead:
-        case EventKind::RemoteWrite: {
-          out.ops.push_back(OpKind::Remote);
-          RemoteRec r;
-          r.object = e.object;
-          r.peer = e.peer;
-          r.declared_bytes = e.declared_bytes;
-          r.actual_bytes = e.actual_bytes;
-          r.is_write = e.kind == EventKind::RemoteWrite;
-          out.remotes.push_back(r);
-          break;
-        }
-        case EventKind::BarrierEntry: {
-          // Fold the paired BarrierExit into this step; the interval after
-          // the barrier is measured from the exit timestamp (the simulator
-          // generates the real exit time itself).
-          XP_CHECK(i + 1 < events.size() &&
-                       events[i + 1].kind == EventKind::BarrierExit,
-                   "BarrierEntry without paired BarrierExit");
-          out.ops.push_back(OpKind::Barrier);
-          out.barrier_ids.push_back(e.barrier_id);
-          prev = events[i + 1].time;
-          ++i;
-          break;
-        }
-        case EventKind::BarrierExit:
-          XP_CHECK(false, "unpaired BarrierExit reached replay");
-          break;
+      if (e.kind == EventKind::BarrierEntry) {
+        // Fold the paired BarrierExit into this step; the interval after
+        // the barrier is measured from the exit timestamp (the simulator
+        // generates the real exit time itself).
+        XP_CHECK(i + 1 < events.size() &&
+                     events[i + 1].kind == EventKind::BarrierExit,
+                 "BarrierEntry without paired BarrierExit");
+        prev = events[++i].time;
       }
-      out.pre_delta.push_back(delta);
-      out.proto.push_back(e);
+      low.push(e, delta, e.time);
+      if (e.kind == EventKind::ThreadEnd) break;  // trailing events never run
     }
-    XP_CHECK(done, "replay ran past end of trace");
-
-    // Segment table: one barrier-delimited slice per Barrier op plus the
-    // final slice ending at the End op.  Built after the walk so the op
-    // array is final; remote cursors advance with the Remote ops.
-    Segment seg;
-    std::uint32_t remote_cursor = 0;
-    for (std::uint32_t i = 0; i < out.ops.size(); ++i) {
-      seg.presum += out.pre_delta[i];
-      if (out.ops[i] == OpKind::Remote) {
-        const RemoteRec& r = out.remotes[remote_cursor++];
-        if (r.peer != static_cast<std::int32_t>(t)) {
-          ++seg.nonself_remotes;
-          seg.nonself_declared_bytes += r.declared_bytes;
-          seg.nonself_actual_bytes += r.actual_bytes;
-        }
-      }
-      if (out.ops[i] == OpKind::Barrier || out.ops[i] == OpKind::End) {
-        seg.op_end = i;
-        seg.remote_end = remote_cursor;
-        out.segments.push_back(seg);
-        seg = Segment{};
-        seg.op_begin = i + 1;
-        seg.remote_begin = remote_cursor;
-      }
-    }
+    XP_CHECK(!out.ops.empty() && out.ops.back() == OpKind::End,
+             "replay ran past end of trace");
   }
+  ct.finish();
+  return ct;
+}
 
+void CompiledTrace::finish() {
   // Segment-collapse precondition: lockstep epochs.
-  ct.uniform_barriers = true;
-  for (std::size_t t = 1; t < ct.threads.size(); ++t)
-    if (ct.threads[t].barrier_ids != ct.threads[0].barrier_ids) {
-      ct.uniform_barriers = false;
+  uniform_barriers = true;
+  for (std::size_t t = 1; t < threads.size(); ++t)
+    if (threads[t].barrier_ids != threads[0].barrier_ids) {
+      uniform_barriers = false;
       break;
     }
   // Representative-epoch class table (core/translate.hpp): grouped here,
-  // once per compile, so sampling shares it across every simulation of a
+  // once per lowering, so sampling shares it across every simulation of a
   // sweep — the same amortization contract as the segment table.  Only
   // meaningful under lockstep barriers (the sampled path's precondition).
-  if (ct.uniform_barriers) ct.epoch_classes = build_epoch_classes(ct);
-  return ct;
+  if (uniform_barriers) epoch_classes = build_epoch_classes(*this);
+  ideal_time = Time::zero();
+  for (const CompiledThread& th : threads)
+    ideal_time = util::max(ideal_time, th.proto.back().time);
 }
 
 }  // namespace xp::core

@@ -3,8 +3,8 @@
 // The simulator used to re-walk 40+-byte AoS trace::Event records on every
 // replay step of every simulation; under a sweep the same translated traces
 // are replayed once per grid cell, so the walk cost multiplies by the grid
-// size.  compile() lowers a translated trace set ONCE into flat per-thread
-// arrays the replay loop consumes with index cursors:
+// size.  The trace set is lowered ONCE into flat per-thread arrays the
+// replay loop consumes with index cursors:
 //
 //   ops[i]        what replay step i does (begin/end/remote/barrier/phase),
 //   pre_delta[i]  the unscaled compute interval preceding step i (the
@@ -17,15 +17,18 @@
 //                 steps (each Barrier step covers the trace's paired
 //                 BarrierEntry + BarrierExit; the simulator generates the
 //                 real exit time itself),
-//   proto[i]      the original event, kept for full-fidelity re-emission
+//   proto[i]      the translated event, kept for full-fidelity re-emission
 //                 into the extrapolated output trace (replay decisions
 //                 never read it).
 //
-// All structural validation the simulator used to do lazily during replay
-// (time ordering, barrier pairing, foreign events) happens here, once per
-// TranslateCache entry instead of once per simulation.  A CompiledTrace is
-// immutable after compile() and is shared read-only across all concurrent
-// simulations of a sweep.
+// Two lowerings build it, through one per-event step (ThreadLowering):
+// core::lower_measured (core/translate.hpp) straight from a measured trace
+// in one pass — the pipeline's path — and CompiledTrace::compile from
+// per-thread translated traces (files, hand-built sets).  Structural
+// validation happens there, once per TranslateCache entry instead of once
+// per simulation.  A CompiledTrace is immutable after lowering and is
+// shared read-only (std::shared_ptr) across all concurrent simulations of
+// a sweep and by every SimResult whose extrapolated trace reads its protos.
 #pragma once
 
 #include <cstdint>
@@ -97,6 +100,23 @@ struct CompiledThread {
   std::vector<Segment> segments;    ///< barrier_ids.size() + 1 entries
 };
 
+/// One thread's lowering cursor, the per-event step both lowerings share:
+/// push() appends the replay step for one event and closes a Segment at
+/// every Barrier and End step, so the segment table is built as the ops
+/// are.
+struct ThreadLowering {
+  CompiledThread* out = nullptr;
+  std::int32_t thread = 0;
+  /// The segment being built; open.presum is the compute time since it
+  /// began (since the last barrier release, in translated time).
+  Segment open;
+
+  /// Append the step for `e` after a compute interval `delta`; its proto
+  /// is `e` at time `at`.  `e` is any kind but BarrierExit, which folds
+  /// into the preceding Barrier step (the caller skips it).
+  void push(const trace::Event& e, Time delta, Time at);
+};
+
 /// Representative-epoch class table (DESIGN.md §15).  Iterative codes
 /// replay near-identical barrier-delimited epochs thousands of times; this
 /// table groups a trace set's epochs into classes of BIT-IDENTICAL content
@@ -144,14 +164,22 @@ struct CompiledTrace {
   bool uniform_barriers = false;
 
   /// Epoch -> class grouping for representative-epoch sampling; built by
-  /// compile() iff uniform_barriers (empty otherwise — check built()).
+  /// finish() iff uniform_barriers (empty otherwise — check built()).
   EpochClassTable epoch_classes;
+
+  /// The ideal n-processor makespan (zero communication and
+  /// synchronization cost): the latest translated ThreadEnd.
+  Time ideal_time;
 
   /// Lower a translated trace set (one trace per thread, as produced by
   /// core::translate) into compiled form.  Throws util::Error on the same
   /// structural problems the simulator used to detect during replay, with
   /// the same messages.
   static CompiledTrace compile(const std::vector<trace::Trace>& translated);
+
+  /// The lowering's last step, once every thread's steps are pushed with
+  /// their final proto times: uniform_barriers, epoch_classes, ideal_time.
+  void finish();
 };
 
 }  // namespace xp::core

@@ -7,10 +7,8 @@ TranslatedTrace prepare_trace(const trace::Trace& measured) {
   tt.n_threads = measured.n_threads();
   tt.measured_time = measured.end_time();
   tt.measured_summary = trace::summarize(measured);
-  tt.translated = translate(measured);
-  tt.ideal_time = ideal_parallel_time(tt.translated);
-  tt.compiled = std::make_shared<const CompiledTrace>(
-      CompiledTrace::compile(tt.translated));
+  tt.compiled = std::make_shared<const CompiledTrace>(lower_measured(measured));
+  tt.ideal_time = tt.compiled->ideal_time;
   return tt;
 }
 
@@ -22,7 +20,7 @@ Prediction predict(const TranslatedTrace& prepared, const SimParams& params,
   p.measured_summary = prepared.measured_summary;
   p.ideal_time = prepared.ideal_time;
   p.sim = prepared.compiled
-              ? simulate_compiled(*prepared.compiled, params, opts)
+              ? simulate_compiled(prepared.compiled, params, opts)
               : simulate(prepared.translated, params, opts);
   p.predicted_time = p.sim.makespan;
   return p;

@@ -37,15 +37,19 @@ struct TranslatedTrace {
   Time measured_time;               ///< measured run's end time
   Time ideal_time;                  ///< zero-cost n-processor makespan
   trace::Summary measured_summary;  ///< statistics of the measured trace
-  std::vector<trace::Trace> translated;  ///< one idealized trace per thread
+  /// One idealized trace per thread, for hand-built instances only:
+  /// prepare_trace() leaves it empty (core::translate builds this form
+  /// from a measured trace when a caller wants to keep or write it).
+  std::vector<trace::Trace> translated;
   /// SoA replay form, lowered once by prepare_trace() and shared read-only
   /// by every simulation (predict() falls back to compiling `translated`
   /// on the fly for hand-built instances where this is null).
   std::shared_ptr<const CompiledTrace> compiled;
 };
 
-/// Run the measurement-side half of the pipeline (validate + translate +
-/// compile), with default TranslateOptions.
+/// Run the measurement-side half of the pipeline: validate and translate
+/// straight into compiled form (core::lower_measured), with default
+/// TranslateOptions.
 TranslatedTrace prepare_trace(const trace::Trace& measured);
 
 /// Run the simulation-side half: replay a prepared trace against one

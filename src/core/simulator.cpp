@@ -15,6 +15,7 @@
 #include "net/network.hpp"
 #include "sim/engine.hpp"
 #include "util/error.hpp"
+#include "util/once_cell.hpp"
 
 namespace xp::core {
 
@@ -209,7 +210,17 @@ class Simulator {
     if (memo_on_)
       memo_.resize(
           static_cast<std::size_t>(compiled.epoch_classes.n_classes()));
+    // Every op emits once and every Barrier op its exit too, in every mode,
+    // so the log is sized once and never reallocates.
+    if (opts_.emit_trace) {
+      for (const CompiledThread& th : compiled.threads)
+        log_size_ += th.ops.size() + th.barrier_ids.size();
+      log_.reserve(log_size_);
+    }
   }
+
+  /// The log in emission order, for SimResult::extrapolated().
+  std::vector<Emission> take_log() { return std::move(log_); }
 
   SimResult run() {
     if (hyb_.path == HybridStats::Path::PureAnalytic) {
@@ -229,7 +240,8 @@ class Simulator {
       r.makespan = util::max(r.makespan, t->stats.finish);
       r.threads.push_back(t->stats);
     }
-    r.extrapolated = materialize();
+    XP_CHECK(log_.size() == log_size_,
+             "emission log holds one record per op and barrier exit");
     r.messages = network_.messages_sent();
     r.bytes = network_.bytes_sent();
     r.avg_inflight = network_.load_samples().mean();
@@ -665,16 +677,13 @@ class Simulator {
     slice[n_classes] = log_.size();
     if (!opts_.emit_trace) return;
 
-    std::vector<Emission> walked;
-    walked.swap(log_);
-    std::size_t events = 0;
-    for (std::size_t c = 0; c < n_classes; ++c) {
+    // The exemplar walks (one epoch per class) move aside, and the log,
+    // sized for every epoch, refills from them in epoch order.
+    std::vector<Emission> walked(log_.begin(), log_.end());
+    log_.clear();
+    for (std::size_t c = 0; c < n_classes; ++c)
       rebase(walked.data() + slice[c], walked.data() + slice[c + 1],
              static_cast<std::size_t>(tab.exemplar[c]), Time::zero());
-      events +=
-          static_cast<std::size_t>(tab.count[c]) * (slice[c + 1] - slice[c]);
-    }
-    log_.reserve(events);
     Time start;
     for (std::size_t e = 0; e < tab.class_of.size(); ++e) {
       const auto c = static_cast<std::size_t>(tab.class_of[e]);
@@ -1049,7 +1058,7 @@ class Simulator {
   // op offsets from each thread's segment of epoch b+1 (barrier b's
   // BarrierExit is the offset just before it).  A hit appends the slice
   // shifted to its own point and epoch — the protos and barrier ids are
-  // re-read from that epoch at materialization, since the class key
+  // re-read from that epoch at expansion, since the class key
   // compares op kinds, not ids or objects — in the recorded order, before
   // the engine resumes.  That is the oracle's order: the window's internal
   // order is fixed by the argument above, and every replayed event lies in
@@ -1183,7 +1192,8 @@ class Simulator {
     emit_at(T, op, engine_.now());
   }
 
-  // The no-trace configurations (sweeps, serve, huge-n runs) log nothing.
+  // Runs with emit_trace off (served queries, huge-n scaling runs, the
+  // policy tuner) log nothing.
   void emit_at(const ThreadCtx& T, std::int32_t op, Time at) {
     if (opts_.emit_trace) log_.push_back({at, T.id, op});
   }
@@ -1208,40 +1218,6 @@ class Simulator {
                op_ref(thr(first->thread).code->segments[e].op_begin)});
   }
 
-  /// The extrapolated trace: the log stable-sorted by (time, thread), each
-  /// record expanded from its proto.  Each thread's own emission order is
-  /// the same in every mode, but the fast paths emit a whole segment,
-  /// window or epoch at once, so same-time events of different threads
-  /// would otherwise keep a mode-dependent global order.
-  trace::Trace materialize() {
-    std::stable_sort(log_.begin(), log_.end(),
-                     [](const Emission& a, const Emission& b) {
-                       return a.time != b.time ? a.time < b.time
-                                               : a.thread < b.thread;
-                     });
-    trace::Trace out(n_);
-    out.set_meta("extrapolated", "1");
-    std::vector<const Event*> protos;
-    for (const auto& t : threads_) protos.push_back(t->code->proto.data());
-    std::vector<Event>& events = out.mutable_events();
-    events.reserve(log_.size());
-    for (const Emission& m : log_) {
-      const Event& proto =
-          protos[static_cast<std::size_t>(m.thread)][m.op >> 1];
-      Event e;
-      if (m.op & 1) {
-        e.kind = EventKind::BarrierExit;
-        e.barrier_id = proto.barrier_id;
-      } else {
-        e = proto;
-      }
-      e.time = m.time;
-      e.thread = m.thread;
-      events.push_back(e);
-    }
-    return out;
-  }
-
   SimParams params_;
   SimOptions opts_;
   const CompiledTrace* compiled_;
@@ -1254,6 +1230,7 @@ class Simulator {
   std::vector<Cpu> cpus_;
   std::map<std::int32_t, AnalyticBarrier> analytic_;
   std::vector<Emission> log_;  ///< emission order; trace runs only
+  std::size_t log_size_ = 0;   ///< records a finished traced run holds
 
   // Segment-collapse state (classify()).
   bool hybrid_active_ = false;
@@ -1326,27 +1303,83 @@ const char* to_string(SimMode m) {
   return "?";
 }
 
-SimResult simulate(const std::vector<trace::Trace>& translated,
-                   const SimParams& params) {
-  return simulate(translated, params, SimOptions{});
+struct SimResult::Extrapolation {
+  int n_threads = 0;
+  std::vector<Emission> log;  ///< emission order, until expanded
+  std::shared_ptr<const CompiledTrace> code;  ///< the protos; null if no log
+  util::OnceCell<trace::Trace> trace;
+};
+
+namespace {
+
+/// The extrapolated trace: the log stable-sorted by (time, thread), each
+/// record expanded from its proto.  Each thread's own emission order is the
+/// same in every mode, but the fast paths emit a whole segment, window or
+/// epoch at once, so same-time events of different threads would otherwise
+/// keep a mode-dependent global order.
+trace::Trace expand(int n_threads, std::vector<Emission>& log,
+                    const CompiledTrace* code) {
+  std::stable_sort(log.begin(), log.end(),
+                   [](const Emission& a, const Emission& b) {
+                     return a.time != b.time ? a.time < b.time
+                                             : a.thread < b.thread;
+                   });
+  trace::Trace out(n_threads);
+  out.set_meta("extrapolated", "1");
+  std::vector<Event>& events = out.mutable_events();
+  events.reserve(log.size());
+  for (const Emission& m : log) {
+    const Event& proto =
+        code->threads[static_cast<std::size_t>(m.thread)].proto[static_cast<
+            std::size_t>(m.op >> 1)];
+    Event e;
+    if (m.op & 1) {
+      e.kind = EventKind::BarrierExit;
+      e.barrier_id = proto.barrier_id;
+    } else {
+      e = proto;
+    }
+    e.time = m.time;
+    e.thread = m.thread;
+    events.push_back(e);
+  }
+  return out;
+}
+
+}  // namespace
+
+const trace::Trace& SimResult::extrapolated() const {
+  static const trace::Trace kNone;
+  if (!extrapolation_) return kNone;
+  Extrapolation& x = *extrapolation_;
+  return x.trace.get_or_init([&x] {
+    trace::Trace t = expand(x.n_threads, x.log, x.code.get());
+    // The trace replaces the log and the protos it was expanded from.
+    x.log = {};
+    x.code.reset();
+    return t;
+  });
 }
 
 SimResult simulate(const std::vector<trace::Trace>& translated,
                    const SimParams& params, const SimOptions& opts) {
   XP_REQUIRE(!translated.empty(), "no translated traces");
-  return simulate_compiled(CompiledTrace::compile(translated), params, opts);
+  return simulate_compiled(
+      std::make_shared<const CompiledTrace>(CompiledTrace::compile(translated)),
+      params, opts);
 }
 
-SimResult simulate_compiled(const CompiledTrace& compiled,
-                            const SimParams& params) {
-  return simulate_compiled(compiled, params, SimOptions{});
-}
-
-SimResult simulate_compiled(const CompiledTrace& compiled,
+SimResult simulate_compiled(std::shared_ptr<const CompiledTrace> compiled,
                             const SimParams& params, const SimOptions& opts) {
-  XP_REQUIRE(compiled.n_threads >= 1, "no translated traces");
-  Simulator sim(compiled, params, opts);
-  return sim.run();
+  XP_REQUIRE(compiled && compiled->n_threads >= 1, "no translated traces");
+  Simulator sim(*compiled, params, opts);
+  SimResult r = sim.run();
+  auto x = std::make_shared<SimResult::Extrapolation>();
+  x->n_threads = compiled->n_threads;
+  x->log = sim.take_log();
+  if (!x->log.empty()) x->code = std::move(compiled);
+  r.extrapolation_ = std::move(x);
+  return r;
 }
 
 }  // namespace xp::core

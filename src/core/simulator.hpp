@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <vector>
 
 #include "core/compiled_trace.hpp"
@@ -78,19 +79,21 @@ struct ThreadStats {
 ///        replayed from its recorded deltas (and, when a trace is
 ///        requested, its recorded slice of emitted events, time-shifted).
 ///
-/// Every path emits through one log of 16-byte {time, thread, op} records
-/// that run() sorts by (time, thread) and expands into the extrapolated
-/// trace once.
+/// Every path emits through one log of 16-byte {time, thread, op} records,
+/// one per op plus one per barrier exit.  SimResult keeps the log and
+/// expands it into the extrapolated trace on first read.
 enum class SimMode : std::uint8_t { EventDriven, Auto };
 const char* to_string(SimMode m);
 
 struct SimOptions {
   SimMode mode = SimMode::Auto;
-  /// Build the re-timestamped extrapolated trace.  Costs O(events) memory +
-  /// a sort; numeric outputs (makespan, stats, messages) are unaffected, so
-  /// huge-n scaling runs turn it off.  Every fast path stays on either way.
-  /// In every mode the trace is sorted stably by (time, thread), so every
-  /// mode yields the same event sequence.
+  /// Log the events of the extrapolated trace (SimResult::extrapolated()).
+  /// Costs 16 bytes per event; the sort and the expansion into a
+  /// trace::Trace wait for the first read.  Numeric outputs (makespan,
+  /// stats, messages) are unaffected, and every fast path stays on either
+  /// way, but off also lets a collapsed segment charge its pre-summed
+  /// compute in O(1) instead of walking its ops, so huge-n scaling runs
+  /// and the policy tuner turn it off.
   bool emit_trace = true;
 };
 
@@ -198,10 +201,17 @@ inline SimCounters& SimCounters::operator+=(const SimCounters& o) {
   return *this;
 }
 
+/// Replay an already-compiled trace set.  This is the sweep hot path: one
+/// CompiledTrace is shared read-only by every simulation of a grid, and by
+/// every traced result, whose extrapolated trace is expanded from its
+/// protos.
+SimResult simulate_compiled(std::shared_ptr<const CompiledTrace> compiled,
+                            const SimParams& params,
+                            const SimOptions& opts = {});
+
 struct SimResult {
   Time makespan;                   ///< predicted n-processor execution time
   std::vector<ThreadStats> threads;
-  trace::Trace extrapolated;       ///< re-timestamped event stream
   std::int64_t messages = 0;       ///< network messages (incl. barrier msgs)
   std::int64_t bytes = 0;          ///< network bytes
   double avg_inflight = 0.0;       ///< mean in-flight messages at injection
@@ -214,23 +224,27 @@ struct SimResult {
   Time total_compute() const;
   Time total_comm_wait() const;
   Time total_barrier_wait() const;
+
+  /// The re-timestamped event stream: the emission log stable-sorted by
+  /// (time, thread), each record expanded from its compiled proto.  Built
+  /// on the first call, by one caller while concurrent ones wait; copies
+  /// of a result share that one expansion.  Empty (no events) when the
+  /// run had SimOptions::emit_trace off.
+  const trace::Trace& extrapolated() const;
+
+ private:
+  friend SimResult simulate_compiled(std::shared_ptr<const CompiledTrace>,
+                                     const SimParams&, const SimOptions&);
+  struct Extrapolation;  ///< the log, the protos, the expansion once built
+  std::shared_ptr<Extrapolation> extrapolation_;
 };
 
 /// Run the extrapolation.  `translated` must hold one trace per thread (as
 /// produced by translate()); `params` describes the target environment.
 /// Compiles the traces (core/compiled_trace.hpp) and replays the compiled
 /// form; callers replaying the same traces repeatedly should compile once
-/// and use the overload below.
+/// and use simulate_compiled().
 SimResult simulate(const std::vector<trace::Trace>& translated,
-                   const SimParams& params);
-SimResult simulate(const std::vector<trace::Trace>& translated,
-                   const SimParams& params, const SimOptions& opts);
-
-/// Replay an already-compiled trace set.  This is the sweep hot path: one
-/// CompiledTrace is shared read-only by every simulation of a grid.
-SimResult simulate_compiled(const CompiledTrace& compiled,
-                            const SimParams& params);
-SimResult simulate_compiled(const CompiledTrace& compiled,
-                            const SimParams& params, const SimOptions& opts);
+                   const SimParams& params, const SimOptions& opts = {});
 
 }  // namespace xp::core

@@ -36,14 +36,19 @@ TranslateCache::Measure measure_fresh(ProgramFactory factory) {
   };
 }
 
+double cell_cost_hint(const TranslatedTrace& tt) {
+  double events = 0;
+  for (const CompiledThread& th : tt.compiled->threads)
+    events += static_cast<double>(th.ops.size() + th.barrier_ids.size());
+  return events;
+}
+
 void TranslateCache::touch(Entry& e) const {
   e.last_use.store(tick_.fetch_add(1) + 1, std::memory_order_relaxed);
 }
 
 std::size_t TranslateCache::footprint_bytes(const TranslatedTrace& tt) {
   std::size_t b = sizeof(TranslatedTrace);
-  for (const trace::Trace& t : tt.translated)
-    b += t.size() * sizeof(trace::Event);
   if (tt.compiled) {
     for (const CompiledThread& th : tt.compiled->threads) {
       b += th.ops.size() * (sizeof(OpKind) + sizeof(Time)) +
@@ -292,8 +297,8 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
   // completion order never reaches the result; the first exception is kept
   // and rethrown once the pool has drained, and later tasks skip their
   // work.  Both kinds of job are LPT-ordered by the pool's injector:
-  // preparation jobs by n (measurement cost grows with n), cells by their
-  // translated event count (simulation cost is linear in replayed events),
+  // preparation jobs by n (measurement cost grows with n), cells by
+  // cell_cost_hint (simulation cost is linear in replayed events),
   // ties in submission order.  A preparation job's hint is n * 2^64, above
   // any cell's event count, so every pending measurement starts before any
   // cell simulates: the longest measurement starts first and the cells of
@@ -323,9 +328,7 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
               std::lock_guard<std::mutex> lock(mu);
               last_prepared = std::max(last_prepared, Clock::now());
             }
-            double events = 0;
-            for (const trace::Trace& t : prepared[cells.front()]->translated)
-              events += static_cast<double>(t.size());
+            const double events = cell_cost_hint(*prepared[cells.front()]);
             for (std::size_t i : cells)
               pool.submit([&, i] { simulate(i); }, events);
           },

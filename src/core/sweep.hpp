@@ -110,8 +110,8 @@ class TranslateCache {
   std::size_t bytes() const { return bytes_.load(); }
   std::uint64_t evictions() const { return evictions_.load(); }
 
-  /// The footprint estimate eviction accounts with: translated events plus
-  /// every compiled array (the allocations that dominate an entry).
+  /// The footprint estimate eviction accounts with: every compiled array
+  /// (the allocations that dominate an entry).
   static std::size_t footprint_bytes(const TranslatedTrace& tt);
 
  private:
@@ -144,6 +144,11 @@ class TranslateCache {
 /// default host.  A null factory yields a source that throws, for caches
 /// that are fed only through put().
 TranslateCache::Measure measure_fresh(ProgramFactory factory);
+
+/// SweepRunner's LPT weight for one cell of a prepared trace: the events a
+/// simulation replays (one per compiled op and per barrier exit, the
+/// translated event count), since simulation cost is linear in them.
+double cell_cost_hint(const TranslatedTrace& tt);
 
 /// One grid cell: extrapolate to `n_threads` processors under `params`.
 struct SweepPoint {

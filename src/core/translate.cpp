@@ -8,141 +8,195 @@
 
 namespace xp::core {
 
+using trace::Event;
+using trace::EventKind;
+
 namespace {
-Time overhead_from(const trace::Trace& t, const TranslateOptions& opt) {
-  if (!opt.remove_event_overhead) return Time::zero();
-  if (!opt.event_overhead_override.is_negative())
-    return opt.event_overhead_override;
-  const std::string s = t.meta("event_overhead_ns", "0");
-  try {
-    return Time::ns(std::stoll(s));
-  } catch (const std::logic_error&) {
-    throw util::TraceError("bad event_overhead_ns metadata: " + s);
-  }
-}
-}  // namespace
 
-std::vector<trace::Trace> translate(const trace::Trace& measured,
-                                    const TranslateOptions& opt) {
-  measured.validate();
-  const int n = measured.n_threads();
-  const Time overhead = overhead_from(measured, opt);
-
-  // Trace-buffer flush charges (§3.2): the tracer records how often it
-  // flushed and what one flush cost.  Flushes triggered by event k inflate
-  // the gap to event k+1 in *recording order*, so removal needs each
-  // event's global index.
+/// The tracer's recorded perturbation, removed from every translated
+/// delta (§3.2): a fixed per-event overhead, plus a flush charge every
+/// `flush_every` recorded events.  Flushes triggered by event k inflate the
+/// gap to event k+1 in *recording order*, so removal needs each event's
+/// global index — its position in the merged trace (the tracer emits events
+/// in recording order and ties stay in that order).
+struct Perturbation {
+  Time overhead;
   std::int64_t flush_every = 0;
   Time flush_cost;
-  if (opt.remove_event_overhead) {
+
+  Perturbation(const trace::Trace& t, const TranslateOptions& opt) {
+    if (!opt.remove_event_overhead) return;
+    const std::string s = t.meta("event_overhead_ns", "0");
     try {
-      flush_every = std::stoll(measured.meta("flush_every", "0"));
-      flush_cost = Time::ns(std::stoll(measured.meta("flush_cost_ns", "0")));
+      overhead = Time::ns(std::stoll(s));
+    } catch (const std::logic_error&) {
+      throw util::TraceError("bad event_overhead_ns metadata: " + s);
+    }
+    try {
+      flush_every = std::stoll(t.meta("flush_every", "0"));
+      flush_cost = Time::ns(std::stoll(t.meta("flush_cost_ns", "0")));
     } catch (const std::logic_error&) {
       throw util::TraceError("bad flush metadata");
     }
   }
-  // Flushes triggered by events 0..i inclusive.
-  auto flushes_through = [flush_every](std::int64_t i) -> std::int64_t {
+
+  /// Flushes triggered by events 0..i inclusive.
+  std::int64_t flushes_through(std::int64_t i) const {
     if (flush_every <= 0 || i < 0) return 0;
     return (i + 1) / flush_every;
+  }
+
+  /// The translated interval before the event at global index `g` and
+  /// measured time `at`, after this thread's previous event (`prev_g`,
+  /// `prev_at`).
+  Time delta(Time at, std::int64_t g, Time prev_at,
+             std::int64_t prev_g) const {
+    Time d = at - prev_at - overhead;
+    if (flush_every > 0)
+      d -= flush_cost * static_cast<double>(flushes_through(g - 1) -
+                                            flushes_through(prev_g - 1));
+    return d.is_negative() ? Time::zero() : d;
+  }
+};
+
+/// Barrier k's translated release: every thread leaves when the last one
+/// arrives, and each thread's segment k starts at release k-1, so
+/// release_k = release_{k-1} + max_t presum(t, k).  Exact for any validated
+/// trace, whatever its interleaving.
+std::vector<Time> barrier_releases(const CompiledTrace& ct) {
+  std::vector<Time> release(ct.threads[0].barrier_ids.size());
+  Time prev;
+  for (std::size_t k = 0; k < release.size(); ++k) {
+    Time longest;
+    for (const CompiledThread& th : ct.threads)
+      longest = util::max(longest, th.segments[k].presum);
+    prev += longest;
+    release[k] = prev;
+  }
+  return release;
+}
+
+/// lower_measured() up to CompiledTrace::finish(): every per-thread array
+/// with its final proto times, but no epoch classes, which translate()
+/// does not need.
+CompiledTrace lower_steps(const trace::Trace& measured,
+                          const TranslateOptions& opt) {
+  measured.validate();
+  const int n = measured.n_threads();
+  const Perturbation perturbation(measured, opt);
+  const std::vector<Event>& events = measured.events();
+
+  CompiledTrace ct;
+  ct.n_threads = n;
+  ct.threads.resize(static_cast<std::size_t>(n));
+  {
+    // Exact per-thread sizes: every event but a BarrierExit is one step.
+    struct Count {
+      std::size_t ops = 0, remotes = 0, barriers = 0;
+    };
+    std::vector<Count> count(static_cast<std::size_t>(n));
+    for (const Event& e : events) {
+      Count& c = count[static_cast<std::size_t>(e.thread)];
+      if (e.kind == EventKind::BarrierExit) {
+        ++c.barriers;
+        continue;
+      }
+      ++c.ops;
+      c.remotes += trace::is_remote(e.kind);
+    }
+    for (std::size_t t = 0; t < ct.threads.size(); ++t) {
+      CompiledThread& th = ct.threads[t];
+      th.ops.reserve(count[t].ops);
+      th.pre_delta.reserve(count[t].ops);
+      th.proto.reserve(count[t].ops);
+      th.remotes.reserve(count[t].remotes);
+      th.barrier_ids.reserve(count[t].barriers);
+      th.segments.reserve(count[t].barriers + 1);
+    }
+  }
+
+  // One pass in merged order; the merged position is the global recording
+  // index the flush arithmetic needs.  Protos get their time since their
+  // segment's start here, and the barrier releases once every segment is
+  // summed.
+  struct Cursor {
+    ThreadLowering low;
+    Time prev_at;                 // measured time of the previous event
+    std::int64_t prev_g = -1;     // global index of the previous event
+    bool in_barrier = false;      // entry lowered, exit not yet seen
   };
+  std::vector<Cursor> cur(static_cast<std::size_t>(n));
+  for (int t = 0; t < n; ++t)
+    cur[static_cast<std::size_t>(t)].low = {
+        &ct.threads[static_cast<std::size_t>(t)], t, {}};
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Event& e = events[i];
+    const auto g = static_cast<std::int64_t>(i);
+    Cursor& c = cur[static_cast<std::size_t>(e.thread)];
+    if (e.kind == EventKind::BarrierExit) {
+      // Folded into the Barrier step; the next interval runs from here.
+      c.prev_at = e.time;
+      c.prev_g = g;
+      c.in_barrier = false;
+      continue;
+    }
+    XP_CHECK(!c.in_barrier,
+             "BarrierEntry not followed by BarrierExit in thread stream");
+    const Time delta = c.prev_g < 0 ? Time::zero()
+                                    : perturbation.delta(e.time, g, c.prev_at,
+                                                         c.prev_g);
+    c.prev_at = e.time;
+    c.prev_g = g;
+    c.in_barrier = e.kind == EventKind::BarrierEntry;
+    c.low.push(e, delta, c.low.open.presum + delta);
+  }
 
-  // Zero-copy per-thread views of the measured trace; the merged-order
-  // position of each event doubles as its global recording index (the
-  // tracer emits events in recording order and ties stay in that order),
-  // which the flush-removal arithmetic needs.
-  const std::vector<trace::ThreadView> views = measured.split_views();
+  const std::vector<Time> release = barrier_releases(ct);
+  for (CompiledThread& th : ct.threads)
+    for (std::size_t k = 1; k < th.segments.size(); ++k) {
+      const Segment& seg = th.segments[k];
+      for (std::uint32_t i = seg.op_begin; i <= seg.op_end; ++i)
+        th.proto[i].time += release[k - 1];
+    }
+  return ct;
+}
 
+}  // namespace
+
+CompiledTrace lower_measured(const trace::Trace& measured,
+                             const TranslateOptions& opt) {
+  CompiledTrace ct = lower_steps(measured, opt);
+  ct.finish();
+  return ct;
+}
+
+std::vector<trace::Trace> translate(const trace::Trace& measured,
+                                    const TranslateOptions& opt) {
+  const CompiledTrace ct = lower_steps(measured, opt);
+  const std::vector<Time> release = barrier_releases(ct);
   std::vector<trace::Trace> parts;
-  parts.reserve(static_cast<std::size_t>(n));
-  for (int t = 0; t < n; ++t) {
-    trace::Trace part(n);
+  parts.reserve(ct.threads.size());
+  for (int t = 0; t < ct.n_threads; ++t) {
+    const CompiledThread& th = ct.threads[static_cast<std::size_t>(t)];
+    trace::Trace part(ct.n_threads);
     for (const auto& [k, v] : measured.all_meta()) part.set_meta(k, v);
     part.set_meta("thread", std::to_string(t));
     part.set_meta("translated", "1");
-    part.reserve(views[static_cast<std::size_t>(t)].size());
+    std::vector<Event>& out = part.mutable_events();
+    out.reserve(th.ops.size() + th.barrier_ids.size());
+    std::size_t b = 0;
+    for (std::size_t i = 0; i < th.ops.size(); ++i) {
+      out.push_back(th.proto[i]);
+      if (th.ops[i] != OpKind::Barrier) continue;
+      Event exit;
+      exit.time = release[b];
+      exit.thread = t;
+      exit.kind = EventKind::BarrierExit;
+      exit.barrier_id = th.barrier_ids[b++];
+      out.push_back(exit);
+    }
     parts.push_back(std::move(part));
   }
-
-  // Per-thread cursors.
-  struct Cursor {
-    std::size_t idx = 0;       // next event to translate
-    Time prev_measured;        // measured timestamp of previous event
-    std::int64_t prev_gidx = -1;  // global index of previous event
-    Time clock;                // translated timestamp of previous event
-    bool first = true;
-  };
-  std::vector<Cursor> cur(static_cast<std::size_t>(n));
-
-  // Translate one thread's events up to (and including) the next
-  // BarrierEntry, appending translated copies to the output part.  Returns
-  // false if the thread's stream is exhausted without another entry.
-  auto advance_to_entry = [&](int t) -> bool {
-    Cursor& c = cur[static_cast<std::size_t>(t)];
-    const trace::ThreadView& view = views[static_cast<std::size_t>(t)];
-    auto& out = parts[static_cast<std::size_t>(t)].mutable_events();
-    while (c.idx < view.size()) {
-      trace::Event e = view[c.idx];
-      const auto g = static_cast<std::int64_t>(view.merged_index(c.idx));
-      if (c.first) {
-        c.first = false;
-        c.prev_measured = e.time;
-        c.clock = Time::zero();
-      } else {
-        Time delta = e.time - c.prev_measured - overhead;
-        if (flush_every > 0)
-          delta -= flush_cost * static_cast<double>(
-                                    flushes_through(g - 1) -
-                                    flushes_through(c.prev_gidx - 1));
-        if (delta.is_negative()) delta = Time::zero();
-        c.prev_measured = e.time;
-        c.clock += delta;
-      }
-      c.prev_gidx = g;
-      e.time = c.clock;
-      const bool is_entry = e.kind == trace::EventKind::BarrierEntry;
-      out.push_back(e);
-      ++c.idx;
-      if (is_entry) return true;
-    }
-    return false;
-  };
-
-  // validate() guarantees every thread passes the same barrier sequence, so
-  // we can process barrier instances in lockstep.
-  for (;;) {
-    int entries_found = 0;
-    Time release = Time::zero();
-    for (int t = 0; t < n; ++t) {
-      if (advance_to_entry(t)) {
-        ++entries_found;
-        release = util::max(release, cur[static_cast<std::size_t>(t)].clock);
-      }
-    }
-    if (entries_found == 0) break;
-    XP_CHECK(entries_found == n,
-             "barrier sequences diverged despite validation");
-
-    // The matching BarrierExit is the next event of each thread; align it
-    // to the latest entry (threads leave as soon as the last one arrives).
-    for (int t = 0; t < n; ++t) {
-      Cursor& c = cur[static_cast<std::size_t>(t)];
-      const trace::ThreadView& view = views[static_cast<std::size_t>(t)];
-      auto& out = parts[static_cast<std::size_t>(t)].mutable_events();
-      XP_CHECK(c.idx < view.size(), "BarrierEntry without following event");
-      trace::Event exit = view[c.idx];
-      XP_CHECK(exit.kind == trace::EventKind::BarrierExit,
-               "BarrierEntry not followed by BarrierExit in thread stream");
-      c.prev_measured = exit.time;
-      c.prev_gidx = static_cast<std::int64_t>(view.merged_index(c.idx));
-      c.clock = release;
-      exit.time = release;
-      out.push_back(exit);
-      ++c.idx;
-    }
-  }
-
   return parts;
 }
 

@@ -2,20 +2,24 @@
 //
 // Input: the merged trace of an n-thread program measured on ONE processor
 // (threads interleaved on a single clock, switching only at barriers).
-// Output: n per-thread traces whose timestamps reflect the *ideal* parallel
-// execution of the same threads on n processors:
+// Output: the *ideal* parallel execution of the same threads on n
+// processors:
 //
 //   * non-synchronization events keep their per-thread inter-event deltas
 //     (t2' = t2 - t1 + t1'),
 //   * every BarrierExit is aligned to the latest translated BarrierEntry of
 //     that barrier instance (instant barriers),
 //   * each thread's first event moves to time zero,
-//   * per-event instrumentation overhead recorded by the tracer is removed
-//     from the deltas.
+//   * per-event instrumentation overhead and trace-buffer flush charges
+//     recorded by the tracer are removed from the deltas.
 //
 // The result assumes instant remote accesses, instant barriers, and
 // unperturbed computation; the simulator (core/simulator.hpp) then adds the
 // target environment's costs back in.
+//
+// lower_measured() produces it in the simulator's compiled form, in one
+// pass over the measured trace; translate() expands that form back into
+// one trace::Trace per thread for the callers that keep or write one.
 #pragma once
 
 #include <cstdint>
@@ -30,16 +34,24 @@ namespace xp::core {
 using util::Time;
 
 struct TranslateOptions {
-  /// Remove the per-event instrumentation overhead stored in the trace
-  /// metadata ("event_overhead_ns") from every inter-event delta.
+  /// Remove the per-event instrumentation overhead ("event_overhead_ns")
+  /// and the trace-buffer flush charges ("flush_every", "flush_cost_ns")
+  /// stored in the trace metadata from every inter-event delta.
   bool remove_event_overhead = true;
-  /// Override the overhead value (negative = use the trace metadata).
-  Time event_overhead_override = Time::ns(-1);
 };
 
-/// Translate a measured 1-processor trace into n idealized per-thread
-/// traces.  The input is validated; throws util::TraceError on structural
+/// Translate a measured 1-processor trace straight into compiled form,
+/// field for field what CompiledTrace::compile(translate(measured, opt))
+/// gives.  The input is validated; throws util::TraceError on structural
 /// problems.
+CompiledTrace lower_measured(const trace::Trace& measured,
+                             const TranslateOptions& opt = {});
+
+/// Translate a measured 1-processor trace into n idealized per-thread
+/// traces: lower_measured()'s steps expanded (its epoch classes are not
+/// built), each Barrier step back into its BarrierEntry and a BarrierExit
+/// at the barrier's release.  Metadata is the measured trace's plus
+/// "thread" and "translated".
 std::vector<trace::Trace> translate(const trace::Trace& measured,
                                     const TranslateOptions& opt = {});
 

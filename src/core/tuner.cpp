@@ -14,9 +14,21 @@ const std::vector<Time>& default_poll_intervals() {
   return intervals;
 }
 
-PollTuneResult tune_poll_interval(const CompiledTrace& compiled,
-                                  SimParams params,
-                                  const std::vector<Time>& candidates) {
+namespace {
+
+/// The tuner reads only makespans, so it logs no extrapolated trace.
+Time makespan(const std::shared_ptr<const CompiledTrace>& compiled,
+              const SimParams& params) {
+  SimOptions opts;
+  opts.emit_trace = false;
+  return simulate_compiled(compiled, params, opts).makespan;
+}
+
+}  // namespace
+
+PollTuneResult tune_poll_interval(
+    const std::shared_ptr<const CompiledTrace>& compiled, SimParams params,
+    const std::vector<Time>& candidates) {
   XP_REQUIRE(!candidates.empty(), "no poll intervals to try");
   params.proc.policy = model::ServicePolicy::Poll;
   PollTuneResult out;
@@ -24,7 +36,7 @@ PollTuneResult tune_poll_interval(const CompiledTrace& compiled,
   for (const Time& iv : candidates) {
     XP_REQUIRE(iv > Time::zero(), "poll interval must be positive");
     params.proc.poll_interval = iv;
-    const Time t = simulate_compiled(compiled, params).makespan;
+    const Time t = makespan(compiled, params);
     out.tried.emplace_back(iv, t);
     if (t < out.best_time) {
       out.best_time = t;
@@ -35,15 +47,15 @@ PollTuneResult tune_poll_interval(const CompiledTrace& compiled,
 }
 
 PolicyChoice choose_service_policy(
-    const CompiledTrace& compiled, SimParams params,
+    const std::shared_ptr<const CompiledTrace>& compiled, SimParams params,
     const std::vector<Time>& poll_candidates) {
   PolicyChoice c;
 
   params.proc.policy = model::ServicePolicy::NoInterrupt;
-  c.no_interrupt_time = simulate_compiled(compiled, params).makespan;
+  c.no_interrupt_time = makespan(compiled, params);
 
   params.proc.policy = model::ServicePolicy::Interrupt;
-  c.interrupt_time = simulate_compiled(compiled, params).makespan;
+  c.interrupt_time = makespan(compiled, params);
 
   c.poll = tune_poll_interval(compiled, params, poll_candidates);
 

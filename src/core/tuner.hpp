@@ -9,10 +9,12 @@
 // TranslatedTrace's `compiled`), they re-simulate it under candidate
 // configurations and report the winner.  Measurement, translation and
 // compilation are never repeated — only simulations, each one bitwise
-// what core::predict gives for the same parameters.  The command-line
+// what core::predict gives for the same parameters (no extrapolated
+// trace is logged: only the makespans are read).  The command-line
 // front end is examples/policy_explorer.cpp.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "core/simulator.hpp"
@@ -33,7 +35,7 @@ const std::vector<Time>& default_poll_intervals();
 /// first candidate wins a tie).  `params.proc.policy` is forced to Poll
 /// for each trial.
 PollTuneResult tune_poll_interval(
-    const CompiledTrace& compiled, SimParams params,
+    const std::shared_ptr<const CompiledTrace>& compiled, SimParams params,
     const std::vector<Time>& candidates = default_poll_intervals());
 
 struct PolicyChoice {
@@ -50,7 +52,7 @@ struct PolicyChoice {
 /// return the best configuration for this program/environment.  Ties go
 /// to the earlier of NoInterrupt, Interrupt, Poll.
 PolicyChoice choose_service_policy(
-    const CompiledTrace& compiled, SimParams params,
+    const std::shared_ptr<const CompiledTrace>& compiled, SimParams params,
     const std::vector<Time>& poll_candidates = default_poll_intervals());
 
 }  // namespace xp::core

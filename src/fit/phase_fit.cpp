@@ -127,10 +127,13 @@ PhaseAttribution attribute_phases(
 
 PhaseAttribution attribute_sweep(const core::SweepResult& sweep,
                                  const FitOptions& opt) {
+  // The first cell of each thread count; reading a cell's trace builds it,
+  // so the others are never read.
   std::map<int, const trace::Trace*> by_n;
   for (std::size_t i = 0; i < sweep.grid.size(); ++i)
-    by_n.emplace(sweep.grid[i].n_threads,
-                 &sweep.predictions[i].sim.extrapolated);
+    if (!by_n.count(sweep.grid[i].n_threads))
+      by_n.emplace(sweep.grid[i].n_threads,
+                   &sweep.predictions[i].sim.extrapolated());
   std::vector<int> procs;
   std::vector<const trace::Trace*> traces;
   for (const auto& [n, t] : by_n) {

@@ -109,10 +109,10 @@ Experiment collect(const core::SweepResult& sweep, std::string name,
     XP_REQUIRE(e.procs.empty() || e.procs.back() != p.n_threads,
                "pattern experiment needs distinct thread counts; split "
                "multi-machine sweeps by label first");
-    XP_REQUIRE(p.sim.extrapolated.size() > 0,
+    XP_REQUIRE(p.sim.extrapolated().size() > 0,
                "sweep cell carries no extrapolated trace (emit_trace off?)");
     e.procs.push_back(p.n_threads);
-    e.spans.push_back(extract_regions(p.sim.extrapolated));
+    e.spans.push_back(extract_regions(p.sim.extrapolated()));
     e.totals.push_back(p.predicted_time);
   }
   return e;

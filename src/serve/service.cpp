@@ -242,7 +242,7 @@ PatternModelResult Service::run_pattern_model_on(Source& src,
       simulate_cpu_s_.fetch_add(util::thread_cpu_seconds() - cpu0);
 
       e.procs.push_back(n);
-      e.spans.push_back(pattern::extract_regions(pred.sim.extrapolated));
+      e.spans.push_back(pattern::extract_regions(pred.sim.extrapolated()));
       e.totals.push_back(pred.predicted_time);
     }
 

@@ -26,10 +26,6 @@ bool Trace::is_time_ordered() const {
   return true;
 }
 
-const Event& ThreadView::operator[](std::size_t i) const {
-  return (*trace_)[idx_[i]];
-}
-
 std::vector<Trace> Trace::split_by_thread() const {
   XP_REQUIRE(n_threads_ > 0, "split_by_thread: thread count unset");
   // Count first so each per-thread vector reserves exactly once.
@@ -50,25 +46,6 @@ std::vector<Trace> Trace::split_by_thread() const {
   }
   for (const Event& e : events_)
     out[static_cast<std::size_t>(e.thread)].append(e);
-  return out;
-}
-
-std::vector<ThreadView> Trace::split_views() const {
-  XP_REQUIRE(n_threads_ > 0, "split_views: thread count unset");
-  std::vector<std::size_t> counts(static_cast<std::size_t>(n_threads_), 0);
-  for (const Event& e : events_) {
-    XP_REQUIRE(e.thread >= 0 && e.thread < n_threads_,
-               "split_views: event thread out of range: " + e.str());
-    ++counts[static_cast<std::size_t>(e.thread)];
-  }
-  std::vector<ThreadView> out;
-  out.reserve(static_cast<std::size_t>(n_threads_));
-  for (int t = 0; t < n_threads_; ++t) {
-    out.emplace_back(this, t);
-    out.back().idx_.reserve(counts[static_cast<std::size_t>(t)]);
-  }
-  for (std::size_t i = 0; i < events_.size(); ++i)
-    out[static_cast<std::size_t>(events_[i].thread)].idx_.push_back(i);
   return out;
 }
 

@@ -2,9 +2,9 @@
 //
 // A Trace is the product of one measured (or simulated) program run: an
 // event sequence plus metadata about the recording environment.  Traces can
-// be split per thread (the translator consumes per-thread views), merged,
-// and validated against the structural invariants the pC++ execution model
-// guarantees (alternating barrier entry/exit, uniform barrier counts, …).
+// be split per thread, merged, and validated against the structural
+// invariants the pC++ execution model guarantees (alternating barrier
+// entry/exit, uniform barrier counts, …).
 #pragma once
 
 #include <cstdint>
@@ -15,32 +15,6 @@
 #include "trace/event.hpp"
 
 namespace xp::trace {
-
-class Trace;
-
-/// A zero-copy view of one thread's events inside a merged trace: an index
-/// list into the owning trace's event vector, in merged (time) order.  The
-/// merged-order position of each event is preserved so consumers that need
-/// a global tiebreaker (the translator orders barrier re-entries by merged
-/// position) can use `merged_index` directly instead of re-deriving it.
-/// Views are invalidated by any mutation of the underlying trace.
-class ThreadView {
- public:
-  ThreadView(const Trace* trace, int thread) : trace_(trace), thread_(thread) {}
-
-  int thread() const { return thread_; }
-  std::size_t size() const { return idx_.size(); }
-  bool empty() const { return idx_.empty(); }
-  const Event& operator[](std::size_t i) const;
-  /// Position of this thread's i-th event in the merged trace.
-  std::size_t merged_index(std::size_t i) const { return idx_[i]; }
-
- private:
-  friend class Trace;
-  const Trace* trace_;
-  int thread_;
-  std::vector<std::size_t> idx_;
-};
 
 class Trace {
  public:
@@ -71,11 +45,6 @@ class Trace {
 
   /// Split into n_threads per-thread traces (metadata copied to each).
   std::vector<Trace> split_by_thread() const;
-
-  /// Zero-copy counterpart of split_by_thread(): per-thread index views
-  /// into this trace's event vector, no event copies.  The views borrow
-  /// this trace and are invalidated by any mutation of it.
-  std::vector<ThreadView> split_views() const;
 
   /// Merge per-thread traces into one time-ordered trace.
   static Trace merge(const std::vector<Trace>& parts);

@@ -68,8 +68,8 @@ void expect_bitwise_equal(const SimResult& ev, const SimResult& au,
 /// the first difference rather than printing whole traces.
 void expect_same_events(const SimResult& ev, const SimResult& au,
                         const std::string& what) {
-  const auto& a = ev.extrapolated.events();
-  const auto& b = au.extrapolated.events();
+  const auto& a = ev.extrapolated().events();
+  const auto& b = au.extrapolated().events();
   EXPECT_EQ(a.size(), b.size()) << what;
   for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i)
     if (!(a[i] == b[i])) {
@@ -79,8 +79,9 @@ void expect_same_events(const SimResult& ev, const SimResult& au,
     }
 }
 
-const CompiledTrace& compiled(const std::string& bench, int n) {
-  static std::map<std::string, CompiledTrace> cache;
+const std::shared_ptr<const CompiledTrace>& compiled(const std::string& bench,
+                                                     int n) {
+  static std::map<std::string, std::shared_ptr<const CompiledTrace>> cache;
   const std::string key = bench + "/" + std::to_string(n);
   auto it = cache.find(key);
   if (it != cache.end()) return it->second;
@@ -88,7 +89,8 @@ const CompiledTrace& compiled(const std::string& bench, int n) {
   rt::MeasureOptions mo;
   mo.n_threads = n;
   return cache
-      .emplace(key, CompiledTrace::compile(core::translate(rt::measure(*prog, mo))))
+      .emplace(key, std::make_shared<const CompiledTrace>(CompiledTrace::compile(
+                        core::translate(rt::measure(*prog, mo)))))
       .first->second;
 }
 
@@ -108,8 +110,9 @@ std::vector<Preset> all_presets() {
           {"sgi", model::sgi_shared_preset(), false}};
 }
 
-SimResult run(const CompiledTrace& ct, const model::SimParams& p,
-              SimMode mode, bool emit_trace = false) {
+SimResult run(const std::shared_ptr<const CompiledTrace>& ct,
+              const model::SimParams& p, SimMode mode,
+              bool emit_trace = false) {
   SimOptions opts;
   opts.mode = mode;
   opts.emit_trace = emit_trace;
@@ -134,18 +137,19 @@ std::int64_t memo_windows(const CompiledTrace& ct) {
 /// every window is counted as a hit or a miss (every barrier point is
 /// quiescent).  With `emit_trace` the extrapolated event sequences must
 /// match too.  Returns Auto's hits.
-std::int64_t check_cell(const CompiledTrace& ct, const model::SimParams& p,
+std::int64_t check_cell(const std::shared_ptr<const CompiledTrace>& ct,
+                        const model::SimParams& p,
                         bool messages, const std::string& what,
                         bool emit_trace = false) {
   const SimResult ev = run(ct, p, SimMode::EventDriven, emit_trace);
   const SimResult au = run(ct, p, SimMode::Auto, emit_trace);
   expect_bitwise_equal(ev, au, what);
   expect_same_events(ev, au, what);
-  EXPECT_EQ(ev.extrapolated.empty(), !emit_trace) << what;
+  EXPECT_EQ(ev.extrapolated().empty(), !emit_trace) << what;
   EXPECT_EQ(ev.hybrid.memo_hits, 0) << what;
   EXPECT_EQ(ev.hybrid.memo_misses, 0) << what;
   if (messages) {
-    EXPECT_EQ(au.hybrid.memo_hits + au.hybrid.memo_misses, memo_windows(ct))
+    EXPECT_EQ(au.hybrid.memo_hits + au.hybrid.memo_misses, memo_windows(*ct))
         << what;
     EXPECT_LE(au.engine_events, ev.engine_events) << what;
   } else {
@@ -160,7 +164,7 @@ void check_matrix(bool emit_trace) {
     for (const Preset& preset : all_presets()) {
       std::int64_t hits = 0;
       for (int n : {1, 2, 4, 8, 16, 32}) {
-        const CompiledTrace& ct = compiled(bench, n);
+        const auto& ct = compiled(bench, n);
         for (double mips : {1.0, 4.0}) {
           model::SimParams p = preset.params;
           p.proc.mips_ratio = mips;
@@ -216,7 +220,7 @@ TEST(EpochMemo, VariantsBitwise) {
       for (const Preset& preset : all_presets()) {
         if (!preset.messages) continue;
         for (int n : {4, 16}) {
-          const CompiledTrace& ct = compiled(bench, n);
+          const auto& ct = compiled(bench, n);
           for (double mips : {1.0, 4.0}) {
             model::SimParams p = preset.params;
             p.proc.mips_ratio = mips;
@@ -239,7 +243,7 @@ TEST(EpochMemo, VariantsBitwise) {
 // oracle's events, with the same hits, misses and engine events as an
 // untraced run.
 TEST(EpochMemo, AutoMemoizesWithAndWithoutTrace) {
-  const CompiledTrace& ct = compiled("grid", 8);
+  const auto& ct = compiled("grid", 8);
   const model::SimParams p = model::cm5_preset();
   const SimResult ev = run(ct, p, SimMode::EventDriven);
   const SimResult au = run(ct, p, SimMode::Auto);
@@ -253,14 +257,14 @@ TEST(EpochMemo, AutoMemoizesWithAndWithoutTrace) {
   EXPECT_EQ(traced.hybrid.memo_hits, au.hybrid.memo_hits) << what;
   EXPECT_EQ(traced.hybrid.memo_misses, au.hybrid.memo_misses) << what;
   EXPECT_EQ(traced.engine_events, au.engine_events) << what;
-  EXPECT_GT(traced.extrapolated.size(), 0u) << what;
+  EXPECT_GT(traced.extrapolated().size(), 0u) << what;
   expect_same_events(ev_traced, traced, what);
 }
 
 // On grid, one recorded window stands for every later iteration, so the
 // engine fires a small fraction of the oracle's events.
 TEST(EpochMemo, GridReplaysAlmostEveryWindow) {
-  const CompiledTrace& ct = compiled("grid", 16);
+  const auto& ct = compiled("grid", 16);
   for (const Preset& preset : all_presets()) {
     if (!preset.messages) continue;
     const SimResult ev = run(ct, preset.params, SimMode::EventDriven);
@@ -306,8 +310,9 @@ TEST(EpochMemo, NonQuiescentBarrierPointKeepsMemoOff) {
     t.append(ev_at(clock + 10, th, EventKind::ThreadEnd));
     per_thread.push_back(std::move(t));
   }
-  const CompiledTrace ct = CompiledTrace::compile(per_thread);
-  ASSERT_TRUE(ct.epoch_classes.built());
+  const auto ct =
+      std::make_shared<const CompiledTrace>(CompiledTrace::compile(per_thread));
+  ASSERT_TRUE(ct->epoch_classes.built());
   const model::SimParams p = model::distributed_preset();
   const SimResult ev = run(ct, p, SimMode::EventDriven);
   const SimResult au = run(ct, p, SimMode::Auto);
@@ -318,5 +323,5 @@ TEST(EpochMemo, NonQuiescentBarrierPointKeepsMemoOff) {
   EXPECT_EQ(au.hybrid.memo_hits, 0);
   // A quiescent point counts its window as a hit or a miss; the
   // non-quiescent one counts nothing.
-  EXPECT_LT(au.hybrid.memo_hits + au.hybrid.memo_misses, memo_windows(ct));
+  EXPECT_LT(au.hybrid.memo_hits + au.hybrid.memo_misses, memo_windows(*ct));
 }

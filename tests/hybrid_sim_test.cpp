@@ -60,7 +60,12 @@ std::vector<std::pair<std::string, model::SimParams>> message_presets() {
 }
 
 /// The differential oracle, asked for explicitly: the default mode is Auto.
-SimResult event_driven(const CompiledTrace& ct, const model::SimParams& p) {
+std::shared_ptr<const CompiledTrace> shared(CompiledTrace ct) {
+  return std::make_shared<const CompiledTrace>(std::move(ct));
+}
+
+SimResult event_driven(const std::shared_ptr<const CompiledTrace>& ct,
+                       const model::SimParams& p) {
   return core::simulate_compiled(ct, p, {SimMode::EventDriven});
 }
 
@@ -89,7 +94,7 @@ void expect_bitwise_equal(const SimResult& ev, const SimResult& hy,
   EXPECT_EQ(ev.messages, hy.messages);
   EXPECT_EQ(ev.bytes, hy.bytes);
   EXPECT_EQ(ev.avg_inflight, hy.avg_inflight);
-  EXPECT_EQ(ev.extrapolated.events(), hy.extrapolated.events());
+  EXPECT_EQ(ev.extrapolated().events(), hy.extrapolated().events());
 }
 
 Trace load_golden() {
@@ -115,9 +120,9 @@ const Trace& measured(const std::string& bench, int n) {
 // builds on.
 TEST(HybridSim, SegmentTableInvariants) {
   const auto translated = core::translate(load_golden());
-  const CompiledTrace ct = CompiledTrace::compile(translated);
-  EXPECT_TRUE(ct.uniform_barriers);
-  for (const auto& th : ct.threads) {
+  const auto ct = shared(CompiledTrace::compile(translated));
+  EXPECT_TRUE(ct->uniform_barriers);
+  for (const auto& th : ct->threads) {
     ASSERT_EQ(th.segments.size(), th.barrier_ids.size() + 1);
     std::uint32_t next_op = 0, next_remote = 0;
     Time total;
@@ -146,7 +151,7 @@ TEST(HybridSim, SegmentTableInvariants) {
 // under every preset, analytic and message-barrier alike.
 TEST(HybridSim, GoldenTraceBitwiseAllPresets) {
   const auto translated = core::translate(load_golden());
-  const CompiledTrace ct = CompiledTrace::compile(translated);
+  const auto ct = shared(CompiledTrace::compile(translated));
   auto presets = analytic_presets();
   for (auto& [name, p] : message_presets()) presets.emplace_back(name, p);
   for (const auto& [name, params] : presets) {
@@ -162,7 +167,7 @@ TEST(HybridSim, GoldenTraceBitwiseAllPresets) {
 // the differential tests while delivering no speedup.
 TEST(HybridSim, GoldenTraceCollapsesUnderSingleCluster) {
   const auto translated = core::translate(load_golden());
-  const CompiledTrace ct = CompiledTrace::compile(translated);
+  const auto ct = shared(CompiledTrace::compile(translated));
   const SimResult hy = core::simulate_compiled(
       ct, single_cluster(model::shared_memory_preset()), {SimMode::Auto});
   EXPECT_EQ(hy.hybrid.path, HybridStats::Path::PureAnalytic);
@@ -181,7 +186,7 @@ TEST(HybridSim, SuiteCodesBitwise) {
   for (const std::string& bench : suite::benchmark_names()) {
     for (int n : {4, 8, 16}) {
       const auto translated = core::translate(measured(bench, n));
-      const CompiledTrace ct = CompiledTrace::compile(translated);
+      const auto ct = shared(CompiledTrace::compile(translated));
       const std::vector<std::pair<std::string, model::SimParams>> params = {
           {"shared/1cluster", single_cluster(model::shared_memory_preset())},
           {"sgi", model::sgi_shared_preset()},
@@ -204,7 +209,7 @@ TEST(HybridSim, SuiteCodesBitwise) {
 TEST(HybridSim, MixedPathContentionDemotesAndMatches) {
   for (const std::string& bench : {std::string("grid"), std::string("sparse")}) {
     const auto translated = core::translate(measured(bench, 8));
-    const CompiledTrace ct = CompiledTrace::compile(translated);
+    const auto ct = shared(CompiledTrace::compile(translated));
     model::SimParams p = model::shared_memory_preset();
     p.cluster.procs_per_cluster = 2;  // 4 clusters of 2 at n=8
     const SimResult ev = event_driven(ct, p);
@@ -219,7 +224,7 @@ TEST(HybridSim, MixedPathContentionDemotesAndMatches) {
 // ((scaled-1)/interval extra poll checks per interval).
 TEST(HybridSim, PollPolicyClosedFormMatches) {
   const auto translated = core::translate(measured("grid", 8));
-  const CompiledTrace ct = CompiledTrace::compile(translated);
+  const auto ct = shared(CompiledTrace::compile(translated));
   model::SimParams p = single_cluster(model::sp1_preset());
   p.barrier.by_msgs = false;  // sp1 is a message-barrier preset by default
   const SimResult ev = event_driven(ct, p);
@@ -250,7 +255,7 @@ TEST(HybridSim, RandomizedContentionPropertyAutoIsExact) {
     p.cluster.procs_per_cluster = clusters[rng() % clusters.size()];
     p.proc.mips_ratio = mips[rng() % mips.size()];
     const auto translated = core::translate(measured(bench, n));
-    const CompiledTrace ct = CompiledTrace::compile(translated);
+    const auto ct = shared(CompiledTrace::compile(translated));
     const SimResult ev = event_driven(ct, p);
     const SimResult au = core::simulate_compiled(ct, p, {SimMode::Auto});
     expect_bitwise_equal(ev, au,
@@ -271,19 +276,21 @@ TEST(HybridSim, RandomizedContentionPropertyAutoIsExact) {
 // path over a singleton class table, so it walks every epoch either way.
 TEST(HybridSim, EmitTraceOffKeepsNumerics) {
   const auto translated = core::translate(measured("cyclic", 8));
-  const CompiledTrace ct = CompiledTrace::compile(translated);
-  CompiledTrace unsampled = ct;
-  unsampled.epoch_classes = core::singleton_epoch_classes(ct);
-  const std::vector<std::pair<const CompiledTrace*, SimMode>> runs = {
-      {&ct, SimMode::EventDriven}, {&unsampled, SimMode::Auto},
-      {&ct, SimMode::Auto}};
+  const auto ct = shared(CompiledTrace::compile(translated));
+  CompiledTrace split = *ct;
+  split.epoch_classes = core::singleton_epoch_classes(*ct);
+  const auto unsampled = shared(std::move(split));
+  const std::vector<std::pair<std::shared_ptr<const CompiledTrace>, SimMode>>
+      runs = {{ct, SimMode::EventDriven},
+              {unsampled, SimMode::Auto},
+              {ct, SimMode::Auto}};
   std::vector<Event> oracle;  // the EventDriven run's trace, first in `runs`
   for (const auto& [code, mode] : runs) {
     SimOptions with{mode, true};
     SimOptions without{mode, false};
-    const SimResult a = core::simulate_compiled(*code, single_cluster(
+    const SimResult a = core::simulate_compiled(code, single_cluster(
         model::ideal_preset()), with);
-    const SimResult b = core::simulate_compiled(*code, single_cluster(
+    const SimResult b = core::simulate_compiled(code, single_cluster(
         model::ideal_preset()), without);
     EXPECT_EQ(a.makespan.count_ns(), b.makespan.count_ns());
     EXPECT_EQ(a.messages, b.messages);
@@ -294,13 +301,13 @@ TEST(HybridSim, EmitTraceOffKeepsNumerics) {
       EXPECT_EQ(a.threads[t].compute.count_ns(),
                 b.threads[t].compute.count_ns());
     }
-    EXPECT_GT(a.extrapolated.events().size(), 0u);
-    EXPECT_EQ(b.extrapolated.events().size(), 0u);
-    if (oracle.empty()) oracle = a.extrapolated.events();
-    EXPECT_EQ(a.extrapolated.events(), oracle);
+    EXPECT_GT(a.extrapolated().events().size(), 0u);
+    EXPECT_EQ(b.extrapolated().events().size(), 0u);
+    if (oracle.empty()) oracle = a.extrapolated().events();
+    EXPECT_EQ(a.extrapolated().events(), oracle);
     EXPECT_EQ(a.sampling.active, mode == SimMode::Auto);
     EXPECT_EQ(b.sampling.active, mode == SimMode::Auto);
-    if (code == &unsampled) {
+    if (code == unsampled) {
       EXPECT_EQ(a.sampling.epochs_simulated, a.sampling.epochs);
       EXPECT_EQ(b.sampling.epochs_simulated, b.sampling.epochs);
     }
@@ -312,7 +319,7 @@ TEST(HybridSim, EmitTraceOffKeepsNumerics) {
 // still match the oracle.
 TEST(HybridSim, SharedProcessorsDemoteWholesale) {
   const auto translated = core::translate(measured("grid", 8));
-  const CompiledTrace ct = CompiledTrace::compile(translated);
+  const auto ct = shared(CompiledTrace::compile(translated));
   model::SimParams p = single_cluster(model::shared_memory_preset());
   p.proc.n_procs = 4;  // 2 threads per processor
   const SimResult ev = event_driven(ct, p);

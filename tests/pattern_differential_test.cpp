@@ -73,7 +73,7 @@ void expect_bitwise_equal(const core::Prediction& a,
   EXPECT_EQ(a.ideal_time.count_ns(), b.ideal_time.count_ns());
   EXPECT_EQ(a.measured_time.count_ns(), b.measured_time.count_ns());
   EXPECT_EQ(a.sim.makespan.count_ns(), b.sim.makespan.count_ns());
-  EXPECT_EQ(trace_bytes(a.sim.extrapolated), trace_bytes(b.sim.extrapolated));
+  EXPECT_EQ(trace_bytes(a.sim.extrapolated()), trace_bytes(b.sim.extrapolated()));
 }
 
 /// A composed model down to the band bits.

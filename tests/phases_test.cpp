@@ -113,7 +113,7 @@ TEST(Phases, ExtrapolatedTraceProfiles) {
   auto prog = suite::make_grid(cfg);
   core::Extrapolator x(model::distributed_preset());
   const auto pred = x.extrapolate(*prog, 8);
-  const auto phases = profile_phases(pred.sim.extrapolated);
+  const auto phases = profile_phases(pred.sim.extrapolated());
   EXPECT_GE(phases.size(), 4u);
   // With 4 of 8 processors idle, per-phase imbalance is severe.
   double worst = 0;

@@ -344,7 +344,7 @@ TEST_P(PipelineSweep, EndToEndInvariants) {
   EXPECT_GE(p.predicted_time, p.ideal_time);
   EXPECT_LE(p.ideal_time, p.measured_time);
   EXPECT_EQ(p.n_threads, threads);
-  EXPECT_NO_THROW(p.sim.extrapolated.validate());
+  EXPECT_NO_THROW(p.sim.extrapolated().validate());
   // Aggregate compute is invariant under the simulation (MipsRatio = 1).
   Time sim_compute;
   for (const auto& st : p.sim.threads) sim_compute += st.compute;

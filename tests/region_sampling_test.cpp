@@ -89,11 +89,16 @@ void expect_bitwise_equal(const SimResult& a, const SimResult& b,
   EXPECT_EQ(a.messages, b.messages);
   EXPECT_EQ(a.bytes, b.bytes);
   EXPECT_EQ(a.avg_inflight, b.avg_inflight);
-  EXPECT_EQ(a.extrapolated.events(), b.extrapolated.events());
+  EXPECT_EQ(a.extrapolated().events(), b.extrapolated().events());
 }
 
-SimResult run(const CompiledTrace& ct, const model::SimParams& params,
-              SimMode mode, bool emit_trace = false) {
+std::shared_ptr<const CompiledTrace> shared(CompiledTrace ct) {
+  return std::make_shared<const CompiledTrace>(std::move(ct));
+}
+
+SimResult run(const std::shared_ptr<const CompiledTrace>& ct,
+              const model::SimParams& params, SimMode mode,
+              bool emit_trace = false) {
   return core::simulate_compiled(ct, params, {mode, emit_trace});
 }
 
@@ -218,8 +223,8 @@ TEST(EpochClasses, NearIdenticalEpochsStaySeparateClasses) {
                                {1005, 1000},  // +5 ns on thread 0
                                {1000, 1000},
                                {1005, 1000}});
-  const CompiledTrace ct = compile_trace(t);
-  const EpochClassTable& tab = ct.epoch_classes;
+  const auto ct = shared(compile_trace(t));
+  const EpochClassTable& tab = ct->epoch_classes;
   ASSERT_TRUE(tab.built());
   // warmup + {e1,e3} + {e2,e4} + final = 4 classes.
   EXPECT_EQ(tab.n_classes(), 4);
@@ -247,10 +252,11 @@ TEST(EpochClasses, SuiteWorkloadsBitwiseAcrossModes) {
       {"shared/1cluster", single_cluster(model::shared_memory_preset())},
       {"shared", model::shared_memory_preset()}};
   for (const std::string& bench : suite::benchmark_names()) {
-    const CompiledTrace ct =
-        CompiledTrace::compile(core::translate(measured(bench, 4)));
-    CompiledTrace unsampled = ct;
-    unsampled.epoch_classes = core::singleton_epoch_classes(ct);
+    const auto ct =
+        shared(CompiledTrace::compile(core::translate(measured(bench, 4))));
+    CompiledTrace split = *ct;
+    split.epoch_classes = core::singleton_epoch_classes(*ct);
+    const auto unsampled = shared(std::move(split));
     for (const auto& [name, params] : presets) {
       for (const bool trace : {false, true}) {
         const std::string what = bench + "/" + name +
@@ -268,7 +274,7 @@ TEST(EpochClasses, SuiteWorkloadsBitwiseAcrossModes) {
           // cyclic) legitimately walk every one.
           EXPECT_TRUE(au.sampling.active) << what;
           EXPECT_TRUE(full.sampling.active) << what;
-          EXPECT_EQ(au.sampling.epochs_simulated, ct.epoch_classes.n_classes())
+          EXPECT_EQ(au.sampling.epochs_simulated, ct->epoch_classes.n_classes())
               << what;
         }
       }
@@ -318,18 +324,18 @@ TEST(EpochClasses, ThreadPassMatchesEpochByEpochGrouping) {
 // trace requested, each exemplar's emission slice replayed once per member
 // epoch gives EventDriven's exact trace.
 TEST(EpochClasses, LongGoldenSampledPathEngagesAndStaysExact) {
-  const CompiledTrace ct =
-      CompiledTrace::compile(core::translate(load_golden(kLongGoldenPath)));
+  const auto ct = shared(
+      CompiledTrace::compile(core::translate(load_golden(kLongGoldenPath))));
   const model::SimParams params = single_cluster(model::shared_memory_preset());
   for (const bool trace : {false, true}) {
     SCOPED_TRACE(trace ? "trace" : "no trace");
     const SimResult ev = run(ct, params, SimMode::EventDriven, trace);
     const SimResult au = run(ct, params, SimMode::Auto, trace);
     ASSERT_TRUE(au.sampling.active);
-    EXPECT_EQ(au.sampling.epochs, ct.epoch_classes.epochs());
-    EXPECT_EQ(au.sampling.epochs_simulated, ct.epoch_classes.n_classes());
+    EXPECT_EQ(au.sampling.epochs, ct->epoch_classes.epochs());
+    EXPECT_EQ(au.sampling.epochs_simulated, ct->epoch_classes.n_classes());
     EXPECT_LT(au.sampling.epochs_simulated, au.sampling.epochs / 2);
-    EXPECT_EQ(au.extrapolated.events().empty(), !trace);
+    EXPECT_EQ(au.extrapolated().events().empty(), !trace);
     expect_bitwise_equal(au, ev, "long golden auto vs event");
   }
 }
@@ -338,8 +344,8 @@ TEST(EpochClasses, LongGoldenSampledPathEngagesAndStaysExact) {
 // Poll chunking makes an epoch's cost jump at every poll boundary, so
 // only exact dedup can be sound here.
 TEST(EpochClasses, PollPolicyAutoBitwiseEqualToEventDriven) {
-  const CompiledTrace ct =
-      CompiledTrace::compile(core::translate(load_golden(kGridGoldenPath)));
+  const auto ct = shared(
+      CompiledTrace::compile(core::translate(load_golden(kGridGoldenPath))));
   model::SimParams params = single_cluster(model::shared_memory_preset());
   params.proc.policy = model::ServicePolicy::Poll;
   const SimResult ev = run(ct, params, SimMode::EventDriven);
@@ -397,8 +403,8 @@ TEST(EpochClasses, SweepBitwiseAcrossWorkerCounts) {
     EXPECT_EQ(results[0].predictions[i].predicted_time.count_ns(),
               oracle.predicted_time.count_ns())
         << "cell " << i;
-    EXPECT_EQ(results[0].predictions[i].sim.extrapolated.events(),
-              oracle.sim.extrapolated.events())
+    EXPECT_EQ(results[0].predictions[i].sim.extrapolated().events(),
+              oracle.sim.extrapolated().events())
         << "cell " << i;
   }
 }

@@ -7,9 +7,15 @@
 // extension.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <thread>
+
 #include "core/simulator.hpp"
 #include "core/translate.hpp"
 #include "model/barrier_model.hpp"
+#include "rt/runtime.hpp"
+#include "suite/suite.hpp"
+#include "trace/trace_io.hpp"
 #include "util/error.hpp"
 
 namespace xp::core {
@@ -305,7 +311,7 @@ TEST(Simulator, MultithreadingWithBarriersCompletes) {
   p.proc.n_procs = 3;
   const SimResult r = simulate(ts, p);
   EXPECT_GT(r.makespan, Time::us(100));
-  EXPECT_NO_THROW(r.extrapolated.validate());
+  EXPECT_NO_THROW(r.extrapolated().validate());
   // With 3 CPUs, total compute (sum of deltas) bounds the makespan below:
   // at least ceil(total/3) of pure compute must elapse.
   EXPECT_GE(r.makespan, r.total_compute() / 3.0);
@@ -358,9 +364,96 @@ TEST(Simulator, ExtrapolatedTraceIsValid) {
   SimParams p = lab_params();
   p.barrier.by_msgs = true;
   const SimResult r = simulate(ts, p);
-  EXPECT_NO_THROW(r.extrapolated.validate());
-  EXPECT_TRUE(r.extrapolated.is_time_ordered());
-  EXPECT_EQ(r.extrapolated.meta("extrapolated"), "1");
+  EXPECT_NO_THROW(r.extrapolated().validate());
+  EXPECT_TRUE(r.extrapolated().is_time_ordered());
+  EXPECT_EQ(r.extrapolated().meta("extrapolated"), "1");
+}
+
+// --- the extrapolated trace, expanded on first read ------------------------
+
+std::shared_ptr<const CompiledTrace> compiled_code(const std::string& code,
+                                                   int n) {
+  auto prog = suite::make_by_name(code);
+  rt::MeasureOptions mo;
+  mo.n_threads = n;
+  return std::make_shared<const CompiledTrace>(
+      lower_measured(rt::measure(*prog, mo)));
+}
+
+std::string binary(const Trace& t) {
+  std::ostringstream os(std::ios::binary);
+  trace::write_binary(t, os);
+  return os.str();
+}
+
+TEST(Simulator, CopiesOfAResultShareOneExpansion) {
+  const SimResult a = simulate_compiled(compiled_code("grid", 4),
+                                        model::distributed_preset());
+  const SimResult b = a;
+  const Trace& t = b.extrapolated();
+  EXPECT_GT(t.size(), 0u);
+  EXPECT_EQ(&a.extrapolated(), &t);
+  EXPECT_EQ(&b.extrapolated(), &t);
+}
+
+// The first read expands the trace while the other readers wait; every
+// reader gets the one expansion, byte-identical to a fresh result's.
+TEST(Simulator, ConcurrentFirstReadsGetIdenticalBytes) {
+  const auto code = compiled_code("mgrid", 8);
+  const SimParams p = model::cm5_preset();
+  const std::string want = binary(simulate_compiled(code, p).extrapolated());
+  const SimResult r = simulate_compiled(code, p);
+  constexpr int kReaders = 8;
+  std::vector<std::string> got(kReaders);
+  std::vector<const Trace*> seen(kReaders);
+  std::vector<std::thread> readers;
+  for (int i = 0; i < kReaders; ++i)
+    readers.emplace_back([&, i] {
+      const SimResult copy = r;
+      seen[static_cast<std::size_t>(i)] = &copy.extrapolated();
+      got[static_cast<std::size_t>(i)] = binary(copy.extrapolated());
+    });
+  for (std::thread& t : readers) t.join();
+  for (int i = 0; i < kReaders; ++i) {
+    EXPECT_EQ(got[static_cast<std::size_t>(i)], want) << "reader " << i;
+    EXPECT_EQ(seen[static_cast<std::size_t>(i)], &r.extrapolated());
+  }
+}
+
+TEST(Simulator, EmitTraceOffYieldsAnEmptyTrace) {
+  SimOptions opts;
+  opts.emit_trace = false;
+  const SimResult r = simulate_compiled(compiled_code("cyclic", 4),
+                                        model::distributed_preset(), opts);
+  EXPECT_TRUE(r.extrapolated().empty());
+  EXPECT_EQ(r.extrapolated().n_threads(), 4);
+  EXPECT_GT(r.makespan, Time::zero());
+}
+
+// The emission log is reserved once, at one record per op plus one per
+// barrier exit, and run() checks it ends holding exactly that many, so it
+// never reallocates.  Every replay path keeps that count: the event engine,
+// the epoch memo, mixed segment collapse and the sampled analytic path.
+TEST(Simulator, EmissionLogIsSizedOnceForEveryPath) {
+  const auto code = compiled_code("grid", 8);
+  std::size_t want = 0;
+  for (const CompiledThread& th : code->threads)
+    want += th.ops.size() + th.barrier_ids.size();
+  SimParams one_cluster = model::shared_memory_preset();
+  one_cluster.cluster.procs_per_cluster = 1 << 30;
+  bool memo = false, mixed = false, sampled = false;
+  for (const SimParams& p :
+       {model::distributed_preset(), model::shared_memory_preset(),
+        one_cluster}) {
+    for (const SimMode mode : {SimMode::EventDriven, SimMode::Auto}) {
+      const SimResult r = simulate_compiled(code, p, {mode, true});
+      EXPECT_EQ(r.extrapolated().size(), want) << to_string(mode);
+      memo |= r.hybrid.memo_hits > 0;
+      mixed |= r.hybrid.path == HybridStats::Path::Mixed;
+      sampled |= r.sampling.active;
+    }
+  }
+  EXPECT_TRUE(memo && mixed && sampled);
 }
 
 TEST(Simulator, ContentionStretchesConcurrentTraffic) {

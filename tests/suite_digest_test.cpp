@@ -341,7 +341,7 @@ TEST(SuiteDigest, ExtrapolatedTracesAreByteIdenticalInEveryMode) {
          {core::SimMode::EventDriven, core::SimMode::Auto}) {
       const core::Prediction p =
           core::predict(prepared, sim_config(d.config), {mode, true});
-      const std::uint64_t got = trace_digest(p.sim.extrapolated);
+      const std::uint64_t got = trace_digest(p.sim.extrapolated());
       const std::int64_t makespan = p.sim.makespan.count_ns();
       char row[160];
       std::snprintf(row, sizeof row,

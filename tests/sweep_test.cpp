@@ -109,7 +109,7 @@ std::string serialize(const Prediction& p, bool engine_events = true) {
        << t.intra_cluster_accesses << ' ' << t.requests_served << ' '
        << t.interrupts_taken << ' ' << t.polls << '\n';
   }
-  trace::write_text(p.sim.extrapolated, os);
+  trace::write_text(p.sim.extrapolated(), os);
   return os.str();
 }
 
@@ -338,7 +338,7 @@ TEST(SweepRunner, SweepMatchesEventDrivenOracle) {
       EXPECT_EQ(serialize(sweep.predictions[i], false),
                 serialize(oracle[i], false))
           << "cell " << i;
-      EXPECT_GT(sweep.predictions[i].sim.extrapolated.size(), 0u);
+      EXPECT_GT(sweep.predictions[i].sim.extrapolated().size(), 0u);
       hits += sweep.predictions[i].sim.hybrid.memo_hits;
       oracle_events += static_cast<std::int64_t>(oracle[i].sim.engine_events);
     }
@@ -653,7 +653,8 @@ TEST(TranslateCache, ConcurrentOverlappingKeysMissOncePerKey) {
   for (const auto& v : got) {
     ASSERT_NE(v, nullptr);
     EXPECT_GE(v->n_threads, 1);
-    EXPECT_EQ(v->translated.size(),
+    ASSERT_NE(v->compiled, nullptr);
+    EXPECT_EQ(v->compiled->threads.size(),
               static_cast<std::size_t>(v->n_threads));
     auto [it, inserted] = canonical.emplace(v->n_threads, v.get());
     if (!inserted) {
@@ -681,8 +682,8 @@ TEST(TranslateCache, ConcurrentGetDuringPutNeverReturnsPartialEntries) {
           if (!v) return false;
           // Entry visible => fully constructed.
           EXPECT_EQ(v->n_threads, 3);
-          EXPECT_EQ(v->translated.size(), 3u);
           EXPECT_NE(v->compiled, nullptr);
+          EXPECT_EQ(v->compiled->threads.size(), 3u);
           ++complete_views;
           return true;
         };
@@ -744,9 +745,11 @@ TEST(TranslateCache, FootprintCoversEveryCompiledArray) {
   static_assert(sizeof(EpochClassTable) == 4 * sizeof(std::vector<int>),
                 "count the new EpochClassTable array in footprint_bytes");
   const TranslatedTrace tt = prepare_trace(measure_n(4));
+  // prepare_trace lowers straight to the compiled form: no per-thread
+  // translated traces to count.
+  EXPECT_TRUE(tt.translated.empty());
   const auto bytes = [](const auto& v) { return v.size() * sizeof(v[0]); };
   std::size_t want = sizeof(TranslatedTrace);
-  for (const trace::Trace& t : tt.translated) want += bytes(t.events());
   for (const CompiledThread& th : tt.compiled->threads) {
     ASSERT_FALSE(th.segments.empty());
     want += bytes(th.ops) + bytes(th.pre_delta) + bytes(th.remotes) +
@@ -756,6 +759,20 @@ TEST(TranslateCache, FootprintCoversEveryCompiledArray) {
   want += bytes(ec.fingerprint) + bytes(ec.class_of) + bytes(ec.exemplar) +
           bytes(ec.count);
   EXPECT_EQ(TranslateCache::footprint_bytes(tt), want);
+}
+
+// SweepRunner orders cells longest-first by cell_cost_hint.  It reads the
+// compiled form prepare_trace fills (a hint of 0 would quietly turn the
+// ordering off) and counts the events a simulation replays: exactly the
+// translated traces' events.
+TEST(SweepRunner, CellCostHintCountsReplayedEvents) {
+  const trace::Trace measured = measure_n(4);
+  const TranslatedTrace tt = prepare_trace(measured);
+  double translated_events = 0;
+  for (const trace::Trace& t : translate(measured))
+    translated_events += static_cast<double>(t.size());
+  EXPECT_GT(cell_cost_hint(tt), 0.0);
+  EXPECT_EQ(cell_cost_hint(tt), translated_events);
 }
 
 TEST(TranslateCache, BudgetNeverEvictsTheOnlyOrNewestEntry) {

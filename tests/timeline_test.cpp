@@ -102,14 +102,14 @@ TEST(Timeline, WorksOnRealExtrapolatedTrace) {
   auto prog = suite::make_grid(cfg);
   core::Extrapolator x(model::distributed_preset());
   const core::Prediction p = x.extrapolate(*prog, 4);
-  const auto tl = build_timeline(p.sim.extrapolated);
+  const auto tl = build_timeline(p.sim.extrapolated());
   ASSERT_EQ(tl.size(), 4u);
   // Segments tile [first event, last event] per thread without overlap.
   for (const auto& segs : tl) {
     for (std::size_t i = 1; i < segs.size(); ++i)
       EXPECT_EQ(segs[i].begin, segs[i - 1].end);
   }
-  const std::string out = render_timeline(p.sim.extrapolated);
+  const std::string out = render_timeline(p.sim.extrapolated());
   EXPECT_FALSE(out.empty());
 }
 

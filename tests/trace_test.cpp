@@ -88,32 +88,6 @@ TEST(TraceTest, SplitAndMergeRoundTrip) {
   EXPECT_EQ(merged.meta("program"), "demo");
 }
 
-TEST(TraceTest, SplitViewsMatchSplitByThread) {
-  Trace t = valid_trace();
-  t.sort_by_time();
-  const auto parts = t.split_by_thread();
-  const auto views = t.split_views();
-  ASSERT_EQ(views.size(), parts.size());
-  for (std::size_t v = 0; v < views.size(); ++v) {
-    EXPECT_EQ(views[v].thread(), static_cast<int>(v));
-    ASSERT_EQ(views[v].size(), parts[v].size());
-    std::size_t prev = 0;
-    for (std::size_t i = 0; i < views[v].size(); ++i) {
-      // Same events in the same per-thread order, with zero copies.
-      EXPECT_EQ(views[v][i].str(), parts[v][i].str());
-      EXPECT_EQ(&views[v][i], &t[views[v].merged_index(i)]);
-      if (i > 0) EXPECT_GT(views[v].merged_index(i), prev);
-      prev = views[v].merged_index(i);
-    }
-  }
-  // The views partition the merged trace: every event is in exactly one.
-  std::size_t total = 0;
-  for (const auto& v : views) total += v.size();
-  EXPECT_EQ(total, t.size());
-  EXPECT_TRUE(Trace(2).split_views().size() == 2);
-  EXPECT_THROW(Trace().split_views(), util::Error);
-}
-
 TEST(TraceTest, EndTime) {
   EXPECT_EQ(valid_trace().end_time(), Time::ns(410));
   EXPECT_EQ(Trace(1).end_time(), Time::zero());

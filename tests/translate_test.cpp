@@ -1,10 +1,19 @@
 // Unit tests for trace translation (§3.2) — the timestamp-adjustment
-// algorithm at the heart of the extrapolation.
+// algorithm at the heart of the extrapolation — and for its two forms:
+// lower_measured() (the compiled form, in one pass) and translate() (its
+// expansion into per-thread traces).
 #include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <sstream>
+#include <string>
 
 #include "core/translate.hpp"
 #include "rt/collection.hpp"
 #include "rt/runtime.hpp"
+#include "suite/suite.hpp"
+#include "trace/trace_io.hpp"
 #include "util/error.hpp"
 
 namespace xp::core {
@@ -129,17 +138,6 @@ TEST(Translate, OverheadRemovalCanBeDisabled) {
   opt.remove_event_overhead = false;
   const auto parts = translate(t, opt);
   EXPECT_EQ(parts[0].events()[1].time, Time::us(12));
-}
-
-TEST(Translate, OverheadOverride) {
-  Trace t(1);
-  t.set_meta("event_overhead_ns", "2000");
-  t.append(ev(0, 0, EventKind::ThreadBegin));
-  t.append(ev(12, 0, EventKind::ThreadEnd));
-  TranslateOptions opt;
-  opt.event_overhead_override = Time::us(4);
-  const auto parts = translate(t, opt);
-  EXPECT_EQ(parts[0].events()[1].time, Time::us(8));
 }
 
 TEST(Translate, NegativeDeltasClampToZero) {
@@ -313,6 +311,251 @@ TEST(Translate, RealProgramInvariants) {
       max_entry = util::max(max_entry, entry[static_cast<size_t>(t)]);
     }
     for (int t = 0; t < 5; ++t) EXPECT_EQ(exit_[static_cast<size_t>(t)], max_entry);
+  }
+}
+
+// --- lower_measured() and the translate() bytes it must reproduce ---------
+
+const char* const kCodes[] = {"embar", "cyclic", "sparse", "grid",
+                              "mgrid", "poisson", "sort"};
+const char* const kGoldens[] = {"grid_n4.xpt", "pattern_mapreduce_n2.xpt",
+                                "pattern_pipeline_n2.xpt",
+                                "pattern_taskpool_n2.xpt",
+                                "pipestencil_long_n4.xpt"};
+
+Trace measure_code(const std::string& code, int n) {
+  auto prog = suite::make_by_name(code);
+  rt::MeasureOptions mo;
+  mo.n_threads = n;
+  return rt::measure(*prog, mo);
+}
+
+Trace golden(const std::string& name) {
+  return trace::load(std::string(XP_GOLDEN_DIR) + "/" + name);
+}
+
+// A 3-thread trace carrying every piece of tracer perturbation the
+// translation removes: a per-event overhead larger than some gaps (those
+// deltas clamp to zero) and a flush every 4th recorded event.  Its merged
+// order is one no single processor produces — thread 0 leaves barrier 0
+// before thread 2 arrives — which validation allows and translation must
+// not depend on.
+Trace perturbed_trace() {
+  Trace t(3);
+  t.set_meta("event_overhead_ns", "700");
+  t.set_meta("flush_every", "4");
+  t.set_meta("flush_cost_ns", "3000");
+  auto add = [&](std::int64_t ns, int th, EventKind k, int bar = -1,
+                 int peer = -1, std::int64_t obj = -1, int decl = 0,
+                 int act = 0) {
+    Event e;
+    e.time = Time::ns(ns);
+    e.thread = th;
+    e.kind = k;
+    e.barrier_id = bar;
+    e.peer = peer;
+    e.object = obj;
+    e.declared_bytes = decl;
+    e.actual_bytes = act;
+    t.append(e);
+  };
+  add(0, 0, EventKind::ThreadBegin);
+  add(5000, 0, EventKind::RemoteRead, -1, 1, 7, 16, 16);
+  add(9000, 0, EventKind::BarrierEntry, 0);
+  add(9500, 1, EventKind::ThreadBegin);
+  add(12000, 1, EventKind::PhaseBegin, -1, -1, 3);
+  add(12300, 1, EventKind::PhaseEnd, -1, -1, 3);
+  add(20000, 1, EventKind::BarrierEntry, 0);
+  add(20500, 0, EventKind::BarrierExit, 0);
+  add(21000, 0, EventKind::RemoteWrite, -1, 2, 11, 16, 8);
+  add(21500, 2, EventKind::ThreadBegin);
+  add(30000, 2, EventKind::BarrierEntry, 0);
+  add(30000, 2, EventKind::BarrierExit, 0);
+  add(30100, 1, EventKind::BarrierExit, 0);
+  add(31000, 0, EventKind::BarrierEntry, 1);
+  add(33000, 2, EventKind::RemoteRead, -1, 0, 2, 32, 32);
+  add(36000, 2, EventKind::BarrierEntry, 1);
+  add(38000, 1, EventKind::BarrierEntry, 1);
+  add(38000, 1, EventKind::BarrierExit, 1);
+  add(38200, 0, EventKind::BarrierExit, 1);
+  add(38400, 2, EventKind::BarrierExit, 1);
+  add(40000, 2, EventKind::ThreadEnd);
+  add(41000, 0, EventKind::ThreadEnd);
+  add(45000, 1, EventKind::RemoteRead, -1, 1, 5, 8, 8);
+  add(47000, 1, EventKind::ThreadEnd);
+  return t;
+}
+
+TranslateOptions keep_overhead() {
+  TranslateOptions opt;
+  opt.remove_event_overhead = false;
+  return opt;
+}
+
+/// Differing fields between two compiled forms, each counted once per
+/// array element; the first few are described in `log`.
+int compiled_diffs(const CompiledTrace& a, const CompiledTrace& b,
+                   std::string& log) {
+  int diffs = 0;
+  auto diff = [&](bool same, const std::string& what) {
+    if (same) return;
+    if (++diffs <= 5) log += what + "; ";
+  };
+  diff(a.n_threads == b.n_threads, "n_threads");
+  diff(a.uniform_barriers == b.uniform_barriers, "uniform_barriers");
+  diff(a.ideal_time == b.ideal_time, "ideal_time");
+  diff(a.threads.size() == b.threads.size(), "thread count");
+  for (std::size_t t = 0; t < std::min(a.threads.size(), b.threads.size());
+       ++t) {
+    const CompiledThread& x = a.threads[t];
+    const CompiledThread& y = b.threads[t];
+    const std::string at = "thread " + std::to_string(t) + " ";
+    diff(x.ops == y.ops, at + "ops");
+    diff(x.pre_delta == y.pre_delta, at + "pre_delta");
+    diff(x.barrier_ids == y.barrier_ids, at + "barrier_ids");
+    diff(x.proto == y.proto, at + "proto");
+    diff(x.remotes.size() == y.remotes.size(), at + "remote count");
+    for (std::size_t r = 0; r < std::min(x.remotes.size(), y.remotes.size());
+         ++r) {
+      const RemoteRec& p = x.remotes[r];
+      const RemoteRec& q = y.remotes[r];
+      diff(p.object == q.object && p.peer == q.peer &&
+               p.declared_bytes == q.declared_bytes &&
+               p.actual_bytes == q.actual_bytes && p.is_write == q.is_write,
+           at + "remote " + std::to_string(r));
+    }
+    diff(x.segments.size() == y.segments.size(), at + "segment count");
+    for (std::size_t k = 0;
+         k < std::min(x.segments.size(), y.segments.size()); ++k) {
+      const Segment& p = x.segments[k];
+      const Segment& q = y.segments[k];
+      diff(p.op_begin == q.op_begin && p.op_end == q.op_end &&
+               p.remote_begin == q.remote_begin &&
+               p.remote_end == q.remote_end && p.presum == q.presum &&
+               p.nonself_remotes == q.nonself_remotes &&
+               p.nonself_declared_bytes == q.nonself_declared_bytes &&
+               p.nonself_actual_bytes == q.nonself_actual_bytes,
+           at + "segment " + std::to_string(k));
+    }
+  }
+  const EpochClassTable& p = a.epoch_classes;
+  const EpochClassTable& q = b.epoch_classes;
+  diff(p.fingerprint == q.fingerprint, "epoch fingerprints");
+  diff(p.class_of == q.class_of, "epoch classes");
+  diff(p.exemplar == q.exemplar, "epoch exemplars");
+  diff(p.count == q.count, "epoch class counts");
+  return diffs;
+}
+
+void expect_lowering_matches(const Trace& measured,
+                             const TranslateOptions& opt,
+                             const std::string& what) {
+  const std::vector<Trace> parts = translate(measured, opt);
+  std::string log;
+  EXPECT_EQ(compiled_diffs(lower_measured(measured, opt),
+                           CompiledTrace::compile(parts), log),
+            0)
+      << what << ": " << log;
+  EXPECT_EQ(lower_measured(measured, opt).ideal_time,
+            ideal_parallel_time(parts))
+      << what;
+}
+
+// The one-pass lowering equals compiling the per-thread translation, field
+// by field: every compiled array, the proto times, the segment table, the
+// epoch classes and the ideal time.  With the digest table below pinning
+// translate()'s bytes, this pins lower_measured() to the two-step path.
+TEST(LowerMeasured, MatchesTranslateThenCompile) {
+  for (const char* code : kCodes)
+    for (const int n : {1, 2, 4, 16, 64, 256})
+      expect_lowering_matches(measure_code(code, n), {},
+                              std::string(code) + "/" + std::to_string(n));
+  for (const char* name : kGoldens)
+    expect_lowering_matches(golden(name), {}, name);
+  expect_lowering_matches(perturbed_trace(), {}, "perturbed");
+  expect_lowering_matches(perturbed_trace(), keep_overhead(),
+                          "perturbed, overhead kept");
+}
+
+TEST(LowerMeasured, ValidatesInput) {
+  Trace bad(1);
+  bad.append(ev(0, 0, EventKind::BarrierExit, 0));
+  EXPECT_THROW(lower_measured(bad), util::TraceError);
+}
+
+struct TranslateDigest {
+  const char* source;  ///< code name, golden file, or "perturbed[/kept]"
+  int n;               ///< measured thread count; 0 for other sources
+  std::uint64_t fnv;
+};
+
+// FNV-1a of trace_io::write_binary of every translated thread trace, in
+// thread order.  Recorded from the per-thread translator that preceded
+// lower_measured(); translate() is now its expansion and must reproduce
+// every byte.
+// clang-format off
+constexpr TranslateDigest kTranslateDigests[] = {
+    {"embar", 1, 0x7c8371de00724acbull},
+    {"embar", 4, 0x0041df67809cfb24ull},
+    {"embar", 16, 0x46721a74431c1450ull},
+    {"cyclic", 1, 0x40d31387aa633151ull},
+    {"cyclic", 4, 0xce465fba212694d4ull},
+    {"cyclic", 16, 0xe208702eb445486aull},
+    {"sparse", 1, 0xe197ff2278534118ull},
+    {"sparse", 4, 0xf444c90d92d26b10ull},
+    {"sparse", 16, 0x272f571505c7b3c0ull},
+    {"grid", 1, 0x70a0bb9ff2256f56ull},
+    {"grid", 4, 0x1c07a9629b1bcd2cull},
+    {"grid", 16, 0x404ce225eb13dba2ull},
+    {"mgrid", 1, 0xc6f8ee73cc41f713ull},
+    {"mgrid", 4, 0x624a3048dccce069ull},
+    {"mgrid", 16, 0x08e18625e5d0cbf3ull},
+    {"poisson", 1, 0xe09cc0c5d0b6c2a8ull},
+    {"poisson", 4, 0x092ab73b23fd41c1ull},
+    {"poisson", 16, 0x83c0f4e6fa0ab02full},
+    {"sort", 1, 0x9cf4fe2c5a0ebf6bull},
+    {"sort", 4, 0x787bdf502e6fc97dull},
+    {"sort", 16, 0x83f0903f56b838cdull},
+    {"grid_n4.xpt", 0, 0xf6c70e25f2daf969ull},
+    {"pattern_mapreduce_n2.xpt", 0, 0x1ba603efb050deedull},
+    {"pattern_pipeline_n2.xpt", 0, 0x8686e07aa19ebef7ull},
+    {"pattern_taskpool_n2.xpt", 0, 0x45a92791009979b1ull},
+    {"pipestencil_long_n4.xpt", 0, 0x2c4e483570a9db4full},
+    {"perturbed", 0, 0x36c241c97f8846dcull},
+    {"perturbed/kept", 0, 0x3ec0a447016d2a54ull},
+};
+// clang-format on
+
+std::uint64_t translated_digest(const std::vector<Trace>& parts) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const Trace& p : parts) {
+    std::ostringstream os(std::ios::binary);
+    trace::write_binary(p, os);
+    for (const unsigned char c : os.str()) {
+      h ^= c;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+TEST(TranslateDigest, TranslatedTracesAreByteIdentical) {
+  for (const TranslateDigest& d : kTranslateDigests) {
+    const std::string source = d.source;
+    std::vector<Trace> parts;
+    if (d.n > 0)
+      parts = translate(measure_code(source, d.n));
+    else if (source == "perturbed")
+      parts = translate(perturbed_trace());
+    else if (source == "perturbed/kept")
+      parts = translate(perturbed_trace(), keep_overhead());
+    else
+      parts = translate(golden(source));
+    const std::uint64_t got = translated_digest(parts);
+    char row[128];
+    std::snprintf(row, sizeof row, "{\"%s\", %d, 0x%016" PRIx64 "ull},",
+                  d.source, d.n, got);
+    EXPECT_EQ(got, d.fnv) << "translated trace moved; new row: " << row;
   }
 }
 

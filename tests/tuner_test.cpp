@@ -26,7 +26,7 @@ TEST(Tuner, PollTuneFindsTheMinimumOfItsCandidates) {
   params.comm.comm_startup = Time::us(100);
   const std::vector<Time> candidates{Time::us(25), Time::us(100),
                                      Time::us(1000)};
-  const PollTuneResult r = tune_poll_interval(*tt.compiled, params, candidates);
+  const PollTuneResult r = tune_poll_interval(tt.compiled, params, candidates);
   ASSERT_EQ(r.tried.size(), 3u);
   for (const auto& [iv, t] : r.tried) {
     EXPECT_GE(t, r.best_time);
@@ -46,8 +46,8 @@ TEST(Tuner, DefaultCandidatesAreSaneAndOrdered) {
 TEST(Tuner, RejectsBadCandidates) {
   const TranslatedTrace tt = cyclic_prepared(4);
   auto params = model::distributed_preset();
-  EXPECT_THROW(tune_poll_interval(*tt.compiled, params, {}), util::Error);
-  EXPECT_THROW(tune_poll_interval(*tt.compiled, params, {Time::zero()}),
+  EXPECT_THROW(tune_poll_interval(tt.compiled, params, {}), util::Error);
+  EXPECT_THROW(tune_poll_interval(tt.compiled, params, {Time::zero()}),
                util::Error);
 }
 
@@ -55,7 +55,7 @@ TEST(Tuner, ChoosesBestOfThreePolicies) {
   const TranslatedTrace tt = cyclic_prepared(8);
   auto params = model::distributed_preset();
   params.comm.comm_startup = Time::us(100);
-  const PolicyChoice c = choose_service_policy(*tt.compiled, params);
+  const PolicyChoice c = choose_service_policy(tt.compiled, params);
   // The chosen policy's time is the min of the three reported times.
   EXPECT_EQ(c.predicted,
             util::min(c.no_interrupt_time,
@@ -77,7 +77,7 @@ TEST(Tuner, EveryTimeEqualsPredictBitwise) {
     const std::vector<Time> candidates{Time::us(50), Time::us(100),
                                        Time::us(500), Time::us(1000)};
     const PolicyChoice c =
-        choose_service_policy(*tt.compiled, params, candidates);
+        choose_service_policy(tt.compiled, params, candidates);
 
     SimParams p = params;
     p.proc.policy = model::ServicePolicy::NoInterrupt;
@@ -98,7 +98,7 @@ TEST(Tuner, EveryTimeEqualsPredictBitwise) {
 TEST(Tuner, TuningNeverWorseThanArbitraryInterval) {
   const TranslatedTrace tt = cyclic_prepared(8);
   auto params = model::distributed_preset();
-  const PollTuneResult tuned = tune_poll_interval(*tt.compiled, params);
+  const PollTuneResult tuned = tune_poll_interval(tt.compiled, params);
   params.proc.policy = model::ServicePolicy::Poll;
   params.proc.poll_interval = Time::us(137);  // arbitrary untuned choice
   const Time arbitrary = predict(tt, params).predicted_time;
@@ -108,8 +108,8 @@ TEST(Tuner, TuningNeverWorseThanArbitraryInterval) {
 TEST(Tuner, DeterministicChoice) {
   const TranslatedTrace tt = cyclic_prepared(4);
   const auto params = model::distributed_preset();
-  const PolicyChoice a = choose_service_policy(*tt.compiled, params);
-  const PolicyChoice b = choose_service_policy(*tt.compiled, params);
+  const PolicyChoice a = choose_service_policy(tt.compiled, params);
+  const PolicyChoice b = choose_service_policy(tt.compiled, params);
   EXPECT_EQ(a.policy, b.policy);
   EXPECT_EQ(a.predicted, b.predicted);
   EXPECT_EQ(a.poll.best_interval, b.poll.best_interval);
