@@ -4,7 +4,7 @@
 //
 //  1. Warm cache: once the per-thread-count traces are measured and
 //     translated, the simulations of a what-if grid are independent and
-//     fan out across the work-stealing pool with near-linear speedup.
+//     fan out across the pool's one LPT queue with near-linear speedup.
 //  2. Cold cache: the (measure -> translate -> compile) jobs of all
 //     distinct thread counts fan across the same pool, each submitting
 //     its cells once its trace is ready, so END-TO-END sweeps scale too.
@@ -13,7 +13,9 @@
 // 10 processor counts; the cold end-to-end run takes ~0.4 s at 1 worker
 // on a 4-vCPU x86-64 container) through SweepRunner at 1/2/4/8 workers and
 // report wall-clock speedup over the 1-worker run, plus a bitwise check
-// that every worker count produced identical predictions.  The e2e rows
+// that every worker count produced identical predictions.  The warm runs
+// are taken rep-major after two seconds of untimed warm-up fan-outs; the
+// cold runs worker-major.  The e2e rows
 // carry the per-stage breakdown — CPU-second sums (work done; flat CPU
 // across worker counts means contention-free scaling), per-stage wall
 // clocks and every core::SimCounters field.
@@ -22,8 +24,10 @@
 // speedup at 4 workers with measure CPU-seconds <= 1.3x the 1-worker run;
 // on >= 8 CPUs also >= 5x e2e at 8 workers; on every host,
 // bitwise-identical predictions.
+#include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <set>
 
 #include "core/sweep.hpp"
 #include "common.hpp"
@@ -105,36 +109,46 @@ int main() {
 
   const std::vector<int> worker_counts = {1, 2, 4, 8};
 
+  // Warm cache: untimed fan-outs at the largest worker count for at least
+  // two seconds, then best-of-3 taken rep-major (each rep walks 1, 2, 4 and
+  // 8 workers).  On a 4-vCPU VM guest, fan-outs that start after an idle
+  // spell run no faster at 8 workers than at 1 for the first ~1.3 s of
+  // load, so a shorter warm-up lets that slow phase reach the timed
+  // multi-worker runs; rep-major order spreads any noise left over every
+  // worker count.
   const int reps = 3;  // best-of to shave scheduler noise
+  const auto warm_run = [&](int workers) {
+    core::SweepOptions opt;
+    opt.n_workers = workers;
+    core::SweepRunner runner(opt);
+    for (const auto& [n, t] : traces) runner.seed_trace(t);
+    const auto start = std::chrono::steady_clock::now();
+    const core::SweepResult result = runner.run_grid(procs, machines, labels);
+    return std::make_pair(seconds_since(start), fingerprint(result));
+  };
+  const auto warmup0 = std::chrono::steady_clock::now();
+  while (seconds_since(warmup0) < 2.0) (void)warm_run(worker_counts.back());
   std::map<int, double> best_s;
-  double seq_best = 0.0;
+  std::set<int> differs;  // worker counts whose predictions differ
   std::string seq_fp;
-  bool all_match = true;
+  for (int workers : worker_counts) best_s[workers] = 1e30;
+  for (int r = 0; r < reps; ++r) {
+    for (int workers : worker_counts) {
+      const auto [s, fp] = warm_run(workers);
+      if (seq_fp.empty()) seq_fp = fp;  // the first 1-worker run
+      best_s[workers] = std::min(best_s[workers], s);
+      if (fp != seq_fp) differs.insert(workers);
+    }
+  }
+  const double seq_best = best_s.at(1);
+  const bool all_match = differs.empty();
   std::cout << "-- warm cache (simulation fan-out only) --\n";
   std::cout << "  workers      best of " << reps << "      speedup   grid\n";
   for (int workers : worker_counts) {
-    double best = 1e30;
-    std::string fp;
-    for (int r = 0; r < reps; ++r) {
-      core::SweepOptions opt;
-      opt.n_workers = workers;
-      core::SweepRunner runner(opt);
-      for (const auto& [n, t] : traces) runner.seed_trace(t);
-      t0 = std::chrono::steady_clock::now();
-      const core::SweepResult result = runner.run_grid(procs, machines, labels);
-      const double s = seconds_since(t0);
-      if (s < best) best = s;
-      fp = fingerprint(result);
-    }
-    best_s[workers] = best;
-    if (workers == 1) {
-      seq_best = best;
-      seq_fp = fp;
-    }
-    if (fp != seq_fp) all_match = false;
+    const double best = best_s.at(workers);
     std::printf("  %7d   %9.3f s   %8.2fx   %zu points%s\n", workers, best,
                 seq_best / best, grid_points,
-                fp == seq_fp ? "" : "   !! PREDICTIONS DIFFER");
+                differs.count(workers) ? "   !! PREDICTIONS DIFFER" : "");
     bench::JsonRow("sweep", "sweep_grid_workers_" + std::to_string(workers))
         .field("seconds", best)
         .field("speedup_vs_sequential", seq_best / best)

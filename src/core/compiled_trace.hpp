@@ -128,7 +128,7 @@ struct ThreadLowering {
 /// / actual / is_write — NOT the object id, which never enters a cost),
 /// and terminator kind.  Barrier ids are deliberately EXCLUDED: they name
 /// barrier instances, not costs, so iteration k and iteration k+1 of the
-/// same loop body land in the same class.  `fingerprint` is an FNV-1a hash
+/// same loop body land in the same class.  `fingerprint` is a 64-bit hash
 /// of that content; classes are only merged after a full structural
 /// comparison of the exemplars, so hash collisions can never merge
 /// distinct epochs (they only cost a comparison).  The final epoch

@@ -296,7 +296,7 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
   // to the same pool.  Every task writes only its own grid slots, so
   // completion order never reaches the result; the first exception is kept
   // and rethrown once the pool has drained, and later tasks skip their
-  // work.  Both kinds of job are LPT-ordered by the pool's injector:
+  // work.  Both kinds of job are LPT-ordered by the pool's one queue:
   // preparation jobs by n (measurement cost grows with n), cells by
   // cell_cost_hint (simulation cost is linear in replayed events),
   // ties in submission order.  A preparation job's hint is n * 2^64, above

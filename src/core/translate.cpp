@@ -211,18 +211,18 @@ Time ideal_parallel_time(const std::vector<trace::Trace>& translated) {
 
 namespace {
 
-/// 64-bit FNV-1a over 8-byte words.  Mixing whole words (not a substring
-/// of the value's bytes) keeps the fingerprint sensitive to field order —
-/// thread index, op kinds, intervals, and remote fields each land in their
-/// own word, so permuting fields across threads or records changes the
-/// hash.
-struct Fnv64 {
+/// 64-bit structural hash, one xor-multiply-xorshift step per 8-byte
+/// word.  Mixing whole words (not a substring of the value's bytes) keeps
+/// the fingerprint sensitive to field order — thread index, op kinds,
+/// intervals, and remote fields each land in their own word, so permuting
+/// fields across threads or records changes the hash.  Each step is a
+/// bijection of the state for a fixed word; collisions only cost a
+/// structural comparison (build_epoch_classes verifies before merging).
+struct EpochHash {
   std::uint64_t h = 14695981039346656037ull;
   void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFFu;
-      h *= 1099511628211ull;
-    }
+    h = (h ^ v) * 0xbf58476d1ce4e5b9ull;
+    h ^= h >> 31;
   }
   void mix_i64(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
 };
@@ -234,7 +234,7 @@ const Segment& epoch_segment(const CompiledTrace& ct, std::size_t t,
 
 /// Thread `t`'s share of an epoch fingerprint: mixed into the epoch's hash
 /// once per thread, in thread order.
-void mix_thread_segment(Fnv64& f, const CompiledThread& th, std::size_t t,
+void mix_thread_segment(EpochHash& f, const CompiledThread& th, std::size_t t,
                         const Segment& seg) {
   // The thread index anchors each per-thread signature: the same work
   // moved to a different thread is a different epoch shape (barrier
@@ -261,7 +261,7 @@ std::uint64_t epoch_fingerprint(const CompiledTrace& ct, std::int64_t epoch) {
   XP_REQUIRE(!ct.threads.empty() && epoch >= 0 &&
                  epoch < static_cast<std::int64_t>(ct.threads[0].segments.size()),
              "epoch index out of range");
-  Fnv64 f;
+  EpochHash f;
   for (std::size_t t = 0; t < ct.threads.size(); ++t)
     mix_thread_segment(f, ct.threads[t], t, epoch_segment(ct, t, epoch));
   return f.h;
@@ -307,7 +307,7 @@ EpochClassTable build_epoch_classes(const CompiledTrace& ct) {
   // segments in order: the same mix calls as epoch_fingerprint(ct, e) per
   // epoch, without an epoch-by-epoch walk that touches every thread's
   // arrays once per epoch.
-  std::vector<Fnv64> fps(static_cast<std::size_t>(epochs));
+  std::vector<EpochHash> fps(static_cast<std::size_t>(epochs));
   for (std::size_t t = 0; t < ct.threads.size(); ++t) {
     const CompiledThread& th = ct.threads[t];
     for (std::size_t e = 0; e < fps.size(); ++e)

@@ -66,7 +66,7 @@ Time ideal_parallel_time(const std::vector<trace::Trace>& translated);
 // shared read-only by every simulation of a sweep, exactly like the
 // segment table itself.
 
-/// FNV-1a structural fingerprint of epoch `epoch` (segment index): per
+/// 64-bit structural fingerprint of epoch `epoch` (segment index): per
 /// thread, the thread index, every op kind and unscaled compute interval of
 /// the segment, and every remote record's (peer, declared_bytes,
 /// actual_bytes, is_write).  Excludes barrier ids (instance names, not

@@ -14,16 +14,6 @@ double efficiency(double speedup_value, int n) {
   return speedup_value / static_cast<double>(n);
 }
 
-double comm_comp_ratio(const SimResult& r) {
-  Time comm, comp;
-  for (const auto& t : r.threads) {
-    comm += t.comm_wait + t.send_overhead;
-    comp += t.compute;
-  }
-  if (comp <= Time::zero()) return 0.0;
-  return comm / comp;
-}
-
 Breakdown breakdown(const SimResult& r) {
   Breakdown b;
   const double n = static_cast<double>(r.threads.size());
@@ -56,14 +46,6 @@ Curve to_speedup_curve(const std::string& label, const std::vector<int>& procs,
   c.values.reserve(times.size());
   for (const Time& t : times) c.values.push_back(speedup(times.front(), t));
   return c;
-}
-
-std::size_t argmin(const std::vector<double>& values) {
-  XP_REQUIRE(!values.empty(), "argmin of empty vector");
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < values.size(); ++i)
-    if (values[i] < values[best]) best = i;
-  return best;
 }
 
 std::size_t argmin_time(const std::vector<Time>& values) {

@@ -20,9 +20,6 @@ double speedup(Time t1, Time tn);
 /// speedup / n.
 double efficiency(double speedup_value, int n);
 
-/// Total comm time (reply waits + send overheads) over total compute.
-double comm_comp_ratio(const SimResult& r);
-
 /// Fraction of aggregate processor-time spent in each activity class.
 struct Breakdown {
   double compute = 0.0;
@@ -50,9 +47,8 @@ struct Curve {
 Curve to_speedup_curve(const std::string& label, const std::vector<int>& procs,
                        const std::vector<Time>& times);
 
-/// Index of the minimum value (e.g. the processor count delivering minimum
-/// execution time, Figure 7).
-std::size_t argmin(const std::vector<double>& values);
+/// Index of the minimum time (e.g. the processor count delivering minimum
+/// execution time, Figure 7); the first on ties.
 std::size_t argmin_time(const std::vector<Time>& values);
 
 }  // namespace xp::metrics

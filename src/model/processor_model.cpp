@@ -9,12 +9,6 @@ Time scale_compute(const ProcessorParams& p, Time measured) {
   return measured * p.mips_ratio;
 }
 
-std::vector<Time> poll_chunks(const ProcessorParams& p, Time scaled) {
-  std::vector<Time> out;
-  poll_chunks_into(p, scaled, out);
-  return out;
-}
-
 void poll_chunks_into(const ProcessorParams& p, Time scaled,
                       std::vector<Time>& out) {
   XP_REQUIRE(!scaled.is_negative(), "negative computation interval");

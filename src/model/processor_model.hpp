@@ -17,13 +17,11 @@ namespace xp::model {
 Time scale_compute(const ProcessorParams& p, Time measured);
 
 /// Chunk boundaries for one *scaled* computation interval under the Poll
-/// policy: returns chunk lengths (each <= poll_interval, summing to
-/// `scaled`).  Non-Poll policies return the whole interval as one chunk.
-/// Zero-length intervals return an empty vector.
-std::vector<Time> poll_chunks(const ProcessorParams& p, Time scaled);
-
-/// Same chunking into a caller-owned buffer (cleared first), so the
-/// simulator's per-event hot path reuses one allocation per thread.
+/// policy: fills `out` (cleared first) with chunk lengths, each <=
+/// poll_interval and summing to `scaled`.  Non-Poll policies yield the
+/// whole interval as one chunk; zero-length intervals yield none.  The
+/// buffer is caller-owned so the simulator's per-event hot path reuses one
+/// allocation per thread.
 void poll_chunks_into(const ProcessorParams& p, Time scaled,
                       std::vector<Time>& out);
 

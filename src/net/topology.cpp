@@ -77,13 +77,6 @@ int Topology::hops(int a, int b) const {
   return 1;
 }
 
-int Topology::diameter() const {
-  int d = 0;
-  for (int a = 0; a < n_; ++a)
-    for (int b = a + 1; b < n_; ++b) d = std::max(d, hops(a, b));
-  return d;
-}
-
 double Topology::capacity() const {
   const double p = static_cast<double>(n_);
   switch (kind_) {

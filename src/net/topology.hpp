@@ -34,9 +34,6 @@ class Topology {
   /// Number of network hops between two processors (0 for a == b).
   int hops(int a, int b) const;
 
-  /// Maximum hop count over all pairs (network diameter).
-  int diameter() const;
-
   /// A rough bisection-width proxy used to normalize the contention model:
   /// the number of messages the network can carry concurrently without
   /// noticeable queueing.

@@ -1,6 +1,5 @@
 #include "pattern/extrap_writer.hpp"
 
-#include <fstream>
 #include <limits>
 #include <map>
 #include <ostream>
@@ -55,13 +54,6 @@ void write_extrap(const Experiment& e, std::ostream& os) {
     }
     os << '\n';
   }
-}
-
-void save_extrap(const Experiment& e, const std::string& path) {
-  std::ofstream os(path);
-  XP_REQUIRE(os.good(), "cannot open for write: " + path);
-  write_extrap(e, os);
-  XP_REQUIRE(os.good(), "write failed: " + path);
 }
 
 }  // namespace xp::pattern

@@ -30,7 +30,4 @@ namespace xp::pattern {
 
 void write_extrap(const Experiment& e, std::ostream& os);
 
-/// Convenience: write_extrap to a file; throws util::Error on IO failure.
-void save_extrap(const Experiment& e, const std::string& path);
-
 }  // namespace xp::pattern

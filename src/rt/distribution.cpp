@@ -124,19 +124,6 @@ std::int64_t Distribution::owned_count(int thread) const {
   return n;
 }
 
-int Distribution::active_threads() const {
-  std::vector<bool> seen(static_cast<std::size_t>(n_threads_), false);
-  int n = 0;
-  for (std::int64_t i = 0; i < size(); ++i) {
-    const int o = owner(i);
-    if (!seen[static_cast<std::size_t>(o)]) {
-      seen[static_cast<std::size_t>(o)] = true;
-      ++n;
-    }
-  }
-  return n;
-}
-
 std::string Distribution::str() const {
   std::ostringstream os;
   if (is_2d_) {

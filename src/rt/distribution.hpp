@@ -61,9 +61,6 @@ class Distribution {
   std::vector<std::int64_t> owned_by(int thread) const;
   std::int64_t owned_count(int thread) const;
 
-  /// Number of threads owning at least one element.
-  int active_threads() const;
-
   std::string str() const;
 
  private:

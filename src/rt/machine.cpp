@@ -8,20 +8,6 @@
 
 namespace xp::rt {
 
-HostMachine sun4_host() {
-  HostMachine m;
-  m.mflops = 1.1360;
-  m.name = "sun4";
-  return m;
-}
-
-HostMachine cm5_node_host() {
-  HostMachine m;
-  m.mflops = 2.7645;
-  m.name = "cm5-node";
-  return m;
-}
-
 double calibrate_mflops(int iterations) {
   XP_REQUIRE(iterations > 0, "calibration needs at least one iteration");
   // A simple floating-point benchmark in the paper's spirit: a daxpy-like

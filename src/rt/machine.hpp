@@ -48,13 +48,6 @@ struct HostMachine {
   std::string name = "sun4";
 };
 
-/// The paper's measurement host.
-HostMachine sun4_host();
-
-/// The CM-5 scalar rating quoted in §3.3.1 (2.7645 MFLOPS), useful when a
-/// trace is recorded "as if" on CM-5-speed processors.
-HostMachine cm5_node_host();
-
 /// Rate THIS machine with a simple floating-point benchmark (the way the
 /// paper rated the Sun 4 and the CM-5 node), for use with
 /// ClockMode::HostClock: the returned MFLOPS becomes the measured

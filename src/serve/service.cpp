@@ -413,6 +413,8 @@ void Service::dispatch_batch(const Frame& frame, Completion done) {
   }
 
   queue_depth_.fetch_add(count);
+  // Unhinted submits from the dispatcher thread: the pool runs a batch's
+  // queries FIFO, behind the batches already queued.
   for (std::uint32_t i = 0; i < count; ++i) {
     pool_->submit([this, st, i] {
       // Results land by BATCH INDEX; completion order never shows in the

@@ -4,7 +4,8 @@
 // the per-source core::TranslateCache instances (kept hot for the
 // process lifetime and SHARED across connections — two sessions over the
 // same uploaded trace or benchmark name resolve to one cache), the
-// work-stealing util::ThreadPool the query batches fan out over, and the
+// util::ThreadPool the query batches fan out over (one FIFO queue for the
+// daemon's unhinted tasks, submitted from the dispatcher thread), and the
 // stats counters.  The socket layer (serve/server.hpp) only moves frames;
 // tests and the QPS benchmark can drive a Service entirely in-process.
 //

@@ -55,45 +55,10 @@ double percentile(std::vector<double> samples, double p) {
   return samples[lo] + (samples[hi] - samples[lo]) * frac;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  XP_REQUIRE(bins > 0, "histogram needs at least one bin");
-  XP_REQUIRE(hi > lo, "histogram range must be nonempty");
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_) * static_cast<double>(counts_.size());
-  std::int64_t i = static_cast<std::int64_t>(t);
-  i = std::clamp<std::int64_t>(i, 0,
-                               static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(i)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double geomean(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += std::log(x);
-  return std::exp(s / static_cast<double>(xs.size()));
-}
-
 double mean(const std::vector<double>& xs) {
   if (xs.empty()) return 0.0;
   double s = 0.0;
   for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
-double variance(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  const double m = mean(xs);
-  double s = 0.0;
-  for (double x : xs) s += (x - m) * (x - m);
   return s / static_cast<double>(xs.size());
 }
 

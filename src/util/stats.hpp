@@ -32,34 +32,10 @@ class RunningStat {
 /// Exact percentile (linear interpolation) over a copy of the samples.
 double percentile(std::vector<double> samples, double p);
 
-/// Fixed-bin histogram over [lo, hi); values outside clamp to the end bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_[i]; }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const { return bin_low(i + 1); }
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
-/// Geometric mean of positive samples (0 if empty).
-double geomean(const std::vector<double>& xs);
-
 // Regression helpers shared by metrics::scalability and xp::fit -----------
 
 /// Arithmetic mean (0 if empty).
 double mean(const std::vector<double>& xs);
-
-/// Population variance around the mean (0 if empty).
-double variance(const std::vector<double>& xs);
 
 /// Euclidean norm; the column-scaling factor for normal-equation solves.
 double l2_norm(const std::vector<double>& xs);

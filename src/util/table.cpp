@@ -55,33 +55,6 @@ std::string Table::to_text() const {
   return os.str();
 }
 
-namespace {
-std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char ch : s) {
-    if (ch == '"') out += '"';
-    out += ch;
-  }
-  out += '"';
-  return out;
-}
-}  // namespace
-
-std::string Table::to_csv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      os << csv_escape(row[c]);
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return os.str();
-}
-
 void Table::print(std::ostream& os) const { os << to_text(); }
 
 void print_banner(std::ostream& os, const std::string& title) {

@@ -1,7 +1,7 @@
-// Plain-text table and CSV rendering for bench harnesses and reports.
+// Plain-text table rendering for bench harnesses and reports.
 //
 // The bench binaries regenerate the paper's tables/figure series as aligned
-// text tables (for the terminal) and CSV (for replotting).
+// text tables for the terminal.
 #pragma once
 
 #include <cstddef>
@@ -30,8 +30,6 @@ class Table {
 
   /// Aligned monospace rendering with a header rule.
   std::string to_text() const;
-  /// RFC-4180-ish CSV (quotes cells containing comma/quote/newline).
-  std::string to_csv() const;
 
   void print(std::ostream& os) const;
 

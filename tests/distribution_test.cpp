@@ -10,11 +10,18 @@
 namespace xp::rt {
 namespace {
 
+// Number of threads owning at least one element.
+int active_threads(const Distribution& d) {
+  int n = 0;
+  for (int t = 0; t < d.n_threads(); ++t) n += d.owned_count(t) > 0;
+  return n;
+}
+
 TEST(Dist1D, BlockOwners) {
   const auto d = Distribution::d1(Dist::Block, 8, 4);
   // ceil(8/4) = 2 per thread.
   for (int i = 0; i < 8; ++i) EXPECT_EQ(d.owner(i), i / 2);
-  EXPECT_EQ(d.active_threads(), 4);
+  EXPECT_EQ(active_threads(d), 4);
 }
 
 TEST(Dist1D, BlockUneven) {
@@ -29,7 +36,7 @@ TEST(Dist1D, BlockUneven) {
 
 TEST(Dist1D, BlockFewerElementsThanThreads) {
   const auto d = Distribution::d1(Dist::Block, 3, 8);
-  EXPECT_EQ(d.active_threads(), 3);
+  EXPECT_EQ(active_threads(d), 3);
   EXPECT_EQ(d.owned_count(7), 0);
 }
 
@@ -41,7 +48,7 @@ TEST(Dist1D, CyclicOwners) {
 TEST(Dist1D, WholeOwnsEverythingOnThread0) {
   const auto d = Distribution::d1(Dist::Whole, 10, 4);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(d.owner(i), 0);
-  EXPECT_EQ(d.active_threads(), 1);
+  EXPECT_EQ(active_threads(d), 1);
 }
 
 TEST(Dist2D, SquareFloorGeometry) {
@@ -50,16 +57,16 @@ TEST(Dist2D, SquareFloorGeometry) {
       Distribution::d2(Dist::Block, Dist::Block, 8, 8, 8);
   EXPECT_EQ(d8.grid().rows, 2);
   EXPECT_EQ(d8.grid().cols, 2);
-  EXPECT_EQ(d8.active_threads(), 4);
+  EXPECT_EQ(active_threads(d8), 4);
 
   const auto d16 = Distribution::d2(Dist::Block, Dist::Block, 8, 8, 16);
   EXPECT_EQ(d16.grid().rows, 4);
-  EXPECT_EQ(d16.active_threads(), 16);
+  EXPECT_EQ(active_threads(d16), 16);
 
   const auto d32 = Distribution::d2(Dist::Block, Dist::Block, 8, 8, 32);
   EXPECT_EQ(d32.grid().rows, 5);  // floor(sqrt(32))
   // 8 rows of blocks over 5 coords with block=ceil(8/5)=2 -> coords 0..3.
-  EXPECT_EQ(d32.active_threads(), 16);
+  EXPECT_EQ(active_threads(d32), 16);
 }
 
 TEST(Dist2D, SquareFloorIdenticalFor4And8) {
@@ -73,7 +80,7 @@ TEST(Dist2D, FactoredGeometryUsesAllProcessors) {
   const auto d = Distribution::d2(Dist::Block, Dist::Block, 8, 8, 8,
                                   Geometry::Factored);
   EXPECT_EQ(d.grid().total(), 8);
-  EXPECT_EQ(d.active_threads(), 8);
+  EXPECT_EQ(active_threads(d), 8);
 }
 
 TEST(Dist2D, WholeCollapsesADimension) {
@@ -88,7 +95,7 @@ TEST(Dist2D, WholeCollapsesADimension) {
 
 TEST(Dist2D, WholeWholeIsSerial) {
   const auto d = Distribution::d2(Dist::Whole, Dist::Whole, 8, 8, 16);
-  EXPECT_EQ(d.active_threads(), 1);
+  EXPECT_EQ(active_threads(d), 1);
 }
 
 TEST(Dist2D, CyclicBlockMix) {

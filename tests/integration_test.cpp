@@ -194,19 +194,18 @@ TEST(Integration, PredictionTracksMachineAcrossDistributions) {
   suite::SuiteConfig cfg;
   cfg.matmul_n = 8;
   Extrapolator x(model::cm5_preset());
-  std::vector<double> pred, act;
+  std::vector<Time> pred, act;
   const rt::Dist kDists[] = {rt::Dist::Block, rt::Dist::Whole};
   for (rt::Dist a : kDists)
     for (rt::Dist b : kDists) {
       auto p1 = suite::make_matmul(a, b, cfg);
-      pred.push_back(x.extrapolate(*p1, 4).predicted_time.to_us());
+      pred.push_back(x.extrapolate(*p1, 4).predicted_time);
       auto p2 = suite::make_matmul(a, b, cfg);
       act.push_back(
-          machine::run_on_machine(*p2, 4, machine::cm5_machine())
-              .exec_time.to_us());
+          machine::run_on_machine(*p2, 4, machine::cm5_machine()).exec_time);
     }
   // Same best choice.
-  EXPECT_EQ(metrics::argmin(pred), metrics::argmin(act));
+  EXPECT_EQ(metrics::argmin_time(pred), metrics::argmin_time(act));
   // Every prediction within a factor of 2 of the machine.
   for (std::size_t i = 0; i < pred.size(); ++i) {
     EXPECT_GT(pred[i] / act[i], 0.5) << i;

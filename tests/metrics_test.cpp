@@ -37,12 +37,6 @@ core::SimResult fake_result() {
   return r;
 }
 
-TEST(Metrics, CommCompRatio) {
-  const core::SimResult r = fake_result();
-  // comm = 2 + 1 (waits + sends); comp = 10.
-  EXPECT_DOUBLE_EQ(comm_comp_ratio(r), 0.3);
-}
-
 TEST(Metrics, BreakdownSumsToOne) {
   const Breakdown b = breakdown(fake_result());
   EXPECT_NEAR(b.compute + b.comm_wait + b.barrier_wait + b.service +
@@ -68,9 +62,9 @@ TEST(Metrics, SpeedupCurve) {
 }
 
 TEST(Metrics, Argmin) {
-  EXPECT_EQ(argmin({3.0, 1.0, 2.0}), 1u);
   EXPECT_EQ(argmin_time({Time::ms(5), Time::ms(2), Time::ms(9)}), 1u);
-  EXPECT_THROW(argmin({}), util::Error);
+  EXPECT_EQ(argmin_time({Time::ms(2), Time::ms(7), Time::ms(2)}), 0u);
+  EXPECT_THROW(argmin_time({}), util::Error);
 }
 
 TEST(Report, PredictionRendering) {

@@ -183,7 +183,8 @@ TEST(ProcessorModel, PollChunksSplitExactly) {
   ProcessorParams p;
   p.policy = ServicePolicy::Poll;
   p.poll_interval = Time::us(100);
-  const auto chunks = poll_chunks(p, Time::us(250));
+  std::vector<Time> chunks;
+  poll_chunks_into(p, Time::us(250), chunks);
   ASSERT_EQ(chunks.size(), 3u);
   EXPECT_EQ(chunks[0], Time::us(100));
   EXPECT_EQ(chunks[1], Time::us(100));
@@ -197,7 +198,8 @@ TEST(ProcessorModel, PollChunkExactMultiple) {
   ProcessorParams p;
   p.policy = ServicePolicy::Poll;
   p.poll_interval = Time::us(100);
-  const auto chunks = poll_chunks(p, Time::us(200));
+  std::vector<Time> chunks;
+  poll_chunks_into(p, Time::us(200), chunks);
   ASSERT_EQ(chunks.size(), 2u);
   EXPECT_EQ(chunks[1], Time::us(100));
 }
@@ -205,10 +207,12 @@ TEST(ProcessorModel, PollChunkExactMultiple) {
 TEST(ProcessorModel, NonPollIsSingleChunk) {
   ProcessorParams p;
   p.policy = ServicePolicy::Interrupt;
-  const auto chunks = poll_chunks(p, Time::us(500));
+  std::vector<Time> chunks;
+  poll_chunks_into(p, Time::us(500), chunks);
   ASSERT_EQ(chunks.size(), 1u);
   EXPECT_EQ(chunks[0], Time::us(500));
-  EXPECT_TRUE(poll_chunks(p, Time::zero()).empty());
+  poll_chunks_into(p, Time::zero(), chunks);  // the buffer is cleared first
+  EXPECT_TRUE(chunks.empty());
 }
 
 TEST(ProcessorModel, ThreadToProcMapping) {

@@ -283,11 +283,13 @@ TEST(EpochClasses, SuiteWorkloadsBitwiseAcrossModes) {
 }
 
 // build_epoch_classes fingerprints all epochs in one pass over the threads.
-// It must give exactly the table of the epoch-by-epoch grouping below: the
-// same fingerprints, bitwise, and the same classes, exemplars and counts.
+// Its fingerprints must equal epoch_fingerprint's, bitwise, and its classes,
+// exemplars and counts must equal a grouping that never looks at a hash
+// (each epoch joins the first earlier exemplar it is identical to), so the
+// choice of hash can only cost comparisons, never change a class.
 TEST(EpochClasses, ThreadPassMatchesEpochByEpochGrouping) {
   for (const std::string& bench : suite::benchmark_names()) {
-    for (const int n : {4, 16}) {
+    for (const int n : {4, 16, 256}) {
       SCOPED_TRACE(bench + " n=" + std::to_string(n));
       const CompiledTrace ct =
           CompiledTrace::compile(core::translate(measured(bench, n)));
@@ -299,9 +301,7 @@ TEST(EpochClasses, ThreadPassMatchesEpochByEpochGrouping) {
         ref.fingerprint.push_back(core::epoch_fingerprint(ct, e));
         std::int32_t cls = -1;
         for (std::size_t c = 0; c < ref.exemplar.size() && cls < 0; ++c)
-          if (ref.fingerprint[static_cast<std::size_t>(ref.exemplar[c])] ==
-                  ref.fingerprint.back() &&
-              core::epochs_identical(ct, ref.exemplar[c], e))
+          if (core::epochs_identical(ct, ref.exemplar[c], e))
             cls = static_cast<std::int32_t>(c);
         if (cls < 0) {
           cls = static_cast<std::int32_t>(ref.exemplar.size());

@@ -1,21 +1,21 @@
-// Stress battery for the work-stealing util::ThreadPool (PR 6 rebuild).
+// Stress battery for util::ThreadPool, the one-queue LPT pool.
 //
 // The pool's contract (util/thread_pool.hpp): every submitted task runs
 // exactly once on some worker; wait() covers everything submitted so far,
 // including tasks submitted BY running tasks; one pool serves many batches
-// back to back; hinted submits drain in descending cost order (LPT); and
-// none of it is allowed to lose, duplicate, or reorder-by-index any work.
-// The whole battery runs under TSan in CI — the Chase–Lev deque's atomics
-// are exactly the kind of code a sanitizer has to hold honest.
+// back to back; every submit, from a pool task or from outside, joins one
+// queue that drains in descending cost order (LPT) with ties in submission
+// order; and none of it is allowed to lose, duplicate, or reorder-by-index
+// any work.  The whole battery runs under TSan in CI, which holds the
+// queue's single lock and its two condition variables honest.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -66,59 +66,24 @@ TEST(ThreadPool, SubmitFromInsideATaskIsCoveredByWait) {
   EXPECT_EQ(leaves.load(), kRoots * kChildren * kGrandchildren);
 }
 
-TEST(ThreadPool, CurrentWorkerIndexInsideAndOutside) {
-  EXPECT_EQ(ThreadPool::current_worker(), -1);
-  ThreadPool pool(3);
-  std::mutex mu;
-  std::set<int> seen;
-  for (int i = 0; i < 64; ++i) {
-    pool.submit([&] {
-      const int w = ThreadPool::current_worker();
-      std::lock_guard<std::mutex> lock(mu);
-      seen.insert(w);
-    });
-  }
-  pool.wait();
-  EXPECT_EQ(ThreadPool::current_worker(), -1);
-  for (int w : seen) {
-    EXPECT_GE(w, 0);
-    EXPECT_LT(w, 3);
-  }
-}
-
-// Steal-heavy skewed workload: ONE task (pinned to whichever worker claims
-// it) spawns the entire fan-out into its own deque.  The other workers see
-// an empty injector and must steal to participate; every spawned task must
-// still run exactly once.
-TEST(ThreadPool, StealHeavySkewedFanOut) {
+// Nested fan-out: ONE task spawns the entire fan-out from inside the pool.
+// Every spawned task must run exactly once, and wait() must cover them all.
+TEST(ThreadPool, NestedFanOutRunsEveryTaskOnce) {
   constexpr int kWorkers = 4;
   constexpr int kTasks = 4096;
   ThreadPool pool(kWorkers);
   std::vector<std::atomic<int>> ran(kTasks);
   for (auto& r : ran) r.store(0);
-  std::mutex mu;
-  std::set<int> workers_seen;
 
   pool.submit([&] {
-    for (int i = 0; i < kTasks; ++i) {
-      pool.submit([&, i] {
-        ran[static_cast<std::size_t>(i)].fetch_add(1);
-        const int w = ThreadPool::current_worker();
-        std::lock_guard<std::mutex> lock(mu);
-        workers_seen.insert(w);
-      });
-    }
+    for (int i = 0; i < kTasks; ++i)
+      pool.submit([&, i] { ran[static_cast<std::size_t>(i)].fetch_add(1); });
   });
   pool.wait();
 
   for (int i = 0; i < kTasks; ++i)
     ASSERT_EQ(ran[static_cast<std::size_t>(i)].load(), 1)
         << "task " << i << " lost or duplicated";
-  // Thieves joined in (guaranteed on multi-core hosts; on a 1-CPU host the
-  // spawner may legitimately finish everything itself).
-  if (std::thread::hardware_concurrency() >= 2) {
-    EXPECT_GE(workers_seen.size(), 1u);
-  }
 }
 
 // The exception-stashing pattern the pool's "tasks must not throw"
@@ -178,44 +143,110 @@ TEST(ThreadPool, TenThousandTaskChurn) {
   EXPECT_EQ(sum.load(), expected);
 }
 
+// Holds a one-worker pool's worker busy: occupy() submits a task that
+// blocks until release() and returns only once the worker is running it,
+// so later submits queue up instead of being claimed as they arrive.  The
+// blocked task runs `then` after its release, still on the worker.
+class WorkerGate {
+ public:
+  void occupy(ThreadPool& pool, std::function<void()> then = [] {}) {
+    pool.submit([this, then = std::move(then)] {
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        started_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+      }
+      then();
+    });
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return started_; });
+  }
+
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool started_ = false;
+  bool released_ = false;
+};
+
+// Records task ids in the order the pool runs them.
+struct RunOrder {
+  std::mutex mu;
+  std::vector<int> ids;
+  void record(int id) {
+    std::lock_guard<std::mutex> lock(mu);
+    ids.push_back(id);
+  }
+};
+
 // LPT hints: with one worker and a blocked queue, hinted tasks must drain
 // in descending cost order regardless of submission order, and unhinted
 // tasks keep FIFO order among themselves behind the hinted ones.
 TEST(ThreadPool, CostHintsDrainLargestFirst) {
   ThreadPool pool(1);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-
-  // Occupy the single worker so subsequent submits queue up in the
-  // injector instead of being consumed as they arrive.
-  pool.submit([&] {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return release; });
-  });
-
-  std::vector<int> order;
-  std::mutex order_mu;
-  const auto record = [&](int id) {
-    std::lock_guard<std::mutex> lock(order_mu);
-    order.push_back(id);
-  };
+  WorkerGate gate;
+  gate.occupy(pool);
+  RunOrder order;
   // Submitted smallest-first on purpose; hints must invert the order.
-  pool.submit([&] { record(1); }, 1.0);
-  pool.submit([&] { record(2); }, 2.0);
-  pool.submit([&] { record(3); }, 3.0);
-  pool.submit([&] { record(4); }, 4.0);
+  pool.submit([&] { order.record(1); }, 1.0);
+  pool.submit([&] { order.record(2); }, 2.0);
+  pool.submit([&] { order.record(3); }, 3.0);
+  pool.submit([&] { order.record(4); }, 4.0);
   // Unhinted (hint 0) tasks trail the hinted ones, FIFO among themselves.
-  pool.submit([&] { record(100); });
-  pool.submit([&] { record(101); });
+  pool.submit([&] { order.record(100); });
+  pool.submit([&] { order.record(101); });
 
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
+  gate.release();
   pool.wait();
-  EXPECT_EQ(order, (std::vector<int>{4, 3, 2, 1, 100, 101}));
+  EXPECT_EQ(order.ids, (std::vector<int>{4, 3, 2, 1, 100, 101}));
+}
+
+// One queue for every submitter: a task submitted from inside a running
+// task queues behind the work already waiting, in the same LPT order as an
+// external submit (hinted work by descending hint, unhinted work FIFO after
+// it), rather than jumping ahead of it on the submitting worker.
+TEST(ThreadPool, NestedSubmitsQueueBehindWaitingWork) {
+  ThreadPool pool(1);
+  WorkerGate gate;
+  RunOrder order;
+  // Once released, the worker submits from inside the pool one unhinted
+  // task and one hinted task.
+  gate.occupy(pool, [&] {
+    pool.submit([&] { order.record(99); });
+    pool.submit([&] { order.record(15); }, 1.5);
+  });
+  // Queued from outside while the worker is busy.
+  pool.submit([&] { order.record(1); }, 1.0);
+  pool.submit([&] { order.record(2); }, 2.0);
+  pool.submit([&] { order.record(100); });
+
+  gate.release();
+  pool.wait();
+  EXPECT_EQ(order.ids, (std::vector<int>{2, 15, 1, 100, 99}));
+}
+
+// wait() from inside one of the pool's own tasks would wait for itself.
+TEST(ThreadPool, WaitFromInsideATaskIsRefused) {
+  ThreadPool pool(2);
+  std::atomic<bool> refused{false};
+  pool.submit([&] {
+    try {
+      pool.wait();
+    } catch (const util::Error&) {
+      refused.store(true);
+    }
+  });
+  pool.wait();
+  EXPECT_TRUE(refused.load());
 }
 
 // Destruction with queued work: "pending tasks are still executed first".

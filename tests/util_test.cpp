@@ -250,24 +250,6 @@ TEST(Percentile, RejectsBadInput) {
   EXPECT_THROW(percentile({1.0}, 101), Error);
 }
 
-TEST(HistogramTest, BinsAndClamps) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);  // clamps to bin 0
-  h.add(0.5);
-  h.add(9.9);
-  h.add(15.0);  // clamps to last bin
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(4), 10.0);
-}
-
-TEST(Geomean, KnownValues) {
-  EXPECT_DOUBLE_EQ(geomean({4.0, 9.0}), 6.0);
-  EXPECT_EQ(geomean({}), 0.0);
-}
-
 // --- table --------------------------------------------------------------
 
 TEST(TableTest, AlignedTextOutput) {
@@ -278,14 +260,6 @@ TEST(TableTest, AlignedTextOutput) {
   EXPECT_NE(out.find("name"), std::string::npos);
   EXPECT_NE(out.find("alpha"), std::string::npos);
   EXPECT_NE(out.find("---"), std::string::npos);
-}
-
-TEST(TableTest, CsvEscaping) {
-  Table t({"a", "b"});
-  t.add_row({"x,y", "quote\"inside"});
-  const std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("\"x,y\""), std::string::npos);
-  EXPECT_NE(csv.find("\"quote\"\"inside\""), std::string::npos);
 }
 
 TEST(TableTest, RejectsMismatchedRow) {
