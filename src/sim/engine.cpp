@@ -111,7 +111,8 @@ bool Engine::advance_to_live() {
 void Engine::fire_front() {
   // Front invariant: every front entry has t == base_, so only the slot
   // needs loading and the fire time is base_ itself.
-  const std::uint32_t slot = front_[cur_++].slot;
+  const std::uint32_t slot = front_[cur_].slot;
+  firing_ = front_[cur_++].seq;
   // Invalidate before firing so cancel() of the firing event (from inside
   // its own callback) is a checked no-op.
   meta_[slot].seq = 0;

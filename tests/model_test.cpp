@@ -183,14 +183,14 @@ TEST(ProcessorModel, PollChunksSplitExactly) {
   ProcessorParams p;
   p.policy = ServicePolicy::Poll;
   p.poll_interval = Time::us(100);
-  std::vector<Time> chunks;
-  poll_chunks_into(p, Time::us(250), chunks);
-  ASSERT_EQ(chunks.size(), 3u);
-  EXPECT_EQ(chunks[0], Time::us(100));
-  EXPECT_EQ(chunks[1], Time::us(100));
-  EXPECT_EQ(chunks[2], Time::us(50));
+  const Time scaled = Time::us(250);
+  ASSERT_EQ(poll_boundaries(p, scaled), 2);
+  EXPECT_EQ(poll_chunk(p, scaled, 0), Time::us(100));
+  EXPECT_EQ(poll_chunk(p, scaled, 1), Time::us(100));
+  EXPECT_EQ(poll_chunk(p, scaled, 2), Time::us(50));
   Time sum;
-  for (const Time& c : chunks) sum += c;
+  for (std::int64_t j = 0; j <= poll_boundaries(p, scaled); ++j)
+    sum += poll_chunk(p, scaled, j);
   EXPECT_EQ(sum, Time::us(250));
 }
 
@@ -198,21 +198,17 @@ TEST(ProcessorModel, PollChunkExactMultiple) {
   ProcessorParams p;
   p.policy = ServicePolicy::Poll;
   p.poll_interval = Time::us(100);
-  std::vector<Time> chunks;
-  poll_chunks_into(p, Time::us(200), chunks);
-  ASSERT_EQ(chunks.size(), 2u);
-  EXPECT_EQ(chunks[1], Time::us(100));
+  ASSERT_EQ(poll_boundaries(p, Time::us(200)), 1);
+  EXPECT_EQ(poll_chunk(p, Time::us(200), 1), Time::us(100));
 }
 
 TEST(ProcessorModel, NonPollIsSingleChunk) {
   ProcessorParams p;
   p.policy = ServicePolicy::Interrupt;
-  std::vector<Time> chunks;
-  poll_chunks_into(p, Time::us(500), chunks);
-  ASSERT_EQ(chunks.size(), 1u);
-  EXPECT_EQ(chunks[0], Time::us(500));
-  poll_chunks_into(p, Time::zero(), chunks);  // the buffer is cleared first
-  EXPECT_TRUE(chunks.empty());
+  ASSERT_EQ(poll_boundaries(p, Time::us(500)), 0);
+  EXPECT_EQ(poll_chunk(p, Time::us(500), 0), Time::us(500));
+  p.policy = ServicePolicy::Poll;  // an empty interval has no boundary
+  EXPECT_EQ(poll_boundaries(p, Time::zero()), 0);
 }
 
 TEST(ProcessorModel, ThreadToProcMapping) {
