@@ -19,6 +19,14 @@
 // Gates (exit code): every served prediction is bitwise-deterministic,
 // none errors, and peak throughput clears 1000 QPS.  One JSON row per
 // client count (section "serve") carries qps, p50_us and p99_us.
+//
+// Work rows: before the timed phases, the fixture's 4-processor query is
+// simulated in-process the way the daemon runs it (Auto, no trace) under
+// every preset at MIPS ratios 1 and 4.  One row each (section
+// "serve_work") carries the engine events fired and the poll checks
+// charged.  Both are exact counts, so host noise cannot move them: each
+// engine_events is gated at <= its value in bench/work_golden.json, and a
+// change that lowers one updates the table.
 #include <stdlib.h>
 #include <unistd.h>
 
@@ -34,6 +42,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "model/params_io.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "trace/trace_io.hpp"
@@ -51,6 +60,45 @@ serve::Query query_for(std::size_t i) {
   q.mips_ratio = kMipsRatios[i % (sizeof(kMipsRatios) / sizeof(*kMipsRatios))];
   q.params_text = "preset = distributed";
   return q;
+}
+
+/// The serve_work rows and their gates (see the header).
+void work_rows(const trace::Trace& measured) {
+  const core::TranslatedTrace prepared = core::prepare_trace(measured);
+  std::cout << "\n-- work per query (grid_n4.xpt, 4 processors) --\n"
+               "  preset        mips   engine_events      polls   golden\n";
+  std::vector<std::pair<std::string, bool>> gates;
+  for (const char* preset :
+       {"ideal", "distributed", "shared", "cm5", "paragon", "sp1", "sgi"}) {
+    for (const double mips : {1.0, 4.0}) {
+      model::SimParams params = model::preset_by_name(preset);
+      params.proc.mips_ratio = mips;
+      core::SimOptions opts;
+      opts.emit_trace = false;
+      const core::SimResult sim = core::predict(prepared, params, opts).sim;
+      std::int64_t polls = 0;
+      for (const core::ThreadStats& t : sim.threads) polls += t.polls;
+      const auto events = static_cast<std::int64_t>(sim.engine_events);
+      const std::string key = std::string("serve_work_") + preset +
+                              "_mips_" + std::to_string(int(mips));
+      const std::int64_t golden =
+          bench::work_golden(XP_WORK_GOLDEN, key, "engine_events");
+      std::printf("  %-12s %5.0f   %13lld   %8lld   %6lld\n", preset, mips,
+                  static_cast<long long>(events),
+                  static_cast<long long>(polls),
+                  static_cast<long long>(golden));
+      bench::JsonRow("serve_work", key)
+          .field("engine_events", events)
+          .field("polls", polls)
+          .emit();
+      gates.emplace_back(key + " fires <= its committed " +
+                             std::to_string(golden) + " engine events (" +
+                             std::to_string(events) + ")",
+                         golden >= 0 && events <= golden);
+    }
+  }
+  std::cout << '\n';
+  for (const auto& [claim, holds] : gates) bench::gate(claim, holds);
 }
 
 double percentile(std::vector<double>& sorted_us, double p) {
@@ -78,6 +126,7 @@ int main() {
   try {
     std::ifstream golden(XP_GOLDEN_DIR "/grid_n4.xpt");
     const trace::Trace measured = trace::read_text(golden);
+    work_rows(measured);
 
     serve::ServerOptions opt;
     opt.unix_path = sock;

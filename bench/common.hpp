@@ -12,8 +12,12 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -129,6 +133,25 @@ inline void gate(const std::string& claim, bool holds) {
 
 /// main()'s return value: nonzero iff any gate failed.
 inline int exit_code() { return gate_failed ? 1 : 0; }
+
+/// The committed value of `field` in row `key` of a work table such as
+/// bench/work_golden.json (deterministic work counts a bench gates at <=
+/// the committed value), or -1 if the file, the row or the field is
+/// missing.  The table is flat: {"<key>": {"<field>": <integer>, ...}, ...}.
+inline std::int64_t work_golden(const std::string& path,
+                                const std::string& key,
+                                const std::string& field) {
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const auto row = text.find('"' + key + '"');
+  if (row == std::string::npos) return -1;
+  const auto end = text.find('}', row);
+  const auto at = text.find('"' + field + '"', row);
+  if (at == std::string::npos || at > end) return -1;
+  const auto colon = text.find(':', at);
+  return std::strtoll(text.c_str() + colon + 1, nullptr, 10);
+}
 
 /// One machine-readable result row, printed as a single-line JSON object
 /// that names the BENCH_sim.json section and key it merges into, then its

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <sstream>
 
@@ -235,6 +236,12 @@ TEST(PatternCompose, HeldOutPredictionMatchesDirectSimulation) {
       const double slack = 0.25 * direct;
       EXPECT_GE(direct, band.lo - slack) << "n=" << n;
       EXPECT_LE(direct, band.hi + slack) << "n=" << n;
+      // The point prediction itself is held to the same allowance.  At
+      // n = 12/16 it is off by 9.1/23.5% on pipestencil, 17.0/22.0% on
+      // mrhist and 0.1/6.8% on taskgraph, so abl_pattern_fit's 5.9-12.9%
+      // held-out errors (other sizes and training sets) cannot justify a
+      // tighter bound here.
+      EXPECT_LE(std::abs(composed - direct), slack) << "n=" << n;
     }
   }
 }
