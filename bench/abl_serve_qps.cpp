@@ -67,7 +67,6 @@ void work_rows(const trace::Trace& measured) {
   const core::TranslatedTrace prepared = core::prepare_trace(measured);
   std::cout << "\n-- work per query (grid_n4.xpt, 4 processors) --\n"
                "  preset        mips   engine_events      polls   golden\n";
-  std::vector<std::pair<std::string, bool>> gates;
   for (const char* preset :
        {"ideal", "distributed", "shared", "cm5", "paragon", "sp1", "sgi"}) {
     for (const double mips : {1.0, 4.0}) {
@@ -82,7 +81,7 @@ void work_rows(const trace::Trace& measured) {
       const std::string key = std::string("serve_work_") + preset +
                               "_mips_" + std::to_string(int(mips));
       const std::int64_t golden =
-          bench::work_golden(XP_WORK_GOLDEN, key, "engine_events");
+          bench::hold_work(XP_WORK_GOLDEN, key, "engine_events", events);
       std::printf("  %-12s %5.0f   %13lld   %8lld   %6lld\n", preset, mips,
                   static_cast<long long>(events),
                   static_cast<long long>(polls),
@@ -91,14 +90,10 @@ void work_rows(const trace::Trace& measured) {
           .field("engine_events", events)
           .field("polls", polls)
           .emit();
-      gates.emplace_back(key + " fires <= its committed " +
-                             std::to_string(golden) + " engine events (" +
-                             std::to_string(events) + ")",
-                         golden >= 0 && events <= golden);
     }
   }
   std::cout << '\n';
-  for (const auto& [claim, holds] : gates) bench::gate(claim, holds);
+  bench::gate_work();
 }
 
 double percentile(std::vector<double>& sorted_us, double p) {

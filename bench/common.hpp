@@ -22,6 +22,7 @@
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/extrapolator.hpp"
@@ -151,6 +152,26 @@ inline std::int64_t work_golden(const std::string& path,
   if (at == std::string::npos || at > end) return -1;
   const auto colon = text.find(':', at);
   return std::strtoll(text.c_str() + colon + 1, nullptr, 10);
+}
+
+/// Work-gate claims, held so a bench can print them after its tables.
+inline std::vector<std::pair<std::string, bool>> work_claims;
+
+/// Hold `value`, the `field` count of work row `key`, at <= its committed
+/// value in the work table at `path` (a missing entry fails); return the
+/// committed value.  gate_work() turns the held claims into gates.
+inline std::int64_t hold_work(const std::string& path, const std::string& key,
+                              const std::string& field, std::int64_t value) {
+  const std::int64_t golden = work_golden(path, key, field);
+  work_claims.emplace_back(key + " " + field + " " + std::to_string(value) +
+                               " <= committed " + std::to_string(golden),
+                           golden >= 0 && value <= golden);
+  return golden;
+}
+
+inline void gate_work() {
+  for (const auto& [claim, holds] : work_claims) gate(claim, holds);
+  work_claims.clear();
 }
 
 /// One machine-readable result row, printed as a single-line JSON object

@@ -120,8 +120,8 @@ struct ThreadLowering {
 /// Representative-epoch class table (DESIGN.md §15).  Iterative codes
 /// replay near-identical barrier-delimited epochs thousands of times; this
 /// table groups a trace set's epochs into classes of BIT-IDENTICAL content
-/// so the simulator's sampled path (SimMode::Auto) can walk one exemplar
-/// per class and multiply.
+/// so the simulator's fast paths (SimMode::Auto) can simulate one epoch per
+/// class and replay its recorded effect for the rest.
 ///
 /// Epoch e's content is the cross-thread tuple of segment e's op kinds,
 /// unscaled compute intervals (pre_delta), remote records (peer / declared

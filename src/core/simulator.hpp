@@ -68,16 +68,17 @@ struct ThreadStats {
 ///        the fallback.  When every segment collapses the engine never
 ///        starts (HybridStats::Path::PureAnalytic);
 ///      - representative-epoch sampling (DESIGN.md §15): on that
-///        engine-free path ONE exemplar per class of bit-identical epochs
-///        (the compile-time epoch-class table) is walked and the
-///        prediction composed as Σ class_count × exemplar advance; with a
-///        trace requested, each exemplar's emitted slice is replayed once
-///        per member epoch, time-shifted;
+///        engine-free path the epochs run in order, the first epoch of each
+///        class of bit-identical epochs (the compile-time epoch-class
+///        table) is walked, and every later epoch of the class replays the
+///        walk's recorded window;
 ///      - barrier-epoch memoization (DESIGN.md §16): under message
 ///        barriers, where nothing collapses, each window between two
 ///        quiescent barrier points is simulated once per epoch class and
-///        replayed from its recorded deltas (and, when a trace is
-///        requested, its recorded slice of emitted events, time-shifted).
+///        later windows of the class replay it.
+///      Both replay through one mechanism: a recorded window's stat
+///      deltas, traffic and (when a trace is requested) its slice of
+///      emitted events, time-shifted.
 ///
 /// Every path emits through one log of 16-byte {time, thread, op} records,
 /// one per op plus one per barrier exit.  SimResult keeps the log and
@@ -126,16 +127,14 @@ struct HybridStats {
 };
 
 /// How representative-epoch sampling fared on one run (SimMode::Auto over
-/// a fully-analytic trace; all zeros otherwise).  Every epoch's costs come
-/// from a bit-identical exemplar, so the prediction is bitwise-equal to
-/// full simulation.
+/// a fully-analytic trace; all zeros otherwise).  The first epoch of each
+/// class of bit-identical epochs is walked; every later one replays that
+/// walk's recorded effect, so the prediction is bitwise-equal to full
+/// simulation.
 struct SamplingStats {
-  bool active = false;             ///< the sampled path actually ran
-  std::int64_t epochs = 0;         ///< barrier-delimited epochs in the trace
-  std::int64_t classes = 0;        ///< bit-identical epoch classes
-  std::int64_t epochs_simulated = 0;    ///< exemplar walks performed
-  std::int64_t epochs_replayed = 0;     ///< non-recurring (count-1) epochs
-                                        ///  replayed exactly, warmup/teardown
+  bool active = false;      ///< the sampled path actually ran
+  std::int64_t epochs = 0;  ///< barrier-delimited epochs in the trace
+  std::int64_t epochs_simulated = 0;  ///< epochs walked: one per class
 };
 
 struct SimResult;
@@ -159,9 +158,7 @@ struct SimCounters {
   std::int64_t memo_misses = 0;
   std::int64_t cells_sampled = 0;  ///< cells on the sampled path
   std::int64_t epochs_total = 0;
-  std::int64_t epoch_classes = 0;
   std::int64_t epochs_simulated = 0;
-  std::int64_t epochs_replayed = 0;
 
   SimCounters& operator+=(const SimCounters& o);
   /// Count one run as one cell.
@@ -187,9 +184,7 @@ inline constexpr SimCounterField kSimCounterFields[] = {
     {"sim_memo_misses", &SimCounters::memo_misses},
     {"cells_sampled", &SimCounters::cells_sampled},
     {"sim_epochs_total", &SimCounters::epochs_total},
-    {"sim_epoch_classes", &SimCounters::epoch_classes},
     {"sim_epochs_simulated", &SimCounters::epochs_simulated},
-    {"sim_epochs_replayed", &SimCounters::epochs_replayed},
 };
 static_assert(sizeof(SimCounters) ==
                   std::size(kSimCounterFields) * sizeof(std::int64_t),

@@ -49,7 +49,6 @@ class Scheduler {
   /// May be called from a fiber or from scheduler-side hooks.
   void unblock(int id);
 
-  std::size_t fiber_count() const { return fibers_.size(); }
   std::size_t live_count() const;
   FiberState state_of(int id) const;
 

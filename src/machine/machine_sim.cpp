@@ -341,11 +341,10 @@ class MachineRuntime final : public rt::Runtime {
   void analytic_release(int id) {
     Bar& b = bars_[id];
     b.released = true;
-    const std::vector<Time> rel =
-        model::analytic_release(cfg_.params.barrier, b.arrivals);
+    const Time rel = model::analytic_release(cfg_.params.barrier, b.arrivals);
     for (int t = 0; t < n_; ++t) {
-      const Time at = util::max(rel[static_cast<std::size_t>(t)],
-                                b.arrivals[static_cast<std::size_t>(t)]);
+      const Time at =
+          util::max(rel, b.arrivals[static_cast<std::size_t>(t)]);
       engine_.schedule_at(util::max(at, engine_.now()), [this, t, at] {
         wake_thread(t, util::max(at, thr(t).busy_until));
       });

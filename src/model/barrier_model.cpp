@@ -35,18 +35,15 @@ BarrierPlan make_plan(BarrierAlg alg, int n_threads) {
   return plan;
 }
 
-std::vector<Time> analytic_release(const BarrierParams& p,
-                                   const std::vector<Time>& arrivals) {
+Time analytic_release(const BarrierParams& p,
+                      const std::vector<Time>& arrivals) {
   XP_REQUIRE(!arrivals.empty(), "no arrivals");
   const int n = static_cast<int>(arrivals.size());
   const Time last = *std::max_element(arrivals.begin(), arrivals.end());
   // The master checks once per arrival it has to observe.
   const Time lowered = last + p.check_time * static_cast<double>(n - 1) +
                        p.model_time;
-  std::vector<Time> out(arrivals.size());
-  for (std::size_t t = 0; t < arrivals.size(); ++t)
-    out[t] = lowered + p.exit_check_time + p.exit_time;
-  return out;
+  return lowered + p.exit_check_time + p.exit_time;
 }
 
 }  // namespace xp::model

@@ -40,11 +40,12 @@ struct BarrierPlan {
 BarrierPlan make_plan(BarrierAlg alg, int n_threads);
 
 /// Analytic release: given per-thread barrier arrival times (already
-/// including EntryTime), the time each thread exits a non-message barrier.
-/// Per Table 1 semantics: the master observes the last arrival (plus one
-/// CheckTime per arrival it checks), waits ModelTime, lowers the barrier;
-/// each thread leaves after ExitCheckTime + ExitTime.
-std::vector<Time> analytic_release(const BarrierParams& p,
-                                   const std::vector<Time>& arrivals);
+/// including EntryTime), the one instant every thread exits a non-message
+/// barrier.  Per Table 1 semantics: the master observes the last arrival
+/// (plus one CheckTime per arrival it checks), waits ModelTime, lowers the
+/// barrier; each thread leaves after ExitCheckTime + ExitTime.  The result
+/// is the last arrival plus constants.
+Time analytic_release(const BarrierParams& p,
+                      const std::vector<Time>& arrivals);
 
 }  // namespace xp::model

@@ -45,16 +45,13 @@ class Distribution {
 
   int n_threads() const { return n_threads_; }
   std::int64_t size() const { return rows_ * cols_; }
-  bool is_2d() const { return is_2d_; }
   std::int64_t rows() const { return rows_; }
   std::int64_t cols() const { return cols_; }
-  Dist dist_row() const { return drow_; }
-  Dist dist_col() const { return dcol_; }
   ProcGrid grid() const { return grid_; }
 
   /// Owner thread of a linear (row-major) element index.
   int owner(std::int64_t linear) const;
-  /// Owner thread of element (r, c); requires is_2d().
+  /// Owner thread of element (r, c); requires a d2() distribution.
   int owner_rc(std::int64_t r, std::int64_t c) const;
 
   /// Linear indices owned by `thread`, in row-major order.

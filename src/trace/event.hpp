@@ -44,9 +44,6 @@ enum class EventKind : std::uint8_t {
 const char* to_string(EventKind k);
 bool kind_from_string(const std::string& s, EventKind& out);
 
-constexpr bool is_barrier(EventKind k) {
-  return k == EventKind::BarrierEntry || k == EventKind::BarrierExit;
-}
 constexpr bool is_remote(EventKind k) {
   return k == EventKind::RemoteRead || k == EventKind::RemoteWrite;
 }

@@ -157,16 +157,14 @@ TEST(AnalyticRelease, Table1Semantics) {
   b.exit_check_time = Time::us(3);
   b.exit_time = Time::us(5);
   const std::vector<Time> arrivals{Time::us(100), Time::us(40), Time::us(70)};
-  const auto rel = analytic_release(b, arrivals);
-  // lowered = 100 + 2*2 + 10 = 114; each exit = 114 + 3 + 5 = 122.
-  for (const Time& r : rel) EXPECT_EQ(r, Time::us(122));
+  // lowered = 100 + 2*2 + 10 = 114; every exit = 114 + 3 + 5 = 122.
+  EXPECT_EQ(analytic_release(b, arrivals), Time::us(122));
 }
 
 TEST(AnalyticRelease, SingleThreadNoChecks) {
   BarrierParams b;
-  const auto rel = analytic_release(b, {Time::us(50)});
-  EXPECT_EQ(rel[0], Time::us(50) + b.model_time + b.exit_check_time +
-                        b.exit_time);
+  EXPECT_EQ(analytic_release(b, {Time::us(50)}),
+            Time::us(50) + b.model_time + b.exit_check_time + b.exit_time);
 }
 
 // --- processor model -------------------------------------------------------

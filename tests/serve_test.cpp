@@ -172,7 +172,7 @@ TEST(ServeProtocol, MalformedFramesThrow) {
   bad[4] = 0x33;
   EXPECT_THROW(try_parse_frame(bad), ProtocolError);
   // Another protocol version.
-  for (const int version : {0, 1, kProtocolVersion + 1}) {
+  for (const int version : {0, 1, 2, kProtocolVersion + 1}) {
     std::string other = encode_frame(MsgType::Stats, false, 1, "");
     other[5] = static_cast<char>(version);
     EXPECT_THROW(try_parse_frame(other), ProtocolError) << version;
@@ -928,7 +928,7 @@ TEST(ServeServer, UnknownTypesAndVersionsGetErrorReplies) {
   // version.
   WireWriter open;
   open.str("cyclic");
-  for (const int version : {0, 1, kProtocolVersion + 1}) {
+  for (const int version : {0, 1, 2, kProtocolVersion + 1}) {
     SCOPED_TRACE(version);
     std::string other = encode_frame(MsgType::OpenBench, false, 5, open.data());
     other[5] = static_cast<char>(version);

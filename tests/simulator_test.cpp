@@ -213,9 +213,8 @@ TEST(Simulator, AnalyticBarrierMatchesClosedForm) {
   // Arrivals (after entry time): 45 and 75.  lowered = 75 + 2 + 10 = 87;
   // exits at 87 + 3 + 4 = 94.  No compute after the barrier.
   EXPECT_EQ(r.makespan, Time::us(94));
-  const auto rel = model::analytic_release(
-      p.barrier, {Time::us(45), Time::us(75)});
-  EXPECT_EQ(rel[0], Time::us(94));
+  EXPECT_EQ(model::analytic_release(p.barrier, {Time::us(45), Time::us(75)}),
+            Time::us(94));
 }
 
 TEST(Simulator, MessageBarrierLinearProtocol) {
