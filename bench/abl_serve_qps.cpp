@@ -23,21 +23,25 @@
 // Work rows: before the timed phases, the fixture's 4-processor query is
 // simulated in-process the way the daemon runs it (Auto, no trace) under
 // every preset at MIPS ratios 1 and 4.  One row each (section
-// "serve_work") carries the engine events fired and the poll checks
-// charged.  Both are exact counts, so host noise cannot move them: each
-// engine_events is gated at <= its value in bench/work_golden.json, and a
-// change that lowers one updates the table.
+// "serve_work") carries the engine events fired, the poll checks charged
+// and the heap allocations made inside that core::predict (counted by the
+// operator new below, per thread).  All three are exact counts, so host
+// noise cannot move them: each engine_events and allocations is gated at
+// <= its value in bench/work_golden.json, and a change that lowers one
+// updates the table.
 #include <stdlib.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <cstdio>
 #include <deque>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <mutex>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -49,6 +53,25 @@
 #include "util/thread_pool.hpp"
 
 using namespace xp;
+
+namespace {
+/// Heap allocations made by this thread so far (operator new below).
+thread_local std::int64_t t_allocations = 0;
+}  // namespace
+
+// Count every allocation through the replaceable global operator new; the
+// aligned and nothrow forms are left to the library, which nothing on the
+// simulate path uses.
+void* operator new(std::size_t n) {
+  ++t_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -66,7 +89,8 @@ serve::Query query_for(std::size_t i) {
 void work_rows(const trace::Trace& measured) {
   const core::TranslatedTrace prepared = core::prepare_trace(measured);
   std::cout << "\n-- work per query (grid_n4.xpt, 4 processors) --\n"
-               "  preset        mips   engine_events      polls   golden\n";
+               "  preset        mips   engine_events      polls   "
+               "allocations\n";
   for (const char* preset :
        {"ideal", "distributed", "shared", "cm5", "paragon", "sp1", "sgi"}) {
     for (const double mips : {1.0, 4.0}) {
@@ -74,21 +98,24 @@ void work_rows(const trace::Trace& measured) {
       params.proc.mips_ratio = mips;
       core::SimOptions opts;
       opts.emit_trace = false;
+      const std::int64_t allocs_before = t_allocations;
       const core::SimResult sim = core::predict(prepared, params, opts).sim;
+      const std::int64_t allocations = t_allocations - allocs_before;
       std::int64_t polls = 0;
       for (const core::ThreadStats& t : sim.threads) polls += t.polls;
       const auto events = static_cast<std::int64_t>(sim.engine_events);
       const std::string key = std::string("serve_work_") + preset +
                               "_mips_" + std::to_string(int(mips));
-      const std::int64_t golden =
-          bench::hold_work(XP_WORK_GOLDEN, key, "engine_events", events);
-      std::printf("  %-12s %5.0f   %13lld   %8lld   %6lld\n", preset, mips,
+      bench::hold_work(XP_WORK_GOLDEN, key, "engine_events", events);
+      bench::hold_work(XP_WORK_GOLDEN, key, "allocations", allocations);
+      std::printf("  %-12s %5.0f   %13lld   %8lld   %11lld\n", preset, mips,
                   static_cast<long long>(events),
                   static_cast<long long>(polls),
-                  static_cast<long long>(golden));
+                  static_cast<long long>(allocations));
       bench::JsonRow("serve_work", key)
           .field("engine_events", events)
           .field("polls", polls)
+          .field("allocations", allocations)
           .emit();
     }
   }
