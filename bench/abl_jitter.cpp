@@ -7,6 +7,7 @@
 // prediction errors and the best-distribution agreement degrade —
 // quantifying how much real-machine noise the conclusion tolerates.
 #include "common.hpp"
+#include "util/stats.hpp"
 
 using namespace xp;
 using namespace xp::bench;

@@ -9,6 +9,7 @@
 // predictions should stay within a small factor and preserve the ordering
 // of the codes by cost.
 #include "common.hpp"
+#include "util/stats.hpp"
 
 using namespace xp;
 using namespace xp::bench;

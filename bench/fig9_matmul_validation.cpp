@@ -10,6 +10,7 @@
 // the distributions; the predicted best choice is the measured best (or
 // within a few percent of its time) at every processor count.
 #include "common.hpp"
+#include "util/stats.hpp"
 
 using namespace xp;
 using namespace xp::bench;

@@ -22,14 +22,17 @@ double ContentionTracker::multiplier() const {
 }
 
 void ContentionTracker::inject() {
-  samples_.add(static_cast<double>(inflight_));
-  if (log_) log_->push_back(inflight_);
+  ++injections_;
+  load_sum_ += inflight_;
   ++inflight_;
 }
 
-void ContentionTracker::replay_samples(
-    const std::vector<std::int32_t>& samples) {
-  for (const std::int32_t s : samples) samples_.add(static_cast<double>(s));
+double ContentionTracker::mean_load() const {
+  // Both counts stay far below 2^53, so each converts exactly and the
+  // quotient is the correctly rounded mean.
+  return injections_ == 0 ? 0.0
+                          : static_cast<double>(load_sum_) /
+                                static_cast<double>(injections_);
 }
 
 void ContentionTracker::deliver() {

@@ -16,10 +16,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "net/topology.hpp"
-#include "util/stats.hpp"
 
 namespace xp::net {
 
@@ -44,22 +42,28 @@ class ContentionTracker {
   void deliver();
 
   int inflight() const { return inflight_; }
-  /// Load statistics sampled at each injection (for reports).
-  const util::RunningStat& load_samples() const { return samples_; }
+  /// Messages injected, and the sum over them of the in-flight count each
+  /// saw: the load statistic for reports, kept in integers so that traffic
+  /// replayed in bulk (replay) adds exactly what its injections would.
+  std::int64_t injections() const { return injections_; }
+  std::int64_t load_sum() const { return load_sum_; }
+  /// Mean in-flight count at injection (0 before the first), correctly
+  /// rounded.
+  double mean_load() const;
 
-  /// While `log` is non-null, also append each injection's load sample
-  /// (the in-flight count it saw) to it, in injection order.
-  void log_samples(std::vector<std::int32_t>* log) { log_ = log; }
-  /// Add logged samples to the load statistics in order: the same
-  /// RunningStat, bit for bit, as injecting their messages again.
-  void replay_samples(const std::vector<std::int32_t>& samples);
+  /// Account for `messages` injections whose in-flight counts sum to
+  /// `load_sum`, without simulating them.
+  void replay(std::int64_t messages, std::int64_t load_sum) {
+    injections_ += messages;
+    load_sum_ += load_sum;
+  }
 
  private:
   ContentionParams p_;
   double capacity_;
   int inflight_ = 0;
-  util::RunningStat samples_;
-  std::vector<std::int32_t>* log_ = nullptr;
+  std::int64_t injections_ = 0;
+  std::int64_t load_sum_ = 0;
 };
 
 }  // namespace xp::net

@@ -9,14 +9,12 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <utility>
 
 #include "net/contention.hpp"
 #include "net/message_cost.hpp"
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
-#include "util/inplace_function.hpp"
-#include "util/stats.hpp"
 
 namespace xp::net {
 
@@ -27,19 +25,25 @@ struct NetworkParams {
 
 class Network {
  public:
-  /// Delivery continuation, stored inline (no allocation per message).
-  /// Sized so the engine-side wrapper — a Network* plus this object —
-  /// still fits the engine's inline callback buffer exactly.
-  static constexpr std::size_t kDeliveryCaptureBytes =
-      sim::Engine::kInlineCallbackBytes - sizeof(void*) - 2 * sizeof(void*);
-  using DeliveryFn = util::InplaceFunction<void(), kDeliveryCaptureBytes>;
-
   Network(sim::Engine& engine, const CommParams& comm,
           const NetworkParams& params, int n_procs);
 
   /// Inject a message of `bytes` at the current simulation time; the
-  /// callback runs at the delivery instant.
-  void send(int src, int dst, std::int64_t bytes, DeliveryFn on_delivery);
+  /// callable `on_delivery` runs at the delivery instant.  It is built
+  /// straight into the engine's inline callback, beside this Network's
+  /// pointer, so it must fit the rest of that buffer (a compile error
+  /// otherwise) and nothing allocates per message.
+  template <class F>
+  void send(int src, int dst, std::int64_t bytes, F&& on_delivery) {
+    const Time wire = preview_wire(src, dst, bytes);
+    contention_.inject();
+    bytes_ += bytes;
+    engine_.schedule_after(
+        wire, [this, cb = std::forward<F>(on_delivery)]() mutable {
+          contention_.deliver();
+          cb();
+        });
+  }
 
   /// Wire time a message would see if injected right now (no injection).
   Time preview_wire(int src, int dst, std::int64_t bytes) const;
@@ -47,31 +51,29 @@ class Network {
   const Topology& topology() const { return topo_; }
 
   // Aggregate statistics for reports.
-  std::int64_t messages_sent() const { return messages_; }
+  std::int64_t messages_sent() const { return contention_.injections(); }
   std::int64_t bytes_sent() const { return bytes_; }
-  const util::RunningStat& load_samples() const {
-    return contention_.load_samples();
-  }
+  /// Sum over every message of the in-flight count it saw at injection.
+  std::int64_t load_sum() const { return contention_.load_sum(); }
+  /// Mean in-flight messages at injection.
+  double avg_inflight() const { return contention_.mean_load(); }
   /// Messages injected and not yet delivered.
   int inflight() const { return contention_.inflight(); }
 
-  /// While `log` is non-null, append each injection's load sample to it.
-  void log_samples(std::vector<std::int32_t>* log) {
-    contention_.log_samples(log);
-  }
   /// Account for traffic replayed instead of simulated: `messages`
-  /// messages of `bytes` in total whose injection-time load samples were
-  /// `samples` (as logged), leaving every statistic as if they had been
-  /// sent.
+  /// messages of `bytes` in total whose injection-time in-flight counts
+  /// sum to `load_sum`, leaving every statistic as if they had been sent.
   void replay(std::int64_t messages, std::int64_t bytes,
-              const std::vector<std::int32_t>& samples);
+              std::int64_t load_sum) {
+    contention_.replay(messages, load_sum);
+    bytes_ += bytes;
+  }
 
  private:
   sim::Engine& engine_;
   CommParams comm_;
   Topology topo_;
   ContentionTracker contention_;
-  std::int64_t messages_ = 0;
   std::int64_t bytes_ = 0;
 };
 

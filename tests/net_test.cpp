@@ -186,7 +186,35 @@ TEST(Network, ConcurrentMessagesSeeContention) {
   eng.run();
   EXPECT_EQ(t1, Time::us(10));
   EXPECT_EQ(t2, Time::us(20));  // x2 multiplier
-  EXPECT_GT(net.load_samples().mean(), 0.0);
+  // The two injections saw 0 and 1 messages in flight.
+  EXPECT_EQ(net.avg_inflight(), 0.5);
+}
+
+TEST(Network, ReplayAddsWhatLiveInjectionWould) {
+  // Live: a burst of 3 messages (0, 1, 2 in flight at injection), drained,
+  // then a burst of 4 (0, 1, 2, 3): 7 messages, load sum 9.
+  auto burst = [](sim::Engine& eng, Network& net, int k) {
+    for (int i = 0; i < k; ++i) net.send(0, 1, 64, [] {});
+    eng.run();
+  };
+  sim::Engine live_eng;
+  Network live(live_eng, CommParams{}, NetworkParams{}, 4);
+  burst(live_eng, live, 3);
+  burst(live_eng, live, 4);
+  EXPECT_EQ(live.messages_sent(), 7);
+  EXPECT_EQ(live.load_sum(), 9);
+  EXPECT_EQ(live.avg_inflight(), 9.0 / 7.0);
+
+  // Replayed: the first burst live, the second as its counts.
+  sim::Engine eng;
+  Network net(eng, CommParams{}, NetworkParams{}, 4);
+  burst(eng, net, 3);
+  net.replay(4, 4 * 64, 0 + 1 + 2 + 3);
+  EXPECT_EQ(net.messages_sent(), live.messages_sent());
+  EXPECT_EQ(net.bytes_sent(), live.bytes_sent());
+  EXPECT_EQ(net.load_sum(), live.load_sum());
+  EXPECT_EQ(net.avg_inflight(), live.avg_inflight());
+  EXPECT_EQ(net.inflight(), 0);
 }
 
 TEST(Network, PreviewDoesNotInject) {

@@ -480,6 +480,39 @@ TEST(Simulator, ContentionStretchesConcurrentTraffic) {
   EXPECT_GT(with.avg_inflight, 0.0);
 }
 
+TEST(Simulator, AvgInflightIsTheExactMeanLoad) {
+  // Threads 1..5 read from thread 0 at time 0 over a contended bus
+  // (capacity 1; contention stretches only the per-byte transfer, 10 ns a
+  // byte).  The five 32-byte requests inject together at 11 us (build +
+  // start-up) and see 0..4 messages in flight; all arrive by 13.1 us, in
+  // thread order.  Thread 0 serves them back to back, 16 us each (receive,
+  // service, build, start-up), so reply j injects at 27.82 + 16 (j - 1) us.
+  // Reply 1 (4016 bytes, x1) is in flight until 68.48 us, reply 2 (2016
+  // bytes, x2) until 84.64 us, replies 3..5 (2016 bytes, x3) for 60.98 us
+  // each: every reply but the first two sees the two before it, so the
+  // replies see 0, 1, 2, 2, 2.  Ten injections, load sum 17: the mean is
+  // 1.7 correctly rounded (a running mean ends one ulp above it).
+  const int n = 6;
+  const int payload[n] = {0, 4000, 2000, 2000, 2000, 2000};
+  std::vector<Trace> ts;
+  ts.push_back(thread_trace(n, {ev(0, 0, EventKind::ThreadBegin),
+                                ev(0, 0, EventKind::ThreadEnd)}));
+  for (int t = 1; t < n; ++t)
+    ts.push_back(thread_trace(
+        n, {ev(0, t, EventKind::ThreadBegin),
+            ev(0, t, EventKind::RemoteRead, -1, 0, payload[t], payload[t]),
+            ev(0, t, EventKind::ThreadEnd)}));
+  SimParams p = lab_params();
+  p.network.topology = net::TopologyKind::Bus;
+  p.network.contention.enabled = true;
+  p.network.contention.factor = 1.0;
+  for (const SimMode mode : {SimMode::EventDriven, SimMode::Auto}) {
+    const SimResult r = simulate(ts, p, {mode, false});
+    EXPECT_EQ(r.messages, 10) << to_string(mode);
+    EXPECT_EQ(r.avg_inflight, 17.0 / 10.0) << to_string(mode);
+  }
+}
+
 TEST(Simulator, RemoteWriteCarriesPayloadOnRequest) {
   std::vector<Trace> ts;
   ts.push_back(thread_trace(2, {ev(0, 0, EventKind::ThreadBegin),
