@@ -41,15 +41,29 @@ void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 }
 #endif
 
-// ASan models the thread stack and would need start/finish_switch_fiber
-// annotations around every swap; rather than carry that state, ASan builds
-// default to the (intercepted) ucontext backend.
+// ASan tracks one stack per thread, so both backends announce every switch
+// to another stack (__sanitizer_start_switch_fiber) and complete it on
+// arrival (__sanitizer_finish_switch_fiber): an exception thrown on a fiber
+// stack then unwinds against that stack's bounds, and fake frames of
+// stack-use-after-return detection follow their fiber.
 #if defined(__SANITIZE_ADDRESS__)
-#define XP_ASAN_BUILD 1
+#define XP_ASAN_FIBERS 1
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
-#define XP_ASAN_BUILD 1
+#define XP_ASAN_FIBERS 1
 #endif
+#endif
+
+#if defined(XP_ASAN_FIBERS)
+extern "C" {
+void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom,
+                                    std::size_t size);
+void __sanitizer_finish_switch_fiber(void* fake_stack_save,
+                                     const void** bottom_old,
+                                     std::size_t* size_old);
+void __asan_unpoison_memory_region(void const volatile* addr,
+                                   std::size_t size);
+}
 #endif
 
 extern "C" {
@@ -71,8 +85,7 @@ const char* to_string(Backend b);
 
 /// True when fiber/fcontext.S has a port for this target.
 constexpr bool fcontext_supported() {
-#if (defined(__x86_64__) || defined(__aarch64__)) && defined(__ELF__) && \
-    !defined(XP_ASAN_BUILD)
+#if (defined(__x86_64__) || defined(__aarch64__)) && defined(__ELF__)
   return true;
 #else
   return false;

@@ -76,6 +76,7 @@ class Fiber {
   bool started_ = false;
   std::exception_ptr error_;
   void* tsan_fiber_ = nullptr;
+  void* asan_fake_stack_ = nullptr;  ///< ASan: saved while switched out
 };
 
 }  // namespace xp::fiber

@@ -4,6 +4,32 @@
 
 namespace xp::fiber {
 
+namespace {
+
+// ASan stack-switch annotations (no-ops in other builds).  start_switch
+// announces a switch to the stack [bottom, bottom + size) and saves the
+// current stack's fake frames in *fake_stack, or drops them when
+// fake_stack is null (the current stack is done for good); finish_switch,
+// on the new stack, restores its own fake frames and reports the stack it
+// came from.
+void start_switch([[maybe_unused]] void** fake_stack,
+                  [[maybe_unused]] const void* bottom,
+                  [[maybe_unused]] std::size_t size) {
+#if defined(XP_ASAN_FIBERS)
+  __sanitizer_start_switch_fiber(fake_stack, bottom, size);
+#endif
+}
+
+void finish_switch([[maybe_unused]] void* fake_stack,
+                   [[maybe_unused]] const void** bottom_old,
+                   [[maybe_unused]] std::size_t* size_old) {
+#if defined(XP_ASAN_FIBERS)
+  __sanitizer_finish_switch_fiber(fake_stack, bottom_old, size_old);
+#endif
+}
+
+}  // namespace
+
 thread_local Scheduler* Scheduler::launching_ = nullptr;
 
 Scheduler::Scheduler(Backend backend) : backend_(resolve_backend(backend)) {}
@@ -35,6 +61,7 @@ FiberState Scheduler::state_of(int id) const {
 
 void Scheduler::trampoline() {
   Scheduler* sched = launching_;
+  finish_switch(nullptr, &sched->main_stack_bottom_, &sched->main_stack_size_);
   Fiber& self = *sched->fibers_[static_cast<std::size_t>(sched->current_)];
   try {
     self.body_();
@@ -48,10 +75,16 @@ void Scheduler::trampoline() {
 void Scheduler::switch_to(Fiber& f) {
   current_ = f.id();
   f.state_ = FiberState::Running;
+  void* main_fake_stack = nullptr;
   if (backend_ == Backend::Fcontext) {
     if (!f.started_) {
       f.started_ = true;
       f.stack_ = stack_acquire(f.stack_bytes_);
+#if defined(XP_ASAN_FIBERS)
+      // A pooled stack keeps the shadow its last fiber left behind.
+      __asan_unpoison_memory_region(f.stack_.top - f.stack_.usable,
+                                    f.stack_.usable);
+#endif
       f.sp_ = make_fcontext_frame(f.stack_.top, &Scheduler::trampoline);
 #if defined(XP_TSAN_FIBERS)
       f.tsan_fiber_ = __tsan_create_fiber(0);
@@ -62,6 +95,8 @@ void Scheduler::switch_to(Fiber& f) {
     if (!main_tsan_fiber_) main_tsan_fiber_ = __tsan_get_current_fiber();
     __tsan_switch_to_fiber(f.tsan_fiber_, 0);
 #endif
+    start_switch(&main_fake_stack, f.stack_.top - f.stack_.usable,
+                 f.stack_.usable);
     xp_fcontext_swap(&main_sp_, f.sp_);
   } else {
     if (!f.started_) {
@@ -73,8 +108,10 @@ void Scheduler::switch_to(Fiber& f) {
       makecontext(&f.ctx_, &Scheduler::trampoline, 0);
       launching_ = this;
     }
+    start_switch(&main_fake_stack, f.ustack_.get(), f.stack_bytes_);
     XP_CHECK(swapcontext(&main_ctx_, &f.ctx_) == 0, "swapcontext failed");
   }
+  finish_switch(main_fake_stack, nullptr, nullptr);
   current_ = -1;
   // A Finished fiber can never run again; hand its stack back to the pool
   // immediately so the next spawned fiber reuses it.
@@ -89,6 +126,10 @@ void Scheduler::switch_to(Fiber& f) {
 void Scheduler::return_to_scheduler(FiberState new_state) {
   Fiber& self = *fibers_[static_cast<std::size_t>(current_)];
   self.state_ = new_state;
+  // A finished fiber never comes back: its fake frames are dropped.
+  start_switch(new_state == FiberState::Finished ? nullptr
+                                                 : &self.asan_fake_stack_,
+               main_stack_bottom_, main_stack_size_);
   if (backend_ == Backend::Fcontext) {
 #if defined(XP_TSAN_FIBERS)
     __tsan_switch_to_fiber(main_tsan_fiber_, 0);
@@ -97,6 +138,7 @@ void Scheduler::return_to_scheduler(FiberState new_state) {
   } else {
     XP_CHECK(swapcontext(&self.ctx_, &main_ctx_) == 0, "swapcontext failed");
   }
+  finish_switch(self.asan_fake_stack_, &main_stack_bottom_, &main_stack_size_);
 }
 
 void Scheduler::run() {

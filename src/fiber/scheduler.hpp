@@ -73,6 +73,8 @@ class Scheduler {
   ucontext_t main_ctx_{};     ///< ucontext backend: scheduler context
   void* main_sp_ = nullptr;   ///< fcontext backend: scheduler stack pointer
   void* main_tsan_fiber_ = nullptr;
+  const void* main_stack_bottom_ = nullptr;  ///< ASan: the scheduler's stack
+  std::size_t main_stack_size_ = 0;
   bool running_ = false;
   std::function<bool()> idle_hook_;
 
