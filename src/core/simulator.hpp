@@ -209,7 +209,10 @@ struct SimResult {
   std::vector<ThreadStats> threads;
   std::int64_t messages = 0;       ///< network messages (incl. barrier msgs)
   std::int64_t bytes = 0;          ///< network bytes
-  double avg_inflight = 0.0;       ///< mean in-flight messages at injection
+  /// Mean number of messages in flight when a message was injected: the
+  /// integer sum of those counts over `messages`, correctly rounded (0
+  /// without messages).  A report, not a prediction input.
+  double avg_inflight = 0.0;
   /// Engine events that actually fired.  Work the fast paths did without
   /// the engine (collapsed segments, memoized windows) is not counted.
   std::uint64_t engine_events = 0;
