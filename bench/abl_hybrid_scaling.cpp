@@ -3,9 +3,9 @@
 // The event-driven replay costs one engine event per traced operation, so
 // simulating 10^5 processors means tens of millions of heap pops even when
 // every thread just computes between barriers.  The hybrid path (DESIGN.md
-// §13) collapses contention-free segments into closed-form arithmetic and
-// runs barrier epochs analytically; on a single-cluster shared-memory
-// target every segment collapses and the event engine never starts.
+// §13) collapses every segment of a run without cross-cluster traffic
+// into closed-form arithmetic and runs barrier epochs analytically; on a
+// single-cluster shared-memory target the event engine never starts.
 //
 // This harness measures that directly: simulate Grid and Cyclic at
 // n in {64 .. 100000} event-driven (only where feasible) and on the hybrid
@@ -17,8 +17,12 @@
 // Both paths are exact, so the harness also holds their predictions
 // bitwise equal where both run.
 //
-// Gates (exit code): hybrid == event-driven bitwise, every segment
-// collapsed, and hybrid >= 10x event-driven at n=1024 on both benchmarks.
+// Gates (exit code): hybrid == event-driven bitwise, every hybrid cell on
+// the engine-free path (SamplingStats::active, zero engine events), and
+// hybrid >= 10x event-driven at n=1024 on both benchmarks.  Each cell's
+// deterministic work is held at <= its value in bench/work_golden.json:
+// engine events for event rows, collapsed ops for hybrid rows; a change
+// that lowers one updates that table.
 // JSON rows: one per cell (section "hybrid") and one speedup per
 // event-feasible cell (section "hybrid_speedup_vs_event").
 //
@@ -43,7 +47,7 @@ double now_s() {
 
 model::SimParams scaling_target() {
   // Single-cluster shared-memory machine: no messages, every remote
-  // access intra-cluster, so the classifier can collapse whole epochs.
+  // access intra-cluster, so the classifier collapses the whole run.
   model::SimParams p = model::shared_memory_preset();
   p.cluster.procs_per_cluster = 1 << 30;
   return p;
@@ -75,18 +79,16 @@ suite::SuiteConfig config_for(const std::string& bench, int n) {
   return cfg;
 }
 
-const char* path_name(core::HybridStats::Path p) {
-  switch (p) {
-    case core::HybridStats::Path::Event: return "event";
-    case core::HybridStats::Path::Mixed: return "mixed";
-    case core::HybridStats::Path::PureAnalytic: return "analytic";
-  }
-  return "?";
-}
-
 struct Cell {
   double sim_s = 0;
   core::Prediction pred;
+
+  bool engine_free() const {
+    return pred.sim.sampling.active && pred.sim.engine_events == 0;
+  }
+  const char* path() const {
+    return pred.sim.sampling.active ? "analytic" : "event";
+  }
 };
 
 /// Simulate `prepared` under `mode`, best-of-k wall time (k shrinks as n
@@ -108,16 +110,25 @@ Cell run_cell(const core::TranslatedTrace& prepared,
   return cell;
 }
 
+/// Print the cell's JSON row and hold its deterministic work.
 void print_row(const std::string& bench, int n, const char* mode,
                const Cell& cell) {
   const auto& h = cell.pred.sim.hybrid;
-  JsonRow("hybrid", "hybrid_" + bench + "_n" + std::to_string(n) + "_" + mode)
+  const std::string key =
+      "hybrid_" + bench + "_n" + std::to_string(n) + "_" + mode;
+  JsonRow("hybrid", key)
       .field("seconds", cell.sim_s)
       .field("engine_events", cell.pred.sim.engine_events)
       .field("segments_collapsed", h.segments_collapsed)
       .field("segments_total", h.segments_total)
-      .field("path", path_name(h.path))
+      .field("ops_collapsed", h.ops_collapsed)
+      .field("path", cell.path())
       .emit();
+  if (std::strcmp(mode, "event") == 0)
+    hold_work(XP_WORK_GOLDEN, key, "engine_events",
+              static_cast<std::int64_t>(cell.pred.sim.engine_events));
+  else
+    hold_work(XP_WORK_GOLDEN, key, "ops_collapsed", h.ops_collapsed);
 }
 
 int run(bool smoke) {
@@ -170,7 +181,7 @@ int run(bool smoke) {
                     static_cast<long long>(ev.pred.sim.engine_events),
                     static_cast<long long>(
                         ev.pred.sim.hybrid.segments_collapsed),
-                    path_name(ev.pred.sim.hybrid.path));
+                    ev.path());
         if (ev.pred.predicted_time != hy.pred.predicted_time ||
             ev.pred.sim.messages != hy.pred.sim.messages ||
             ev.pred.sim.bytes != hy.pred.sim.bytes)
@@ -183,10 +194,8 @@ int run(bool smoke) {
                   static_cast<long long>(hy.pred.sim.engine_events),
                   static_cast<long long>(
                       hy.pred.sim.hybrid.segments_collapsed),
-                  path_name(hy.pred.sim.hybrid.path), measure_s,
-                  prep_s - measure_s);
-      if (hy.pred.sim.hybrid.path != core::HybridStats::Path::PureAnalytic)
-        all_pure = false;
+                  hy.path(), measure_s, prep_s - measure_s);
+      if (!hy.engine_free()) all_pure = false;
 
       if (event_feasible) print_row(study.bench, n, "event", ev);
       print_row(study.bench, n, "hybrid", hy);
@@ -201,6 +210,7 @@ int run(bool smoke) {
 
   if (smoke) {
     gate("hybrid path stayed engine-free at n=100000", all_pure);
+    gate_work();
     return exit_code();
   }
 
@@ -223,6 +233,7 @@ int run(bool smoke) {
                   speedup);
     gate(claim, speedup >= 10.0);
   }
+  gate_work();
   return exit_code();
 }
 

@@ -4,10 +4,11 @@ namespace xp::core {
 
 TranslatedTrace prepare_trace(const trace::Trace& measured) {
   TranslatedTrace tt;
+  // Lowering validates the trace, so it runs before anything else reads it.
+  tt.compiled = std::make_shared<const CompiledTrace>(lower_measured(measured));
   tt.n_threads = measured.n_threads();
   tt.measured_time = measured.end_time();
   tt.measured_summary = trace::summarize(measured);
-  tt.compiled = std::make_shared<const CompiledTrace>(lower_measured(measured));
   tt.ideal_time = tt.compiled->ideal_time;
   return tt;
 }

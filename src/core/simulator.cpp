@@ -170,12 +170,6 @@ struct ThreadCtx {
 
   TState state = TState::Start;
 
-  // True while the hybrid fast path is replaying one of this thread's
-  // collapsed segments analytically (core/simulator.hpp, segment collapse).
-  // The classifier guarantees no message can target such a thread; a
-  // delivery anyway means a misclassification and trips a loud check.
-  bool fastforwarding = false;
-
   // Current barrier bookkeeping (message protocol).
   std::int32_t cur_barrier = -1;
   bool self_arrived = false;
@@ -239,9 +233,11 @@ class Simulator {
       T.code = &compiled.threads[static_cast<std::size_t>(t)];
     }
     cpus_.resize(static_cast<std::size_t>(n_procs_));
-    classify(compiled);
+    for (const CompiledThread& th : compiled.threads)
+      hyb_.segments_total += static_cast<std::int64_t>(th.segments.size());
+    collapse_ = classify(compiled);
     // Barrier-epoch memoization (DESIGN.md §16): message barriers only
-    // (analytic ones take the hybrid path), and the compile-time class
+    // (the barrier point is the root's), and the compile-time class
     // table supplies the key.  Replayed windows append their recorded
     // slice of the emission log time-shifted, so a trace does not turn it
     // off.
@@ -266,7 +262,7 @@ class Simulator {
   std::vector<Emission> take_log() { return std::move(log_); }
 
   SimResult run() {
-    if (hyb_.path == HybridStats::Path::PureAnalytic) {
+    if (collapse_) {
       run_analytic_sampled();
     } else {
       for (ThreadCtx& T : threads_) proceed(T);
@@ -296,70 +292,37 @@ class Simulator {
   }
 
  private:
-  // --- hybrid segment classifier (SimMode::Auto) ----------------------------
+  // --- segment collapse (SimMode::Auto, DESIGN.md §13) --------------------
   //
-  // A (epoch, thread) segment has a closed-form cost — and can skip the
-  // event engine — iff nothing can interleave with the thread's own replay
-  // during that epoch:
+  // Every (epoch, thread) segment has a closed-form cost — and the whole
+  // run skips the event engine — iff nothing can interleave with any
+  // thread's own replay:
   //
   //   * every thread owns its processor (n_procs >= n_threads), so there is
   //     no CPU sharing between threads,
   //   * barriers resolve analytically (no barrier message traffic), with
   //     identical barrier sequences so epochs advance in lockstep,
-  //   * the segment performs no cross-cluster remote access (it would block
-  //     on request/reply messages whose latency depends on network state),
-  //     and no other thread's same-epoch segment targets this thread as a
-  //     cross-cluster owner (servicing the request would consume this CPU
-  //     at a message-determined time: the contended-owner case).
+  //   * no thread performs a cross-cluster remote access anywhere in the
+  //     trace (it would block on request/reply messages whose latency
+  //     depends on network state, and servicing it would consume the
+  //     owner's CPU at a message-determined time).
   //
   // Same-processor accesses are free and intra-cluster accesses cost a
   // fixed latency + per-byte copy on the accessing CPU only, so both stay
-  // inside the closed form.  The epoch granularity is sound because every
-  // remote access issued in epoch e completes — including the owner-side
-  // service — before barrier e releases: the accessor blocks on the reply
-  // and cannot reach the barrier until it arrives.  Demotion marks BOTH
-  // endpoints of a cross-cluster access for that epoch; everything else is
-  // provably exact, which is why Auto is bitwise-identical to EventDriven.
-  void classify(const CompiledTrace& compiled) {
-    for (const CompiledThread& th : compiled.threads)
-      hyb_.segments_total += static_cast<std::int64_t>(th.segments.size());
-    if (opts_.mode == SimMode::EventDriven) return;
-    if (n_procs_ < n_ || !compiled.uniform_barriers || use_messages()) {
-      hyb_.segments_demoted = hyb_.segments_total;
-      return;
-    }
-    const auto epochs =
-        static_cast<std::int64_t>(compiled.threads[0].segments.size());
-    hyb_.epochs = epochs;
-    blocked_.assign(static_cast<std::size_t>(epochs * n_), 0);
-    if (params_.cluster.procs_per_cluster < n_procs_) {
-      // Multiple clusters: walk each segment's remote slice and demote both
-      // endpoints of every cross-cluster access for that epoch.
-      for (int t = 0; t < n_; ++t) {
-        const CompiledThread& th = compiled.threads[static_cast<std::size_t>(t)];
-        for (std::int64_t e = 0; e < epochs; ++e) {
-          const Segment& seg = th.segments[static_cast<std::size_t>(e)];
-          for (std::uint32_t ri = seg.remote_begin; ri < seg.remote_end; ++ri) {
-            const RemoteRec& rec = th.remotes[ri];
-            if (rec.peer == t) continue;  // same processor: free, no traffic
-            if (cluster_of(rec.peer) == cluster_of(t)) continue;
-            blocked_[static_cast<std::size_t>(e * n_ + t)] = 1;
-            blocked_[static_cast<std::size_t>(e * n_ + rec.peer)] = 1;
-          }
-        }
-      }
-    }
-    for (const char b : blocked_) hyb_.segments_demoted += b;
-    hyb_.segments_collapsed = hyb_.segments_total - hyb_.segments_demoted;
-    if (hyb_.segments_collapsed == 0) return;  // nothing to gain: pure event
-    hybrid_active_ = true;
-    hyb_.path = hyb_.segments_demoted == 0 ? HybridStats::Path::PureAnalytic
-                                           : HybridStats::Path::Mixed;
-  }
-
-  bool collapsible(const ThreadCtx& T) const {
-    return !blocked_[static_cast<std::size_t>(
-        static_cast<std::int64_t>(T.barrier) * n_ + T.id)];
+  // inside the closed form.  Collapse is all-or-nothing: a run that fails
+  // any condition replays every segment through the engine.  One early-
+  // exit scan, no allocation.
+  bool classify(const CompiledTrace& compiled) const {
+    if (opts_.mode == SimMode::EventDriven || n_procs_ < n_ ||
+        !compiled.uniform_barriers || use_messages())
+      return false;
+    if (params_.cluster.procs_per_cluster >= n_procs_) return true;
+    // Thread t runs on processor t here.
+    for (const ThreadCtx& T : threads_)
+      for (const RemoteRec& rec : T.code->remotes)
+        if (rec.peer != T.id && cluster_of(rec.peer) != cluster_of(T.id))
+          return false;
+    return true;
   }
 
   // --- CPU management -----------------------------------------------------
@@ -450,17 +413,12 @@ class Simulator {
 
   void proceed(ThreadCtx& T) {
     XP_CHECK(T.op < T.code->ops.size(), "replay ran past end of trace");
-    if (hybrid_active_ &&
-        T.op == T.code->segments[T.barrier].op_begin && collapsible(T)) {
-      fast_forward(T);
-      return;
-    }
     const Time scaled =
         model::scale_compute(params_.proc, T.code->pre_delta[T.op]);
     start_compute(T, scaled);
   }
 
-  // --- hybrid fast path -----------------------------------------------------
+  // --- collapsed segments ---------------------------------------------------
 
   /// Replay one collapsed segment analytically from `start`: advance the
   /// replay cursors, accumulate the same per-op stats the event path would,
@@ -491,9 +449,8 @@ class Simulator {
       T.stats.remote_accesses +=
           static_cast<std::int64_t>(seg.remote_end) - seg.remote_begin;
       if (seg.nonself_remotes > 0) {
-        // Every non-self access in a collapsed segment is intra-cluster:
-        // the contention pre-pass marks both endpoints of cross-cluster
-        // remotes, so a blocked thread never reaches this path.
+        // Every non-self access in a collapsed run is intra-cluster
+        // (classify()).
         const std::int64_t bytes_sum =
             params_.size_mode == model::TransferSizeMode::Declared
                 ? seg.nonself_declared_bytes
@@ -516,17 +473,7 @@ class Simulator {
           for (std::uint32_t r = seg.remote_begin; r < seg.remote_end; ++r) {
             const RemoteRec& rec = code.remotes[r];
             if (rec.peer == T.id) continue;
-            XP_CHECK(cluster_of(rec.peer) == cluster_of(T.proc),
-                     "hybrid misclassification: cross-cluster access in a "
-                     "collapsed segment");
-            ++T.stats.intra_cluster_accesses;
-            const std::int64_t bytes = model::reply_payload_bytes(
-                params_.size_mode, rec.declared_bytes, rec.actual_bytes);
-            const Time cost = params_.cluster.intra_latency +
-                              params_.cluster.intra_byte_time *
-                                  static_cast<double>(bytes);
-            T.stats.comm_wait += cost;
-            now += cost;
+            now += charge_intra_access(T, rec);
           }
         }
       }
@@ -560,53 +507,13 @@ class Simulator {
           emit_at(T, op_ref(i), now);
           const RemoteRec& rec = code.remotes[T.remote++];
           ++T.stats.remote_accesses;
-          if (rec.peer != T.id) {
-            XP_CHECK(cluster_of(rec.peer) == cluster_of(T.proc),
-                     "hybrid misclassification: cross-cluster access in a "
-                     "collapsed segment");
-            ++T.stats.intra_cluster_accesses;
-            const std::int64_t bytes = model::reply_payload_bytes(
-                params_.size_mode, rec.declared_bytes, rec.actual_bytes);
-            const Time cost = params_.cluster.intra_latency +
-                              params_.cluster.intra_byte_time *
-                                  static_cast<double>(bytes);
-            T.stats.comm_wait += cost;
-            now += cost;
-          }
+          if (rec.peer != T.id) now += charge_intra_access(T, rec);
           break;
         }
         default:
           break;
       }
     }
-  }
-
-  void fast_forward(ThreadCtx& T) {
-    T.fastforwarding = true;
-    T.state = TState::Computing;
-    const Segment& seg = T.code->segments[T.barrier];
-    const Time at = walk_segment(T, seg, engine_.now());
-    const std::uint32_t i = T.op;
-    if (T.code->ops[i] == OpKind::End) {
-      ++hyb_.ops_collapsed;
-      T.op = i + 1;
-      T.fastforwarding = false;
-      emit_at(T, op_ref(i), at);
-      T.state = TState::Done;
-      T.stats.finish = at;
-      // The inbox is provably empty (no inbound traffic in a collapsed
-      // segment), so the event path's drain at End has nothing to do.
-      return;
-    }
-    // Terminating barrier: re-enter the engine exactly where event-driven
-    // replay would have executed the Barrier op, then run the normal
-    // barrier machinery so mixed epochs synchronize with event threads.
-    engine_.schedule_at(at, [this, &T, i] {
-      T.fastforwarding = false;
-      T.op = i + 1;
-      emit(T, op_ref(i));
-      begin_barrier(T, T.code->barrier_ids[T.barrier++]);
-    });
   }
 
   // --- representative-epoch sampling (SimMode::Auto, DESIGN.md §15) --------
@@ -638,6 +545,7 @@ class Simulator {
     XP_CHECK(tab.built(), "the analytic path needs the epoch-class table");
     samp_.active = true;
     samp_.epochs = tab.epochs();
+    hyb_.segments_collapsed = hyb_.segments_total;
     memo_.resize(static_cast<std::size_t>(tab.n_classes()));
     std::vector<Time> at(static_cast<std::size_t>(n_));
     std::vector<Time> arrival(static_cast<std::size_t>(n_));
@@ -961,6 +869,20 @@ class Simulator {
     return proc / params_.cluster.procs_per_cluster;
   }
 
+  /// Same cluster (§3.3.1 shared-memory clustering): a shared-memory
+  /// transfer on the accessing CPU — fixed latency plus the per-byte copy;
+  /// no messages, no owner involvement.  Charges T and returns the cost.
+  Time charge_intra_access(ThreadCtx& T, const RemoteRec& rec) {
+    ++T.stats.intra_cluster_accesses;
+    const std::int64_t bytes = model::reply_payload_bytes(
+        params_.size_mode, rec.declared_bytes, rec.actual_bytes);
+    const Time cost =
+        params_.cluster.intra_latency +
+        params_.cluster.intra_byte_time * static_cast<double>(bytes);
+    T.stats.comm_wait += cost;
+    return cost;
+  }
+
   void begin_remote_access(ThreadCtx& T, const RemoteRec& rec) {
     ++T.stats.remote_accesses;
     const ThreadCtx& owner = thr(rec.peer);
@@ -971,17 +893,8 @@ class Simulator {
       return;
     }
     if (cluster_of(owner.proc) == cluster_of(T.proc)) {
-      // Same cluster (§3.3.1 shared-memory clustering): a shared-memory
-      // transfer on the accessing CPU — fixed latency plus the per-byte
-      // copy; no messages, no owner involvement.
-      ++T.stats.intra_cluster_accesses;
-      const std::int64_t bytes = model::reply_payload_bytes(
-          params_.size_mode, rec.declared_bytes, rec.actual_bytes);
-      const Time cost = params_.cluster.intra_latency +
-                        params_.cluster.intra_byte_time *
-                            static_cast<double>(bytes);
-      T.stats.comm_wait += cost;
-      cpu_enqueue(T.proc, cost, false, [this, &T] { proceed(T); });
+      cpu_enqueue(T.proc, charge_intra_access(T, rec), false,
+                  [this, &T] { proceed(T); });
       return;
     }
     const Time send_cpu = net::send_cpu_time(params_.comm);
@@ -1010,9 +923,6 @@ class Simulator {
 
   void deliver_request(const Msg& req) {
     ThreadCtx& O = thr(req.to);
-    XP_CHECK(!O.fastforwarding,
-             "hybrid misclassification: request delivered to a thread in a "
-             "collapsed segment");
     switch (O.state) {
       case TState::Computing:
         switch (params_.proc.policy) {
@@ -1491,9 +1401,7 @@ class Simulator {
   std::vector<HeldRun> runs_;  ///< every held run, by index
   std::vector<Anc> links_;     ///< built links, by engine tag
 
-  // Segment-collapse state (classify()).
-  bool hybrid_active_ = false;
-  std::vector<char> blocked_;  ///< epochs x n_: segment demoted to events
+  bool collapse_ = false;  ///< every segment collapses (classify())
   HybridStats hyb_;
   SamplingStats samp_;
 
@@ -1531,24 +1439,22 @@ Time SimResult::total_barrier_wait() const {
 
 void SimCounters::add(const SimResult& r) {
   const HybridStats& h = r.hybrid;
-  if (h.segments_collapsed > 0)
-    ++cells_hybrid;
-  else if (h.memo_hits > 0)
+  const SamplingStats& sp = r.sampling;
+  if (sp.active) {
+    ++cells_sampled;
+    epochs_total += sp.epochs;
+    epochs_simulated += sp.epochs_simulated;
+  } else if (h.memo_hits > 0) {
     ++cells_memo;
-  else
+  } else {
     ++cells_event;
+  }
   events_fired += static_cast<std::int64_t>(r.engine_events);
   segments_collapsed += h.segments_collapsed;
   segments_total += h.segments_total;
   ops_collapsed += h.ops_collapsed;
   memo_hits += h.memo_hits;
   memo_misses += h.memo_misses;
-  const SamplingStats& sp = r.sampling;
-  if (sp.active) {
-    ++cells_sampled;
-    epochs_total += sp.epochs;
-    epochs_simulated += sp.epochs_simulated;
-  }
 }
 
 const char* to_string(SimMode m) {

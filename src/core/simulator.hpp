@@ -60,13 +60,12 @@ struct ThreadStats {
 ///  * Auto (the default) — the one fast mode.  Three exact shortcuts, each
 ///    taken only where it applies (HybridStats / SamplingStats report
 ///    which ones ran):
-///      - segment collapse (DESIGN.md §13): a barrier-delimited segment
-///        whose cost has a closed form (compute + same-processor /
-///        intra-cluster accesses, no cross-cluster traffic touching the
-///        thread that epoch) is charged analytically; the classifier is
-///        conservative, so demotion to the engine, not divergence, is
-///        the fallback.  When every segment collapses the engine never
-///        starts (HybridStats::Path::PureAnalytic);
+///      - segment collapse (DESIGN.md §13): when every barrier-delimited
+///        segment of the run has a closed-form cost (each thread on its
+///        own processor, analytic barriers, compute + same-processor /
+///        intra-cluster accesses only, no cross-cluster access anywhere),
+///        every segment is charged analytically and the engine never
+///        starts; any other run replays every segment through the engine;
 ///      - representative-epoch sampling (DESIGN.md §15): on that
 ///        engine-free path the epochs run in order, the first epoch of each
 ///        class of bit-identical epochs (the compile-time epoch-class
@@ -99,11 +98,9 @@ struct SimOptions {
 };
 
 /// How the fast paths fared on one run.  segments are per-(epoch, thread)
-/// barrier-delimited slices; segments_total is filled in every mode, the
-/// other counters stay zero in EventDriven mode.  A demoted segment is one
-/// the classifier sent to the event engine because cross-cluster traffic
-/// touched its thread that epoch (contended owner or message-latency
-/// dependence), or because the run uses message barriers or shared CPUs.
+/// barrier-delimited slices; segments_total is filled in every mode.
+/// Collapse is all-or-nothing: segments_collapsed is segments_total on the
+/// engine-free path (SamplingStats::active) and zero on every other run.
 ///
 /// memo_hits / memo_misses count barrier-epoch memoization on the event
 /// path (DESIGN.md §16): windows between two quiescent barrier points that
@@ -111,16 +108,8 @@ struct SimOptions {
 /// had to run through the engine (misses).  Both stay zero unless the run
 /// uses message barriers and is not EventDriven.
 struct HybridStats {
-  enum class Path : std::uint8_t {
-    Event,         ///< whole run replayed through the engine
-    Mixed,         ///< collapsed segments + event segments coexist
-    PureAnalytic,  ///< every segment collapsed; engine never ran
-  };
-  Path path = Path::Event;
-  std::int64_t epochs = 0;
   std::int64_t segments_total = 0;
   std::int64_t segments_collapsed = 0;
-  std::int64_t segments_demoted = 0;
   std::int64_t ops_collapsed = 0;  ///< replay steps that skipped the engine
   std::int64_t memo_hits = 0;
   std::int64_t memo_misses = 0;
@@ -140,15 +129,14 @@ struct SamplingStats {
 struct SimResult;
 
 /// HybridStats and SamplingStats summed over many runs (cells): how a
-/// sweep's or a daemon's replay work split between the event engine,
-/// segment collapse, the barrier-epoch memo and epoch sampling.  Every
-/// cell counts in exactly one of cells_event / cells_hybrid / cells_memo;
-/// cells_sampled and the epoch totals count sampled cells only.
+/// sweep's or a daemon's replay work split between the event engine, the
+/// barrier-epoch memo and the engine-free sampled path.  Every cell counts
+/// in exactly one of cells_event / cells_memo / cells_sampled; the epoch
+/// totals count sampled cells only.
 /// kSimCounterFields lists the fields once for every sum, wire form,
 /// report and bench row.
 struct SimCounters {
   std::int64_t cells_event = 0;   ///< cells no fast path engaged on
-  std::int64_t cells_hybrid = 0;  ///< cells where segments collapsed
   std::int64_t cells_memo = 0;    ///< cells that replayed memoized windows
   std::int64_t events_fired = 0;  ///< engine events
   std::int64_t segments_collapsed = 0;
@@ -156,7 +144,7 @@ struct SimCounters {
   std::int64_t ops_collapsed = 0;  ///< replay steps that skipped the engine
   std::int64_t memo_hits = 0;
   std::int64_t memo_misses = 0;
-  std::int64_t cells_sampled = 0;  ///< cells on the sampled path
+  std::int64_t cells_sampled = 0;  ///< cells on the engine-free path
   std::int64_t epochs_total = 0;
   std::int64_t epochs_simulated = 0;
 
@@ -174,7 +162,6 @@ struct SimCounterField {
 };
 inline constexpr SimCounterField kSimCounterFields[] = {
     {"cells_event", &SimCounters::cells_event},
-    {"cells_hybrid", &SimCounters::cells_hybrid},
     {"cells_memo", &SimCounters::cells_memo},
     {"sim_events_fired", &SimCounters::events_fired},
     {"sim_segments_collapsed", &SimCounters::segments_collapsed},

@@ -68,10 +68,10 @@ std::string render_sweep(const SweepReport& r, bool chart) {
     os << "\n(translate cache: " << r.cache_misses << " measurement(s), "
        << r.cache_hits << " reuse(s))\n";
   // Fast-path footer (core::SimCounters): how the grid's replay work split
-  // between the event engine, segment collapse, the barrier-epoch memo and
-  // epoch sampling.
+  // between the event engine, the barrier-epoch memo and the engine-free
+  // sampled path.
   const core::SimCounters& sim = r.stages.sim;
-  if (sim.cells_event + sim.cells_hybrid + sim.cells_memo > 0) {
+  if (sim.cells_event + sim.cells_memo + sim.cells_sampled > 0) {
     os << "(simulate:";
     for (const core::SimCounterField& f : core::kSimCounterFields)
       os << ' ' << f.key << '=' << sim.*f.member;

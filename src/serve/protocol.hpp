@@ -65,7 +65,7 @@ constexpr std::uint8_t kReplyBit = 0x80;
 
 /// The payload's version byte.  The unversioned protocol before it counts
 /// as version 1 (its first request id would read as 1 in this position).
-constexpr std::uint8_t kProtocolVersion = 3;
+constexpr std::uint8_t kProtocolVersion = 4;
 
 /// Payload header bytes: type, version and request id.
 constexpr std::uint32_t kHeaderBytes = 1 + 1 + 8;

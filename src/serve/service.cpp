@@ -166,13 +166,7 @@ QueryResult Service::run_query_on(Source& src, const Query& q) {
     // simulator's pre-summed segment shortcut and epoch sampling.
     core::SimOptions sopts;
     sopts.emit_trace = false;
-    const double cpu0 = util::thread_cpu_seconds();
-    const core::Prediction pred = core::predict(*prepared, params, sopts);
-    simulate_cpu_s_.fetch_add(util::thread_cpu_seconds() - cpu0);
-    {
-      std::lock_guard<std::mutex> lock(sim_mu_);
-      sim_.add(pred.sim);
-    }
+    const core::Prediction pred = predict_counted(*prepared, params, sopts);
 
     res.ok = true;
     res.predicted_ns = pred.predicted_time.count_ns();
@@ -200,6 +194,17 @@ QueryResult Service::run_query(std::uint64_t session, const Query& q) {
   QueryResult res = run_query_on(*src, q);
   (res.ok ? queries_ok_ : queries_err_).fetch_add(1);
   return res;
+}
+
+core::Prediction Service::predict_counted(
+    const core::TranslatedTrace& prepared, const model::SimParams& params,
+    const core::SimOptions& opts) {
+  const double cpu0 = util::thread_cpu_seconds();
+  core::Prediction pred = core::predict(prepared, params, opts);
+  simulate_cpu_s_.fetch_add(util::thread_cpu_seconds() - cpu0);
+  std::lock_guard<std::mutex> lock(sim_mu_);
+  sim_.add(pred.sim);
+  return pred;
 }
 
 PatternModelResult Service::run_pattern_model_on(Source& src,
@@ -235,11 +240,7 @@ PatternModelResult Service::run_pattern_model_on(Source& src,
       // Unlike plain queries this verb NEEDS the extrapolated trace: the
       // composed model is extracted from its re-timestamped pattern
       // delimiters.
-      core::SimOptions sopts;
-      sopts.mode = core::SimMode::Auto;
-      const double cpu0 = util::thread_cpu_seconds();
-      const core::Prediction pred = core::predict(*prepared, params, sopts);
-      simulate_cpu_s_.fetch_add(util::thread_cpu_seconds() - cpu0);
+      const core::Prediction pred = predict_counted(*prepared, params, {});
 
       e.procs.push_back(n);
       e.spans.push_back(pattern::extract_regions(pred.sim.extrapolated()));

@@ -110,6 +110,10 @@ class Service {
   std::shared_ptr<Source> session_source(std::uint64_t id) const;
   QueryResult run_query_on(Source& src, const Query& q);
   PatternModelResult run_pattern_model_on(Source& src, const PatternQuery& q);
+  /// Run one prediction, charging its CPU and counting it as one cell.
+  core::Prediction predict_counted(const core::TranslatedTrace& prepared,
+                                   const model::SimParams& params,
+                                   const core::SimOptions& opts);
 
   std::string dispatch(const Frame& frame);  ///< non-batch verbs, inline
   void dispatch_batch(const Frame& frame, Completion done);

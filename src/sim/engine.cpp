@@ -30,32 +30,6 @@ void Engine::release_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-void Engine::rebase(std::uint64_t new_base) {
-  // Scheduling below base_ is possible after run_until advanced base_ to
-  // the next pending event beyond its limit without firing it.  Every
-  // stored bucket index is a function of (t, base_), so lowering base_
-  // invalidates them all: collect every pending entry (unconsumed front_
-  // tail plus all buckets, tombstones included so dead_ stays consistent)
-  // and re-bin against the new base.  All collected times are >= the old
-  // base_ > new_base, so the re-push never recurses back here.  Stability:
-  // equal-time entries always share one source bucket and are re-pushed in
-  // order, so FIFO among ties is preserved.
-  KeyVec all;
-  all.reserve(live_ + dead_);
-  all.insert(all.end(), front_.begin() + static_cast<std::ptrdiff_t>(cur_),
-             front_.end());
-  front_.clear();
-  cur_ = 0;
-  for (auto& v : buckets_) {
-    if (v.empty()) continue;
-    all.insert(all.end(), v.begin(), v.end());
-    v.clear();
-  }
-  mask_.fill(0);
-  base_ = new_base;
-  for (const Key& k : all) push_key(k);
-}
-
 void Engine::refill_front() {
   front_.clear();
   cur_ = 0;
@@ -172,18 +146,6 @@ bool Engine::step() {
 std::uint64_t Engine::run() {
   std::uint64_t n = 0;
   while (step()) ++n;
-  return n;
-}
-
-std::uint64_t Engine::run_until(Time limit) {
-  std::uint64_t n = 0;
-  // The next live event's time is base_ (front invariant), so the bound
-  // check needs no per-event load.
-  while (advance_to_live() &&
-         static_cast<std::int64_t>(base_) <= limit.count_ns()) {
-    fire_front();
-    ++n;
-  }
   return n;
 }
 

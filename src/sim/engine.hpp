@@ -25,12 +25,6 @@
 // ever comparing sequence numbers.  The front bucket holds exactly the
 // events with t == base, popped left to right.
 //
-// One wrinkle: run_until(limit) may advance base past limit (to the next
-// pending event's time) without firing, leaving base > now().  Scheduling
-// at t with now() <= t < base is still legal; it triggers a rebase — every
-// pending entry is re-binned against the new, lower base (O(pending), but
-// only the run_until-then-schedule-earlier pattern reaches it).
-//
 // Cancellation is O(1): the event's slot is invalidated (its callback is
 // destroyed immediately) and its queue entry becomes a tombstone that is
 // skipped at the front and purged wholesale once tombstones outnumber
@@ -108,8 +102,7 @@ class Engine {
   template <class Pred, class F>
   EventId schedule_ordered(Time t, Pred&& precedes, F&& f) {
     const Key k = emplace(t, std::forward<F>(f));
-    if (k.t < base_) rebase(k.t);
-    const int b = bucket_of(k.t);
+    const int b = bucket_of(k.t);  // base_ <= now_ <= k.t, as in push_key
     KeyVec& v = b < 0 ? front_ : buckets_[static_cast<std::size_t>(b)];
     // Only equal-time order matters inside a bucket (redistribution is a
     // stable partition), so the front of the bucket is as good as the
@@ -187,9 +180,6 @@ class Engine {
   /// Fire exactly the next event; false if the queue is empty.  Used by the
   /// machine simulator to interleave event processing with fiber execution.
   bool step_one() { return step(); }
-  /// Run until the queue drains or simulated time would exceed `limit`
-  /// (events after `limit` stay queued; events at exactly `limit` fire).
-  std::uint64_t run_until(Time limit);
 
   bool empty() const { return live_ == 0; }
   /// Live (schedulable) events only; cancellation shrinks this immediately.
@@ -289,13 +279,11 @@ class Engine {
 
   using KeyVec = std::vector<Key>;
 
-  // Bin `k` relative to base_ (front bucket for t == base_).  A key below
-  // base_ (legal after run_until advanced base_ past its limit) first
-  // rebases the whole queue so every stored bucket index stays a pure
-  // function of (t, base_) — binning it against the stale higher base
-  // would corrupt priority order.
+  // Bin `k` relative to base_ (front bucket for t == base_).  Invariant:
+  // base_ <= now_ <= k.t.  emplace() checks now_ <= t; base_ only passes
+  // now_ inside advance_to_live(), and the event it finds there fires
+  // (now_ = base_) before any callback can schedule.
   void push_key(const Key& k) {
-    if (k.t < base_) rebase(k.t);
     const int b = bucket_of(k.t);
     KeyVec& v = b < 0 ? front_ : buckets_[static_cast<std::size_t>(b)];
     // Skip the tiny-capacity doubling steps: dozens of buckets each
@@ -309,7 +297,6 @@ class Engine {
 
   void grow_slots();                // add a callback block + free slots
   void release_slot(std::uint32_t slot);
-  void rebase(std::uint64_t new_base);  // re-bin everything, lower base_
   void refill_front();              // redistribute lowest nonempty bucket
   bool advance_to_live();           // make front_[cur_] a live event
   void fire_front();                // fire front_[cur_] (must be live)

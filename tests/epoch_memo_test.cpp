@@ -26,6 +26,8 @@
 #include "rt/runtime.hpp"
 #include "suite/suite.hpp"
 
+#include "sim_oracle.hpp"
+
 namespace {
 
 using namespace xp;
@@ -36,48 +38,6 @@ using core::SimResult;
 using trace::Event;
 using trace::EventKind;
 using util::Time;
-
-void expect_bitwise_equal(const SimResult& ev, const SimResult& au,
-                          const std::string& what) {
-  SCOPED_TRACE(what);
-  EXPECT_EQ(ev.makespan.count_ns(), au.makespan.count_ns());
-  ASSERT_EQ(ev.threads.size(), au.threads.size());
-  for (std::size_t t = 0; t < ev.threads.size(); ++t) {
-    SCOPED_TRACE("thread " + std::to_string(t));
-    const auto& a = ev.threads[t];
-    const auto& b = au.threads[t];
-    EXPECT_EQ(a.compute.count_ns(), b.compute.count_ns());
-    EXPECT_EQ(a.comm_wait.count_ns(), b.comm_wait.count_ns());
-    EXPECT_EQ(a.barrier_wait.count_ns(), b.barrier_wait.count_ns());
-    EXPECT_EQ(a.send_overhead.count_ns(), b.send_overhead.count_ns());
-    EXPECT_EQ(a.service_time.count_ns(), b.service_time.count_ns());
-    EXPECT_EQ(a.poll_time.count_ns(), b.poll_time.count_ns());
-    EXPECT_EQ(a.finish.count_ns(), b.finish.count_ns());
-    EXPECT_EQ(a.remote_accesses, b.remote_accesses);
-    EXPECT_EQ(a.intra_cluster_accesses, b.intra_cluster_accesses);
-    EXPECT_EQ(a.requests_served, b.requests_served);
-    EXPECT_EQ(a.interrupts_taken, b.interrupts_taken);
-    EXPECT_EQ(a.polls, b.polls);
-  }
-  EXPECT_EQ(ev.messages, au.messages);
-  EXPECT_EQ(ev.bytes, au.bytes);
-  EXPECT_EQ(ev.avg_inflight, au.avg_inflight);
-}
-
-/// The extrapolated traces hold the same events in the same order.  Reports
-/// the first difference rather than printing whole traces.
-void expect_same_events(const SimResult& ev, const SimResult& au,
-                        const std::string& what) {
-  const auto& a = ev.extrapolated().events();
-  const auto& b = au.extrapolated().events();
-  EXPECT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i)
-    if (!(a[i] == b[i])) {
-      ADD_FAILURE() << what << ": event " << i << " is " << b[i].str()
-                    << ", oracle has " << a[i].str();
-      return;
-    }
-}
 
 const std::shared_ptr<const CompiledTrace>& compiled(const std::string& bench,
                                                      int n) {
@@ -143,8 +103,7 @@ std::int64_t check_cell(const std::shared_ptr<const CompiledTrace>& ct,
                         bool emit_trace = false) {
   const SimResult ev = run(ct, p, SimMode::EventDriven, emit_trace);
   const SimResult au = run(ct, p, SimMode::Auto, emit_trace);
-  expect_bitwise_equal(ev, au, what);
-  expect_same_events(ev, au, what);
+  test::expect_same_result(ev, au, what);
   EXPECT_EQ(ev.extrapolated().empty(), !emit_trace) << what;
   EXPECT_EQ(ev.hybrid.memo_hits, 0) << what;
   EXPECT_EQ(ev.hybrid.memo_misses, 0) << what;
@@ -247,18 +206,17 @@ TEST(EpochMemo, AutoMemoizesWithAndWithoutTrace) {
   const model::SimParams p = model::cm5_preset();
   const SimResult ev = run(ct, p, SimMode::EventDriven);
   const SimResult au = run(ct, p, SimMode::Auto);
-  expect_bitwise_equal(ev, au, "grid/cm5 auto");
+  test::expect_same_result(ev, au, "grid/cm5 auto");
   EXPECT_GT(au.hybrid.memo_hits, 0);
 
   const SimResult ev_traced = run(ct, p, SimMode::EventDriven, true);
   const SimResult traced = run(ct, p, SimMode::Auto, /*emit_trace=*/true);
   const std::string what = "grid/cm5 traced auto";
-  expect_bitwise_equal(ev_traced, traced, what);
+  test::expect_same_result(ev_traced, traced, what);
   EXPECT_EQ(traced.hybrid.memo_hits, au.hybrid.memo_hits) << what;
   EXPECT_EQ(traced.hybrid.memo_misses, au.hybrid.memo_misses) << what;
   EXPECT_EQ(traced.engine_events, au.engine_events) << what;
   EXPECT_GT(traced.extrapolated().size(), 0u) << what;
-  expect_same_events(ev_traced, traced, what);
 }
 
 // On grid, one recorded window stands for every later iteration, so the
@@ -269,7 +227,7 @@ TEST(EpochMemo, GridReplaysAlmostEveryWindow) {
     if (!preset.messages) continue;
     const SimResult ev = run(ct, preset.params, SimMode::EventDriven);
     const SimResult au = run(ct, preset.params, SimMode::Auto);
-    expect_bitwise_equal(ev, au, "grid/" + preset.name);
+    test::expect_same_result(ev, au, "grid/" + preset.name);
     EXPECT_GT(au.hybrid.memo_hits, 4 * au.hybrid.memo_misses) << preset.name;
     EXPECT_LT(au.engine_events * 4, ev.engine_events) << preset.name;
   }
@@ -316,10 +274,10 @@ TEST(EpochMemo, NonQuiescentBarrierPointKeepsMemoOff) {
   const model::SimParams p = model::distributed_preset();
   const SimResult ev = run(ct, p, SimMode::EventDriven);
   const SimResult au = run(ct, p, SimMode::Auto);
-  expect_bitwise_equal(ev, au, "non-quiescent hand-built trace");
-  expect_same_events(run(ct, p, SimMode::EventDriven, true),
-                     run(ct, p, SimMode::Auto, true),
-                     "non-quiescent hand-built trace, traced");
+  test::expect_same_result(ev, au, "non-quiescent hand-built trace");
+  test::expect_same_result(run(ct, p, SimMode::EventDriven, true),
+                           run(ct, p, SimMode::Auto, true),
+                           "non-quiescent hand-built trace, traced");
   EXPECT_EQ(au.hybrid.memo_hits, 0);
   // A quiescent point counts its window as a hit or a miss; the
   // non-quiescent one counts nothing.

@@ -1,14 +1,14 @@
-// Differential suite for the hybrid analytic/discrete-event fast path
-// (core/simulator.hpp, SimMode::Auto's segment collapse).
+// Differential suite for segment collapse (core/simulator.hpp, SimMode::
+// Auto's engine-free path).
 //
-// The hybrid classifier is conservative: a barrier-delimited segment is
-// collapsed into its closed form only when that form is provably exact, and
-// everything else demotes to the event engine.  The contract under test is
-// therefore not "close" but *bitwise identical* — makespan, every per-thread
-// stat, message/byte counts, and the extrapolated event sequence must
-// match EventDriven on every input: the golden trace, all seven suite codes
-// at n in {4, 8, 16}, and randomized contention configurations (where Auto
-// demotes contended owners, the divergence bound is exactly zero).
+// Collapse is all-or-nothing: a run whose every barrier-delimited segment
+// has a provably exact closed form skips the event engine, and every other
+// run replays every segment through it.  The contract under test is
+// therefore not "close" but *bitwise identical* — makespan, every
+// per-thread stat, message/byte counts, and the extrapolated event
+// sequence must match EventDriven on every input: the golden trace, all
+// seven suite codes at n in {4, 8, 16}, and randomized contention
+// configurations.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -23,11 +23,12 @@
 #include "suite/suite.hpp"
 #include "trace/trace_io.hpp"
 
+#include "sim_oracle.hpp"
+
 namespace {
 
 using namespace xp;
 using core::CompiledTrace;
-using core::HybridStats;
 using core::SimMode;
 using core::SimOptions;
 using core::SimResult;
@@ -43,7 +44,7 @@ model::SimParams single_cluster(model::SimParams p) {
 }
 
 /// The analytic-barrier presets (by_msgs=false), where the hybrid path can
-/// engage; the message-barrier presets demote wholesale.
+/// engage; the message-barrier presets collapse nothing.
 std::vector<std::pair<std::string, model::SimParams>> analytic_presets() {
   return {{"ideal", model::ideal_preset()},
           {"shared", model::shared_memory_preset()},
@@ -67,34 +68,6 @@ std::shared_ptr<const CompiledTrace> shared(CompiledTrace ct) {
 SimResult event_driven(const std::shared_ptr<const CompiledTrace>& ct,
                        const model::SimParams& p) {
   return core::simulate_compiled(ct, p, {SimMode::EventDriven});
-}
-
-void expect_bitwise_equal(const SimResult& ev, const SimResult& hy,
-                          const std::string& what) {
-  SCOPED_TRACE(what);
-  EXPECT_EQ(ev.makespan.count_ns(), hy.makespan.count_ns());
-  ASSERT_EQ(ev.threads.size(), hy.threads.size());
-  for (std::size_t t = 0; t < ev.threads.size(); ++t) {
-    SCOPED_TRACE("thread " + std::to_string(t));
-    const auto& a = ev.threads[t];
-    const auto& b = hy.threads[t];
-    EXPECT_EQ(a.compute.count_ns(), b.compute.count_ns());
-    EXPECT_EQ(a.comm_wait.count_ns(), b.comm_wait.count_ns());
-    EXPECT_EQ(a.barrier_wait.count_ns(), b.barrier_wait.count_ns());
-    EXPECT_EQ(a.send_overhead.count_ns(), b.send_overhead.count_ns());
-    EXPECT_EQ(a.service_time.count_ns(), b.service_time.count_ns());
-    EXPECT_EQ(a.poll_time.count_ns(), b.poll_time.count_ns());
-    EXPECT_EQ(a.finish.count_ns(), b.finish.count_ns());
-    EXPECT_EQ(a.remote_accesses, b.remote_accesses);
-    EXPECT_EQ(a.intra_cluster_accesses, b.intra_cluster_accesses);
-    EXPECT_EQ(a.requests_served, b.requests_served);
-    EXPECT_EQ(a.interrupts_taken, b.interrupts_taken);
-    EXPECT_EQ(a.polls, b.polls);
-  }
-  EXPECT_EQ(ev.messages, hy.messages);
-  EXPECT_EQ(ev.bytes, hy.bytes);
-  EXPECT_EQ(ev.avg_inflight, hy.avg_inflight);
-  EXPECT_EQ(ev.extrapolated().events(), hy.extrapolated().events());
 }
 
 Trace load_golden() {
@@ -157,22 +130,21 @@ TEST(HybridSim, GoldenTraceBitwiseAllPresets) {
   for (const auto& [name, params] : presets) {
     const SimResult ev = event_driven(ct, params);
     const SimResult au = core::simulate_compiled(ct, params, {SimMode::Auto});
-    expect_bitwise_equal(ev, au, "golden/" + name + "/auto");
+    test::expect_same_result(ev, au, "golden/" + name + "/auto");
     EXPECT_EQ(ev.hybrid.segments_collapsed, 0);  // oracle never collapses
   }
 }
 
 // Single-cluster analytic presets must actually engage the fast path on the
-// golden trace — a fast path that silently demotes everything would pass
+// golden trace — a fast path that silently collapses nothing would pass
 // the differential tests while delivering no speedup.
 TEST(HybridSim, GoldenTraceCollapsesUnderSingleCluster) {
   const auto translated = core::translate(load_golden());
   const auto ct = shared(CompiledTrace::compile(translated));
   const SimResult hy = core::simulate_compiled(
       ct, single_cluster(model::shared_memory_preset()), {SimMode::Auto});
-  EXPECT_EQ(hy.hybrid.path, HybridStats::Path::PureAnalytic);
-  EXPECT_GT(hy.hybrid.segments_collapsed, 0);
-  EXPECT_EQ(hy.hybrid.segments_demoted, 0);
+  EXPECT_TRUE(hy.sampling.active);
+  EXPECT_EQ(hy.hybrid.segments_collapsed, hy.hybrid.segments_total);
   EXPECT_GT(hy.hybrid.ops_collapsed, 0);
   EXPECT_EQ(hy.engine_events, 0u);
   EXPECT_EQ(hy.messages, 0);
@@ -180,7 +152,7 @@ TEST(HybridSim, GoldenTraceCollapsesUnderSingleCluster) {
 
 // All seven suite codes at n in {4, 8, 16}: Auto bitwise-matches
 // the event-driven oracle under analytic presets (where segments collapse)
-// and message presets (where the run demotes wholesale).
+// and message presets (where nothing collapses).
 TEST(HybridSim, SuiteCodesBitwise) {
   std::int64_t collapsed_total = 0;
   for (const std::string& bench : suite::benchmark_names()) {
@@ -195,7 +167,7 @@ TEST(HybridSim, SuiteCodesBitwise) {
       for (const auto& [pname, p] : params) {
         const SimResult ev = event_driven(ct, p);
         const SimResult hy = core::simulate_compiled(ct, p, {SimMode::Auto});
-        expect_bitwise_equal(
+        test::expect_same_result(
             ev, hy, bench + "/n=" + std::to_string(n) + "/" + pname);
         collapsed_total += hy.hybrid.segments_collapsed;
       }
@@ -204,9 +176,9 @@ TEST(HybridSim, SuiteCodesBitwise) {
   EXPECT_GT(collapsed_total, 0);
 }
 
-// Mixed path: contended owners (cross-cluster control/ghost traffic) demote
-// their epochs while the rest still collapse — and the mix stays bitwise.
-TEST(HybridSim, MixedPathContentionDemotesAndMatches) {
+// A contended multi-cluster run (cross-cluster control/ghost traffic)
+// collapses nothing: it is the EventDriven replay, event for event.
+TEST(HybridSim, ContendedMultiClusterRunCollapsesNothing) {
   for (const std::string& bench : {std::string("grid"), std::string("sparse")}) {
     const auto translated = core::translate(measured(bench, 8));
     const auto ct = shared(CompiledTrace::compile(translated));
@@ -214,8 +186,11 @@ TEST(HybridSim, MixedPathContentionDemotesAndMatches) {
     p.cluster.procs_per_cluster = 2;  // 4 clusters of 2 at n=8
     const SimResult ev = event_driven(ct, p);
     const SimResult hy = core::simulate_compiled(ct, p, {SimMode::Auto});
-    expect_bitwise_equal(ev, hy, bench + "/2per-cluster");
-    EXPECT_GT(hy.hybrid.segments_demoted, 0) << bench;
+    test::expect_same_result(ev, hy, bench + "/2per-cluster");
+    EXPECT_FALSE(hy.sampling.active) << bench;
+    EXPECT_EQ(hy.hybrid.segments_collapsed, 0) << bench;
+    EXPECT_EQ(hy.hybrid.ops_collapsed, 0) << bench;
+    EXPECT_EQ(hy.engine_events, ev.engine_events) << bench;
   }
 }
 
@@ -229,7 +204,7 @@ TEST(HybridSim, PollPolicyClosedFormMatches) {
   p.barrier.by_msgs = false;  // sp1 is a message-barrier preset by default
   const SimResult ev = event_driven(ct, p);
   const SimResult hy = core::simulate_compiled(ct, p, {SimMode::Auto});
-  expect_bitwise_equal(ev, hy, "grid/sp1-analytic-barrier");
+  test::expect_same_result(ev, hy, "grid/sp1-analytic-barrier");
   EXPECT_GT(hy.hybrid.segments_collapsed, 0);
   std::int64_t polls = 0;
   for (const auto& t : hy.threads) polls += t.polls;
@@ -237,16 +212,16 @@ TEST(HybridSim, PollPolicyClosedFormMatches) {
 }
 
 // Randomized-contention property test: random cluster shapes, MIPS ratios,
-// and presets over random suite codes.  Wherever Auto demotes segments the
-// divergence bound is exactly zero — Auto is conservative-exact, never
-// approximate — and across the sample both demotion and collapse must fire.
+// and presets over random suite codes.  Auto is exact, never approximate,
+// collapse is all-or-nothing, and across the sample both whole-run
+// collapse and whole-run replay must occur.
 TEST(HybridSim, RandomizedContentionPropertyAutoIsExact) {
   std::mt19937 rng(0x5eed);
   const std::vector<std::string> benches = {"grid", "cyclic", "sparse",
                                             "embar"};
   const std::vector<int> clusters = {1, 2, 4, 1 << 20};
   const std::vector<double> mips = {0.41, 1.0, 1.136, 2.0};
-  std::int64_t demoted_total = 0, collapsed_total = 0;
+  int collapsed_runs = 0, event_runs = 0;
   for (int iter = 0; iter < 24; ++iter) {
     const std::string bench = benches[rng() % benches.size()];
     const int n = (rng() % 2) ? 4 : 8;
@@ -258,15 +233,18 @@ TEST(HybridSim, RandomizedContentionPropertyAutoIsExact) {
     const auto ct = shared(CompiledTrace::compile(translated));
     const SimResult ev = event_driven(ct, p);
     const SimResult au = core::simulate_compiled(ct, p, {SimMode::Auto});
-    expect_bitwise_equal(ev, au,
+    test::expect_same_result(ev, au,
                          "iter" + std::to_string(iter) + "/" + bench + "/n=" +
                              std::to_string(n) + "/ppc=" +
                              std::to_string(p.cluster.procs_per_cluster));
-    demoted_total += au.hybrid.segments_demoted;
-    collapsed_total += au.hybrid.segments_collapsed;
+    const std::int64_t collapsed = au.hybrid.segments_collapsed;
+    EXPECT_TRUE(collapsed == 0 || collapsed == au.hybrid.segments_total)
+        << "iter" << iter;
+    collapsed_runs += collapsed > 0;
+    event_runs += collapsed == 0;
   }
-  EXPECT_GT(demoted_total, 0);    // contention demotion fired somewhere
-  EXPECT_GT(collapsed_total, 0);  // and the fast path engaged somewhere
+  EXPECT_GT(collapsed_runs, 0);  // the fast path engaged somewhere
+  EXPECT_GT(event_runs, 0);      // and cross-cluster traffic refused it
 }
 
 // emit_trace=false is a pure memory/time saving: identical numerics, empty
@@ -315,7 +293,7 @@ TEST(HybridSim, EmitTraceOffKeepsNumerics) {
 }
 
 // Multithreading extension (n_procs < n_threads) shares CPUs between
-// threads, which the classifier must refuse: everything demotes, results
+// threads, which the classifier must refuse: nothing collapses, results
 // still match the oracle.
 TEST(HybridSim, SharedProcessorsDemoteWholesale) {
   const auto translated = core::translate(measured("grid", 8));
@@ -324,8 +302,8 @@ TEST(HybridSim, SharedProcessorsDemoteWholesale) {
   p.proc.n_procs = 4;  // 2 threads per processor
   const SimResult ev = event_driven(ct, p);
   const SimResult hy = core::simulate_compiled(ct, p, {SimMode::Auto});
-  expect_bitwise_equal(ev, hy, "grid/n_procs=4");
-  EXPECT_EQ(hy.hybrid.path, HybridStats::Path::Event);
+  test::expect_same_result(ev, hy, "grid/n_procs=4");
+  EXPECT_FALSE(hy.sampling.active);
   EXPECT_EQ(hy.hybrid.segments_collapsed, 0);
-  EXPECT_EQ(hy.hybrid.segments_demoted, hy.hybrid.segments_total);
+  EXPECT_GT(hy.hybrid.segments_total, 0);
 }

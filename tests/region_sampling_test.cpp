@@ -23,6 +23,8 @@
 #include "suite/suite.hpp"
 #include "trace/trace_io.hpp"
 
+#include "sim_oracle.hpp"
+
 namespace {
 
 using namespace xp;
@@ -60,36 +62,6 @@ const Trace& measured(const std::string& bench, int n) {
   rt::MeasureOptions mo;
   mo.n_threads = n;
   return cache.emplace(key, rt::measure(*prog, mo)).first->second;
-}
-
-/// Bitwise comparison of two simulations, extrapolated events included
-/// (both empty when neither run emitted a trace).
-void expect_bitwise_equal(const SimResult& a, const SimResult& b,
-                          const std::string& what) {
-  SCOPED_TRACE(what);
-  EXPECT_EQ(a.makespan.count_ns(), b.makespan.count_ns());
-  ASSERT_EQ(a.threads.size(), b.threads.size());
-  for (std::size_t t = 0; t < a.threads.size(); ++t) {
-    SCOPED_TRACE("thread " + std::to_string(t));
-    const auto& x = a.threads[t];
-    const auto& y = b.threads[t];
-    EXPECT_EQ(x.compute.count_ns(), y.compute.count_ns());
-    EXPECT_EQ(x.comm_wait.count_ns(), y.comm_wait.count_ns());
-    EXPECT_EQ(x.barrier_wait.count_ns(), y.barrier_wait.count_ns());
-    EXPECT_EQ(x.send_overhead.count_ns(), y.send_overhead.count_ns());
-    EXPECT_EQ(x.service_time.count_ns(), y.service_time.count_ns());
-    EXPECT_EQ(x.poll_time.count_ns(), y.poll_time.count_ns());
-    EXPECT_EQ(x.finish.count_ns(), y.finish.count_ns());
-    EXPECT_EQ(x.remote_accesses, y.remote_accesses);
-    EXPECT_EQ(x.intra_cluster_accesses, y.intra_cluster_accesses);
-    EXPECT_EQ(x.requests_served, y.requests_served);
-    EXPECT_EQ(x.interrupts_taken, y.interrupts_taken);
-    EXPECT_EQ(x.polls, y.polls);
-  }
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.bytes, b.bytes);
-  EXPECT_EQ(a.avg_inflight, b.avg_inflight);
-  EXPECT_EQ(a.extrapolated().events(), b.extrapolated().events());
 }
 
 std::shared_ptr<const CompiledTrace> shared(CompiledTrace ct) {
@@ -237,7 +209,7 @@ TEST(EpochClasses, NearIdenticalEpochsStaySeparateClasses) {
   const SimResult au = run(ct, params, SimMode::Auto);
   ASSERT_TRUE(au.sampling.active);
   EXPECT_EQ(au.sampling.epochs_simulated, 4);  // one walk per class
-  expect_bitwise_equal(au, exact, "5 ns apart: auto vs event");
+  test::expect_same_result(au, exact, "5 ns apart: auto vs event");
 }
 
 // Tier-1 acceptance bar: on every suite workload the Auto sampled path is
@@ -264,8 +236,8 @@ TEST(EpochClasses, SuiteWorkloadsBitwiseAcrossModes) {
         const SimResult au = run(ct, params, SimMode::Auto, trace);
         EXPECT_EQ(full.sampling.epochs_simulated, full.sampling.epochs)
             << what;
-        expect_bitwise_equal(au, full, what + " auto vs full walk");
-        expect_bitwise_equal(au, ev, what + " auto vs event");
+        test::expect_same_result(au, full, what + " auto vs full walk");
+        test::expect_same_result(au, ev, what + " auto vs event");
         if (name != "shared") {
           // One cluster: every segment collapses, so Auto samples.
           // Iterative codes dedup; codes with all-distinct epochs (embar,
@@ -334,7 +306,7 @@ TEST(EpochClasses, LongGoldenSampledPathEngagesAndStaysExact) {
     EXPECT_EQ(au.sampling.epochs_simulated, ct->epoch_classes.n_classes());
     EXPECT_LT(au.sampling.epochs_simulated, au.sampling.epochs / 2);
     EXPECT_EQ(au.extrapolated().events().empty(), !trace);
-    expect_bitwise_equal(au, ev, "long golden auto vs event");
+    test::expect_same_result(au, ev, "long golden auto vs event");
   }
 }
 
@@ -348,7 +320,7 @@ TEST(EpochClasses, PollPolicyAutoBitwiseEqualToEventDriven) {
   params.proc.policy = model::ServicePolicy::Poll;
   const SimResult ev = run(ct, params, SimMode::EventDriven);
   const SimResult au = run(ct, params, SimMode::Auto);
-  expect_bitwise_equal(au, ev, "poll policy, auto vs event");
+  test::expect_same_result(au, ev, "poll policy, auto vs event");
 }
 
 // Sweeps must stay deterministic and bitwise-identical across worker

@@ -172,7 +172,7 @@ TEST(ServeProtocol, MalformedFramesThrow) {
   bad[4] = 0x33;
   EXPECT_THROW(try_parse_frame(bad), ProtocolError);
   // Another protocol version.
-  for (const int version : {0, 1, 2, kProtocolVersion + 1}) {
+  for (const int version : {0, 1, 2, 3, kProtocolVersion + 1}) {
     std::string other = encode_frame(MsgType::Stats, false, 1, "");
     other[5] = static_cast<char>(version);
     EXPECT_THROW(try_parse_frame(other), ProtocolError) << version;
@@ -419,7 +419,7 @@ TEST(ServeService, AutoRepliesMatchEventDrivenAndAreCounted) {
   // Every served query counts as one cell of the fast-path counters.
   const ServerStats st = svc.stats();
   EXPECT_EQ(st.queries_ok, 2u);
-  EXPECT_EQ(st.sim.cells_event + st.sim.cells_hybrid + st.sim.cells_memo, 2);
+  EXPECT_EQ(st.sim.cells_event + st.sim.cells_memo + st.sim.cells_sampled, 2);
 }
 
 // The serve_warm batch shape on a grid bench session: {distributed, cm5,
@@ -547,9 +547,15 @@ TEST(ServeService, FailedBenchMissesLeaveNoCacheEntries) {
 TEST(ServeService, PatternModelFitsBenchSessions) {
   Service svc(pattern_service_options());
   const auto session = svc.open_bench_session("mrhist");
-  const PatternModelResult res =
-      svc.run_pattern_model(session, distributed_pattern_query());
+  const PatternQuery q = distributed_pattern_query();
+  const PatternModelResult res = svc.run_pattern_model(session, q);
   ASSERT_TRUE(res.ok) << res.error;
+  // Each fit count's simulation counts as one cell of the fast-path
+  // counters, like a plain query's.
+  const core::SimCounters& sim = svc.stats().sim;
+  EXPECT_EQ(sim.cells_event + sim.cells_memo + sim.cells_sampled,
+            static_cast<std::int64_t>(q.procs.size()));
+  EXPECT_GT(sim.events_fired, 0);
   ASSERT_EQ(res.regions.size(), 1u);  // mrhist is a single mapreduce leaf
   EXPECT_EQ(res.regions[0].region, 1);
   EXPECT_EQ(res.regions[0].label, "mapreduce:hist");
@@ -703,7 +709,7 @@ TEST(ServeServer, ServedBatchesMatchEventDrivenOverTheSocket) {
   }
 
   const ServerStats st = client.stats();
-  EXPECT_EQ(st.sim.cells_event + st.sim.cells_hybrid + st.sim.cells_memo,
+  EXPECT_EQ(st.sim.cells_event + st.sim.cells_memo + st.sim.cells_sampled,
             static_cast<std::int64_t>(queries.size()));
 
   client.close_session(session);
@@ -928,7 +934,7 @@ TEST(ServeServer, UnknownTypesAndVersionsGetErrorReplies) {
   // version.
   WireWriter open;
   open.str("cyclic");
-  for (const int version : {0, 1, 2, kProtocolVersion + 1}) {
+  for (const int version : {0, 1, 2, 3, kProtocolVersion + 1}) {
     SCOPED_TRACE(version);
     std::string other = encode_frame(MsgType::OpenBench, false, 5, open.data());
     other[5] = static_cast<char>(version);

@@ -79,28 +79,6 @@ TEST(Engine, EventsCanScheduleEvents) {
   EXPECT_EQ(e.now(), Time::us(9));
 }
 
-TEST(Engine, RunUntilStopsAtLimit) {
-  Engine e;
-  std::vector<int> fired;
-  for (int i = 1; i <= 5; ++i)
-    e.schedule_at(Time::us(i * 10), [&, i] { fired.push_back(i); });
-  EXPECT_EQ(e.run_until(Time::us(30)), 3u);
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(e.pending(), 2u);
-  e.run();
-  EXPECT_EQ(fired.size(), 5u);
-}
-
-TEST(Engine, RunUntilSkipsCancelledHead) {
-  Engine e;
-  const EventId id = e.schedule_at(Time::us(1), [] {});
-  bool fired = false;
-  e.schedule_at(Time::us(2), [&] { fired = true; });
-  e.cancel(id);
-  e.run_until(Time::us(5));
-  EXPECT_TRUE(fired);
-}
-
 TEST(Engine, StepOne) {
   Engine e;
   int count = 0;

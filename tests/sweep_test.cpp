@@ -374,7 +374,7 @@ TEST(SweepRunner, StagesAttributeMemoizedCells) {
   EXPECT_EQ(r.stages.sim.memo_misses, misses);
   EXPECT_EQ(r.stages.sim.cells_memo, memo_cells);
   EXPECT_GT(r.stages.sim.cells_memo, 0);
-  EXPECT_EQ(r.stages.sim.cells_hybrid, 0);
+  EXPECT_EQ(r.stages.sim.cells_sampled, 0);
   EXPECT_EQ(r.stages.sim.cells_event + r.stages.sim.cells_memo,
             static_cast<std::int64_t>(r.grid.size()));
   const std::string report = metrics::render_sweep(metrics::analyze_sweep(r));

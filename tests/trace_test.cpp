@@ -1,8 +1,11 @@
 // Unit tests for the trace model, validation, I/O, and summaries.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
+#include <string>
 
+#include "core/extrapolator.hpp"
 #include "trace/summary.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_io.hpp"
@@ -116,6 +119,65 @@ TEST(TraceValidate, RejectsNestedBarrierEntry) {
   t.append(ev(0, 0, EventKind::ThreadBegin));
   t.append(ev(1, 0, EventKind::BarrierEntry, 0));
   t.append(ev(2, 0, EventKind::BarrierEntry, 1));
+  EXPECT_THROW(t.validate(), util::TraceError);
+}
+
+// Regression mutants of the grid_n4 golden trace: each is a one-line edit
+// that validation used to accept, letting the input reach a library
+// invariant (translate's barrier-pairing check) or predict with a
+// nonsensical clock.  prepare_trace must reject each as a TraceError.
+std::string golden_text() {
+  std::ifstream in(XP_GOLDEN_DIR "/grid_n4.xpt");
+  EXPECT_TRUE(in.good()) << "missing golden trace";
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// The golden text with its first `from` line replaced by `to`.
+std::string mutate_golden(const std::string& from, const std::string& to) {
+  std::string text = golden_text();
+  const auto at = text.find(from + "\n");
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+core::TranslatedTrace prepare_text(const std::string& text) {
+  std::istringstream in(text);
+  return core::prepare_trace(read_text(in));
+}
+
+TEST(TraceValidate, RejectsRemoteInsideBarrier) {
+  // Thread 0 reads remotely between its BarrierEntry and BarrierExit.
+  const std::string text = mutate_golden(
+      "E 0 0 BARENTRY 0 -1 -1 0 0",
+      "E 0 0 BARENTRY 0 -1 -1 0 0\nE 0 0 RREAD -1 1 6 231456 64");
+  EXPECT_THROW(prepare_text(text), util::TraceError);
+}
+
+TEST(TraceValidate, RejectsTimeSteppingBack) {
+  const std::string text = mutate_golden(
+      "E 1352112 0 RREAD -1 1 2 231456 64",
+      "E 1352111 0 RREAD -1 1 2 231456 64");
+  EXPECT_THROW(prepare_text(text), util::TraceError);
+}
+
+TEST(TraceValidate, RejectsTimeAboveTheCap) {
+  const std::string text = mutate_golden(
+      "E 1352112 3 BARENTRY 1 -1 -1 0 0",
+      "E 9223372036854775807 3 BARENTRY 1 -1 -1 0 0");
+  EXPECT_THROW(prepare_text(text), util::TraceError);
+}
+
+TEST(TraceValidate, TimeBoundsAreInclusive) {
+  Trace t(1);
+  t.append(ev(0, 0, EventKind::ThreadBegin));
+  t.append(ev(kMaxTraceTimeNs, 0, EventKind::ThreadEnd));
+  EXPECT_NO_THROW(t.validate());
+  t.mutable_events()[1].time = Time::ns(kMaxTraceTimeNs + 1);
+  EXPECT_THROW(t.validate(), util::TraceError);
+  t.mutable_events()[1].time = Time::ns(0);
+  t.mutable_events()[0].time = Time::ns(-1);
   EXPECT_THROW(t.validate(), util::TraceError);
 }
 
