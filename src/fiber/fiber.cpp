@@ -18,19 +18,10 @@ const char* to_string(FiberState s) {
   return "?";
 }
 
-Fiber::Fiber(int id, std::function<void()> body, std::size_t stack_bytes,
-             Backend backend)
-    : id_(id),
-      backend_(backend),
-      body_(std::move(body)),
-      stack_bytes_(stack_bytes) {
+Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes)
+    : body_(std::move(body)), stack_bytes_(stack_bytes) {
   XP_REQUIRE(stack_bytes_ >= 16 * 1024, "fiber stack too small (<16 KiB)");
   XP_REQUIRE(static_cast<bool>(body_), "fiber body must be callable");
-  // The fcontext backend acquires its pooled stack lazily at the first
-  // switch-in, so schedulers with many queued fibers only hold stacks for
-  // the ones actually in flight.
-  if (backend_ == Backend::Ucontext)
-    ustack_ = std::make_unique<char[]>(stack_bytes_);
 }
 
 Fiber::~Fiber() { release_context(); }
@@ -39,8 +30,9 @@ void Fiber::release_context() {
   if (stack_) {
     stack_release(stack_);
     stack_ = StackSpan{};
-    sp_ = nullptr;
   }
+  ctx_.reset();
+  ustack_.reset();
 #if defined(XP_TSAN_FIBERS)
   if (tsan_fiber_) {
     __tsan_destroy_fiber(tsan_fiber_);

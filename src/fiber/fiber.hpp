@@ -35,45 +35,37 @@ const char* to_string(FiberState s);
 
 class Scheduler;
 
-/// One cooperative thread of control with its own stack.
+/// One cooperative thread of control with its own stack.  Its saved stack
+/// pointer and run state live in the Scheduler's arrays indexed by fiber
+/// id, so a switch on the fcontext backend reads nothing from this object.
 class Fiber {
  public:
   static constexpr std::size_t kDefaultStackBytes = 256 * 1024;
 
-  Fiber(int id, std::function<void()> body, std::size_t stack_bytes,
-        Backend backend);
+  Fiber(std::function<void()> body, std::size_t stack_bytes);
   ~Fiber();
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
-
-  int id() const { return id_; }
-  FiberState state() const { return state_; }
 
  private:
   friend class Scheduler;
 
   /// Drop the execution context once the fiber can never run again
-  /// (finished, or torn down): returns the pooled stack, destroys the
-  /// sanitizer fiber.  Idempotent.
+  /// (finished, or torn down): returns the pooled stack or frees the heap
+  /// stack and context, destroys the sanitizer fiber.  Idempotent.
   void release_context();
 
-  int id_;
-  Backend backend_;
-  FiberState state_ = FiberState::Ready;
   std::function<void()> body_;
   std::size_t stack_bytes_;
 
-  // Fcontext backend: pooled stack acquired lazily at the first switch-in,
-  // released as soon as the fiber finishes; sp_ is the saved stack pointer
-  // while the fiber is switched out.
+  // Each backend acquires its stack at the first switch-in and drops it as
+  // soon as the fiber finishes, so a scheduler with many queued fibers only
+  // holds stacks for the ones in flight.  Fcontext: a pooled stack.
+  // Ucontext: a heap stack and the ~1 KB context built on it.
   StackSpan stack_{};
-  void* sp_ = nullptr;
-
-  // Ucontext backend: heap stack + full ucontext.
   std::unique_ptr<char[]> ustack_;
-  ucontext_t ctx_{};
+  std::unique_ptr<ucontext_t> ctx_;
 
-  bool started_ = false;
   std::exception_ptr error_;
   void* tsan_fiber_ = nullptr;
   void* asan_fake_stack_ = nullptr;  ///< ASan: saved while switched out

@@ -49,7 +49,7 @@ class Scheduler {
   /// May be called from a fiber or from scheduler-side hooks.
   void unblock(int id);
 
-  std::size_t live_count() const;
+  std::size_t live_count() const { return live_; }
   FiberState state_of(int id) const;
 
   /// Hook invoked when the ready queue is empty but blocked fibers remain;
@@ -60,14 +60,20 @@ class Scheduler {
   void set_idle_hook(std::function<bool()> hook) { idle_hook_ = std::move(hook); }
 
  private:
-  friend class Fiber;
-
   static void trampoline();
-  void switch_to(Fiber& f);
+  void switch_to(int id);
   void return_to_scheduler(FiberState new_state);
 
   Backend backend_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
+  // Switch state by fiber id, apart from the Fiber objects: a round robin
+  // over thousands of fibers then walks two dense arrays instead of one
+  // cold heap object per fiber.  sps_ holds each switched-out fiber's saved
+  // stack pointer on the fcontext backend (null until its first switch-in;
+  // always null on the ucontext backend).
+  std::vector<void*> sps_;
+  std::vector<FiberState> states_;
+  std::size_t live_ = 0;  ///< fibers not yet Finished
   std::deque<int> ready_;
   int current_ = -1;
   ucontext_t main_ctx_{};     ///< ucontext backend: scheduler context

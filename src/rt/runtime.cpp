@@ -1,7 +1,6 @@
 #include "rt/runtime.hpp"
 
 #include <chrono>
-#include <map>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -33,6 +32,7 @@ class MeasureRuntime final : public Runtime {
                 host_clock_ ? Time::zero() : host.flush_cost, capacity_hint),
         barrier_count_(static_cast<std::size_t>(n_threads), 0) {
     XP_REQUIRE(n_ > 0, "need at least one thread");
+    waiters_.reserve(static_cast<std::size_t>(n_ - 1));
     XP_REQUIRE(host_.mflops > 0, "MFLOPS rating must be positive");
   }
 
@@ -47,7 +47,7 @@ class MeasureRuntime final : public Runtime {
       });
     }
     sched_.run();
-    XP_CHECK(pending_.empty(), "program ended with unreleased barriers");
+    XP_CHECK(arrived_ == 0, "program ended with unreleased barriers");
     tracer_.set_meta("program", prog.name());
     tracer_.set_meta("host", host_.name);
     tracer_.set_meta("mflops", std::to_string(host_.mflops));
@@ -95,17 +95,17 @@ class MeasureRuntime final : public Runtime {
     e.barrier_id = id;
     tracer_.record(&clock_, e);
 
-    BarrierState& b = pending_[id];
-    if (++b.arrived < n_) {
-      b.waiters.push_back(t);
+    if (++arrived_ < n_) {
+      waiters_.push_back(t);
       if (!host_clock_) clock_ += host_.switch_overhead;
       sched_.block();
       // Resumed by the last arriver; the shared clock has meanwhile been
       // advanced by whichever threads ran — exactly as on a real
       // uniprocessor.  The translator re-aligns these exits.
     } else {
-      for (int w : b.waiters) sched_.unblock(w);
-      pending_.erase(id);
+      for (int w : waiters_) sched_.unblock(w);
+      waiters_.clear();
+      arrived_ = 0;
     }
     e.kind = trace::EventKind::BarrierExit;
     tracer_.record(&clock_, e);
@@ -138,11 +138,6 @@ class MeasureRuntime final : public Runtime {
   }
 
  private:
-  struct BarrierState {
-    int arrived = 0;
-    std::vector<int> waiters;
-  };
-
   /// Host-clock mode: timestamps are the real elapsed wall time since the
   /// threads started — the paper's actual Sun 4 measurement method.
   void sync_host_clock() {
@@ -206,10 +201,12 @@ class MeasureRuntime final : public Runtime {
   Tracer tracer_;
   Time clock_;
   std::vector<std::int32_t> barrier_count_;
-  // Barrier instances in flight, keyed by barrier id.  More than one can be
-  // pending: the last arriver of barrier k runs ahead and may enter k+1
-  // before the waiters of k have been rescheduled.
-  std::map<std::int32_t, BarrierState> pending_;
+  // The barrier instance in flight.  There is at most one: no thread enters
+  // barrier k+1 before all n have arrived at k, and the last arriver
+  // releases k before it runs ahead.  The waiters, in arrival order (the
+  // order they are woken), keep their storage across instances.
+  int arrived_ = 0;
+  std::vector<int> waiters_;
 };
 
 /// Event counts from completed measurements, keyed "program/n_threads".

@@ -8,6 +8,7 @@
 // backend-vs-oracle differential over the full benchmark suite.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -146,6 +147,46 @@ TEST_P(FiberTest, SpawnFromWithinFiber) {
   });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
+// A switched-out fiber's saved stack pointer and run state live in the
+// scheduler's arrays indexed by fiber id, which spawning grows.  Fibers
+// blocked while a running fiber spawns thousands more (so those arrays
+// reallocate) must resume on intact stacks, in the order they were
+// unblocked.
+TEST_P(FiberTest, BlockedFibersSurviveSwitchStateGrowth) {
+  Scheduler s(GetParam());
+  constexpr int kBlocked = 64;
+  constexpr int kSpawned = 10000;
+  constexpr std::uint64_t kCanary = 0xC0FFEE0000000000ull;
+  std::vector<int> ids, resumed;
+  int intact = 0;
+  int finished = 0;
+  for (int i = 0; i < kBlocked; ++i) {
+    ids.push_back(s.spawn([&, i] {
+      volatile std::uint64_t canary[4];
+      for (auto& c : canary) c = kCanary + static_cast<std::uint64_t>(i);
+      s.block();
+      bool ok = true;
+      for (const auto& c : canary)
+        ok = ok && c == kCanary + static_cast<std::uint64_t>(i);
+      intact += ok ? 1 : 0;
+      EXPECT_EQ(finished, kSpawned);  // resumed after every spawned fiber
+      resumed.push_back(i);
+    }));
+  }
+  s.spawn([&] {
+    for (int k = 0; k < kSpawned; ++k)
+      s.spawn([&] { ++finished; }, 16 * 1024);
+    for (int i = kBlocked - 1; i >= 0; --i) s.unblock(ids[i]);
+  });
+  s.run();
+  std::vector<int> expected;
+  for (int i = kBlocked - 1; i >= 0; --i) expected.push_back(i);
+  EXPECT_EQ(intact, kBlocked);
+  EXPECT_EQ(resumed, expected);
+  EXPECT_EQ(finished, kSpawned);
+  EXPECT_EQ(s.live_count(), 0u);
 }
 
 TEST_P(FiberTest, StateQueries) {
