@@ -20,12 +20,6 @@ void Trace::sort_by_time() {
                    [](const Event& a, const Event& b) { return a.time < b.time; });
 }
 
-bool Trace::is_time_ordered() const {
-  for (std::size_t i = 1; i < events_.size(); ++i)
-    if (events_[i].time < events_[i - 1].time) return false;
-  return true;
-}
-
 std::vector<Trace> Trace::split_by_thread() const {
   XP_REQUIRE(n_threads_ > 0, "split_by_thread: thread count unset");
   // Count first so each per-thread vector reserves exactly once.

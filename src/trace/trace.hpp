@@ -45,9 +45,6 @@ class Trace {
   /// Stable sort by timestamp (preserves issue order at equal times).
   void sort_by_time();
 
-  /// True if events are non-decreasing in time.
-  bool is_time_ordered() const;
-
   /// Split into n_threads per-thread traces (metadata copied to each).
   std::vector<Trace> split_by_thread() const;
 

@@ -15,6 +15,8 @@
 #include "trace/summary.hpp"
 #include "util/rng.hpp"
 
+#include "trace_order.hpp"
+
 namespace xp {
 namespace {
 
@@ -106,7 +108,7 @@ TEST(PropertyTranslate, RandomTracesKeepInvariants) {
       const auto& evs = parts[static_cast<std::size_t>(th)].events();
       // First event of every thread at zero; timestamps non-decreasing.
       EXPECT_EQ(evs.front().time, Time::zero());
-      EXPECT_TRUE(parts[static_cast<std::size_t>(th)].is_time_ordered());
+      EXPECT_TRUE(test::time_ordered(parts[static_cast<std::size_t>(th)]));
       for (const Event& e : evs) {
         if (e.kind == EventKind::BarrierExit) {
           auto [it, fresh] = release.emplace(e.barrier_id, e.time);

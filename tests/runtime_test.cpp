@@ -13,6 +13,8 @@
 #include "trace/summary.hpp"
 #include "util/error.hpp"
 
+#include "trace_order.hpp"
+
 namespace xp::rt {
 namespace {
 
@@ -197,7 +199,7 @@ TEST(MeasureRuntime, HostClockModeMeasuresRealTime) {
     EXPECT_EQ(th[i].kind, tv[i].kind) << i;
     EXPECT_EQ(th[i].thread, tv[i].thread) << i;
   }
-  EXPECT_TRUE(th.is_time_ordered());
+  EXPECT_TRUE(test::time_ordered(th));
   // Real time passed (begin-to-end span is positive on any host).
   EXPECT_GT(th.end_time(), util::Time::zero());
 }
@@ -244,7 +246,7 @@ TEST(Tracer, ArenaOrderMatchesRecordingStableSort) {
   EXPECT_EQ(tr.events_recorded(), 100);
   const trace::Trace t = tr.take();
   ASSERT_EQ(t.size(), 100u);
-  EXPECT_TRUE(t.is_time_ordered());
+  EXPECT_TRUE(test::time_ordered(t));
   for (std::size_t i = 0; i < t.size(); ++i)
     EXPECT_EQ(t[i].object, static_cast<std::int64_t>(i));  // recording order
 }

@@ -18,6 +18,8 @@
 #include "trace/trace_io.hpp"
 #include "util/error.hpp"
 
+#include "trace_order.hpp"
+
 namespace xp::core {
 namespace {
 
@@ -364,7 +366,7 @@ TEST(Simulator, ExtrapolatedTraceIsValid) {
   p.barrier.by_msgs = true;
   const SimResult r = simulate(ts, p);
   EXPECT_NO_THROW(r.extrapolated().validate());
-  EXPECT_TRUE(r.extrapolated().is_time_ordered());
+  EXPECT_TRUE(test::time_ordered(r.extrapolated()));
   EXPECT_EQ(r.extrapolated().meta("extrapolated"), "1");
 }
 

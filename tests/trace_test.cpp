@@ -12,6 +12,8 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
+#include "trace_order.hpp"
+
 namespace xp::trace {
 namespace {
 
@@ -69,7 +71,7 @@ TEST(TraceTest, SortIsStable) {
   t.append(ev(50, 1, EventKind::ThreadBegin));
   t.append(ev(100, 1, EventKind::ThreadEnd));  // equal time: keeps order
   t.sort_by_time();
-  EXPECT_TRUE(t.is_time_ordered());
+  EXPECT_TRUE(test::time_ordered(t));
   EXPECT_EQ(t[0].thread, 1);
   EXPECT_EQ(t[1].thread, 0);
   EXPECT_EQ(t[2].kind, EventKind::ThreadEnd);
@@ -87,7 +89,7 @@ TEST(TraceTest, SplitAndMergeRoundTrip) {
     for (const auto& e : p.events()) EXPECT_EQ(e.thread, p.meta("thread")[0] - '0');
   const Trace merged = Trace::merge(parts);
   EXPECT_EQ(merged.size(), t.size());
-  EXPECT_TRUE(merged.is_time_ordered());
+  EXPECT_TRUE(test::time_ordered(merged));
   EXPECT_EQ(merged.meta("program"), "demo");
 }
 

@@ -16,6 +16,8 @@
 #include "trace/trace_io.hpp"
 #include "util/error.hpp"
 
+#include "trace_order.hpp"
+
 namespace xp::core {
 namespace {
 
@@ -300,7 +302,7 @@ TEST(Translate, RealProgramInvariants) {
     Time max_entry;
     for (int t = 0; t < 5; ++t) {
       const auto& evs = parts[static_cast<size_t>(t)].events();
-      EXPECT_TRUE(parts[static_cast<size_t>(t)].is_time_ordered());
+      EXPECT_TRUE(test::time_ordered(parts[static_cast<size_t>(t)]));
       EXPECT_EQ(evs.front().time, Time::zero());
       for (std::size_t i = 0; i < evs.size(); ++i) {
         if (evs[i].kind == EventKind::BarrierEntry && evs[i].barrier_id == b)
