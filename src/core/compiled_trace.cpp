@@ -1,5 +1,7 @@
 #include "core/compiled_trace.hpp"
 
+#include <string>
+
 #include "core/translate.hpp"
 #include "util/error.hpp"
 
@@ -29,7 +31,6 @@ void ThreadLowering::push(const Event& e, Time delta, Time at) {
     case EventKind::RemoteWrite: {
       op = OpKind::Remote;
       RemoteRec r;
-      r.object = e.object;
       r.peer = e.peer;
       r.declared_bytes = e.declared_bytes;
       r.actual_bytes = e.actual_bytes;
@@ -42,10 +43,21 @@ void ThreadLowering::push(const Event& e, Time delta, Time at) {
       }
       break;
     }
-    case EventKind::BarrierEntry:
+    case EventKind::BarrierEntry: {
       op = OpKind::Barrier;
-      out->barrier_ids.push_back(e.barrier_id);
+      // Every closed segment so far ended at one of this thread's barriers.
+      const std::size_t k = out->segments.size();
+      if (k == barrier_ids->size())
+        barrier_ids->push_back(e.barrier_id);
+      else if ((*barrier_ids)[k] != e.barrier_id)
+        throw util::TraceError(
+            "thread " + std::to_string(thread) + " passes barrier " +
+            std::to_string(e.barrier_id) + " where another thread passes " +
+            std::to_string((*barrier_ids)[k]) +
+            " (the data-parallel model requires identical barrier "
+            "sequences)");
       break;
+    }
     case EventKind::BarrierExit:
       XP_CHECK(false, "unpaired BarrierExit reached replay");
       break;
@@ -77,15 +89,19 @@ CompiledTrace CompiledTrace::compile(
   for (std::size_t t = 0; t < translated.size(); ++t) {
     const std::vector<Event>& events = translated[t].events();
     CompiledThread& out = ct.threads[t];
-    XP_REQUIRE(!events.empty(), "thread trace is empty");
+    const auto fail = [t](const std::string& what) {
+      throw util::TraceError("thread " + std::to_string(t) + ": " + what);
+    };
+    if (events.empty()) fail("thread trace is empty");
     for (const Event& e : events)
-      XP_REQUIRE(e.thread == static_cast<std::int32_t>(t),
-                 "translated trace contains foreign events");
+      if (e.thread != static_cast<std::int32_t>(t))
+        fail("translated trace contains foreign events");
     out.ops.reserve(events.size());
     out.pre_delta.reserve(events.size());
     out.proto.reserve(events.size());
 
-    ThreadLowering low{&out, static_cast<std::int32_t>(t), {}};
+    ThreadLowering low{&out, &ct.barrier_ids, static_cast<std::int32_t>(t),
+                       {}};
     Time prev;
     bool first = true;
     for (std::size_t i = 0; i < events.size(); ++i) {
@@ -95,41 +111,44 @@ CompiledTrace CompiledTrace::compile(
         first = false;
       } else {
         delta = e.time - prev;
-        XP_CHECK(!delta.is_negative(), "translated trace not time-ordered");
+        if (delta.is_negative()) fail("translated trace not time-ordered");
       }
       prev = e.time;
+      if (e.kind == EventKind::BarrierExit)
+        fail("BarrierExit without BarrierEntry");
       if (e.kind == EventKind::BarrierEntry) {
         // Fold the paired BarrierExit into this step; the interval after
         // the barrier is measured from the exit timestamp (the simulator
         // generates the real exit time itself).
-        XP_CHECK(i + 1 < events.size() &&
-                     events[i + 1].kind == EventKind::BarrierExit,
-                 "BarrierEntry without paired BarrierExit");
+        if (i + 1 == events.size() ||
+            events[i + 1].kind != EventKind::BarrierExit)
+          fail("BarrierEntry without paired BarrierExit");
         prev = events[++i].time;
       }
       low.push(e, delta, e.time);
       if (e.kind == EventKind::ThreadEnd) break;  // trailing events never run
     }
-    XP_CHECK(!out.ops.empty() && out.ops.back() == OpKind::End,
-             "replay ran past end of trace");
+    if (out.ops.back() != OpKind::End) fail("no ThreadEnd");
   }
+  // A thread that stops short of the others' barriers never extended the
+  // shared run past its own count.
+  for (std::size_t t = 0; t < ct.threads.size(); ++t)
+    if (ct.threads[t].segments.size() != ct.barrier_ids.size() + 1)
+      throw util::TraceError(
+          "thread " + std::to_string(t) + " passes only " +
+          std::to_string(ct.threads[t].segments.size() - 1) + " of the " +
+          std::to_string(ct.barrier_ids.size()) +
+          " barriers (the data-parallel model requires identical barrier "
+          "sequences)");
   ct.finish();
   return ct;
 }
 
 void CompiledTrace::finish() {
-  // Segment-collapse precondition: lockstep epochs.
-  uniform_barriers = true;
-  for (std::size_t t = 1; t < threads.size(); ++t)
-    if (threads[t].barrier_ids != threads[0].barrier_ids) {
-      uniform_barriers = false;
-      break;
-    }
   // Representative-epoch class table (core/translate.hpp): grouped here,
   // once per lowering, so sampling shares it across every simulation of a
-  // sweep — the same amortization contract as the segment table.  Only
-  // meaningful under lockstep barriers (the sampled path's precondition).
-  if (uniform_barriers) epoch_classes = build_epoch_classes(*this);
+  // sweep — the same amortization contract as the segment table.
+  epoch_classes = build_epoch_classes(*this);
   ideal_time = Time::zero();
   for (const CompiledThread& th : threads)
     ideal_time = util::max(ideal_time, th.proto.back().time);

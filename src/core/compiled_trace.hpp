@@ -13,13 +13,16 @@
 //                 is measured from the BarrierExit timestamp),
 //   remotes[]     packed remote-access records, consumed in order by
 //                 OpKind::Remote steps,
-//   barrier_ids[] the barrier-id run, consumed in order by OpKind::Barrier
-//                 steps (each Barrier step covers the trace's paired
-//                 BarrierEntry + BarrierExit; the simulator generates the
-//                 real exit time itself),
 //   proto[i]      the translated event, kept for full-fidelity re-emission
 //                 into the extrapolated output trace (replay decisions
-//                 never read it).
+//                 never read it),
+//
+// plus one barrier-id run for the whole set, consumed in order by every
+// thread's OpKind::Barrier steps (each Barrier step covers the trace's
+// paired BarrierEntry + BarrierExit; the simulator generates the real exit
+// time itself).  The data-parallel model has every thread pass the same
+// barriers (§3.2), so lockstep is part of the layout: a set whose threads
+// disagree on an id or on the barrier count does not lower.
 //
 // Two lowerings build it, through one per-event step (ThreadLowering):
 // core::lower_measured (core/translate.hpp) straight from a measured trace
@@ -52,14 +55,15 @@ enum class OpKind : std::uint8_t {
 };
 
 /// Packed remote-access record: the protocol-relevant fields of a
-/// RemoteRead/RemoteWrite event in 24 bytes.
+/// RemoteRead/RemoteWrite event in 16 bytes.  The element index is left to
+/// the proto: no cost depends on it.
 struct RemoteRec {
-  std::int64_t object = -1;          ///< global element index
   std::int32_t peer = -1;            ///< owner thread
   std::int32_t declared_bytes = 0;   ///< compiler-declared transfer size
   std::int32_t actual_bytes = 0;     ///< bytes actually moved
   bool is_write = false;
 };
+static_assert(sizeof(RemoteRec) == 16, "the remote record stays 16 bytes");
 
 /// One barrier-delimited slice of a thread's op stream (a "segment" in the
 /// hybrid-simulation sense): ops[op_begin..op_end] where ops[op_end] is the
@@ -95,17 +99,20 @@ struct CompiledThread {
   std::vector<OpKind> ops;
   std::vector<Time> pre_delta;
   std::vector<RemoteRec> remotes;
-  std::vector<std::int32_t> barrier_ids;
   std::vector<trace::Event> proto;  ///< emit templates, aligned with ops
-  std::vector<Segment> segments;    ///< barrier_ids.size() + 1 entries
+  /// CompiledTrace::barrier_ids.size() + 1 entries
+  std::vector<Segment> segments;
 };
 
 /// One thread's lowering cursor, the per-event step both lowerings share:
 /// push() appends the replay step for one event and closes a Segment at
 /// every Barrier and End step, so the segment table is built as the ops
-/// are.
+/// are.  The thread's k-th Barrier step appends its id to the shared
+/// barrier-id run when this thread is the first to reach barrier k, and
+/// must match entry k otherwise (util::TraceError if not).
 struct ThreadLowering {
   CompiledThread* out = nullptr;
+  std::vector<std::int32_t>* barrier_ids = nullptr;  ///< the shared run
   std::int32_t thread = 0;
   /// The segment being built; open.presum is the compute time since it
   /// began (since the last barrier release, in translated time).
@@ -135,9 +142,8 @@ struct ThreadLowering {
 /// terminates with End instead of Barrier and therefore always forms its
 /// own class.
 ///
-/// Built once per CompiledTrace (uniform_barriers only — the lockstep
-/// precondition the sampled path shares with the hybrid fast path) and
-/// shared read-only by every simulation.
+/// Built once per CompiledTrace, whose epochs are lockstep by construction,
+/// and shared read-only by every simulation.
 struct EpochClassTable {
   std::vector<std::uint64_t> fingerprint;  ///< per epoch
   std::vector<std::int32_t> class_of;      ///< per epoch -> class index
@@ -150,21 +156,18 @@ struct EpochClassTable {
   std::int64_t n_classes() const {
     return static_cast<std::int64_t>(exemplar.size());
   }
-  bool built() const { return !class_of.empty(); }
 };
 
 struct CompiledTrace {
   int n_threads = 0;
   std::vector<CompiledThread> threads;
 
-  /// True iff every thread passes the identical barrier-id sequence — the
-  /// lockstep-epoch precondition of the hybrid fast path.  translate()
-  /// output always satisfies this (trace validation enforces it); hand-built
-  /// trace sets may not.
-  bool uniform_barriers = false;
+  /// The barrier ids every thread passes, in order: barrier k ends epoch k
+  /// on every thread, so epochs advance in lockstep.
+  std::vector<std::int32_t> barrier_ids;
 
   /// Epoch -> class grouping for representative-epoch sampling; built by
-  /// finish() iff uniform_barriers (empty otherwise — check built()).
+  /// finish().
   EpochClassTable epoch_classes;
 
   /// The ideal n-processor makespan (zero communication and
@@ -172,13 +175,14 @@ struct CompiledTrace {
   Time ideal_time;
 
   /// Lower a translated trace set (one trace per thread, as produced by
-  /// core::translate) into compiled form.  Throws util::Error on the same
-  /// structural problems the simulator used to detect during replay, with
-  /// the same messages.
+  /// core::translate) into compiled form.  Throws util::TraceError on a
+  /// set replay cannot run: an empty thread, a foreign event, time going
+  /// backwards, an unpaired BarrierEntry or BarrierExit, no ThreadEnd, or
+  /// threads that do not pass the same barriers in the same order.
   static CompiledTrace compile(const std::vector<trace::Trace>& translated);
 
   /// The lowering's last step, once every thread's steps are pushed with
-  /// their final proto times: uniform_barriers, epoch_classes, ideal_time.
+  /// their final proto times: epoch_classes and ideal_time.
   void finish();
 };
 

@@ -1,8 +1,6 @@
 #include "core/simulator.hpp"
 
 #include <algorithm>
-#include <array>
-#include <map>
 #include <memory>
 #include <utility>
 
@@ -97,64 +95,29 @@ struct Msg {
   bool is_write = false;
 };
 
-// Arrivals for barriers this thread has not entered yet.  The release
-// protocol bounds how far ahead a child can run (it cannot reach barrier
-// k+1 until k is globally released), so the number of distinct future
-// barrier ids pending at one parent stays tiny; a fixed flat ring with a
-// linear scan replaces the old std::map<int32_t,int> — allocation-free and
-// branch-predictable.  A slot is free iff its count is zero.  If a trace's
-// barrier-id scheme ever exceeds the ring (the old map was unbounded),
-// excess ids spill to a vector instead of aborting; the ring stays the
-// fast path and the spill is never touched under the release protocol.
+// Children's arrivals for the barrier this thread has not entered yet.
+// One barrier's worth at most: a child sends its arrival at barrier k+1
+// only after its release from k, and that release needs this thread's own
+// arrival at k, which claimed every arrival for k.
 struct EarlyArrivals {
-  static constexpr int kSlots = 8;
-  std::array<std::int32_t, kSlots> ids{};
-  std::array<std::int32_t, kSlots> counts{};
-  std::vector<std::pair<std::int32_t, int>> spill;
+  std::int32_t id = -1;
+  int count = 0;
 
   void add(std::int32_t barrier_id) {
-    for (int i = 0; i < kSlots; ++i)
-      if (counts[i] > 0 && ids[i] == barrier_id) {
-        ++counts[i];
-        return;
-      }
-    // An id already in the spill must stay there (one counter per id),
-    // even if a ring slot has freed up since it overflowed.
-    for (auto& [id, count] : spill)
-      if (id == barrier_id) {
-        ++count;
-        return;
-      }
-    for (int i = 0; i < kSlots; ++i)
-      if (counts[i] == 0) {
-        ids[i] = barrier_id;
-        counts[i] = 1;
-        return;
-      }
-    spill.emplace_back(barrier_id, 1);
+    XP_CHECK(count == 0 || id == barrier_id,
+             "early arrivals for two barriers at once");
+    id = barrier_id;
+    ++count;
   }
 
-  bool empty() const {
-    for (const std::int32_t c : counts)
-      if (c > 0) return false;
-    return spill.empty();
-  }
+  bool empty() const { return count == 0; }
 
   /// Claim (and clear) the arrivals recorded for `barrier_id`; 0 if none.
   int take(std::int32_t barrier_id) {
-    for (int i = 0; i < kSlots; ++i)
-      if (counts[i] > 0 && ids[i] == barrier_id) {
-        const int c = counts[i];
-        counts[i] = 0;
-        return c;
-      }
-    for (auto it = spill.begin(); it != spill.end(); ++it)
-      if (it->first == barrier_id) {
-        const int c = it->second;
-        spill.erase(it);
-        return c;
-      }
-    return 0;
+    if (id != barrier_id) return 0;
+    const int c = count;
+    count = 0;
+    return c;
   }
 };
 
@@ -206,11 +169,6 @@ constexpr std::int32_t op_ref(std::uint32_t i) {
 }
 constexpr std::int32_t exit_ref(std::uint32_t i) { return op_ref(i) + 1; }
 
-struct AnalyticBarrier {
-  std::vector<Time> arrival;
-  int count = 0;
-};
-
 class Simulator {
  public:
   Simulator(const CompiledTrace& compiled, const SimParams& params,
@@ -233,16 +191,16 @@ class Simulator {
       T.code = &compiled.threads[static_cast<std::size_t>(t)];
     }
     cpus_.resize(static_cast<std::size_t>(n_procs_));
+    if (!use_messages()) arrival_.resize(static_cast<std::size_t>(n_));
     for (const CompiledThread& th : compiled.threads)
       hyb_.segments_total += static_cast<std::int64_t>(th.segments.size());
-    collapse_ = classify(compiled);
+    collapse_ = classify();
     // Barrier-epoch memoization (DESIGN.md §16): message barriers only
     // (the barrier point is the root's), and the compile-time class
     // table supplies the key.  Replayed windows append their recorded
     // slice of the emission log time-shifted, so a trace does not turn it
     // off.
-    memo_on_ = opts_.mode != SimMode::EventDriven && use_messages() &&
-               compiled.epoch_classes.built();
+    memo_on_ = opts_.mode != SimMode::EventDriven && use_messages();
     hold_polls_ = opts_.mode != SimMode::EventDriven &&
                   params_.proc.policy == model::ServicePolicy::Poll;
     if (hold_polls_) engine_.record_origins();
@@ -253,7 +211,7 @@ class Simulator {
     // so the log is sized once and never reallocates.
     if (opts_.emit_trace) {
       for (const CompiledThread& th : compiled.threads)
-        log_size_ += th.ops.size() + th.barrier_ids.size();
+        log_size_ += th.ops.size() + compiled.barrier_ids.size();
       log_.reserve(log_size_);
     }
   }
@@ -300,8 +258,9 @@ class Simulator {
   //
   //   * every thread owns its processor (n_procs >= n_threads), so there is
   //     no CPU sharing between threads,
-  //   * barriers resolve analytically (no barrier message traffic), with
-  //     identical barrier sequences so epochs advance in lockstep,
+  //   * barriers resolve analytically (no barrier message traffic); every
+  //     thread passes the same barriers (CompiledTrace::barrier_ids), so
+  //     epochs advance in lockstep,
   //   * no thread performs a cross-cluster remote access anywhere in the
   //     trace (it would block on request/reply messages whose latency
   //     depends on network state, and servicing it would consume the
@@ -312,9 +271,8 @@ class Simulator {
   // inside the closed form.  Collapse is all-or-nothing: a run that fails
   // any condition replays every segment through the engine.  One early-
   // exit scan, no allocation.
-  bool classify(const CompiledTrace& compiled) const {
-    if (opts_.mode == SimMode::EventDriven || n_procs_ < n_ ||
-        !compiled.uniform_barriers || use_messages())
+  bool classify() const {
+    if (opts_.mode == SimMode::EventDriven || n_procs_ < n_ || use_messages())
       return false;
     if (params_.cluster.procs_per_cluster >= n_procs_) return true;
     // Thread t runs on processor t here.
@@ -542,13 +500,11 @@ class Simulator {
   /// makes n = 10^4..10^6 simulated processors feasible.
   void run_analytic_sampled() {
     const EpochClassTable& tab = compiled_->epoch_classes;
-    XP_CHECK(tab.built(), "the analytic path needs the epoch-class table");
     samp_.active = true;
     samp_.epochs = tab.epochs();
     hyb_.segments_collapsed = hyb_.segments_total;
     memo_.resize(static_cast<std::size_t>(tab.n_classes()));
     std::vector<Time> at(static_cast<std::size_t>(n_));
-    std::vector<Time> arrival(static_cast<std::size_t>(n_));
     // The final epoch is End-terminated, hence a singleton class: walked.
     const std::size_t last = tab.class_of.size() - 1;
     Time q;
@@ -575,13 +531,13 @@ class Simulator {
           continue;
         }
         at[static_cast<std::size_t>(t)] = end;
-        arrival[static_cast<std::size_t>(t)] =
+        arrival_[static_cast<std::size_t>(t)] =
             end + params_.barrier.entry_time;
       }
       if (e == last) return;
       // Barrier parameters are non-negative, so the release is never
       // before the last arrival.
-      q = model::analytic_release(params_.barrier, arrival);
+      q = model::analytic_release(params_.barrier, arrival_);
       for (int t = 0; t < n_; ++t) {
         ThreadCtx& T = thr(t);
         T.stats.barrier_wait += q - at[static_cast<std::size_t>(t)];
@@ -858,7 +814,7 @@ class Simulator {
         begin_remote_access(T, code.remotes[T.remote++]);
         break;
       case OpKind::Barrier:
-        begin_barrier(T, code.barrier_ids[T.barrier++]);
+        begin_barrier(T, compiled_->barrier_ids[T.barrier++]);
         break;
     }
   }
@@ -1118,14 +1074,14 @@ class Simulator {
     proceed(T);
   }
 
+  /// Every thread arrives once per barrier, and none can arrive at the next
+  /// before this one releases, so one arrival vector serves every barrier.
   void analytic_arrive(ThreadCtx& T) {
-    AnalyticBarrier& b = analytic_[T.cur_barrier];
-    if (b.arrival.empty())
-      b.arrival.assign(static_cast<std::size_t>(n_), Time::zero());
-    b.arrival[static_cast<std::size_t>(T.id)] = engine_.now();
-    if (++b.count < n_) return;
+    arrival_[static_cast<std::size_t>(T.id)] = engine_.now();
+    if (++arrived_ < n_) return;
+    arrived_ = 0;
     const Time at = util::max(
-        model::analytic_release(params_.barrier, b.arrival), engine_.now());
+        model::analytic_release(params_.barrier, arrival_), engine_.now());
     const std::int32_t id = T.cur_barrier;
     for (int t = 0; t < n_; ++t) {
       engine_.schedule_at(at, [this, t, id] {
@@ -1135,7 +1091,6 @@ class Simulator {
         barrier_exit_done(W);
       });
     }
-    analytic_.erase(id);
   }
 
   // --- epoch replay (DESIGN.md §15, §16) -----------------------------------
@@ -1282,7 +1237,7 @@ class Simulator {
     if (rec_cls_ >= 0) finish_recording(q0);
 
     const EpochClassTable& tab = compiled_->epoch_classes;
-    const auto n_barriers = R.code->barrier_ids.size();
+    const auto n_barriers = compiled_->barrier_ids.size();
     const std::size_t b0 = R.barrier - 1;  // the barrier being lowered
     std::size_t b = b0;                    // ... after the replayed windows
     Time q = q0;
@@ -1310,7 +1265,7 @@ class Simulator {
       T.op = seg.op_end + 1;
       T.remote = seg.remote_end;
       T.barrier = static_cast<std::uint32_t>(b + 1);
-      T.cur_barrier = T.code->barrier_ids[b];
+      T.cur_barrier = compiled_->barrier_ids[b];
       T.wait_start = q;
     }
     engine_.schedule_at(q, [this, &R] { lower_barrier(R); });
@@ -1393,7 +1348,10 @@ class Simulator {
   net::Network network_;
   std::vector<ThreadCtx> threads_;  ///< sized once; never grows
   std::vector<Cpu> cpus_;
-  std::map<std::int32_t, AnalyticBarrier> analytic_;
+  /// Barrier arrival times, analytic barriers only: the one barrier in
+  /// flight on the event path, the epoch's barrier on the analytic path.
+  std::vector<Time> arrival_;
+  int arrived_ = 0;  ///< arrivals at the event path's barrier in flight
   std::vector<Emission> log_;  ///< emission order; trace runs only
   std::size_t log_size_ = 0;   ///< records a finished traced run holds
 

@@ -37,9 +37,10 @@ TranslateCache::Measure measure_fresh(ProgramFactory factory) {
 }
 
 double cell_cost_hint(const TranslatedTrace& tt) {
+  const CompiledTrace& ct = *tt.compiled;
   double events = 0;
-  for (const CompiledThread& th : tt.compiled->threads)
-    events += static_cast<double>(th.ops.size() + th.barrier_ids.size());
+  for (const CompiledThread& th : ct.threads)
+    events += static_cast<double>(th.ops.size() + ct.barrier_ids.size());
   return events;
 }
 
@@ -54,9 +55,9 @@ std::size_t TranslateCache::footprint_bytes(const TranslatedTrace& tt) {
       b += th.ops.size() * (sizeof(OpKind) + sizeof(Time)) +
            th.proto.size() * sizeof(trace::Event) +
            th.remotes.size() * sizeof(RemoteRec) +
-           th.barrier_ids.size() * sizeof(std::int32_t) +
            th.segments.size() * sizeof(Segment);
     }
+    b += tt.compiled->barrier_ids.size() * sizeof(std::int32_t);
     const EpochClassTable& ec = tt.compiled->epoch_classes;
     b += ec.fingerprint.size() * sizeof(std::uint64_t) +
          ec.class_of.size() * sizeof(std::int32_t) +

@@ -64,7 +64,7 @@ struct Perturbation {
 /// release_k = release_{k-1} + max_t presum(t, k).  Exact for any validated
 /// trace, whatever its interleaving.
 std::vector<Time> barrier_releases(const CompiledTrace& ct) {
-  std::vector<Time> release(ct.threads[0].barrier_ids.size());
+  std::vector<Time> release(ct.barrier_ids.size());
   Time prev;
   for (std::size_t k = 0; k < release.size(); ++k) {
     Time longest;
@@ -110,9 +110,10 @@ CompiledTrace lower_steps(const trace::Trace& measured,
       th.pre_delta.reserve(count[t].ops);
       th.proto.reserve(count[t].ops);
       th.remotes.reserve(count[t].remotes);
-      th.barrier_ids.reserve(count[t].barriers);
       th.segments.reserve(count[t].barriers + 1);
     }
+    // validate() holds every thread to thread 0's barriers.
+    ct.barrier_ids.reserve(count[0].barriers);
   }
 
   // One pass in merged order; the merged position is the global recording
@@ -128,7 +129,7 @@ CompiledTrace lower_steps(const trace::Trace& measured,
   std::vector<Cursor> cur(static_cast<std::size_t>(n));
   for (int t = 0; t < n; ++t)
     cur[static_cast<std::size_t>(t)].low = {
-        &ct.threads[static_cast<std::size_t>(t)], t, {}};
+        &ct.threads[static_cast<std::size_t>(t)], &ct.barrier_ids, t, {}};
   for (std::size_t i = 0; i < events.size(); ++i) {
     const Event& e = events[i];
     const auto g = static_cast<std::int64_t>(i);
@@ -183,7 +184,7 @@ std::vector<trace::Trace> translate(const trace::Trace& measured,
     part.set_meta("thread", std::to_string(t));
     part.set_meta("translated", "1");
     std::vector<Event>& out = part.mutable_events();
-    out.reserve(th.ops.size() + th.barrier_ids.size());
+    out.reserve(th.ops.size() + ct.barrier_ids.size());
     std::size_t b = 0;
     for (std::size_t i = 0; i < th.ops.size(); ++i) {
       out.push_back(th.proto[i]);
@@ -192,7 +193,7 @@ std::vector<trace::Trace> translate(const trace::Trace& measured,
       exit.time = release[b];
       exit.thread = t;
       exit.kind = EventKind::BarrierExit;
-      exit.barrier_id = th.barrier_ids[b++];
+      exit.barrier_id = ct.barrier_ids[b++];
       out.push_back(exit);
     }
     parts.push_back(std::move(part));
@@ -256,8 +257,6 @@ void mix_thread_segment(EpochHash& f, const CompiledThread& th, std::size_t t,
 }  // namespace
 
 std::uint64_t epoch_fingerprint(const CompiledTrace& ct, std::int64_t epoch) {
-  XP_REQUIRE(ct.uniform_barriers,
-             "epoch fingerprints need lockstep (uniform-barrier) traces");
   XP_REQUIRE(!ct.threads.empty() && epoch >= 0 &&
                  epoch < static_cast<std::int64_t>(ct.threads[0].segments.size()),
              "epoch index out of range");
@@ -295,8 +294,6 @@ bool epochs_identical(const CompiledTrace& ct, std::int64_t a,
 }
 
 EpochClassTable build_epoch_classes(const CompiledTrace& ct) {
-  XP_REQUIRE(ct.uniform_barriers,
-             "epoch classes need lockstep (uniform-barrier) traces");
   EpochClassTable tab;
   if (ct.threads.empty()) return tab;
   const auto epochs =
@@ -342,7 +339,6 @@ EpochClassTable build_epoch_classes(const CompiledTrace& ct) {
 }
 
 EpochClassTable singleton_epoch_classes(const CompiledTrace& ct) {
-  XP_REQUIRE(ct.epoch_classes.built(), "no epoch-class table to split");
   EpochClassTable tab;
   tab.fingerprint = ct.epoch_classes.fingerprint;
   tab.class_of.resize(tab.fingerprint.size());

@@ -70,7 +70,7 @@ Time ideal_parallel_time(const std::vector<trace::Trace>& translated);
 /// thread, the thread index, every op kind and unscaled compute interval of
 /// the segment, and every remote record's (peer, declared_bytes,
 /// actual_bytes, is_write).  Excludes barrier ids (instance names, not
-/// costs) and object ids (never enter a cost).  Requires uniform_barriers.
+/// costs) and object ids (never enter a cost).
 std::uint64_t epoch_fingerprint(const CompiledTrace& ct, std::int64_t epoch);
 
 /// Exact content equality of two epochs: same per-thread op-kind sequences,
@@ -81,15 +81,14 @@ std::uint64_t epoch_fingerprint(const CompiledTrace& ct, std::int64_t epoch);
 bool epochs_identical(const CompiledTrace& ct, std::int64_t a, std::int64_t b);
 
 /// Group all epochs into classes of bit-identical content (fingerprint
-/// match + epochs_identical verification).  Requires uniform_barriers;
-/// class indices are in first-occurrence order, so exemplar[] is strictly
-/// increasing and the final (End-terminated) epoch is always a singleton.
+/// match + epochs_identical verification).  Class indices are in
+/// first-occurrence order, so exemplar[] is strictly increasing and the
+/// final (End-terminated) epoch is always a singleton.
 EpochClassTable build_epoch_classes(const CompiledTrace& ct);
 
 /// `ct`'s class table with every epoch made its own class (count 1).  The
 /// sampled path over it walks every epoch in order: the full analytic walk
-/// the benches and tests measure epoch sampling against.  Requires a built
-/// table.
+/// the benches and tests measure epoch sampling against.
 EpochClassTable singleton_epoch_classes(const CompiledTrace& ct);
 
 }  // namespace xp::core

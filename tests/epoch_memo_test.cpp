@@ -88,7 +88,7 @@ bool iterative(const std::string& bench) {
 /// last barrier, whose window runs into the End-terminated final epoch.
 std::int64_t memo_windows(const CompiledTrace& ct) {
   const auto barriers =
-      static_cast<std::int64_t>(ct.threads[0].barrier_ids.size());
+      static_cast<std::int64_t>(ct.barrier_ids.size());
   return barriers > 0 ? barriers - 1 : 0;
 }
 
@@ -234,14 +234,15 @@ TEST(EpochMemo, GridReplaysAlmostEveryWindow) {
 }
 
 // A hand-built trace whose barrier points are not all quiescent.  Trace
-// validation rejects a barrier id used twice in a row, but compile() does
-// not check ids, and the oracle runs this one to completion: threads 1, 2
-// and 3 compute nothing between the two id-2 barriers, so their second
-// arrival reaches the root while it is still sending the first release.
-// The root counts it toward the barrier it is lowering and passes its
-// arrival check a second time with releases still queued on its CPU.  At
-// that point the memo must not record or replay anything, and the run
-// must still match the oracle bit for bit.
+// validation rejects a barrier id used twice in a row, but compile() only
+// holds every thread to the same ids, not to increasing ones, and the
+// oracle runs this one to completion: threads 1, 2 and 3 compute nothing
+// between the two id-2 barriers, so their second arrival reaches the root
+// while it is still sending the first release.  The root counts it toward
+// the barrier it is lowering and passes its arrival check a second time
+// with releases still queued on its CPU.  At that point the memo must not
+// record or replay anything, and the run must still match the oracle bit
+// for bit.
 TEST(EpochMemo, NonQuiescentBarrierPointKeepsMemoOff) {
   auto ev_at = [](std::int64_t t_ns, int th, EventKind kind, int id = -1) {
     Event e;
@@ -270,7 +271,6 @@ TEST(EpochMemo, NonQuiescentBarrierPointKeepsMemoOff) {
   }
   const auto ct =
       std::make_shared<const CompiledTrace>(CompiledTrace::compile(per_thread));
-  ASSERT_TRUE(ct->epoch_classes.built());
   const model::SimParams p = model::distributed_preset();
   const SimResult ev = run(ct, p, SimMode::EventDriven);
   const SimResult au = run(ct, p, SimMode::Auto);

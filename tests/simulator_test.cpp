@@ -439,7 +439,7 @@ TEST(Simulator, EmissionLogIsSizedOnceForEveryPath) {
   const auto code = compiled_code("grid", 8);
   std::size_t want = 0;
   for (const CompiledThread& th : code->threads)
-    want += th.ops.size() + th.barrier_ids.size();
+    want += th.ops.size() + code->barrier_ids.size();
   SimParams one_cluster = model::shared_memory_preset();
   one_cluster.cluster.procs_per_cluster = 1 << 30;
   bool memo = false, sampled = false;

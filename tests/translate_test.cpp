@@ -404,7 +404,7 @@ int compiled_diffs(const CompiledTrace& a, const CompiledTrace& b,
     if (++diffs <= 5) log += what + "; ";
   };
   diff(a.n_threads == b.n_threads, "n_threads");
-  diff(a.uniform_barriers == b.uniform_barriers, "uniform_barriers");
+  diff(a.barrier_ids == b.barrier_ids, "barrier_ids");
   diff(a.ideal_time == b.ideal_time, "ideal_time");
   diff(a.threads.size() == b.threads.size(), "thread count");
   for (std::size_t t = 0; t < std::min(a.threads.size(), b.threads.size());
@@ -414,14 +414,13 @@ int compiled_diffs(const CompiledTrace& a, const CompiledTrace& b,
     const std::string at = "thread " + std::to_string(t) + " ";
     diff(x.ops == y.ops, at + "ops");
     diff(x.pre_delta == y.pre_delta, at + "pre_delta");
-    diff(x.barrier_ids == y.barrier_ids, at + "barrier_ids");
     diff(x.proto == y.proto, at + "proto");
     diff(x.remotes.size() == y.remotes.size(), at + "remote count");
     for (std::size_t r = 0; r < std::min(x.remotes.size(), y.remotes.size());
          ++r) {
       const RemoteRec& p = x.remotes[r];
       const RemoteRec& q = y.remotes[r];
-      diff(p.object == q.object && p.peer == q.peer &&
+      diff(p.peer == q.peer &&
                p.declared_bytes == q.declared_bytes &&
                p.actual_bytes == q.actual_bytes && p.is_write == q.is_write,
            at + "remote " + std::to_string(r));
@@ -483,6 +482,105 @@ TEST(LowerMeasured, ValidatesInput) {
   Trace bad(1);
   bad.append(ev(0, 0, EventKind::BarrierExit, 0));
   EXPECT_THROW(lower_measured(bad), util::TraceError);
+}
+
+/// Index of the first event of `kind` in `events`.
+std::size_t first_of(const std::vector<Event>& events, EventKind kind) {
+  for (std::size_t i = 0; i < events.size(); ++i)
+    if (events[i].kind == kind) return i;
+  ADD_FAILURE() << "no " << trace::to_string(kind);
+  return 0;
+}
+
+/// Index of the last event of `kind` in `events`.
+std::size_t last_of(const std::vector<Event>& events, EventKind kind) {
+  for (std::size_t i = events.size(); i-- > 0;)
+    if (events[i].kind == kind) return i;
+  ADD_FAILURE() << "no " << trace::to_string(kind);
+  return 0;
+}
+
+/// Remove `count` events of `events` from index `i` on.
+void erase_at(std::vector<Event>& events, std::size_t i,
+              std::size_t count = 1) {
+  const auto at = events.begin() + static_cast<std::ptrdiff_t>(i);
+  events.erase(at, at + static_cast<std::ptrdiff_t>(count));
+}
+
+// compile() is the door for translated sets that did not come from
+// lower_measured(): files and hand-built sets.  Each row breaks one thing
+// replay needs in the translated grid_n4 golden; compile() must refuse it
+// with a TraceError naming the problem.  The first six rows break one
+// thread's own stream, the last two keep every stream well-formed but
+// break lockstep, which used to end in a replay deadlock.
+TEST(CompileRejects, InvalidTranslatedSetsThrowTraceError) {
+  using Events = std::vector<Event>;
+  struct Row {
+    const char* what;
+    void (*mutate)(std::vector<Trace>& parts);
+    const char* message;
+  };
+  const Row rows[] = {
+      {"empty thread",
+       [](std::vector<Trace>& p) { p[1].mutable_events().clear(); },
+       "thread 1: thread trace is empty"},
+      {"foreign event",
+       [](std::vector<Trace>& p) { p[1].mutable_events()[1].thread = 2; },
+       "thread 1: translated trace contains foreign events"},
+      {"time runs backwards",
+       [](std::vector<Trace>& p) {
+         Events& es = p[1].mutable_events();
+         es[last_of(es, EventKind::ThreadEnd)].time = Time::zero();
+       },
+       "thread 1: translated trace not time-ordered"},
+      {"entry without exit",
+       [](std::vector<Trace>& p) {
+         Events& es = p[1].mutable_events();
+         erase_at(es, first_of(es, EventKind::BarrierExit));
+       },
+       "thread 1: BarrierEntry without paired BarrierExit"},
+      {"exit without entry",
+       [](std::vector<Trace>& p) {
+         Events& es = p[1].mutable_events();
+         erase_at(es, first_of(es, EventKind::BarrierEntry));
+       },
+       "thread 1: BarrierExit without BarrierEntry"},
+      {"no ThreadEnd",
+       [](std::vector<Trace>& p) {
+         Events& es = p[1].mutable_events();
+         erase_at(es, last_of(es, EventKind::ThreadEnd));
+       },
+       "thread 1: no ThreadEnd"},
+      {"a thread's barrier id differs",
+       [](std::vector<Trace>& p) {
+         Events& es = p[2].mutable_events();
+         const std::size_t entry = last_of(es, EventKind::BarrierEntry);
+         es[entry].barrier_id = es[entry + 1].barrier_id = 1000;
+       },
+       "thread 2 passes barrier 1000 where another thread passes"},
+      {"a thread passes one barrier fewer",
+       [](std::vector<Trace>& p) {
+         Events& es = p[0].mutable_events();
+         erase_at(es, last_of(es, EventKind::BarrierEntry), 2);  // and exit
+       },
+       "thread 0 passes only"},
+  };
+  const std::vector<Trace> translated = translate(golden("grid_n4.xpt"));
+  ASSERT_EQ(translated.size(), 4u);
+  EXPECT_NO_THROW(CompiledTrace::compile(translated));
+  for (const Row& row : rows) {
+    std::vector<Trace> parts = translated;
+    row.mutate(parts);
+    try {
+      CompiledTrace::compile(parts);
+      ADD_FAILURE() << row.what << ": compiled";
+    } catch (const util::TraceError& e) {
+      EXPECT_NE(std::string(e.what()).find(row.message), std::string::npos)
+          << row.what << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << row.what << ": not a TraceError: " << e.what();
+    }
+  }
 }
 
 struct TranslateDigest {
