@@ -22,7 +22,10 @@
 // Gates (exit code): on hosts with >= 4 CPUs, >= 2x warm and >= 3x e2e
 // speedup at 4 workers with measure CPU-seconds <= 1.3x the 1-worker run;
 // on >= 8 CPUs also >= 5x e2e at 8 workers; on every host,
-// bitwise-identical predictions.
+// bitwise-identical predictions.  The cold grid's simulation work (engine
+// events, memo hits and memo misses, summed over its cells) is held at
+// every worker count at <= row "sweep_work_grid_e2e" of
+// bench/work_golden.json; a change that lowers a count updates that table.
 #include <algorithm>
 #include <chrono>
 #include <iostream>
@@ -211,6 +214,12 @@ int main() {
         e2e_seq_best / best,
         e2e_differs.count(workers) ? "   !! PREDICTIONS DIFFER" : "");
     print_e2e_row(workers, hw, best, e2e_seq_best / best, stages);
+    for (const char* field :
+         {"sim_events_fired", "sim_memo_hits", "sim_memo_misses"})
+      for (const core::SimCounterField& f : core::kSimCounterFields)
+        if (std::string(f.key) == field)
+          bench::hold_work(XP_WORK_GOLDEN, "sweep_work_grid_e2e", field,
+                           stages.sim.*f.member);
   }
 
   std::cout << '\n';
@@ -254,5 +263,6 @@ int main() {
   bench::gate("every worker count produced bitwise-identical predictions "
               "(cold cache)",
               e2e_all_match);
+  bench::gate_work();
   return bench::exit_code();
 }
