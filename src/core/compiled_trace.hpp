@@ -158,6 +158,14 @@ struct EpochClassTable {
   }
 };
 
+/// Thread count from which one prediction uses several host threads
+/// (util::parallel_workers): the lowerings split their per-thread work over
+/// thread ranges (DESIGN.md §9), and the event path simulates its distinct
+/// barrier-epoch windows at the same time (DESIGN.md §16).  Smaller traces
+/// lower and simulate in a few milliseconds, where starting threads would
+/// cost a real share, so they stay on the caller's thread.
+inline constexpr int kParallelMinThreads = 1024;
+
 struct CompiledTrace {
   int n_threads = 0;
   std::vector<CompiledThread> threads;

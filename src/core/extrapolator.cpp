@@ -1,14 +1,24 @@
 #include "core/extrapolator.hpp"
 
+#include "util/parallel.hpp"
+
 namespace xp::core {
 
 TranslatedTrace prepare_trace(const trace::Trace& measured) {
   TranslatedTrace tt;
-  // Lowering validates the trace, so it runs before anything else reads it.
+  // A large trace is summarized on a thread of its own while it lowers
+  // (util/parallel.hpp); a small one after.  Lowering validates the trace
+  // and its error is the one a bad trace throws: an unjoined group drops
+  // the summary's.
+  const bool beside = util::parallel_workers(measured.n_threads(),
+                                             kParallelMinThreads) > 1;
+  util::TaskGroup summary(1, beside ? 2 : 1, [&](std::size_t) {
+    tt.measured_summary = trace::summarize(measured);
+  });
   tt.compiled = std::make_shared<const CompiledTrace>(lower_measured(measured));
+  summary.join();
   tt.n_threads = measured.n_threads();
   tt.measured_time = measured.end_time();
-  tt.measured_summary = trace::summarize(measured);
   tt.ideal_time = tt.compiled->ideal_time;
   return tt;
 }

@@ -76,6 +76,8 @@ void ThreadPool::wait() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
+bool ThreadPool::on_worker() { return tls_pool != nullptr; }
+
 int ThreadPool::default_workers() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<int>(n);

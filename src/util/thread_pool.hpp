@@ -61,6 +61,11 @@ class ThreadPool {
 
   int size() const { return static_cast<int>(workers_.size()); }
 
+  /// Whether the calling thread is a worker of some ThreadPool, i.e. runs
+  /// one computation among the pool's many (util::parallel_workers keeps
+  /// such a computation on its one thread).
+  static bool on_worker();
+
   /// hardware_concurrency with a floor of 1 (the standard allows 0).
   static int default_workers();
 

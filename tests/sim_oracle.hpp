@@ -14,13 +14,12 @@
 
 namespace xp::test {
 
-/// Expect `got` to equal `want` bit for bit: makespan, every ThreadStats
-/// field, messages, bytes, avg_inflight and the extrapolated events in
-/// order (both empty when neither run emitted a trace).  Reports the first
-/// differing event rather than printing whole traces.
-inline void expect_same_result(const core::SimResult& want,
-                               const core::SimResult& got,
-                               const std::string& what) {
+/// Expect the numbers of `got` to equal those of `want` bit for bit:
+/// makespan, every ThreadStats field, messages, bytes and avg_inflight.
+/// They do not depend on SimOptions::emit_trace.
+inline void expect_same_numbers(const core::SimResult& want,
+                                const core::SimResult& got,
+                                const std::string& what) {
   static_assert(sizeof(core::ThreadStats) == 12 * sizeof(std::int64_t),
                 "compare every ThreadStats field below");
   SCOPED_TRACE(what);
@@ -46,6 +45,17 @@ inline void expect_same_result(const core::SimResult& want,
   EXPECT_EQ(want.messages, got.messages);
   EXPECT_EQ(want.bytes, got.bytes);
   EXPECT_EQ(want.avg_inflight, got.avg_inflight);
+}
+
+/// Expect `got` to equal `want` bit for bit: expect_same_numbers and the
+/// extrapolated events in order (both empty when neither run emitted a
+/// trace).  Reports the first differing event rather than printing whole
+/// traces.
+inline void expect_same_result(const core::SimResult& want,
+                               const core::SimResult& got,
+                               const std::string& what) {
+  expect_same_numbers(want, got, what);
+  SCOPED_TRACE(what);
   const auto& a = want.extrapolated().events();
   const auto& b = got.extrapolated().events();
   EXPECT_EQ(a.size(), b.size());
